@@ -2,9 +2,16 @@
 
 Everything here is brute force over all 2^|E| edge configurations (or q^|V|
 spin configurations) with exact bookkeeping; it is the ground truth that the
-samplers, observables and transfer matrices are tested against. The
-configuration tree is walked with a rollback union-find so cluster counts are
-maintained incrementally instead of being recomputed at every leaf.
+samplers, observables and transfer matrices are tested against.
+Edge configurations are enumerated into one label table per (graph, bc):
+labels[mask, v] is the smallest vertex index in the cluster of v in
+omega^xi, the convention of lattice.cluster_stats, and bit k of mask is the
+state of edge k. The table is built edge by edge: the rows of the 2^k masks
+over edges < k are copied to the next 2^k rows, where edge k is open, and
+there the larger endpoint label of edge k is rewritten to the smaller one.
+Cluster counts and every event array are numpy reductions over that table.
+Each label or colouring table is sized before it is allocated and refused
+past MAX_TABLE_BYTES.
 """
 
 from __future__ import annotations
@@ -14,53 +21,90 @@ import math
 
 import numpy as np
 
-from .lattice import RollbackUnionFind, UnionFind, free_bc
+from .lattice import cluster_stats, free_bc
 
-# hard cap on enumerable edge sets; 2^26 leaves is already minutes of work
+# hard cap on enumerable edge sets
 MAX_ENUM_EDGES = 26
+
+# memory budget, in bytes, of one label table or one spin colouring table
+MAX_TABLE_BYTES = 1 << 29
 
 # above this many edges the weights p^o (1-p)^c q^k can leave double range,
 # so accumulation switches to log space by default
 LOG_DOMAIN_EDGE_THRESHOLD = 20
 
+# masks of the label table rewritten at a time, which bounds the temporaries
+_MERGE_MASKS = 1 << 15
 
-def scan_configs(graph, bc, leaf):
-    """Depth-first walk over all 2^|E| configurations.
 
-    leaf(mask, uf) is called once per configuration; bit k of mask is the
-    state of edge k and uf is a rollback union-find over vertex indices with
-    the open edges and the bc blocks merged.
+def _check_budget(n_bytes, what):
+    """Refuse, before allocating it, a table of n_bytes over the budget."""
+    if n_bytes > MAX_TABLE_BYTES:
+        raise ValueError("%s needs %d bytes, over the budget of %d bytes"
+                         % (what, n_bytes, MAX_TABLE_BYTES))
+
+
+def _label_dtype(n_edges, n_vertices):
+    """dtype of a label table, after refusing one past the caps."""
+    if n_edges > MAX_ENUM_EDGES:
+        raise ValueError("refusing to enumerate more than %d edges"
+                         % MAX_ENUM_EDGES)
+    dtype = np.dtype(np.uint8 if n_vertices <= 255 else np.uint16)
+    _check_budget((1 << n_edges) * n_vertices * dtype.itemsize,
+                  "a label table over %d edges and %d vertices"
+                  % (n_edges, n_vertices))
+    return dtype
+
+
+def _label_table(n_vertices, ends, blocks=()):
+    """labels[mask, v] for the graph with edges ends[k] = (u, v) indices,
+    each block of vertex indices wired together. The table is stored vertex
+    by vertex (a transposed view), so every column is contiguous."""
+    cols = np.empty((n_vertices, 1 << len(ends)),
+                    dtype=_label_dtype(len(ends), n_vertices))
+    cols[:, 0] = np.arange(n_vertices)
+    for block in blocks:
+        cols[list(block), 0] = min(block)
+    for k, (u, v) in enumerate(ends):
+        half = 1 << k
+        cols[:, half:2 * half] = cols[:, :half]
+        for start in range(half, 2 * half, _MERGE_MASKS):
+            part = cols[:, start:min(start + _MERGE_MASKS, 2 * half)]
+            lo = np.minimum(part[u], part[v])
+            np.copyto(part, lo, where=part == np.maximum(part[u], part[v]))
+    return cols.T
+
+
+def _edge_ends(graph):
+    return [(graph.vertex_index[u], graph.vertex_index[v])
+            for u, v in graph.edges]
+
+
+def scan_configs(graph, bc, leaf=None):
+    """The label table of all 2^|E| configurations of graph under bc.
+
+    Returns labels[mask, v], the smallest vertex index in the cluster of v
+    in omega^xi, with bit k of mask the state of edge k. leaf(mask,
+    labels[mask]), if given, is called once per configuration in mask order.
     """
-    n = graph.n_edges
-    if n > MAX_ENUM_EDGES:
-        raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
-    uf = RollbackUnionFind(graph.n_vertices)
-    for block in bc.blocks:
-        for i in block[1:]:
-            uf.union(block[0], i)
-    ends = [(graph.vertex_index[u], graph.vertex_index[v]) for u, v in graph.edges]
+    labels = _label_table(graph.n_vertices, _edge_ends(graph), bc.blocks)
+    if leaf is not None:
+        for mask, row in enumerate(labels):
+            leaf(mask, row)
+    return labels
 
-    def rec(k, mask):
-        if k == n:
-            leaf(mask, uf)
-            return
-        rec(k + 1, mask)
-        uf.union(*ends[k])
-        rec(k + 1, mask | (1 << k))
-        uf.undo()
 
-    rec(0, 0)
+def _count_roots(labels):
+    """Cluster count of every row: the vertices that label their cluster."""
+    out = np.zeros(len(labels), dtype=np.int32)
+    for v in range(labels.shape[1]):
+        out += labels[:, v] == v
+    return out
 
 
 def cluster_count_array(graph, bc):
     """k(omega^xi) for every configuration mask."""
-    out = np.zeros(1 << graph.n_edges, dtype=np.int32)
-
-    def leaf(mask, uf):
-        out[mask] = uf.n_classes
-
-    scan_configs(graph, bc, leaf)
-    return out
+    return _count_roots(scan_configs(graph, bc))
 
 
 def open_count_array(n_edges):
@@ -73,23 +117,40 @@ def open_count_array(n_edges):
     return o
 
 
-def log_weight_array(graph, p, q, bc):
-    """log of p^o(w) (1-p)^c(w) q^k(w^xi) for every mask."""
+def _log_weights(p, q, o, k, n_edges):
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0,1)")
     if q <= 0:
         raise ValueError("q must be positive")
-    o = open_count_array(graph.n_edges)
-    k = cluster_count_array(graph, bc)
-    return (o * math.log(p) + (graph.n_edges - o) * math.log1p(-p)
+    return (o * math.log(p) + (n_edges - o) * math.log1p(-p)
             + k * math.log(q))
 
 
-def weight_array(graph, p, q, bc):
-    o = open_count_array(graph.n_edges)
-    k = cluster_count_array(graph, bc)
-    return (np.power(p, o, dtype=float) * np.power(1.0 - p, graph.n_edges - o)
+def _weights(p, q, o, k, n_edges):
+    return (np.power(p, o, dtype=float) * np.power(1.0 - p, n_edges - o)
             * np.power(float(q), k))
+
+
+def _probabilities(p, q, o, k, n_edges, log_domain=None):
+    if log_domain is None:
+        log_domain = n_edges > LOG_DOMAIN_EDGE_THRESHOLD
+    if log_domain:
+        lw = _log_weights(p, q, o, k, n_edges)
+        w = np.exp(lw - lw.max())
+    else:
+        w = _weights(p, q, o, k, n_edges)
+    return w / w.sum()
+
+
+def log_weight_array(graph, p, q, bc):
+    """log of p^o(w) (1-p)^c(w) q^k(w^xi) for every mask."""
+    return _log_weights(p, q, open_count_array(graph.n_edges),
+                        cluster_count_array(graph, bc), graph.n_edges)
+
+
+def weight_array(graph, p, q, bc):
+    return _weights(p, q, open_count_array(graph.n_edges),
+                    cluster_count_array(graph, bc), graph.n_edges)
 
 
 def partition_function(graph, p, q, bc, log_domain=None):
@@ -109,14 +170,9 @@ def log_partition_function(graph, p, q, bc):
 
 def probability_array(graph, p, q, bc, log_domain=None):
     """Normalized random-cluster probabilities of all configurations."""
-    if log_domain is None:
-        log_domain = graph.n_edges > LOG_DOMAIN_EDGE_THRESHOLD
-    if log_domain:
-        lw = log_weight_array(graph, p, q, bc)
-        w = np.exp(lw - lw.max())
-    else:
-        w = weight_array(graph, p, q, bc)
-    return w / w.sum()
+    return _probabilities(p, q, open_count_array(graph.n_edges),
+                          cluster_count_array(graph, bc), graph.n_edges,
+                          log_domain)
 
 
 def rc_expectation(graph, p, q, bc, values, log_domain=None):
@@ -150,47 +206,59 @@ def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
     p when the endpoints of edge_k are connected in rest_mask^xi without e,
     p/(p + q(1-p)) otherwise.
     """
-    u, v = graph.edges[edge_k]
-    uf = UnionFind(graph.n_vertices)
-    for block in bc.blocks:
-        for i in block[1:]:
-            uf.union(block[0], i)
-    for k, (a, b) in enumerate(graph.edges):
-        if k != edge_k and rest_mask & (1 << k):
-            uf.union(graph.vertex_index[a], graph.vertex_index[b])
-    if uf.find(graph.vertex_index[u]) == uf.find(graph.vertex_index[v]):
-        return p
-    return p / (p + q * (1.0 - p))
+    bits = [k != edge_k and (rest_mask >> k) & 1
+            for k in range(graph.n_edges)]
+    _, labels = cluster_stats(graph, bits, bc)
+    iu, iv = _edge_ends(graph)[edge_k]
+    return p if labels[iu] == labels[iv] else p / (p + q * (1.0 - p))
 
 
 # ---------------------------------------------------------------------------
 # event arrays
 
 
+def _pair_events(labels, pairs):
+    """Row r: the vertex indices pairs[r] = (i, j) share a cluster."""
+    out = np.empty((len(pairs), len(labels)), dtype=bool)
+    for r, (i, j) in enumerate(pairs):
+        np.equal(labels[:, i], labels[:, j], out=out[r])
+    return out
+
+
+def _joined(labels, sources, targets):
+    """(masks, len(targets)) bool: target vertex t shares a cluster with
+    some source vertex."""
+    hit = np.zeros(labels.shape, dtype=bool)
+    np.put_along_axis(hit, labels[:, list(sources)], True, axis=1)
+    return np.take_along_axis(hit, labels[:, list(targets)], axis=1)
+
+
+def _even_overlaps(labels, subsets):
+    """Row r: every cluster meets subsets[r] (vertex indices) an even number
+    of times, i.e. the sorted labels of the subset pair up."""
+    out = np.zeros((len(subsets), len(labels)), dtype=bool)
+    for r, ids in enumerate(subsets):
+        if len(ids) % 2 == 0:
+            s = np.sort(labels[:, list(ids)], axis=1)
+            out[r] = (s[:, 0::2] == s[:, 1::2]).all(axis=1)
+    return out
+
+
+def _boundary_indices(graph):
+    return [graph.vertex_index[v] for v in graph.boundary()]
+
+
 def connectivity_event(graph, bc, x, y):
     """Bool array over masks: x and y in one cluster of omega^xi."""
     ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
-    out = np.zeros(1 << graph.n_edges, dtype=bool)
-
-    def leaf(mask, uf):
-        out[mask] = uf.connected(ix, iy)
-
-    scan_configs(graph, bc, leaf)
-    return out
+    return _pair_events(scan_configs(graph, bc), [(ix, iy)])[0]
 
 
 def boundary_connection_event(graph, bc, x):
     """Bool array over masks: x is connected to some boundary vertex."""
     ix = graph.vertex_index[tuple(x)]
-    bd = [graph.vertex_index[v] for v in graph.boundary()]
-    out = np.zeros(1 << graph.n_edges, dtype=bool)
-
-    def leaf(mask, uf):
-        rx = uf.find(ix)
-        out[mask] = any(uf.find(b) == rx for b in bd)
-
-    scan_configs(graph, bc, leaf)
-    return out
+    return _joined(scan_configs(graph, bc), _boundary_indices(graph),
+                   [ix])[:, 0]
 
 
 def crossing_event(graph, rect, direction):
@@ -208,21 +276,13 @@ def crossing_event(graph, rect, direction):
     lo, hi = (x0, x1) if axis == 0 else (y0, y1)
     left = [i for i in inside if graph.vertices[i][axis] == lo]
     right = [i for i in inside if graph.vertices[i][axis] == hi]
-    out = np.zeros(1 << graph.n_edges, dtype=bool)
-
-    def leaf(mask, uf):
-        roots = {uf.find(i) for i in left}
-        out[mask] = any(uf.find(j) in roots for j in right)
-
-    scan_configs(graph, free_bc(graph), leaf)
-    return out
+    return _joined(scan_configs(graph, free_bc(graph)), left,
+                   right).any(axis=1)
 
 
 def cylinder_event(graph, open_edges):
     """All edges of open_edges (edge indices) open."""
-    need = 0
-    for k in open_edges:
-        need |= 1 << k
+    need = sum(1 << k for k in set(open_edges))
     masks = np.arange(1 << graph.n_edges, dtype=np.int64)
     return (masks & need) == need
 
@@ -232,49 +292,22 @@ def all_pairs_connectivity(graph, bc):
     the event that pairs[i] = (x, y) lie in one cluster of omega^xi."""
     n = graph.n_vertices
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = np.zeros((len(pairs), 1 << graph.n_edges), dtype=bool)
-
-    def leaf(mask, uf):
-        roots = [uf.find(i) for i in range(n)]
-        for r, (i, j) in enumerate(pairs):
-            out[r, mask] = roots[i] == roots[j]
-
-    scan_configs(graph, bc, leaf)
-    return pairs, out
+    return pairs, _pair_events(scan_configs(graph, bc), pairs)
 
 
 def all_boundary_connection(graph, bc):
     """One scan; row x is the event that vertex index x touches a cluster
     containing a boundary vertex of omega^xi."""
-    n = graph.n_vertices
-    bd = [graph.vertex_index[v] for v in graph.boundary()]
-    out = np.zeros((n, 1 << graph.n_edges), dtype=bool)
-
-    def leaf(mask, uf):
-        broots = {uf.find(b) for b in bd}
-        for i in range(n):
-            out[i, mask] = uf.find(i) in broots
-
-    scan_configs(graph, bc, leaf)
-    return out
+    labels = scan_configs(graph, bc)
+    return np.ascontiguousarray(_joined(
+        labels, _boundary_indices(graph), range(graph.n_vertices)).T)
 
 
 def all_even_overlap(graph, bc, subsets):
     """One scan; row r is the event that every cluster of omega^xi meets
     subsets[r] (a vertex tuple) an even number of times."""
     idx = [[graph.vertex_index[tuple(x)] for x in A] for A in subsets]
-    out = np.zeros((len(subsets), 1 << graph.n_edges), dtype=bool)
-
-    def leaf(mask, uf):
-        for r, ids in enumerate(idx):
-            parity = {}
-            for i in ids:
-                root = uf.find(i)
-                parity[root] = parity.get(root, 0) ^ 1
-            out[r, mask] = not any(parity.values())
-
-    scan_configs(graph, bc, leaf)
-    return out
+    return _even_overlaps(scan_configs(graph, bc), idx)
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +321,17 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     (including bc wiring), p/(p + q(1-p)) otherwise; returns the max abs
     error over all 2^(|E|-1) rest configurations.
     """
-    w = weight_array(graph, p, q, bc)
-    u, v = graph.edges[edge_k]
-    iu, iv = graph.vertex_index[u], graph.vertex_index[v]
-    ends = [(graph.vertex_index[a], graph.vertex_index[b]) for a, b in graph.edges]
+    n = graph.n_edges
+    labels = scan_configs(graph, bc)
+    w = _weights(p, q, open_count_array(n), _count_roots(labels), n)
+    iu, iv = _edge_ends(graph)[edge_k]
     bit = 1 << edge_k
-    worst = 0.0
-    for mask in range(1 << graph.n_edges):
-        if mask & bit:
-            continue
-        uf = UnionFind(graph.n_vertices)
-        for block in bc.blocks:
-            for i in block[1:]:
-                uf.union(block[0], i)
-        for k in range(graph.n_edges):
-            if mask & (1 << k) and k != edge_k:
-                uf.union(*ends[k])
-        expected = p if uf.find(iu) == uf.find(iv) else p / (p + q * (1.0 - p))
-        cond = w[mask | bit] / (w[mask | bit] + w[mask])
-        worst = max(worst, abs(cond - expected))
-    return worst
+    masks = np.arange(1 << n, dtype=np.int64)
+    rest = masks[(masks & bit) == 0]
+    conn = labels[rest, iu] == labels[rest, iv]
+    expected = np.where(conn, p, p / (p + q * (1.0 - p)))
+    cond = w[rest | bit] / (w[rest | bit] + w[rest])
+    return float(np.abs(cond - expected).max())
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +352,14 @@ def potts_beta_c(q):
     return (q - 1.0) / q * math.log(1.0 + math.sqrt(q))
 
 
+def _check_color_table(graph, q, fixed):
+    n = graph.n_vertices
+    configs = q ** (n - len(fixed or {}))
+    # the int8 colours and the float64 dots
+    _check_budget(configs * (n + 8),
+                  "a table of %d colourings of %d vertices" % (configs, n))
+
+
 def _color_table(graph, q, fixed=None):
     """All q^(free vertices) colorings and their summed simplex dots.
 
@@ -335,6 +367,7 @@ def _color_table(graph, q, fixed=None):
     sum_e sigma_u . sigma_v for coloring c. The Gibbs weight at inverse
     temperature beta is exp(beta * dots).
     """
+    _check_color_table(graph, q, fixed)
     n = graph.n_vertices
     fixed = fixed or {}
     free = [i for i in range(n) if i not in fixed]
@@ -359,13 +392,8 @@ def spin_ensemble(graph, q, beta, fixed=None):
     return colors, np.exp(beta * dots)
 
 
-def simplex_dot(c1, c2, q):
-    """Inner product of unit simplex spins: 1 if equal, -1/(q-1) otherwise."""
-    return 1.0 if c1 == c2 else -1.0 / (q - 1.0)
-
-
 def _wired_fix(graph, color=0):
-    return {graph.vertex_index[v]: color for v in graph.boundary()}
+    return dict.fromkeys(_boundary_indices(graph), color)
 
 
 def potts_two_point(graph, q, beta, x, y, wired_color=None):
@@ -398,17 +426,7 @@ def ising_moment(graph, beta, A, plus_boundary=False):
 def even_overlap_event(graph, bc, A):
     """Every cluster of omega^xi meets A an even number of times."""
     idx = [graph.vertex_index[tuple(x)] for x in A]
-    out = np.zeros(1 << graph.n_edges, dtype=bool)
-
-    def leaf(mask, uf):
-        parity = {}
-        for i in idx:
-            r = uf.find(i)
-            parity[r] = parity.get(r, 0) ^ 1
-        out[mask] = not any(parity.values())
-
-    scan_configs(graph, bc, leaf)
-    return out
+    return _even_overlaps(scan_configs(graph, bc), [idx])[0]
 
 
 def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
@@ -419,70 +437,67 @@ def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
     mu^b[sigma_x . b] with phi^1[x <-> boundary] at the matching beta.
     products, if given, is a list of vertex tuples A; for q = 2 the moment
     E[prod_A sigma_x] is compared with the probability that every cluster
-    meets A evenly. Returns a report dict; report["ok"] is the verdict.
+    meets A evenly. Every table is sized, and refused over the budget,
+    before the first is built. Returns a report dict; report["ok"] is the
+    verdict.
     """
     from .lattice import wired_bc
 
-    bc0, bc1 = free_bc(graph), wired_bc(graph)
-    o = open_count_array(graph.n_edges)
-    k0 = cluster_count_array(graph, bc0)
-    k1 = cluster_count_array(graph, bc1)
-    pairs, conn = all_pairs_connectivity(graph, bc0)
-    bconn = all_boundary_connection(graph, bc1)
-    prod_events = None
-    if products:
-        prod_events = all_even_overlap(graph, free_bc(graph), products)
+    if any(q != int(q) or q < 2 for q in qs):
+        raise ValueError("spin side needs integer q >= 2")
     n = graph.n_vertices
     wired = _wired_fix(graph)
-    report = {"pair_max_err": 0.0, "wired_max_err": 0.0,
-              "product_max_err": 0.0, "tol": tol, "cases": 0}
+    _label_dtype(graph.n_edges, n)  # refuses a label table past the caps
+    for q in set(int(q) for q in qs):
+        _check_color_table(graph, q, None)
+        _check_color_table(graph, q, wired)
+
+    # one label table per boundary condition
+    o = open_count_array(graph.n_edges)
+    labels = scan_configs(graph, free_bc(graph))
+    k0 = _count_roots(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    conn = _pair_events(labels, pairs)
+    prod_idx = [[graph.vertex_index[tuple(x)] for x in A]
+                for A in products or ()]
+    prod_events = _even_overlaps(labels, prod_idx)
+    labels = scan_configs(graph, wired_bc(graph))
+    k1 = _count_roots(labels)
+    bconn = np.ascontiguousarray(
+        _joined(labels, _boundary_indices(graph), range(n)).T)
+    del labels
+
+    keys = ("pair_max_err", "wired_max_err", "product_max_err")
+    report = {**dict.fromkeys(keys, 0.0), "tol": tol, "cases": 0}
     tables = {}
     for q in qs:
-        if q != int(q) or q < 2:
-            raise ValueError("spin side needs integer q >= 2")
         q = int(q)
         if q not in tables:
-            colors, dots = _color_table(graph, q)
-            colors_b, dots_b = _color_table(graph, q, wired)
-            eq = np.stack([colors[:, i] == colors[:, j] for i, j in pairs])
-            eq0 = (colors_b == 0).T.copy()
-            spins = 1.0 - 2.0 * colors if q == 2 else None
-            tables[q] = (dots, dots_b, eq, eq0, spins)
-        dots, dots_b, eq, eq0, spins = tables[q]
+            tables[q] = _color_table(graph, q) + _color_table(graph, q, wired)
+        colors, dots, colors_b, dots_b = tables[q]
         off = -1.0 / (q - 1.0)
         for p in ps:
             beta = es_beta_from_p(p, q)
-            w0 = np.power(p, o) * np.power(1.0 - p, graph.n_edges - o)
-            prob0 = w0 * np.power(float(q), k0)
-            prob0 /= prob0.sum()
-            prob1 = w0 * np.power(float(q), k1)
-            prob1 /= prob1.sum()
-            w = np.exp(beta * dots)
-            wb = np.exp(beta * dots_b)
-            same = (eq @ w) / w.sum()
-            mu_pair = off + (1.0 - off) * same
-            rc_pair = conn @ prob0
-            report["pair_max_err"] = max(report["pair_max_err"],
-                                         float(np.abs(mu_pair - rc_pair).max()))
-            aligned = (eq0 @ wb) / wb.sum()
-            mu_bd = off + (1.0 - off) * aligned
-            rc_bd = bconn @ prob1
-            report["wired_max_err"] = max(report["wired_max_err"],
-                                          float(np.abs(mu_bd - rc_bd).max()))
-            if prod_events is not None and q == 2:
-                wsum = w.sum()
-                for r, A in enumerate(products):
-                    s = np.ones(len(w))
-                    for x in A:
-                        s *= spins[:, graph.vertex_index[tuple(x)]]
-                    mu_a = float(w @ s) / wsum
-                    rc_a = float(prod_events[r] @ prob0)
-                    report["product_max_err"] = max(report["product_max_err"],
-                                                    abs(mu_a - rc_a))
+            prob0 = _probabilities(p, q, o, k0, graph.n_edges)
+            prob1 = _probabilities(p, q, o, k1, graph.n_edges)
+            w, wb = np.exp(beta * dots), np.exp(beta * dots_b)
+            # summed per pair, never as a float cast of a pairs x configs stack
+            same = np.array([w[colors[:, i] == colors[:, j]].sum()
+                             for i, j in pairs]) / w.sum()
+            aligned = np.array([wb[colors_b[:, i] == 0].sum()
+                                for i in range(n)]) / wb.sum()
+            errs = [off + (1.0 - off) * same - conn @ prob0,
+                    off + (1.0 - off) * aligned - bconn @ prob1]
+            if q == 2:
+                # prod_A sigma_x = (-1)^(number of x in A with color 1)
+                mu = [w @ (1.0 - 2.0 * (colors[:, ids].sum(axis=1) & 1))
+                      for ids in prod_idx]
+                errs.append(np.array(mu) / w.sum() - prod_events @ prob0)
+            for key, err in zip(keys, errs):
+                report[key] = max(report[key],
+                                  float(np.abs(err).max(initial=0.0)))
             report["cases"] += 1
-    report["ok"] = (report["pair_max_err"] <= tol
-                    and report["wired_max_err"] <= tol
-                    and report["product_max_err"] <= tol)
+    report["ok"] = all(report[key] <= tol for key in keys)
     return report
 
 
@@ -501,16 +516,6 @@ def p_self_dual(q):
     return r / (1.0 + r)
 
 
-def count_dual_clusters(dual, bits):
-    """Cluster count of a dual configuration (single outer vertex)."""
-    index = {v: i for i, v in enumerate(dual.vertices)}
-    uf = UnionFind(len(dual.vertices))
-    for k, (f, g) in enumerate(dual.edges):
-        if bits[k]:
-            uf.union(index[f], index[g])
-    return uf.n_classes()
-
-
 def dual_cluster_count_array(graph):
     """kstar[mask] = clusters of the dual of primal mask (open iff e closed)."""
     from .lattice import dual_map
@@ -518,15 +523,31 @@ def dual_cluster_count_array(graph):
     dual, _ = dual_map(graph, (0,) * graph.n_edges)
     index = {v: i for i, v in enumerate(dual.vertices)}
     ends = [(index[f], index[g]) for f, g in dual.edges]
+    # dual edge k is open iff primal edge k is closed, so the dual mask of
+    # primal mask is 2^|E| - 1 - mask: the dual counts read backwards
+    return _count_roots(_label_table(len(dual.vertices), ends))[::-1]
+
+
+def _duality_sums(graph, p, q):
+    """(o, k0, w_dual, predicted) from one primal and one separate dual
+    table: open and free cluster counts, the wired dual weights of the dual
+    configurations and Z0 q^f_b ((1-p*)/p)^|E|, their predicted sum.
+
+    Checks k0(w) = |V| - o(w) + k*(w*) - 1 at every configuration first.
+    """
     n = graph.n_edges
-    out = np.zeros(1 << n, dtype=np.int32)
-    for mask in range(1 << n):
-        uf = UnionFind(len(dual.vertices))
-        for k in range(n):
-            if not mask & (1 << k):
-                uf.union(*ends[k])
-        out[mask] = uf.n_classes()
-    return out
+    k0 = cluster_count_array(graph, free_bc(graph))
+    o = open_count_array(n)
+    kstar = dual_cluster_count_array(graph)
+    bad = np.nonzero(k0 != graph.n_vertices - o + kstar - 1)[0]
+    if bad.size:
+        raise AssertionError("Euler cluster identity failed at %d" % bad[0])
+    p_star = p_dual(p, q)
+    w_dual = (np.power(p_star, n - o) * np.power(1.0 - p_star, o)
+              * np.power(float(q), kstar))
+    z0 = float(_weights(p, q, o, k0, n).sum())
+    f_bounded = 1 + n - graph.n_vertices
+    return o, k0, w_dual, z0 * q ** f_bounded * ((1.0 - p_star) / p) ** n
 
 
 def duality_check(graph, p, q):
@@ -537,21 +558,8 @@ def duality_check(graph, p, q):
     Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{f_b} ((1-p*)/p)^{|E|} with f_b the number
     of bounded faces.
     """
-    p_star = p_dual(p, q)
-    k0 = cluster_count_array(graph, free_bc(graph))
-    o = open_count_array(graph.n_edges)
-    kstar = dual_cluster_count_array(graph)
-    n = graph.n_edges
-    bad = np.nonzero(k0 != graph.n_vertices - o + kstar - 1)[0]
-    if bad.size:
-        raise AssertionError("Euler cluster identity failed at %d" % bad[0])
-    ostar = n - o
-    z1 = float((np.power(p_star, ostar) * np.power(1.0 - p_star, o)
-                * np.power(float(q), kstar)).sum())
-    z0 = partition_function(graph, p, q, free_bc(graph), log_domain=False)
-    f_bounded = 1 + graph.n_edges - graph.n_vertices
-    predicted = z0 * q ** f_bounded * ((1.0 - p_star) / p) ** n
-    return z1, predicted
+    _, _, w_dual, predicted = _duality_sums(graph, p, q)
+    return float(w_dual.sum()), predicted
 
 
 def verify_duality(graph, p, q, tol=1e-10):
@@ -561,18 +569,12 @@ def verify_duality(graph, p, q, tol=1e-10):
     (the dual graph carries the outer face as an ordinary vertex, which is
     the wired count) plus the partition-function relation; returns a report.
     """
-    z1, predicted = duality_check(graph, p, q)
-    p_star = p_dual(p, q)
-    o = open_count_array(graph.n_edges)
-    kstar = dual_cluster_count_array(graph)
-    prob0 = probability_array(graph, p, q, free_bc(graph))
-    ostar = graph.n_edges - o
-    w_dual = (np.power(p_star, ostar) * np.power(1.0 - p_star, o)
-              * np.power(float(q), kstar))
-    prob1_dual = w_dual / w_dual.sum()
-    config_err = float(np.abs(prob0 - prob1_dual).max())
+    o, k0, w_dual, predicted = _duality_sums(graph, p, q)
+    z1 = float(w_dual.sum())
+    prob0 = _probabilities(p, q, o, k0, graph.n_edges)
+    config_err = float(np.abs(prob0 - w_dual / z1).max())
     z_rel = abs(z1 - predicted) / z1
-    return {"p_star": p_star, "config_max_err": config_err,
+    return {"p_star": p_dual(p, q), "config_max_err": config_err,
             "z_rel_err": z_rel, "tol": tol,
             "ok": config_err <= tol and z_rel <= tol}
 
@@ -588,11 +590,12 @@ def increasing_events(n_edges):
     """All nonempty increasing events over n_edges, as bool arrays.
 
     Full enumeration of upward-closed subsets of {0,1}^E; feasible only for
-    very few edges (167 events at 4), larger scans use cylinder_events.
+    very few edges (167 events at 4); larger scans use the open-cylinder
+    events of cylinder_probabilities.
     """
     if n_edges > 4:
         raise ValueError("full increasing-event enumeration is limited to "
-                         "4 edges; use cylinder_events beyond that")
+                         "4 edges; use cylinder_probabilities beyond that")
     if n_edges in _INCREASING_CACHE:
         return _INCREASING_CACHE[n_edges]
     size = 1 << n_edges
@@ -616,12 +619,6 @@ def increasing_events(n_edges):
             out.append(arr)
     _INCREASING_CACHE[n_edges] = out
     return out
-
-
-def cylinder_events(n_edges):
-    """The events [all edges of F open] for nonempty F, ordered by F mask."""
-    masks = np.arange(1 << n_edges, dtype=np.int64)
-    return [(masks & f) == f for f in range(1, 1 << n_edges)]
 
 
 def cylinder_probabilities(prob):
@@ -789,7 +786,7 @@ def cbc_scan(graph, p, q, tol=1e-12):
 # the percolation pivotality sum phi_p(S)
 
 
-def phi_sum(S, p, d=2, interior_graph=None):
+def phi_sum(S, p, d=2):
     """phi_p(S) = p sum_{x in S, y ~ x, y not in S} P_p[0 <-> x inside S].
 
     S is a set of d-dimensional integer points containing the origin; the
@@ -810,10 +807,11 @@ def phi_sum(S, p, d=2, interior_graph=None):
             if w in S:
                 edges.append((v, w))
     g = LatticeGraph(S, edges, d)
-    bc = free_bc(g)
-    # P[0 <-> x in S] for all x, from one enumeration
-    conn = {x: connectivity_event(g, bc, origin, x) for x in S}
-    prob = probability_array(g, p, 1.0, bc)
+    # P[0 <-> x in S] for all x, from one label table
+    labels = scan_configs(g, free_bc(g))
+    prob = _probabilities(p, 1.0, open_count_array(g.n_edges),
+                          _count_roots(labels), g.n_edges)
+    root = labels[:, g.vertex_index[origin]]
     total = 0.0
     for x in S:
         n_out = 0
@@ -824,5 +822,6 @@ def phi_sum(S, p, d=2, interior_graph=None):
                 if tuple(y) not in S:
                     n_out += 1
         if n_out:
-            total += n_out * float(prob[conn[x]].sum())
+            total += n_out * float(
+                prob[labels[:, g.vertex_index[x]] == root].sum())
     return p * total

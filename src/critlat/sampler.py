@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import UnionFind, crossing_detect, cluster_stats, free_bc
+from .oracle import scan_configs
 
 try:
     from numba import njit
@@ -184,37 +185,19 @@ def _connected_batch(bits_batch, ends, src, dst, base_parent, scratch):
 def conn_off_tables(graph, bc):
     """tables[k][mask] = endpoints of edge k connected in mask minus k.
 
-    Indexed by the full edge mask (bit k is ignored); built once per
-    (graph, bc) and reused across sweeps and batches.
+    Indexed by the full edge mask (bit k is ignored); read from one label
+    table per (graph, bc) and reused across sweeps and batches.
     """
     m = graph.n_edges
     if m > TABLE_MAX_EDGES:
         raise ValueError("connectivity tables limited to %d edges"
                          % TABLE_MAX_EDGES)
-    ends = [(graph.vertex_index[u], graph.vertex_index[v])
-            for u, v in graph.edges]
-    tables = np.zeros((m, 1 << m), dtype=bool)
-    for k in range(m):
-        others = [j for j in range(m) if j != k]
-        uf_parent = _base_parent(graph, bc)
-        uf = UnionFind(graph.n_vertices)
-        uf.parent = list(uf_parent)
-
-        def rec(pos, mask, uf):
-            if pos == len(others):
-                conn = uf.find(ends[k][0]) == uf.find(ends[k][1])
-                tables[k][mask] = conn
-                tables[k][mask | (1 << k)] = conn
-                return
-            j = others[pos]
-            rec(pos + 1, mask, uf)
-            # no rollback structure here: rebuild via a fresh copy on branch
-            child = UnionFind(graph.n_vertices)
-            child.parent = list(uf.parent)
-            child.union(*ends[j])
-            rec(pos + 1, mask | (1 << j), child)
-
-        rec(0, 0, uf)
+    labels = scan_configs(graph, bc)
+    masks = np.arange(1 << m, dtype=np.int64)
+    tables = np.empty((m, 1 << m), dtype=bool)
+    for k, (u, v) in enumerate(_edge_ends(graph)):
+        rest = masks & ~(1 << k)
+        tables[k] = labels[rest, u] == labels[rest, v]
     return tables
 
 

@@ -2,6 +2,7 @@
 duality, positive association and the pivotality sum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,21 +12,28 @@ from hypothesis import strategies as st
 from critlat.lattice import (
     LatticeGraph,
     build_box,
+    UnionFind,
     build_rect,
+    cluster_stats,
     custom_bc,
     dobrushin_bc,
+    dual_map,
     free_bc,
     wired_bc,
 )
 from critlat.oracle import (
     MAX_ENUM_EDGES,
+    all_boundary_connection,
+    all_even_overlap,
     all_pairs_connectivity,
     boundary_connection_event,
     cbc_scan,
+    cluster_count_array,
     connectivity_event,
     crossing_event,
     cylinder_event,
     cylinder_probabilities,
+    dual_cluster_count_array,
     edge_conditional_gap,
     es_beta_from_p,
     es_p_from_beta,
@@ -49,6 +57,8 @@ from critlat.oracle import (
     rc_conditional,
     rc_distribution,
     rc_probability,
+    scan_configs,
+    spin_ensemble,
     verify_duality,
     verify_es_coupling,
     weight_array,
@@ -347,3 +357,112 @@ def test_all_pairs_matches_single():
         single = connectivity_event(SQUARE, free_bc(SQUARE),
                                     SQUARE.vertices[i], SQUARE.vertices[j])
         assert (row == single).all()
+
+
+# ---------------------------------------------------------------------------
+# the label-table engine against per-configuration cluster_stats
+
+SINGLE = LatticeGraph([(0, 0)], [])
+RECT7 = build_rect((0, 2), (0, 1))
+PATH2 = build_rect((0, 2), (0, 0))
+
+
+def _bits(mask, n_edges):
+    return tuple((mask >> k) & 1 for k in range(n_edges))
+
+
+def _engine_cases():
+    yield SINGLE, free_bc(SINGLE)
+    for g in (EDGE, PATH2, SQUARE, GRID23, RECT7):
+        yield g, free_bc(g)
+        yield g, wired_bc(g)
+    bd = list(RECT7.boundary())
+    yield RECT7, custom_bc(RECT7, [bd[:2], bd[3:5]])
+    yield SQUARE, dobrushin_bc(SQUARE, (0, 0), (1, 1))
+    yield RECT7, dobrushin_bc(RECT7, (0, 0), (2, 1))
+
+
+@pytest.mark.parametrize("g,bc", list(_engine_cases()))
+def test_label_table_matches_cluster_stats(g, bc):
+    seen = []
+    labels = scan_configs(g, bc, lambda mask, row: seen.append(mask))
+    assert seen == list(range(1 << g.n_edges))
+    assert labels.shape == (1 << g.n_edges, g.n_vertices)
+    counts = cluster_count_array(g, bc)
+    for mask in range(1 << g.n_edges):
+        k, lab = cluster_stats(g, _bits(mask, g.n_edges), bc)
+        assert tuple(int(x) for x in labels[mask]) == lab
+        assert counts[mask] == k
+
+
+@pytest.mark.parametrize("g,bc", list(_engine_cases()))
+def test_event_arrays_match_cluster_stats(g, bc):
+    n = g.n_vertices
+    bd = [g.vertex_index[v] for v in g.boundary()]
+    subsets = [g.vertices[:2], g.vertices[:3], g.vertices[::2], ()]
+    pairs, conn = all_pairs_connectivity(g, bc)
+    bconn = all_boundary_connection(g, bc)
+    even = all_even_overlap(g, bc, subsets)
+    for mask in range(1 << g.n_edges):
+        _, lab = cluster_stats(g, _bits(mask, g.n_edges), bc)
+        assert [conn[r, mask] for r in range(len(pairs))] == \
+            [lab[i] == lab[j] for i, j in pairs]
+        touching = {lab[b] for b in bd}
+        assert list(bconn[:, mask]) == [lab[i] in touching for i in range(n)]
+        for r, A in enumerate(subsets):
+            meets = [lab[g.vertex_index[x]] for x in A]
+            assert even[r, mask] == all(meets.count(c) % 2 == 0
+                                        for c in meets)
+    x, y = g.vertices[0], g.vertices[-1]
+    same = conn[pairs.index((0, n - 1))] if n > 1 else True
+    assert (connectivity_event(g, bc, x, y) == same).all()
+    assert (boundary_connection_event(g, bc, x) == bconn[0]).all()
+    assert (even_overlap_event(g, bc, subsets[0]) == even[0]).all()
+
+
+@pytest.mark.parametrize("g", [PATH2, SQUARE, GRID23, RECT7, BOX1],
+                         ids=["path2", "square", "grid23", "rect7", "box1"])
+def test_dual_counts_match_union_find(g):
+    dual, _ = dual_map(g, (0,) * g.n_edges)
+    index = {v: i for i, v in enumerate(dual.vertices)}
+    kstar = dual_cluster_count_array(g)
+    for mask in range(1 << g.n_edges):
+        uf = UnionFind(len(dual.vertices))
+        for k, (f, h) in enumerate(dual.edges):
+            if not mask & (1 << k):
+                uf.union(index[f], index[h])
+        assert kstar[mask] == uf.n_classes()
+
+
+def test_crossing_event_matches_cluster_stats():
+    g = RECT7
+    ev = crossing_event(g, (0, 0, 2, 1), "horizontal")
+    left = [i for i, v in enumerate(g.vertices) if v[0] == 0]
+    right = [i for i, v in enumerate(g.vertices) if v[0] == 2]
+    for mask in range(1 << g.n_edges):
+        _, lab = cluster_stats(g, _bits(mask, g.n_edges), free_bc(g))
+        assert ev[mask] == bool({lab[i] for i in left}
+                                & {lab[j] for j in right})
+
+
+def _refused_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_over_budget_tables_refused_before_allocating():
+    # 3^16 colourings of the 4x4-vertex rect: gigabytes of spin tables
+    box = build_rect((0, 3), (0, 3))
+    _refused_before_allocating(lambda: verify_es_coupling(box, [0.5], [3]))
+    _refused_before_allocating(lambda: spin_ensemble(box, 3, 0.4))
+    # 26 edges of a 27-vertex path: a 1.8 GB label table, under the edge cap
+    path = build_rect((0, 26), (0, 0))
+    assert path.n_edges <= MAX_ENUM_EDGES
+    _refused_before_allocating(lambda: cluster_count_array(path,
+                                                           free_bc(path)))
