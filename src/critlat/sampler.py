@@ -13,6 +13,16 @@ edge is opened iff its uniform is >= P[w_e = 0 | rest]. For q >= 1 the
 disconnected threshold dominates the connected one, so two chains driven by
 the same variates preserve the partial order, and both thresholds decrease
 in p, which gives the shared-variate monotonicity in p.
+
+Whether the endpoints of e are connected off e is answered by one helper,
+`_joined_off`: a bidirectional breadth-first search from the two endpoints
+over the open edges other than e, stopping as soon as the two sides meet.
+Its adjacency is built once per (graph, bc); every wired block of bc adds a
+hub node joined to its vertices by always-open links. The answer is the
+boolean a union-find over all open edges gives, so the variates consumed,
+the trajectories and the coupling argument above do not depend on how it is
+computed. Small graphs in coupling from the past read the same boolean from
+precomputed tables instead (`conn_off_tables`).
 """
 
 from __future__ import annotations
@@ -22,24 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import UnionFind, crossing_detect, cluster_stats, free_bc
+from .lattice import cluster_stats, free_bc
 from .oracle import scan_configs
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 # doubling horizons 1, 2, 4, ... are capped here; reaching the cap is an
@@ -83,18 +77,71 @@ def thresholds(p, q):
     return 1.0 - p, q * (1.0 - p) / (p + q * (1.0 - p))
 
 
-def _base_parent(graph, bc):
-    """Flat parent array with the boundary blocks pre-wired."""
-    parent = np.arange(graph.n_vertices, dtype=np.int32)
-    for block in bc.blocks:
-        for i in block:
-            parent[i] = block[0]
-    return parent
-
-
 def _edge_ends(graph):
     return np.array([(graph.vertex_index[u], graph.vertex_index[v])
                      for u, v in graph.edges], dtype=np.int32)
+
+
+def _links(graph, bc):
+    """(links, ends) for the single-edge conditional, once per (graph, bc).
+
+    ends[k] is the vertex pair of edge k, and links[v] lists (w, k) for every
+    edge k joining v and w. Each wired block of bc adds a hub node joined to
+    its vertices by links numbered m = n_edges; a state list carries a
+    trailing 1 at index m, so hub links are always open and wiring counts as
+    connection.
+    """
+    m = graph.n_edges
+    ends = _edge_ends(graph).tolist()
+    wired = [block for block in bc.blocks if len(block) > 1]
+    links = [[] for _ in range(graph.n_vertices + len(wired))]
+    for k, (a, b) in enumerate(ends):
+        links[a].append((b, k))
+        links[b].append((a, k))
+    for hub, block in enumerate(wired, start=graph.n_vertices):
+        for v in block:
+            links[v].append((hub, m))
+            links[hub].append((v, m))
+    return links, ends
+
+
+def _joined_off(links, state, x, y, k):
+    """Are x and y joined by links open in state, edge k excluded?
+
+    Bidirectional breadth-first search with early exit: each step takes the
+    next vertex from the side with fewer vertices queued, and the search
+    stops as soon as the two sides meet or either runs out.
+    """
+    if x == y:
+        return True
+    near, far = {x}, {y}
+    queue, other = [x], [y]
+    head = other_head = 0
+    while head < len(queue) and other_head < len(other):
+        if len(queue) - head > len(other) - other_head:
+            near, far, queue, other = far, near, other, queue
+            head, other_head = other_head, head
+        v = queue[head]
+        head += 1
+        for w, j in links[v]:
+            if j != k and state[j] and w not in near:
+                if w in far:
+                    return True
+                near.add(w)
+                queue.append(w)
+    return False
+
+
+def _sweep(links, ends, state, u, thr_c, thr_d):
+    """One in-place heat-bath sweep of a state list (edges in index order)."""
+    for k, (x, y) in enumerate(ends):
+        thr = thr_c if _joined_off(links, state, x, y, k) else thr_d
+        state[k] = 1 if u[k] >= thr else 0
+
+
+def _open_state(bits):
+    """Heat-bath state list: the edge bits and the always-open hub slot."""
+    return [int(b) for b in bits] + [1]
 
 
 def heatbath_step(graph, bits, edge_k, u, p, q, bc):
@@ -102,80 +149,40 @@ def heatbath_step(graph, bits, edge_k, u, p, q, bc):
 
     Returns the new bits tuple; the edge is opened iff u >= P[w_e=0|rest].
     """
-    uf = UnionFind(graph.n_vertices)
-    for block in bc.blocks:
-        for i in block[1:]:
-            uf.union(block[0], i)
-    for j, (a, b) in enumerate(graph.edges):
-        if j != edge_k and bits[j]:
-            uf.union(graph.vertex_index[a], graph.vertex_index[b])
-    x, y = graph.edges[edge_k]
-    conn = uf.find(graph.vertex_index[x]) == uf.find(graph.vertex_index[y])
+    links, ends = _links(graph, bc)
+    x, y = ends[edge_k]
+    conn = _joined_off(links, _open_state(bits), x, y, edge_k)
     thr_c, thr_d = thresholds(p, q)
-    new = 1 if u >= (thr_c if conn else thr_d) else 0
     out = list(bits)
-    out[edge_k] = new
+    out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# jitted sweep kernels (pure-python fallbacks when numba is absent)
+def _connected_batch(graph, bc, bits_batch, src, dst):
+    """Per-row indicator that some src vertex joins some dst vertex.
 
+    One connected-components call on the block-diagonal graph of the batch:
+    row r's open edges join vertices offset by r * n_vertices, and each
+    wired block of bc is joined in every row.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
-@njit(cache=True)
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-@njit(cache=True)
-def _conn_off_edge(bits, k, ends, base_parent, scratch):
-    for i in range(scratch.shape[0]):
-        scratch[i] = base_parent[i]
-    for j in range(ends.shape[0]):
-        if j != k and bits[j]:
-            a = _find(scratch, ends[j, 0])
-            b = _find(scratch, ends[j, 1])
-            if a != b:
-                scratch[b] = a
-    return _find(scratch, ends[k, 0]) == _find(scratch, ends[k, 1])
-
-
-@njit(cache=True)
-def _sweep(bits, u, ends, base_parent, thr_c, thr_d, scratch):
-    for k in range(ends.shape[0]):
-        conn = _conn_off_edge(bits, k, ends, base_parent, scratch)
-        thr = thr_c if conn else thr_d
-        bits[k] = 1 if u[k] >= thr else 0
-
-
-@njit(cache=True)
-def _connected_batch(bits_batch, ends, src, dst, base_parent, scratch):
-    """Per-row indicator that some src vertex joins some dst vertex."""
-    n_rows = bits_batch.shape[0]
-    out = np.zeros(n_rows, dtype=np.uint8)
-    for r in range(n_rows):
-        for i in range(scratch.shape[0]):
-            scratch[i] = base_parent[i]
-        for j in range(ends.shape[0]):
-            if bits_batch[r, j]:
-                a = _find(scratch, ends[j, 0])
-                b = _find(scratch, ends[j, 1])
-                if a != b:
-                    scratch[b] = a
-        hit = 0
-        for s in range(src.shape[0]):
-            rs = _find(scratch, src[s])
-            for d in range(dst.shape[0]):
-                if rs == _find(scratch, dst[d]):
-                    hit = 1
-                    break
-            if hit:
-                break
-        out[r] = hit
-    return out
+    n_rows, n = bits_batch.shape[0], graph.n_vertices
+    ends = _edge_ends(graph)
+    wires = np.array([(block[0], i) for block in bc.blocks
+                      for i in block[1:]], dtype=np.int32).reshape(-1, 2)
+    offset = np.arange(0, n_rows * n, n, dtype=np.int32)[:, None]
+    is_open = bits_batch.astype(bool, copy=False)
+    a = np.concatenate([(offset + ends[:, 0])[is_open],
+                        (offset + wires[:, 0]).ravel()])
+    b = np.concatenate([(offset + ends[:, 1])[is_open],
+                        (offset + wires[:, 1]).ravel()])
+    adj = csr_matrix((np.ones(a.size), (a, b)), shape=(n_rows * n,) * 2)
+    _, labels = connected_components(adj, directed=False)
+    labels = labels.reshape(n_rows, n)
+    hit = labels[:, src][:, :, None] == labels[:, dst][:, None, :]
+    return hit.any(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +230,10 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
     Runs the all-open and all-closed chains with shared variates from
     doubling horizons until they coalesce at time 0; the partial order
     between the chains is asserted after every sweep. Requires q >= 1.
-    Both code paths (vectorized table lookups for small graphs, the sweep
-    kernel otherwise) follow the same variate stream and produce identical
-    output; use_tables overrides the automatic choice.
+    Both code paths (vectorized table lookups for small graphs, per-row
+    sweeps otherwise) draw one variate block per sweep, read the same rows
+    of it and produce identical output; use_tables overrides the automatic
+    choice.
     """
     if q < 1.0:
         raise ValueError("coupling from the past needs q >= 1")
@@ -237,9 +245,7 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
     if use_tables is None:
         use_tables = m <= TABLE_MAX_EDGES
     tables = conn_off_tables(graph, bc) if use_tables else None
-    ends = _edge_ends(graph)
-    base_parent = _base_parent(graph, bc)
-    scratch = np.empty_like(base_parent)
+    links, ends = _links(graph, bc)
     result = np.zeros((n_samples, m), dtype=np.uint8)
     active = np.arange(n_samples)
     horizon = 1
@@ -250,34 +256,33 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
         if tables is not None:
             top = np.full(active.size, full, dtype=np.int64)
             bot = np.zeros(active.size, dtype=np.int64)
-            for t in range(-horizon, 0):
-                u = sweep_uniforms(seed, t, n_samples, m)[active]
+        else:
+            top = [_open_state([1] * m) for _ in active]
+            bot = [_open_state([0] * m) for _ in active]
+        for t in range(-horizon, 0):
+            u = sweep_uniforms(seed, t, n_samples, m)[active]
+            if tables is not None:
                 _batch_sweep_masks(top, u, tables, thr_c, thr_d)
                 _batch_sweep_masks(bot, u, tables, thr_c, thr_d)
-                if (bot & ~top).any():
-                    raise AssertionError("monotone coupling order violated")
-            done = top == bot
-            done_rows = active[done]
-            packed = top[done]
-            for k in range(m):
-                result[done_rows, k] = (packed >> k) & 1
-            active = active[~done]
+                ordered = not (bot & ~top).any()
+            else:
+                for hi, lo, row in zip(top, bot, u.tolist()):
+                    _sweep(links, ends, hi, row, thr_c, thr_d)
+                    _sweep(links, ends, lo, row, thr_c, thr_d)
+                ordered = all(a <= b for hi, lo in zip(top, bot)
+                              for a, b in zip(lo, hi))
+            if not ordered:
+                raise AssertionError("monotone coupling order violated")
+        if tables is not None:
+            shifts = np.arange(m)
+            top = ((top[:, None] >> shifts) & 1).astype(np.uint8)
+            bot = ((bot[:, None] >> shifts) & 1).astype(np.uint8)
         else:
-            still = []
-            for r in active:
-                top = np.ones(m, dtype=np.uint8)
-                bot = np.zeros(m, dtype=np.uint8)
-                for t in range(-horizon, 0):
-                    u = sweep_uniforms(seed, t, n_samples, m)[r]
-                    _sweep(top, u, ends, base_parent, thr_c, thr_d, scratch)
-                    _sweep(bot, u, ends, base_parent, thr_c, thr_d, scratch)
-                    if (bot & ~top).any():
-                        raise AssertionError("monotone coupling order violated")
-                if (top == bot).all():
-                    result[r] = top
-                else:
-                    still.append(r)
-            active = np.array(still, dtype=int)
+            top = np.array(top, dtype=np.uint8)[:, :m]
+            bot = np.array(bot, dtype=np.uint8)[:, :m]
+        done = (top == bot).all(axis=1)
+        result[active[done]] = top[done]
+        active = active[~done]
         horizon *= 2
     return result
 
@@ -295,15 +300,12 @@ def chain_advance(graph, p, q, bc, state, n_sweeps):
     """Advance a ChainState by n_sweeps full sweeps (edges in index order)."""
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
-    ends = _edge_ends(graph)
-    base_parent = _base_parent(graph, bc)
-    scratch = np.empty_like(base_parent)
-    bits = np.array(state.bits, dtype=np.uint8)
+    links, ends = _links(graph, bc)
+    bits = _open_state(state.bits)
     for t in range(state.step, state.step + n_sweeps):
-        u = sweep_uniforms(state.seed, t, 1, m)[0]
-        _sweep(bits, u, ends, base_parent, thr_c, thr_d, scratch)
-    return ChainState(tuple(int(b) for b in bits), state.seed,
-                      state.step + n_sweeps)
+        u = sweep_uniforms(state.seed, t, 1, m)[0].tolist()
+        _sweep(links, ends, bits, u, thr_c, thr_d)
+    return ChainState(tuple(bits[:m]), state.seed, state.step + n_sweeps)
 
 
 def chain_start(graph, seed, start="open"):
@@ -325,23 +327,20 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin,
     """
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
-    ends = _edge_ends(graph)
-    base_parent = _base_parent(graph, bc)
-    scratch = np.empty_like(base_parent)
-    state = chain_start(graph, seed, start)
-    bits = np.array(state.bits, dtype=np.uint8)
+    links, ends = _links(graph, bc)
+    bits = _open_state(chain_start(graph, seed, start).bits)
     out = np.zeros((n_samples, m), dtype=np.uint8)
     step = 0
     for t in range(burn_in):
-        u = sweep_uniforms(seed, step, 1, m)[0]
-        _sweep(bits, u, ends, base_parent, thr_c, thr_d, scratch)
+        u = sweep_uniforms(seed, step, 1, m)[0].tolist()
+        _sweep(links, ends, bits, u, thr_c, thr_d)
         step += 1
     for i in range(n_samples):
         for t in range(thin):
-            u = sweep_uniforms(seed, step, 1, m)[0]
-            _sweep(bits, u, ends, base_parent, thr_c, thr_d, scratch)
+            u = sweep_uniforms(seed, step, 1, m)[0].tolist()
+            _sweep(links, ends, bits, u, thr_c, thr_d)
             step += 1
-        out[i] = bits
+        out[i] = bits[:m]
     return out
 
 
@@ -424,24 +423,18 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, method=None,
 
     graph = build_rect((0, nx), (0, ny))
     bc = wired_bc(graph) if bc_kind == "wired" else free_bc(graph)
-    rect = (0, 0, nx, ny)
-    ends = _edge_ends(graph)
-    left = np.array([i for i, v in enumerate(graph.vertices) if v[0] == 0],
-                    dtype=np.int32)
-    right = np.array([i for i, v in enumerate(graph.vertices) if v[0] == nx],
-                     dtype=np.int32)
-    ident = np.arange(graph.n_vertices, dtype=np.int32)
-    scratch = np.empty_like(ident)
+    left = [i for i, v in enumerate(graph.vertices) if v[0] == 0]
+    right = [i for i, v in enumerate(graph.vertices) if v[0] == nx]
+    event_bc = free_bc(graph)
     if q == 1.0 and method is None:
         hits = 0
         chunk = 4096
         done = 0
         while done < n_samples:
             take = min(chunk, n_samples - done)
-            u = sweep_uniforms(seed, done, take, graph.n_edges)
-            bits = (u < p).astype(np.uint8)
-            hits += int(_connected_batch(bits, ends, left, right, ident,
-                                         scratch).sum())
+            bits = sweep_uniforms(seed, done, take, graph.n_edges) < p
+            hits += int(_connected_batch(graph, event_bc, bits, left,
+                                         right).sum())
             done += take
         return binomial_estimate(hits, n_samples, seed, "direct")
     method = method or "chain"
@@ -449,8 +442,7 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, method=None,
         batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
     else:
         batch = cftp_batch(graph, p, q, bc, seed, n_samples)
-    hits = int(_connected_batch(batch, ends, left, right, ident,
-                                scratch).sum())
+    hits = int(_connected_batch(graph, event_bc, batch, left, right).sum())
     return binomial_estimate(hits, n_samples, seed, method)
 
 
@@ -459,17 +451,11 @@ def connect_mc(graph, p, q, bc, x, y, n_samples, seed, method="cftp",
     """Estimate of phi[x <-> y in omega^xi]."""
 
     ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
-    base_parent = _base_parent(graph, bc)
-    ends = _edge_ends(graph)
-    scratch = np.empty_like(base_parent)
     if method == "chain":
         batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
     else:
         batch = cftp_batch(graph, p, q, bc, seed, n_samples)
-    hits = int(_connected_batch(batch, ends,
-                                np.array([ix], dtype=np.int32),
-                                np.array([iy], dtype=np.int32),
-                                base_parent, scratch).sum())
+    hits = int(_connected_batch(graph, bc, batch, [ix], [iy]).sum())
     return binomial_estimate(hits, n_samples, seed, method)
 
 

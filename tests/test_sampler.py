@@ -325,3 +325,104 @@ def test_conn_off_tables_match_bruteforce():
                     uf.union(*ends[j])
             expect = uf.find(ends[k][0]) == uf.find(ends[k][1])
             assert tables[k][mask] == expect
+
+
+# ---------------------------------------------------------------------------
+# the single-edge conditional and the batch connectivity against union-find
+
+
+def _uf_conn_off(graph, bc, bits, k):
+    """Reference conditional: rebuild a union-find over every open edge."""
+    from critlat.lattice import UnionFind
+
+    uf = UnionFind(graph.n_vertices)
+    for block in bc.blocks:
+        for i in block[1:]:
+            uf.union(block[0], i)
+    for j, (a, b) in enumerate(graph.edges):
+        if j != k and bits[j]:
+            uf.union(graph.vertex_index[a], graph.vertex_index[b])
+    x, y = graph.edges[k]
+    return uf.find(graph.vertex_index[x]) == uf.find(graph.vertex_index[y])
+
+
+def _conditional_cases():
+    from critlat.lattice import custom_bc
+
+    box1 = build_box(1)
+    two_blocks = custom_bc(box1, [[(-1, -1), (-1, 0), (-1, 1)],
+                                  [(1, -1), (1, 0)]])
+    return [(SQUARE, free_bc(SQUARE)), (box1, wired_bc(box1)),
+            (SQUARE, dobrushin_bc(SQUARE, (0, 0), (1, 1))),
+            (box1, dobrushin_bc(box1, (-1, -1), (1, 1))), (box1, two_blocks)]
+
+
+@pytest.mark.parametrize("graph,bc", _conditional_cases())
+def test_joined_off_matches_tables(graph, bc):
+    from critlat.sampler import _joined_off, _links
+
+    m = graph.n_edges
+    tables = conn_off_tables(graph, bc)
+    links, ends = _links(graph, bc)
+    for mask in range(1 << m):
+        state = [(mask >> j) & 1 for j in range(m)] + [1]
+        for k, (x, y) in enumerate(ends):
+            assert _joined_off(links, state, x, y, k) == tables[k][mask]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_matches_union_find_sweeps(n):
+    # 100 sweeps from the open state, thin 1: row t is the state after
+    # sweep t + 1 of the old union-find rule on the same variates
+    g = build_box(n)
+    bc = wired_bc(g)
+    p, q, seed = 0.57, 2.0, 123
+    got = chain_samples(g, p, q, bc, seed, 100, burn_in=0, thin=1)
+    thr_c, thr_d = thresholds(p, q)
+    bits = [1] * g.n_edges
+    for t in range(100):
+        u = sweep_uniforms(seed, t, 1, g.n_edges)[0]
+        for k in range(g.n_edges):
+            conn = _uf_conn_off(g, bc, bits, k)
+            bits[k] = 1 if u[k] >= (thr_c if conn else thr_d) else 0
+        assert got[t].tolist() == bits, t
+
+
+def test_cftp_non_table_draws_each_sweep_once(monkeypatch):
+    import critlat.sampler as sampler
+
+    epochs = []
+
+    def counted(seed, epoch, n_rows, n_edges):
+        epochs.append(epoch)
+        return sweep_uniforms(seed, epoch, n_rows, n_edges)
+
+    monkeypatch.setattr(sampler, "sweep_uniforms", counted)
+    bc = free_bc(SQUARE)
+    got = cftp_batch(SQUARE, 0.5, 2.0, bc, 5, 40, use_tables=False)
+    expect, horizon = [], 1
+    while len(expect) < len(epochs):
+        expect += list(range(-horizon, 0))
+        horizon *= 2
+    assert epochs == expect  # one block per (horizon, t), none per row
+    monkeypatch.undo()
+    assert (got == cftp_batch(SQUARE, 0.5, 2.0, bc, 5, 40,
+                              use_tables=True)).all()
+
+
+@pytest.mark.parametrize("bc_kind", ["free", "wired", "dobrushin"])
+def test_connected_batch_matches_cluster_stats(bc_kind):
+    from critlat.lattice import cluster_stats
+    from critlat.sampler import _connected_batch
+
+    g = build_rect((0, 3), (0, 2))
+    bc = {"free": free_bc(g), "wired": wired_bc(g),
+          "dobrushin": dobrushin_bc(g, (0, 0), (3, 2))}[bc_kind]
+    bits = (sweep_uniforms(3, 0, 300, g.n_edges) < 0.45).astype(np.uint8)
+    pairs = [([0], [g.n_vertices - 1]), ([1, 2], [9, 10, 11]), ([5], [5])]
+    for src, dst in pairs:
+        got = _connected_batch(g, bc, bits, src, dst)
+        for row, hit in zip(bits, got):
+            _, labels = cluster_stats(g, tuple(row), bc)
+            expect = any(labels[s] == labels[d] for s in src for d in dst)
+            assert hit == expect
