@@ -31,7 +31,7 @@ from .lattice import (
     cluster_stats,
     dobrushin_bc,
     oriented_segment,
-    segment_black,
+    segment_faces,
 )
 from .oracle import p_self_dual
 
@@ -370,20 +370,6 @@ def _cauchy_riemann_residual(domain, fv):
     return worst
 
 
-def _edge_faces(edge):
-    """(black, white) faces flanking a medial segment."""
-    (zx, zy), (wx, wy) = edge
-    if zx == wx:
-        y = min(zy, wy)
-        cands = [(zx, y), (zx - 1, y)]
-    else:
-        x = min(zx, wx)
-        cands = [(x, zy), (x, zy - 1)]
-    black = segment_black(edge[0], edge[1])
-    white = cands[0] if cands[1] == black else cands[1]
-    return black, white
-
-
 def build_H(field):
     """Integrate |F|^2 into the face function H.
 
@@ -397,7 +383,7 @@ def build_H(field):
         raise ValueError("vertex observable required; run sholo first")
     relations = []
     for e in medial_edges(domain):
-        black, white = _edge_faces(e)
+        black, white = segment_faces(*e)
         relations.append((black, white, abs(field.edge_values[e]) ** 2))
 
     anchor = domain.black[domain.b]
@@ -429,7 +415,7 @@ def build_H(field):
         nbrs = [(v[0] + d[0], v[1] + d[1]) for d in CCW_SIDES]
         if not all(w in domain.status for w in nbrs):
             continue
-        black, white = _edge_faces(oriented_segment(v, nbrs[0]))
+        black, white = segment_faces(*oriented_segment(v, nbrs[0]))
         other = (2 * v[0] - 1 - black[0], 2 * v[1] - 1 - black[1])
         dz = (complex(*black) - complex(*other))
         lhs = H[black] - H[other]

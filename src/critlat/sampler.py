@@ -28,6 +28,7 @@ precomputed tables instead (`conn_off_tables`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ CFTP_MAX_SWEEPS = 1 << 22
 TABLE_MAX_EDGES = 12
 
 _MASK64 = (1 << 64) - 1
+
+# one Philox generator per thread, re-keyed by sweep_uniforms
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,22 @@ class ChainState:
 
 
 def sweep_uniforms(seed, epoch, n_rows, n_edges):
-    """The (n_rows, n_edges) uniform block of sweep `epoch`."""
+    """The (n_rows, n_edges) uniform block of sweep `epoch`.
+
+    Each thread keeps one Philox generator and re-keys it here: counter,
+    buffer and key are reset to those of a fresh Philox(key=(seed, epoch)),
+    whose constructor would also draw OS entropy that the key then discards.
+    """
     key = np.array([seed & _MASK64, epoch & _MASK64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = getattr(_THREAD, "gen", None)
+    if gen is None:
+        gen = _THREAD.gen = np.random.Generator(np.random.Philox(key=key))
+    else:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
     return gen.random((n_rows, n_edges))
 
 

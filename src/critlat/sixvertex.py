@@ -46,6 +46,25 @@ with weight exp(+-mu) per retractible loop, e^mu + e^-mu = sqrt(q), and
 reading each oriented loop configuration as an arrow configuration
 reproduces the six-vertex sector sums exactly (oriented_sector_sums), which
 is the mechanism behind rc6v_verify.
+
+One pass over torus configurations.  TorusRc.census_table builds a lifted
+label table over all 2^E bond masks at once, in the mask order of
+oracle._label_table: bond by bond, the rows of the masks over earlier bonds
+are copied and the bond's links are applied to both halves.  Each node
+carries its label and its offset from the labelling node in the universal
+cover; a merge rewrites the larger label and shifts the rewritten offsets,
+and a link inside one component closes a cycle whose displacement is a
+winding class.  The same engine runs on the primal sites (linked when the
+bond is open), the dual sites (linked when it is closed) and the medial
+edges (two links per bond, chosen by the pairing at its medial vertex, with
+offsets in half steps), and gives per mask the cluster counts, the
+non-retractible and north-east winding clusters of both sides, the loop
+count and the non-retractible loops with their common |alpha|.
+rc6v_verify, loop_weight_constant and oriented_sector_sums are numpy
+reductions over that table; the orientation sum over l0 parallel loops is
+a binomial.  TorusRc.clusters, dual_clusters and loop_census walk one
+configuration at a time and are the independent route the table is tested
+against.
 """
 
 from __future__ import annotations
@@ -57,7 +76,7 @@ import mpmath
 import numpy as np
 from scipy.special import logsumexp
 
-from .oracle import MAX_ENUM_EDGES, p_self_dual
+from .oracle import _MERGE_MASKS, MAX_ENUM_EDGES, _check_budget, p_self_dual
 
 # dense-block transfer matrices stay cheap up to C(14, 7) = 3432 states
 MAX_TRANSFER_N = 7
@@ -168,6 +187,20 @@ class TransferMatrix:
         signs = np.array([p[1] for p in parts])
         return logsumexp(vals, b=signs, return_sign=True)
 
+    def spectral_rate(self, M):
+        """-(1/M) log(Zt / Z), evaluated in log space."""
+        lzt, st = self.log_sector_trace(M, self.N - 1)
+        lz, sz = self.log_trace_power(M)
+        if st <= 0 or sz <= 0:
+            raise ArithmeticError("restricted traces must be positive")
+        return -(lzt - lz) / M
+
+    def gap_rate(self):
+        """log of the ratio of the two dominant block eigenvalues, the
+        M -> oo limit of spectral_rate."""
+        top = max(e[-1] for e in self.eigs)
+        return math.log(top / self.eigs[self.N - 1][-1])
+
 
 def transfer_matrix(N, c):
     return TransferMatrix(N, c)
@@ -181,20 +214,13 @@ def sector_traces(N, M, c):
 
 def spectral_rate(N, M, c):
     """-(1/M) log(Zt / Z), evaluated in log space."""
-    V = TransferMatrix(N, c)
-    lzt, st = V.log_sector_trace(M, N - 1)
-    lz, sz = V.log_trace_power(M)
-    if st <= 0 or sz <= 0:
-        raise ArithmeticError("restricted traces must be positive")
-    return -(lzt - lz) / M
+    return TransferMatrix(N, c).spectral_rate(M)
 
 
 def gap_rate(N, c):
     """log of the ratio of the two dominant block eigenvalues, the M -> oo
     limit of spectral_rate at fixed N."""
-    V = TransferMatrix(N, c)
-    top = max(e[-1] for e in V.eigs)
-    return math.log(top / V.eigs[N - 1][-1])
+    return TransferMatrix(N, c).gap_rate()
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +271,9 @@ def rate_report(q, Ns=(2, 3, 4, 5), M=256):
     c = c_from_q(q)
     rows = []
     for N in Ns:
-        g = gap_rate(N, c)
-        rows.append({"N": N, "gap_rate": g, "spectral_rate_M": spectral_rate(N, M, c),
+        V = TransferMatrix(N, c)
+        g = V.gap_rate()
+        rows.append({"N": N, "gap_rate": g, "spectral_rate_M": V.spectral_rate(M),
                      "abs_error": abs(g - closed)})
     return {"q": q, "c": c, "closed_form": closed,
             "asymptotic": asymptotic_rate(q),
@@ -423,6 +450,82 @@ _STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
 _OPPOSITE = (2, 3, 0, 1)
 
 
+def _lifted_table(n_nodes, links, period):
+    """Per-mask component census of a graph lifted to the universal cover.
+
+    links[k] = (links if bit k is 0, links if bit k is 1), each link
+    (a, b, du, dv) putting node b at node a plus (du, dv); period = (pu, pv).
+    The table is built like oracle._label_table: the rows of the 2^k masks
+    over bonds < k are copied to the next 2^k rows, then bond k's bit-0
+    links are applied to the first half and its bit-1 links to the second.
+    Every node carries its label (the smallest node of its component) and
+    its offset from that node in the cover.  A link between two components
+    rewrites the larger label to the smaller and shifts the rewritten
+    offsets; a link inside one component closes a cycle, whose displacement
+    g is a multiple of the period.  Returns per-mask arrays: components,
+    components with some g != 0, components with some g_u != 0, closures,
+    nonzero closures, and the least and largest |g_u| / pu over the nonzero
+    closures.
+    """
+    n_masks = 1 << len(links)
+    pu, pv = period
+    lab = np.empty((n_nodes, n_masks), dtype=np.uint8)
+    off = np.empty((2, n_nodes, n_masks), dtype=np.int16)
+    # bit 0: some closure g != 0, bit 1: some closure with g_u != 0
+    flag = np.empty((n_nodes, n_masks), dtype=np.uint8)
+    # closures, nonzero closures, least and largest |g_u| / pu
+    rows = np.empty((4, n_masks), dtype=np.uint8)
+    lab[:, 0] = np.arange(n_nodes)
+    off[..., 0] = 0
+    flag[:, 0] = 0
+    rows[:, 0] = (0, 0, 255, 0)
+
+    def link(sl, a, b, du, dv):
+        L, F, U, V, R = lab[:, sl], flag[:, sl], off[0, :, sl], off[1, :, sl], rows[:, sl]
+        la, lb = L[a].copy(), L[b].copy()
+        gu = U[a] + du - U[b]
+        gv = V[a] + dv - V[b]
+        same = la == lb
+        shut = np.flatnonzero(same)
+        cu, cv = gu[shut], gv[shut]
+        assert not (cu % pu).any() and not (cv % pv).any()
+        R[0, shut] += 1
+        nz = (cu != 0) | (cv != 0)
+        hit = shut[nz]
+        alpha = np.abs(cu[nz]) // pu
+        R[1, hit] += 1
+        R[2, hit] = np.minimum(R[2, hit], alpha)
+        R[3, hit] = np.maximum(R[3, hit], alpha)
+        F[la[hit], hit] |= 1 + 2 * (alpha > 0).astype(np.uint8)
+        # merge: the component of the larger label moves by +-g onto the
+        # other; a closed row rewrites its own label, shifted by 0
+        lo, hi = np.minimum(la, lb), np.maximum(la, lb)
+        gu[same] = 0
+        gv[same] = 0
+        sign = np.where(la < lb, 1, -1).astype(np.int16)
+        sel = L == hi
+        np.copyto(L, lo, where=sel)
+        np.add(U, sign * gu, out=U, where=sel)
+        np.add(V, sign * gv, out=V, where=sel)
+        cols = np.arange(L.shape[1])
+        F[lo, cols] |= F[hi, cols]
+
+    for k, per_bit in enumerate(links):
+        half = 1 << k
+        for arr in (lab, off, flag, rows):
+            arr[..., half:2 * half] = arr[..., :half]
+        for base, bond_links in zip((0, half), per_bit):
+            for start in range(base, base + half, _MERGE_MASKS):
+                sl = slice(start, min(start + _MERGE_MASKS, base + half))
+                for a, b, du, dv in bond_links:
+                    link(sl, a, b, du, dv)
+    root = lab == np.arange(n_nodes)[:, None]
+    comps = root.sum(axis=0)
+    wound = (root & (flag & 1 > 0)).sum(axis=0)
+    wound_u = (root & (flag & 2 > 0)).sum(axis=0)
+    return comps, wound, wound_u, rows[0], rows[1], rows[2], rows[3]
+
+
 class TorusRc:
     """Random-cluster torus with homology and medial-loop bookkeeping.
 
@@ -566,21 +669,106 @@ class TorusRc:
         census = self.loop_census(mask)
         return len(census), sum(1 for _, _, a, b in census if a or b)
 
+    def _medial_links(self):
+        """Per bond, the loop links of the medial torus for bit 0 and bit 1.
 
-def _orientation_shifts(alphas):
-    """Counts of the total signed cut shift over the 2^len orientations.
+        Nodes are the medial edges: horizontal edge (i, j), id i*2N + j,
+        leaves vertex (i, j) through slot E; vertical edge (i, j), id offset
+        by 2MN, through slot N.  Offsets are in half steps, edge midpoint to
+        edge midpoint.
+        """
+        M, P = self.M, self.P
 
-    Each loop contributes +alpha or -alpha to the shift of the +u arrow
-    count at the cut (times 1/2), depending on its orientation.
+        def edge(i, j, slot):
+            if slot in (0, 2):
+                return ((i - (slot == 2)) % M) * P + j
+            return M * P + i * P + (j - (slot == 3)) % P
+
+        links = []
+        for k in range(M * P):
+            i, j = divmod(k, P)
+            per_bit = []
+            for bit in (False, True):
+                pairs = _PAIRS[((i + j) % 2 == 0, bit)]
+                per_bit.append(tuple(
+                    (edge(i, j, s), edge(i, j, t), _STEP[t][0] - _STEP[s][0],
+                     _STEP[t][1] - _STEP[s][1])
+                    for s, t in pairs.items() if s < t))
+            links.append(tuple(per_bit))
+        return links
+
+    def census_table(self):
+        """Cluster, dual-cluster and loop census of every bond mask at once.
+
+        Three lifted tables (_lifted_table) over the primal sites (bond open),
+        the dual sites (bond closed) and the medial edges give, indexed by
+        mask: the cluster count and the numbers of non-retractible and
+        north-east winding clusters on each side, the loop count, the number
+        of non-retractible loops and their common |alpha| (0 without one).
+        Disjoint non-contractible loops on a torus are parallel, which is
+        asserted.  Each table is sized and refused past the byte budget
+        before any is built.
+        """
+        E = self.n_edges
+        if E > MAX_ENUM_EDGES:
+            raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
+        graphs = {
+            "loop": (2 * self.M * self.P, self._medial_links(),
+                     (2 * self.M, 2 * self.P)),
+            "primal": (self.n_sites, [((), (e,)) for e in self.edges],
+                       (self.M, self.P)),
+            "dual": (len(self.dual_sites), [((e,), ()) for e in self.dual_edges],
+                     (self.M, self.P)),
+        }
+        # largest first, so that a refusal names the loop table; per mask and
+        # node a uint8 label, two int16 offsets, a flag byte and a byte of
+        # the final root mask, and four bytes per mask besides (at most 52
+        # nodes under the edge cap, so uint8 labels suffice)
+        for name, (n, _, _) in graphs.items():
+            _check_budget((1 << E) * (7 * n + 4), "the %s lifted table over %d "
+                          "bonds and %d nodes" % (name, E, n))
+        comps, _, _, loops, wound, a_lo, a_hi = _lifted_table(*graphs["loop"])
+        # the medial graph is 2-regular: every component is one loop
+        assert np.array_equal(comps, loops)
+        assert np.array_equal(a_lo[wound > 0], a_hi[wound > 0])
+        out = {}
+        for prefix, name in (("", "primal"), ("dual_", "dual")):
+            comps, nonretractible, winding_ne = _lifted_table(*graphs[name])[:3]
+            out[prefix + "clusters"] = comps
+            out[prefix + "nonretractible"] = nonretractible
+            out[prefix + "winding_ne"] = winding_ne
+        out["loops"] = loops.astype(np.int64)
+        out["loops_nonretractible"] = wound.astype(np.int64)
+        out["alpha"] = np.where(wound > 0, a_hi, 0).astype(np.int64)
+        return out
+
+
+def _oriented_sectors(N, l0, alpha, base):
+    """Arrow-sector sums of base over every orientation of the loops.
+
+    A mask with l0 non-retractible loops, all of class +-(alpha, beta),
+    shifts the +u arrow count at the cut by alpha (2j - l0) / 2 when j of
+    them are oriented one way, in C(l0, j) ways; base is the weight of the
+    mask with its retractible loops already summed over.
     """
-    shifts = {0: 1}
-    for a in alphas:
-        nxt = {}
-        for d, n in shifts.items():
-            for dd in (d + a, d - a):
-                nxt[dd] = nxt.get(dd, 0) + n
-        shifts = nxt
-    return shifts
+    sectors = {}
+    for n, a in sorted(set(zip(l0.tolist(), alpha.tolist()))):
+        total = base[(l0 == n) & (alpha == a)].sum()
+        for j in range(n + 1):
+            d = a * (2 * j - n)
+            assert d % 2 == 0
+            m = N + d // 2
+            if not 0 <= m <= 2 * N:
+                raise AssertionError("cut shift outside arrow range")
+            sectors[m] = sectors.get(m, 0.0) + math.comb(n, j) * float(total)
+    return sectors
+
+
+def _rc_weights(rc, table, q, p):
+    """w_RC = p^open (1-p)^closed q^clusters of every bond mask."""
+    E = rc.n_edges
+    o = np.bitwise_count(np.arange(1 << E, dtype=np.uint64)).astype(np.int64)
+    return p ** o * (1 - p) ** (E - o) * float(q) ** table["clusters"]
 
 
 def loop_weight_constant(rc, q, p):
@@ -591,17 +779,10 @@ def loop_weight_constant(rc, q, p):
     configuration independent, which pins the loop tracer, the homology
     lift and the torus Euler relation at once.
     """
-    sq = math.sqrt(q)
-    lo = hi = None
-    for mask in range(1 << rc.n_edges):
-        o = bin(mask).count("1")
-        w = p ** o * (1 - p) ** (rc.n_edges - o) * q ** rc.clusters(mask).count
-        l, _ = rc.loop_counts(mask)
-        s = rc.all_dual_retractible(mask)
-        val = sq ** (l + 2 * s) / w
-        lo = val if lo is None else min(lo, val)
-        hi = val if hi is None else max(hi, val)
-    return lo, hi
+    table = rc.census_table()
+    s = (table["dual_nonretractible"] == 0).astype(np.int64)
+    val = math.sqrt(q) ** (table["loops"] + 2 * s) / _rc_weights(rc, table, q, p)
+    return float(val.min()), float(val.max())
 
 
 def oriented_sector_sums(rc, q):
@@ -617,19 +798,10 @@ def oriented_sector_sums(rc, q):
     """
     if q <= 0:
         raise ValueError("cluster weight q must be positive")
-    sq = math.sqrt(q)
-    sectors = {}
-    for mask in range(1 << rc.n_edges):
-        census = rc.loop_census(mask)
-        base = sq ** sum(1 for _, _, a, b in census if a == 0 and b == 0)
-        shifts = _orientation_shifts([a for _, _, a, b in census if a or b])
-        for d, n in shifts.items():
-            assert d % 2 == 0
-            m = rc.N + d // 2
-            if not 0 <= m <= 2 * rc.N:
-                raise AssertionError("cut shift outside arrow range")
-            sectors[m] = sectors.get(m, 0.0) + n * base
-    return sectors
+    table = rc.census_table()
+    l0 = table["loops_nonretractible"]
+    base = math.sqrt(q) ** (table["loops"] - l0)
+    return _oriented_sectors(rc.N, l0, table["alpha"], base)
 
 
 def rc6v_verify(N, M, q, p=None, tol=1e-8):
@@ -655,45 +827,27 @@ def rc6v_verify(N, M, q, p=None, tol=1e-8):
     if q <= 4:
         raise ValueError("correspondence stated for q > 4")
     rc = TorusRc(N, M)
-    if rc.n_edges > MAX_ENUM_EDGES:
-        raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
+    table = rc.census_table()
     if p is None:
         p = p_self_dual(q)
     sq = math.sqrt(q)
-    E = rc.n_edges
-    Ztot = 0.0
-    wA = 0.0
-    e_knc = 0.0
-    e_knc_s = 0.0
-    e_loops = 0.0
-    zt_from_A = 0.0
-    c0_lo = c0_hi = None
-    sectors = {}
-    for mask in range(1 << E):
-        prim = rc.clusters(mask)
-        dual = rc.dual_clusters(mask)
-        o = bin(mask).count("1")
-        w = p ** o * (1 - p) ** (E - o) * q ** prim.count
-        census = rc.loop_census(mask)
-        l = len(census)
-        alphas = [a for _, _, a, b in census if a or b]
-        l0 = len(alphas)
-        s = int(dual.n_nonretractible == 0)
-        val = sq ** (l + 2 * s) / w
-        c0_lo = val if c0_lo is None else min(c0_lo, val)
-        c0_hi = val if c0_hi is None else max(c0_hi, val)
-        Ztot += w
-        e_knc += w * (4.0 / q) ** prim.n_nonretractible
-        e_knc_s += w * (4.0 / q) ** prim.n_nonretractible * q ** (-s)
-        e_loops += w * (2.0 / sq) ** l0 * q ** (-s)
-        base = sq ** (l - l0)
-        shifts = _orientation_shifts(alphas)
-        for d, n in shifts.items():
-            m = rc.N + d // 2
-            sectors[m] = sectors.get(m, 0.0) + n * base
-        if prim.n_winding_ne == 1 and dual.n_winding_ne == 1:
-            wA += w
-            zt_from_A += shifts.get(-2, 0) * base
+    w = _rc_weights(rc, table, q, p)
+    l = table["loops"]
+    l0 = table["loops_nonretractible"]
+    s = (table["dual_nonretractible"] == 0).astype(np.int64)
+    val = sq ** (l + 2 * s) / w
+    c0_lo, c0_hi = float(val.min()), float(val.max())
+    Ztot = float(w.sum())
+    w_knc = w * (4.0 / q) ** table["nonretractible"]
+    e_knc = float(w_knc.sum())
+    e_knc_s = float((w_knc * q ** -s).sum())
+    e_loops = float((w * (2.0 / sq) ** l0 * q ** -s).sum())
+    base = sq ** (l - l0)
+    sectors = _oriented_sectors(N, l0, table["alpha"], base)
+    A = (table["winding_ne"] == 1) & (table["dual_winding_ne"] == 1)
+    wA = float(w[A].sum())
+    # a cut shift of -2 lands in the popcount N-1 sector
+    zt_from_A = _oriented_sectors(N, l0[A], table["alpha"][A], base[A]).get(N - 1, 0.0)
     c = c_from_q(q)
     V = TransferMatrix(N, c)
     Z6 = V.trace_power(M)
@@ -723,6 +877,6 @@ def rc6v_verify(N, M, q, p=None, tol=1e-8):
         "zt_from_A": zt_from_A,
         "zt_leak": Zt - zt_from_A,
         "A_slice_gap": abs(q * zt_from_A / (c0 * wA) - 1.0),
-        "identity_pass": gap <= tol,
+        "identity_pass": bool(gap <= tol),
         "tol": tol,
     }

@@ -102,6 +102,45 @@ def test_sweep_uniforms_replay():
     assert (a != c).any()
 
 
+def _fresh_philox_block(seed, epoch, n_rows, n_edges):
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, epoch & mask], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.random((n_rows, n_edges))
+
+
+def test_sweep_uniforms_equal_fresh_philox_blocks():
+    # odd block sizes leave part of a Philox output buffer unread, so a
+    # re-keyed generator that kept its buffer or counter would drift
+    calls = [(1, 0, 1, 3), (2 ** 63 + 5, 7, 2, 5), (1, 1, 3, 1), (-3, 2, 1, 7),
+             (2 ** 64 - 1, 2 ** 64 - 1, 4, 4), (1, 0, 1, 3), (5, 1 << 70, 1, 1)]
+    calls += [(seed, epoch, 2, 3) for epoch in range(4) for seed in (0, 2 ** 63 + 5)]
+    for args in calls:
+        assert np.array_equal(sweep_uniforms(*args), _fresh_philox_block(*args))
+
+
+def test_sweep_uniforms_per_thread_generators():
+    import threading
+
+    got = {}
+
+    def worker(name, seed):
+        got[name] = [sweep_uniforms(seed, t, 2, 3) for t in range(200)]
+
+    threads = [threading.Thread(target=worker, args=(k, k + 11)) for k in range(3)]
+    for t in threads:
+        t.start()
+    main = [sweep_uniforms(7, t, 2, 3) for t in range(200)]
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    for k in range(3):
+        for t, block in enumerate(got[k]):
+            assert np.array_equal(block, _fresh_philox_block(k + 11, t, 2, 3))
+    for t, block in enumerate(main):
+        assert np.array_equal(block, _fresh_philox_block(7, t, 2, 3))
+
+
 # ---------------------------------------------------------------------------
 # CFTP exactness
 

@@ -409,3 +409,160 @@ def test_transfer_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         TransferMatrix(2, 2.0).apply(np.ones(7))
     assert transfer_matrix(2, 2.0).N == 2
+
+
+# ---------------------------------------------------------------------------
+# one lifted table over all bond masks vs the per-configuration walkers
+
+
+def _walker_census(rc, mask):
+    """The nine census counts of one mask from the per-configuration DFS
+    and loop walk, in census_table's order."""
+    prim = rc.clusters(mask)
+    dual = rc.dual_clusters(mask)
+    loops = rc.loop_census(mask)
+    alphas = {abs(a) for _, _, a, b in loops if a or b}
+    assert len(alphas) <= 1
+    return (prim.count, prim.n_nonretractible, prim.n_winding_ne,
+            dual.count, dual.n_nonretractible, dual.n_winding_ne,
+            len(loops), sum(1 for _, _, a, b in loops if a or b),
+            alphas.pop() if alphas else 0)
+
+
+_CENSUS_KEYS = ("clusters", "nonretractible", "winding_ne", "dual_clusters",
+                "dual_nonretractible", "dual_winding_ne", "loops",
+                "loops_nonretractible", "alpha")
+
+
+def _assert_census_matches(rc, masks):
+    table = rc.census_table()
+    for key in _CENSUS_KEYS:
+        assert table[key].shape == (1 << rc.n_edges,)
+    for mask in masks:
+        got = tuple(int(table[key][mask]) for key in _CENSUS_KEYS)
+        assert got == _walker_census(rc, mask), mask
+
+
+@pytest.mark.parametrize("N,M", [(1, 2), (2, 2), (3, 2), (1, 4)])
+def test_census_table_matches_walkers_on_every_mask(N, M):
+    rc = TorusRc(N, M)
+    _assert_census_matches(rc, range(1 << rc.n_edges))
+
+
+def test_census_table_matches_walkers_on_2x4_sample():
+    rc = TorusRc(2, 4)
+    full = (1 << rc.n_edges) - 1
+    rng = np.random.default_rng(20170703)
+    masks = [0, full] + rng.integers(0, full + 1, size=4096).tolist()
+    _assert_census_matches(rc, masks)
+
+
+def _reference_shifts(alphas):
+    # counts of the total signed cut shift over the 2^len orientations
+    shifts = {0: 1}
+    for a in alphas:
+        nxt = {}
+        for d, n in shifts.items():
+            for dd in (d + a, d - a):
+                nxt[dd] = nxt.get(dd, 0) + n
+        shifts = nxt
+    return shifts
+
+
+def _reference_rc6v(N, M, q):
+    """rc6v_verify computed one mask at a time from the walkers."""
+    rc = TorusRc(N, M)
+    p = p_self_dual(q)
+    sq = math.sqrt(q)
+    E = rc.n_edges
+    Ztot = wA = e_knc = e_knc_s = e_loops = zt_from_A = 0.0
+    vals = []
+    sectors = {}
+    for mask in range(1 << E):
+        prim = rc.clusters(mask)
+        dual = rc.dual_clusters(mask)
+        o = bin(mask).count("1")
+        w = p ** o * (1 - p) ** (E - o) * q ** prim.count
+        census = rc.loop_census(mask)
+        l = len(census)
+        alphas = [a for _, _, a, b in census if a or b]
+        l0 = len(alphas)
+        s = int(dual.n_nonretractible == 0)
+        vals.append(sq ** (l + 2 * s) / w)
+        Ztot += w
+        e_knc += w * (4.0 / q) ** prim.n_nonretractible
+        e_knc_s += w * (4.0 / q) ** prim.n_nonretractible * q ** (-s)
+        e_loops += w * (2.0 / sq) ** l0 * q ** (-s)
+        base = sq ** (l - l0)
+        shifts = _reference_shifts(alphas)
+        for d, n in shifts.items():
+            sectors[N + d // 2] = sectors.get(N + d // 2, 0.0) + n * base
+        if prim.n_winding_ne == 1 and dual.n_winding_ne == 1:
+            wA += w
+            zt_from_A += shifts.get(-2, 0) * base
+    c = c_from_q(q)
+    V = TransferMatrix(N, c)
+    Z6 = V.trace_power(M)
+    Zt = V.sector_trace(M, N - 1)
+    c0 = max(vals)
+    rhs = q * (Zt / Z6) * (e_knc / Ztot)
+    return {
+        "N": N, "M": M, "q": q, "p": p, "c": c, "Z6V": Z6, "Zt6V": Zt,
+        "Zt6V_plus": V.sector_trace(M, N + 1),
+        "loop_constant": c0,
+        "loop_constant_spread": max(vals) / min(vals) - 1.0,
+        "partition_identity_gap": abs(c0 * e_loops / Z6 - 1.0),
+        "knc_partition_gap": abs(c0 * e_knc_s / Z6 - 1.0),
+        "oriented_sector_gap": max(
+            abs(sectors.get(m, 0.0) - V.sector_trace(M, m)) / V.sector_trace(M, m)
+            for m in range(2 * N + 1)),
+        "phi_A": wA / Ztot,
+        "expect_4q_knc": e_knc / Ztot,
+        "rhs": rhs,
+        "rel_gap": abs(wA / Ztot - rhs) / abs(rhs),
+        "zt_from_A": zt_from_A,
+        "zt_leak": Zt - zt_from_A,
+        "A_slice_gap": abs(q * zt_from_A / (c0 * wA) - 1.0),
+    }
+
+
+_GAP_KEYS = ("loop_constant_spread", "partition_identity_gap",
+             "knc_partition_gap", "oriented_sector_gap", "rel_gap", "zt_leak",
+             "A_slice_gap")
+
+
+@pytest.mark.parametrize("q", [5.3, 6.25, 8.7])
+def test_rc6v_verify_matches_per_mask_reference(q):
+    rep = rc6v_verify(2, 2, q)
+    ref = _reference_rc6v(2, 2, q)
+    assert set(rep) == set(ref) | {"identity_pass", "tol"}
+    for key, want in ref.items():
+        if key in _GAP_KEYS:
+            assert rep[key] == pytest.approx(want, rel=0, abs=1e-12), key
+        else:
+            assert rep[key] == pytest.approx(want, rel=1e-12, abs=0), key
+    assert rep["identity_pass"] == (ref["rel_gap"] <= rep["tol"])
+
+
+def test_rate_report_rows_equal_gap_and_spectral_rate():
+    q, M = 7.3, 64
+    c = c_from_q(q)
+    rep = rate_report(q, Ns=(2, 3, 4), M=M)
+    for row in rep["per_N"]:
+        assert row["gap_rate"] == gap_rate(row["N"], c)
+        assert row["spectral_rate_M"] == spectral_rate(row["N"], M, c)
+        assert row["abs_error"] == abs(row["gap_rate"] - rep["closed_form"])
+
+
+def test_over_budget_torus_table_refused_before_allocating():
+    import tracemalloc
+
+    # 24 bonds: the medial loop table alone would take gigabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes"):
+            rc6v_verify(2, 6, 6.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
