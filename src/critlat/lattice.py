@@ -58,50 +58,6 @@ class UnionFind:
         return sum(1 for x, p in enumerate(self.parent) if x == p)
 
 
-class RollbackUnionFind:
-    """Union by size without path compression, with an undo stack.
-
-    The enumeration oracles walk the binary tree of edge configurations and
-    need cluster counts that can be updated and reverted in O(log n) per edge.
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_classes = n
-        self._trail = []
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            self._trail.append(-1)
-            return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.n_classes -= 1
-        self._trail.append(ry)
-        return True
-
-    def undo(self):
-        """Revert the most recent union() call (successful or not)."""
-        ry = self._trail.pop()
-        if ry >= 0:
-            rx = self.parent[ry]
-            self.parent[ry] = ry
-            self.size[rx] -= self.size[ry]
-            self.n_classes += 1
-
-    def connected(self, x, y):
-        return self.find(x) == self.find(y)
-
-
 class LatticeGraph:
     """Immutable finite graph with integer coordinates and unit-step edges.
 

@@ -25,6 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lattice import (
     CCW_SIDES,
     DobrushinDomain,
@@ -33,7 +35,7 @@ from .lattice import (
     oriented_segment,
     segment_faces,
 )
-from .oracle import p_self_dual
+from .oracle import _probabilities, p_self_dual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,20 +185,22 @@ def winding_profile(steps):
     return wind
 
 
-def _config_weights(domain, p, q):
-    """Dobrushin random-cluster weights over free-edge configurations."""
+def _config_probabilities(domain, p, q):
+    """Free-edge configurations and their Dobrushin random-cluster
+    probabilities, from one cluster_stats call per configuration."""
     n_free = len(domain.free_edges)
     bc = dobrushin_bc(domain.primal, domain.a, domain.b)
-    weights = []
-    for bits in itertools.product((0, 1), repeat=n_free):
+    configs = list(itertools.product((0, 1), repeat=n_free))
+    o = np.empty(len(configs), dtype=np.int32)
+    k = np.empty(len(configs), dtype=np.int32)
+    for i, bits in enumerate(configs):
         full = [0] * domain.primal.n_edges
-        for t, k in enumerate(domain.free_edges):
-            full[k] = bits[t]
-        k_clusters, _ = cluster_stats(domain.primal, tuple(full), bc)
-        o = sum(bits)
-        weights.append((bits, p ** o * (1.0 - p) ** (n_free - o)
-                        * q ** k_clusters))
-    return weights
+        for t, e in enumerate(domain.free_edges):
+            full[e] = bits[t]
+        k[i], _ = cluster_stats(domain.primal, tuple(full), bc)
+        o[i] = sum(bits)
+    prob, _ = _probabilities(p, q, o, k, n_free)
+    return zip(configs, prob.tolist())
 
 
 @dataclass
@@ -215,14 +219,11 @@ def edge_observable(domain, p, q):
     """F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] by enumeration."""
     sigma = sigma_obs(q)
     total = {e: 0.0 + 0.0j for e in medial_edges(domain)}
-    z = 0.0
-    for bits, w in _config_weights(domain, p, q):
+    for bits, w in _config_probabilities(domain, p, q):
         steps, _ = _explore(domain, _pairings(domain, bits))
-        z += w
         for key, wind in winding_profile(steps).items():
             total[key] += w * cmath.exp(1j * sigma * wind)
-    return ObservableField({e: v / z for e, v in total.items()}, {},
-                           sigma, domain, p, q)
+    return ObservableField(total, {}, sigma, domain, p, q)
 
 
 def contour_residuals(field):

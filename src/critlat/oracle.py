@@ -12,6 +12,12 @@ there the larger endpoint label of edge k is rewritten to the smaller one.
 Cluster counts and every event array are numpy reductions over that table.
 Each label or colouring table is sized before it is allocated and refused
 past MAX_TABLE_BYTES.
+
+The random-cluster weight p^o (1-p)^c q^k is evaluated in one place,
+_log_weights, in log space; probabilities, Z and log Z all come from there,
+and so do the dual weights and the weights of the loops and sixvertex
+modules. With 0 log 0 = 0, p = 0 and p = 1 are point masses on the
+all-closed and the all-open configuration, with Z = q^k of that mask.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 from .lattice import cluster_stats, free_bc
 
@@ -28,10 +35,6 @@ MAX_ENUM_EDGES = 26
 
 # memory budget, in bytes, of one label table or one spin colouring table
 MAX_TABLE_BYTES = 1 << 29
-
-# above this many edges the weights p^o (1-p)^c q^k can leave double range,
-# so accumulation switches to log space by default
-LOG_DOMAIN_EDGE_THRESHOLD = 20
 
 # masks of the label table rewritten at a time, which bounds the temporaries
 _MERGE_MASKS = 1 << 15
@@ -108,96 +111,75 @@ def cluster_count_array(graph, bc):
 
 
 def open_count_array(n_edges):
+    """o(omega), as int32, for every configuration mask."""
     if n_edges > MAX_ENUM_EDGES:
         raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
-    masks = np.arange(1 << n_edges, dtype=np.int64)
-    o = np.zeros(1 << n_edges, dtype=np.int32)
-    for b in range(n_edges):
-        o += ((masks >> b) & 1).astype(np.int32)
-    return o
+    masks = np.arange(1 << n_edges, dtype=np.uint32)
+    return np.bitwise_count(masks).astype(np.int32)
 
 
 def _log_weights(p, q, o, k, n_edges):
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0,1)")
+    """log of p^o (1-p)^(n_edges-o) q^k for open counts o and cluster
+    counts k; 0 log 0 = 0, so at p = 0 or 1 every configuration but the
+    all-closed or all-open one gets -inf."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0,1]")
     if q <= 0:
         raise ValueError("q must be positive")
-    return (o * math.log(p) + (n_edges - o) * math.log1p(-p)
-            + k * math.log(q))
+    counts = np.arange(n_edges + 1)
+    by_open = xlogy(counts, p) + xlogy(n_edges - counts, 1.0 - p)
+    return by_open[o] + k * math.log(q)
 
 
-def _weights(p, q, o, k, n_edges):
-    return (np.power(p, o, dtype=float) * np.power(1.0 - p, n_edges - o)
-            * np.power(float(q), k))
+def _probabilities(p, q, o, k, n_edges):
+    """(probabilities, log Z) of the weights given by _log_weights."""
+    w = _log_weights(p, q, o, k, n_edges)
+    top = float(w.max())
+    w -= top
+    np.exp(w, out=w)
+    total = float(w.sum())
+    w /= total
+    return w, top + math.log(total)
 
 
-def _probabilities(p, q, o, k, n_edges, log_domain=None):
-    if log_domain is None:
-        log_domain = n_edges > LOG_DOMAIN_EDGE_THRESHOLD
-    if log_domain:
-        lw = _log_weights(p, q, o, k, n_edges)
-        w = np.exp(lw - lw.max())
-    else:
-        w = _weights(p, q, o, k, n_edges)
-    return w / w.sum()
-
-
-def log_weight_array(graph, p, q, bc):
-    """log of p^o(w) (1-p)^c(w) q^k(w^xi) for every mask."""
-    return _log_weights(p, q, open_count_array(graph.n_edges),
-                        cluster_count_array(graph, bc), graph.n_edges)
+def _rc_probabilities(graph, p, q, bc):
+    return _probabilities(p, q, open_count_array(graph.n_edges),
+                          cluster_count_array(graph, bc), graph.n_edges)
 
 
 def weight_array(graph, p, q, bc):
-    return _weights(p, q, open_count_array(graph.n_edges),
-                    cluster_count_array(graph, bc), graph.n_edges)
+    """p^o(w) (1-p)^c(w) q^k(w^xi) for every mask."""
+    return np.exp(_log_weights(p, q, open_count_array(graph.n_edges),
+                               cluster_count_array(graph, bc),
+                               graph.n_edges))
 
 
-def partition_function(graph, p, q, bc, log_domain=None):
-    """Z = sum_w p^o (1-p)^c q^k; log_domain=None switches on |E|."""
-    if log_domain is None:
-        log_domain = graph.n_edges > LOG_DOMAIN_EDGE_THRESHOLD
-    if log_domain:
-        return math.exp(log_partition_function(graph, p, q, bc))
-    return float(weight_array(graph, p, q, bc).sum())
+def partition_function(graph, p, q, bc):
+    """Z = sum_w p^o (1-p)^c q^k."""
+    return math.exp(log_partition_function(graph, p, q, bc))
 
 
 def log_partition_function(graph, p, q, bc):
-    lw = log_weight_array(graph, p, q, bc)
-    m = float(lw.max())
-    return m + math.log(np.exp(lw - m).sum())
+    return _rc_probabilities(graph, p, q, bc)[1]
 
 
-def probability_array(graph, p, q, bc, log_domain=None):
+def probability_array(graph, p, q, bc):
     """Normalized random-cluster probabilities of all configurations."""
-    return _probabilities(p, q, open_count_array(graph.n_edges),
-                          cluster_count_array(graph, bc), graph.n_edges,
-                          log_domain)
+    return _rc_probabilities(graph, p, q, bc)[0]
 
 
-def rc_expectation(graph, p, q, bc, values, log_domain=None):
-    return float(probability_array(graph, p, q, bc, log_domain) @ values)
+def rc_expectation(graph, p, q, bc, values):
+    return float(probability_array(graph, p, q, bc) @ values)
 
 
-def rc_probability(graph, p, q, bc, event, log_domain=None):
-    return rc_expectation(graph, p, q, bc, np.asarray(event, dtype=float),
-                          log_domain)
+def rc_probability(graph, p, q, bc, event):
+    return rc_expectation(graph, p, q, bc, np.asarray(event, dtype=float))
 
 
-def rc_distribution(graph, p, q, bc, log_domain=None):
-    """Exact probability table over all masks and the partition function Z.
-
-    Handles p = 0 and p = 1 (point masses), where the log-domain path is
-    unavailable.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0,1]")
-    if p == 0.0 or p == 1.0:
-        w = weight_array(graph, p, q, bc)
-        z = float(w.sum())
-        return w / z, z
-    prob = probability_array(graph, p, q, bc, log_domain)
-    return prob, partition_function(graph, p, q, bc, log_domain)
+def rc_distribution(graph, p, q, bc):
+    """Exact probability table over all masks and the partition function Z."""
+    prob, log_z = _rc_probabilities(graph, p, q, bc)
+    return prob, math.exp(log_z)
 
 
 def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
@@ -323,14 +305,15 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     """
     n = graph.n_edges
     labels = scan_configs(graph, bc)
-    w = _weights(p, q, open_count_array(n), _count_roots(labels), n)
+    lw = _log_weights(p, q, open_count_array(n), _count_roots(labels), n)
     iu, iv = _edge_ends(graph)[edge_k]
     bit = 1 << edge_k
     masks = np.arange(1 << n, dtype=np.int64)
     rest = masks[(masks & bit) == 0]
     conn = labels[rest, iu] == labels[rest, iv]
     expected = np.where(conn, p, p / (p + q * (1.0 - p)))
-    cond = w[rest | bit] / (w[rest | bit] + w[rest])
+    # w(rest + e) / (w(rest + e) + w(rest)) from the log weight ratio
+    cond = 1.0 / (1.0 + np.exp(lw[rest] - lw[rest | bit]))
     return float(np.abs(cond - expected).max())
 
 
@@ -429,6 +412,12 @@ def even_overlap_event(graph, bc, A):
     return _even_overlaps(scan_configs(graph, bc), [idx])[0]
 
 
+def _event_sums(events, prob):
+    """prob summed over each row of a bool event stack, row by row, never as
+    a float cast of the whole stack."""
+    return np.array([prob[ev].sum() for ev in events])
+
+
 def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
     """Spin-side vs cluster-side expectations across a (p, q) grid.
 
@@ -478,21 +467,21 @@ def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
         off = -1.0 / (q - 1.0)
         for p in ps:
             beta = es_beta_from_p(p, q)
-            prob0 = _probabilities(p, q, o, k0, graph.n_edges)
-            prob1 = _probabilities(p, q, o, k1, graph.n_edges)
+            prob0, _ = _probabilities(p, q, o, k0, graph.n_edges)
+            prob1, _ = _probabilities(p, q, o, k1, graph.n_edges)
             w, wb = np.exp(beta * dots), np.exp(beta * dots_b)
-            # summed per pair, never as a float cast of a pairs x configs stack
             same = np.array([w[colors[:, i] == colors[:, j]].sum()
                              for i, j in pairs]) / w.sum()
             aligned = np.array([wb[colors_b[:, i] == 0].sum()
                                 for i in range(n)]) / wb.sum()
-            errs = [off + (1.0 - off) * same - conn @ prob0,
-                    off + (1.0 - off) * aligned - bconn @ prob1]
+            errs = [off + (1.0 - off) * same - _event_sums(conn, prob0),
+                    off + (1.0 - off) * aligned - _event_sums(bconn, prob1)]
             if q == 2:
                 # prod_A sigma_x = (-1)^(number of x in A with color 1)
                 mu = [w @ (1.0 - 2.0 * (colors[:, ids].sum(axis=1) & 1))
                       for ids in prod_idx]
-                errs.append(np.array(mu) / w.sum() - prod_events @ prob0)
+                errs.append(np.array(mu) / w.sum()
+                            - _event_sums(prod_events, prob0))
             for key, err in zip(keys, errs):
                 report[key] = max(report[key],
                                   float(np.abs(err).max(initial=0.0)))
@@ -529,9 +518,10 @@ def dual_cluster_count_array(graph):
 
 
 def _duality_sums(graph, p, q):
-    """(o, k0, w_dual, predicted) from one primal and one separate dual
-    table: open and free cluster counts, the wired dual weights of the dual
-    configurations and Z0 q^f_b ((1-p*)/p)^|E|, their predicted sum.
+    """(prob0, prob_dual, log_z1, log_predicted) from one primal and one
+    separate dual table: the free primal probabilities, the probabilities of
+    the dual configurations under the wired dual weights, log of the dual
+    partition function Z1 and of its prediction Z0 q^f_b ((1-p*)/p)^|E|.
 
     Checks k0(w) = |V| - o(w) + k*(w*) - 1 at every configuration first.
     """
@@ -543,23 +533,13 @@ def _duality_sums(graph, p, q):
     if bad.size:
         raise AssertionError("Euler cluster identity failed at %d" % bad[0])
     p_star = p_dual(p, q)
-    w_dual = (np.power(p_star, n - o) * np.power(1.0 - p_star, o)
-              * np.power(float(q), kstar))
-    z0 = float(_weights(p, q, o, k0, n).sum())
+    prob0, log_z0 = _probabilities(p, q, o, k0, n)
+    # dual edge k is open iff primal edge k is closed: n - o open dual edges
+    prob_dual, log_z1 = _probabilities(p_star, q, n - o, kstar, n)
     f_bounded = 1 + n - graph.n_vertices
-    return o, k0, w_dual, z0 * q ** f_bounded * ((1.0 - p_star) / p) ** n
-
-
-def duality_check(graph, p, q):
-    """Per-configuration Euler identity and the partition function relation.
-
-    Checks k0(w) = |V| - o(w) + k*(w*) - 1 for every configuration and
-    returns (Z1_dual, Z0 * q^f_b * ((1-p*)/p)^|E|), which must agree:
-    Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{f_b} ((1-p*)/p)^{|E|} with f_b the number
-    of bounded faces.
-    """
-    _, _, w_dual, predicted = _duality_sums(graph, p, q)
-    return float(w_dual.sum()), predicted
+    log_predicted = (log_z0 + f_bounded * math.log(q)
+                     + n * math.log((1.0 - p_star) / p))
+    return prob0, prob_dual, log_z1, log_predicted
 
 
 def verify_duality(graph, p, q, tol=1e-10):
@@ -567,13 +547,13 @@ def verify_duality(graph, p, q, tol=1e-10):
 
     Asserts phi^0_{G,p,q}[w] = phi^1_{G*,p*,q}[w*] for every configuration
     (the dual graph carries the outer face as an ordinary vertex, which is
-    the wired count) plus the partition-function relation; returns a report.
+    the wired count) plus the partition-function relation
+    Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{f_b} ((1-p*)/p)^{|E|}, with f_b the
+    number of bounded faces; returns a report.
     """
-    o, k0, w_dual, predicted = _duality_sums(graph, p, q)
-    z1 = float(w_dual.sum())
-    prob0 = _probabilities(p, q, o, k0, graph.n_edges)
-    config_err = float(np.abs(prob0 - w_dual / z1).max())
-    z_rel = abs(z1 - predicted) / z1
+    prob0, prob_dual, log_z1, log_predicted = _duality_sums(graph, p, q)
+    config_err = float(np.abs(prob0 - prob_dual).max())
+    z_rel = abs(math.expm1(log_predicted - log_z1))
     return {"p_star": p_dual(p, q), "config_max_err": config_err,
             "z_rel_err": z_rel, "tol": tol,
             "ok": config_err <= tol and z_rel <= tol}
@@ -809,8 +789,8 @@ def phi_sum(S, p, d=2):
     g = LatticeGraph(S, edges, d)
     # P[0 <-> x in S] for all x, from one label table
     labels = scan_configs(g, free_bc(g))
-    prob = _probabilities(p, 1.0, open_count_array(g.n_edges),
-                          _count_roots(labels), g.n_edges)
+    prob, _ = _probabilities(p, 1.0, open_count_array(g.n_edges),
+                             _count_roots(labels), g.n_edges)
     root = labels[:, g.vertex_index[origin]]
     total = 0.0
     for x in S:

@@ -32,13 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard speedup, soft import
-    njit = None
-
 X_C = 1.0 / math.sqrt(2.0 + math.sqrt(2.0))
 MU_C = math.sqrt(2.0 + math.sqrt(2.0))
 SIGMA = 5.0 / 8.0
@@ -156,7 +149,7 @@ def strip_domain(T, L):
     )
 
 
-def _midedge_sums_py(domain, x, sigma):
+def _midedge_sums(domain, x, sigma):
     """Sum e^{-i sigma W} x^{|gamma|} over all walks, keyed by end mid-edge.
 
     Depth-first over self-avoiding vertex sequences from a. At the current
@@ -203,87 +196,6 @@ def _midedge_sums_py(domain, x, sigma):
 
     go(start, 0, 0, 1)
     return sums, best[0]
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _dfs_kernel(exits, start, xpow, phases, wcap, sums):  # pragma: no cover
-        # iterative twin of _midedge_sums_py: exits[v] rows are
-        # (direction, neighbour id or -1, mid-edge id)
-        nv = exits.shape[0]
-        visited = np.zeros(nv, np.bool_)
-        sv = np.empty(nv + 1, np.int64)
-        sk = np.empty(nv + 1, np.int64)
-        sw = np.empty(nv + 1, np.int64)
-        si = np.empty(nv + 1, np.int64)
-        visited[start] = True
-        sv[0] = start
-        sk[0] = 0
-        sw[0] = 0
-        si[0] = 0
-        depth = 0
-        maxlen = 1
-        while depth >= 0:
-            i = si[depth]
-            if i == 3:
-                visited[sv[depth]] = False
-                depth -= 1
-                continue
-            si[depth] = i + 1
-            k_in = sk[depth]
-            k = exits[sv[depth], i, 0]
-            if k == (k_in + 3) % 6:
-                continue
-            wn = sw[depth] + (1 if (k - k_in) % 6 == 1 else -1)
-            sums[exits[sv[depth], i, 2]] += phases[wn + wcap] * xpow[depth + 1]
-            nb = exits[sv[depth], i, 1]
-            if nb >= 0 and not visited[nb]:
-                depth += 1
-                sv[depth] = nb
-                sk[depth] = k
-                sw[depth] = wn
-                si[depth] = 0
-                visited[nb] = True
-                if depth + 1 > maxlen:
-                    maxlen = depth + 1
-        return maxlen
-
-
-def _midedge_sums_fast(domain, x, sigma):
-    """Array-compiled version of _midedge_sums_py; same contract."""
-    if njit is None:
-        raise RuntimeError("numba is not available")
-    mids = sorted(domain.mid_edges())
-    mix = {m: i for i, m in enumerate(mids)}
-    sums = np.zeros(len(mids), np.complex128)
-    start = (2, 0)
-    maxlen = 0
-    if start in domain.vertices:
-        verts = sorted(domain.vertices)
-        vix = {v: i for i, v in enumerate(verts)}
-        nv = len(verts)
-        exits = np.empty((nv, 3, 3), np.int64)
-        for i, (vx, vy) in enumerate(verts):
-            for slot, k in enumerate(dir_indices(vx)):
-                dx, dy = DIRS[k]
-                exits[i, slot, 0] = k
-                exits[i, slot, 1] = vix.get((vx + dx, vy + dy), -1)
-                exits[i, slot, 2] = mix[(vx + dx // 2, vy + dy // 2)]
-        wcap = nv + 2
-        coef = -1j * sigma * math.pi / 3.0
-        phases = np.exp(coef * (np.arange(2 * wcap + 1) - wcap))
-        xpow = float(x) ** np.arange(nv + 1, dtype=np.float64)
-        maxlen = _dfs_kernel(exits, vix[start], xpow, phases, wcap, sums)
-    out = {m: complex(sums[i]) for m, i in mix.items()}
-    out[A_MID] = out.get(A_MID, 0.0j) + 1.0  # the empty walk
-    return out, maxlen
-
-
-def _midedge_sums(domain, x, sigma):
-    if njit is not None:
-        return _midedge_sums_fast(domain, x, sigma)
-    return _midedge_sums_py(domain, x, sigma)
 
 
 def observable(domain, x=X_C, sigma=SIGMA):

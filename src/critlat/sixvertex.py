@@ -76,7 +76,14 @@ import mpmath
 import numpy as np
 from scipy.special import logsumexp
 
-from .oracle import _MERGE_MASKS, MAX_ENUM_EDGES, _check_budget, p_self_dual
+from .oracle import (
+    _MERGE_MASKS,
+    MAX_ENUM_EDGES,
+    _check_budget,
+    _log_weights,
+    open_count_array,
+    p_self_dual,
+)
 
 # dense-block transfer matrices stay cheap up to C(14, 7) = 3432 states
 MAX_TRANSFER_N = 7
@@ -767,8 +774,7 @@ def _oriented_sectors(N, l0, alpha, base):
 def _rc_weights(rc, table, q, p):
     """w_RC = p^open (1-p)^closed q^clusters of every bond mask."""
     E = rc.n_edges
-    o = np.bitwise_count(np.arange(1 << E, dtype=np.uint64)).astype(np.int64)
-    return p ** o * (1 - p) ** (E - o) * float(q) ** table["clusters"]
+    return np.exp(_log_weights(p, q, open_count_array(E), table["clusters"], E))
 
 
 def loop_weight_constant(rc, q, p):

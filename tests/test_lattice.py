@@ -8,7 +8,6 @@ from critlat.lattice import (
     LatticeGraph,
     PercolationConfig,
     UnionFind,
-    RollbackUnionFind,
     boundary_arcs,
     boundary_cycle,
     build_box,
@@ -89,19 +88,6 @@ def test_union_find_roots_are_minima():
     assert uf.n_classes() == 3
 
 
-def test_rollback_union_find():
-    uf = RollbackUnionFind(5)
-    assert uf.union(0, 1) and uf.n_classes == 4
-    assert not uf.union(1, 0) and uf.n_classes == 4
-    uf.union(2, 3)
-    assert uf.n_classes == 3
-    uf.undo()
-    assert uf.n_classes == 4 and not uf.connected(2, 3)
-    uf.undo()  # the failed union
-    uf.undo()
-    assert uf.n_classes == 5 and not uf.connected(0, 1)
-
-
 def test_percolation_config_mask_roundtrip():
     c = PercolationConfig.from_mask(0b1011, 5)
     assert c.bits == (1, 1, 0, 1, 0)
@@ -148,32 +134,25 @@ def test_dual_rejects_3d():
 # crossings and their duality
 
 
-def dual_rect_config(n, graph, bits):
+def dual_rect(n, graph):
     """The dual of R_n = [0,n] x [0,n-1] for vertical dual crossings: faces
     (i,j) with 0 <= i <= n-1, -1 <= j <= n-1; strips j = -1 and j = n-1 are
-    the split outer face and connect horizontally for free."""
+    the split outer face and connect horizontally for free. Returns the dual
+    graph and, per dual edge, the index of the primal edge it crosses, or -1
+    for the always-open links of the outer face."""
     verts = [(i, j) for i in range(n) for j in range(-1, n)]
-    edges, state = [], {}
+    crossed = {}
     for i in range(n):
         for j in range(-1, n - 1):
-            e = ((i, j), (i, j + 1))
-            edges.append(e)
-            k = graph.edge_index[((i, j + 1), (i + 1, j + 1))]
-            state[e] = 1 - bits[k]
+            crossed[((i, j), (i, j + 1))] = graph.edge_index[
+                ((i, j + 1), (i + 1, j + 1))]
     for i in range(n - 1):
         for j in range(-1, n):
-            e = ((i, j), (i + 1, j))
-            edges.append(e)
-            if j in (-1, n - 1):
-                state[e] = 1
-            else:
-                k = graph.edge_index[((i + 1, j), (i + 1, j + 1))]
-                state[e] = 1 - bits[k]
-    dg = LatticeGraph(verts, edges)
-    conf = [0] * dg.n_edges
-    for e, b in state.items():
-        conf[dg.edge_index[tuple(sorted(e))]] = b
-    return dg, tuple(conf)
+            crossed[((i, j), (i + 1, j))] = (
+                -1 if j in (-1, n - 1)
+                else graph.edge_index[((i + 1, j), (i + 1, j + 1))])
+    dg = LatticeGraph(verts, list(crossed))
+    return dg, [crossed[e] for e in dg.edges]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -182,9 +161,10 @@ def test_crossing_duality_exhaustive(n):
     # dual-open crossing of the shifted rectangle does
     g = build_rect((0, n), (0, n - 1))
     rect = (0, 0, n, n - 1)
+    dg, crossed = dual_rect(n, g)
     for bits in all_configs(g.n_edges):
         h = crossing_detect(g, bits, rect, "horizontal")
-        dg, dconf = dual_rect_config(n, g, bits)
+        dconf = tuple(1 if k < 0 else 1 - bits[k] for k in crossed)
         v = crossing_detect(dg, dconf, (0, -1, n - 1, n - 1), "vertical")
         assert h != v
 

@@ -326,6 +326,30 @@ def test_loop_measure_matches_cluster_weights():
         assert len(ratios) == 1
 
 
+@pytest.mark.parametrize("p,q", [(0.35, 0.5), (0.6, 3.0)])
+def test_edge_observable_matches_per_config_reference(p, q):
+    # F(e) summed configuration by configuration with cluster_stats weights
+    dom = dom_rect22()
+    bc = dobrushin_bc(dom.primal, dom.a, dom.b)
+    sigma = sigma_obs(q)
+    total, z = {}, 0.0
+    for cfg in all_bits(len(dom.free_edges)):
+        full = [0] * dom.primal.n_edges
+        for t, k in enumerate(dom.free_edges):
+            full[k] = cfg[t]
+        k_clusters, _ = cluster_stats(dom.primal, tuple(full), bc)
+        o = sum(cfg)
+        w = p ** o * (1 - p) ** (len(cfg) - o) * q ** k_clusters
+        z += w
+        steps = loop_encode(dom, cfg).exploration
+        for e, wind in winding_profile(steps).items():
+            total[e] = total.get(e, 0.0) + w * cmath.exp(1j * sigma * wind)
+    field = edge_observable(dom, p, q)
+    assert set(total) <= set(field.edge_values)
+    for e, val in field.edge_values.items():
+        assert abs(val - total.get(e, 0.0) / z) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # contour relation
 

@@ -101,13 +101,45 @@ def test_distribution_normalizes():
 
 
 def test_log_domain_matches_linear():
+    bc = free_bc(BOX1)
+    o = open_count_array(BOX1.n_edges)
+    k = cluster_count_array(BOX1, bc)
     for p, q in ((0.2, 0.5), (0.5, 2.0), (0.8, 4.0)):
-        a = probability_array(BOX1, p, q, free_bc(BOX1), log_domain=False)
-        b = probability_array(BOX1, p, q, free_bc(BOX1), log_domain=True)
-        assert np.abs(a - b).max() < 1e-12
-        z = partition_function(BOX1, p, q, free_bc(BOX1), log_domain=False)
-        lz = log_partition_function(BOX1, p, q, free_bc(BOX1))
-        assert abs(math.log(z) - lz) < 1e-12
+        w = p ** o * (1 - p) ** (BOX1.n_edges - o) * q ** k
+        assert np.abs(probability_array(BOX1, p, q, bc)
+                      - w / w.sum()).max() < 1e-12
+        lz = log_partition_function(BOX1, p, q, bc)
+        assert abs(math.log(w.sum()) - lz) < 1e-12
+
+
+@pytest.mark.parametrize("q", [0.5, 2.5])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("bc", [free_bc(GRID23),
+                                dobrushin_bc(GRID23, (0, 0), (1, 2))],
+                         ids=["free", "dobrushin"])
+def test_point_masses_every_entry_point(bc, p, q):
+    n = GRID23.n_edges
+    mask = 0 if p == 0.0 else (1 << n) - 1
+    k, _ = cluster_stats(GRID23, [mask >> e & 1 for e in range(n)], bc)
+    point = np.zeros(1 << n)
+    point[mask] = 1.0
+    assert np.array_equal(probability_array(GRID23, p, q, bc), point)
+    prob, z = rc_distribution(GRID23, p, q, bc)
+    assert np.array_equal(prob, point)
+    assert abs(z - q ** k) < 1e-12 * q ** k
+    assert abs(partition_function(GRID23, p, q, bc) - q ** k) < 1e-12 * q ** k
+    assert abs(log_partition_function(GRID23, p, q, bc)
+               - k * math.log(q)) < 1e-12
+    w = weight_array(GRID23, p, q, bc)
+    assert np.count_nonzero(w) == 1
+    assert abs(w[mask] - q ** k) < 1e-12 * q ** k
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 13])
+def test_open_count_array_is_popcount(n):
+    got = open_count_array(n)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, [bin(m).count("1") for m in range(1 << n)])
 
 
 def test_enumeration_cap_refused():
@@ -174,6 +206,14 @@ def test_es_coupling_square():
 def test_es_coupling_grid():
     report = verify_es_coupling(GRID23, [0.35, p_self_dual(3)], [2, 3],
                                 products=[((0, 0), (1, 2)), ((0, 1), (1, 1))])
+    assert report["ok"], report
+
+
+def test_es_coupling_box_with_interior_vertex():
+    # every vertex of SQUARE and GRID23 is a boundary vertex, where the wired
+    # side is trivially 1; the centre of BOX1 is not
+    report = verify_es_coupling(BOX1, [0.35, 0.6], [2, 3],
+                                products=[((0, 0), (1, 1))])
     assert report["ok"], report
 
 

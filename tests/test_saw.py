@@ -14,8 +14,6 @@ from critlat.saw import (
     SIGMA,
     X_C,
     HexDomain,
-    _midedge_sums_fast,
-    _midedge_sums_py,
     dir_indices,
     identity_check,
     observable,
@@ -93,17 +91,6 @@ def test_vertices_carry_three_midedges():
         for k in dir_indices(vx):
             dx, dy = DIRS[k]
             assert (vx + dx // 2, vy + dy // 2) in mids
-
-
-def test_enumeration_paths_agree():
-    pytest.importorskip("numba")
-    d = strip_domain(2, 1)
-    for x, sigma in [(X_C, SIGMA), (0.3, 0.0), (0.7, 0.5)]:
-        fa, la = _midedge_sums_py(d, x, sigma)
-        fb, lb = _midedge_sums_fast(d, x, sigma)
-        assert la == lb
-        assert set(fa) == set(fb)
-        assert max(abs(fa[m] - fb[m]) for m in fa) < 1e-13
 
 
 def test_observable_golden_smallest_strip():
