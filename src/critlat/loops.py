@@ -12,30 +12,50 @@ on every trace.
 The observable F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] is computed
 by exact enumeration, with winding summed over the +-pi/2 turns strictly
 after e up to arrival at e_b (left turn = +pi/2) and spin sigma solving
-sin(sigma pi/2) = sqrt(q)/2 (real for q <= 4, 1 + i R for q > 4). Medial
-edges carry the canonical orientation counterclockwise around their black
-face; the q = 2 projections and line membership are stated through that
-orientation, squared to stay branch-free.
+sin(sigma pi/2) = sqrt(q)/2 (real for q <= 4, 1 + i R for q > 4). The
+probabilities of the 2^n free-edge configurations come from the oracle's
+label table of the primal restricted to its free edges, under the Dobrushin
+wiring. The explorations of all configurations then run in lockstep over a
+slot table: a slot is a medial vertex z with the side the path enters by,
+and for each state of the primal edge at z the table holds the next slot,
+the turn (+-1) and the canonical medial edge left along. Each step reads one
+bit of every mask and sums the probabilities into a histogram over (medial
+edge, turns since e_a). The total turning from e_a to e_b is the same for
+every configuration (asserted), so W = total - turns so far, and F is the
+histogram contracted with exp(i sigma pi/2 W). loop_encode, _explore and
+winding_profile trace one configuration at a time and are the reference
+the lockstep walk is tested against. Medial edges carry the canonical
+orientation counterclockwise around their black face; the q = 2
+projections and line membership are stated through that orientation,
+squared to stay branch-free.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
+import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import (
     CCW_SIDES,
     DobrushinDomain,
+    LatticeGraph,
     cluster_stats,
     dobrushin_bc,
     oriented_segment,
     segment_faces,
 )
-from .oracle import _probabilities, p_self_dual
+from .oracle import (
+    _check_budget,
+    _label_dtype,
+    _probabilities,
+    cluster_count_array,
+    open_count_array,
+    p_self_dual,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,6 +86,16 @@ class LoopConfig:
         return len(self.loops) + 1
 
 
+def _arc_pairs(domain, z, open_primal):
+    """Arc pairing (side -> side) at status vertex z for one edge state."""
+    table = {}
+    for d1, d2 in DobrushinDomain.arcs_at(z, open_primal,
+                                          domain.blacks_ne_sw(z)):
+        table[d1] = d2
+        table[d2] = d1
+    return table
+
+
 def _pairings(domain, bits):
     """Arc pairing (side -> side) at every status vertex for this config."""
     pair = {}
@@ -74,12 +104,7 @@ def _pairings(domain, bits):
             open_primal = bool(bits[domain.free_pos[k]])
         else:
             open_primal = kind == "primal"
-        table = {}
-        for d1, d2 in DobrushinDomain.arcs_at(z, open_primal,
-                                              domain.blacks_ne_sw(z)):
-            table[d1] = d2
-            table[d2] = d1
-        pair[z] = table
+        pair[z] = _arc_pairs(domain, z, open_primal)
     return pair
 
 
@@ -185,27 +210,151 @@ def winding_profile(steps):
     return wind
 
 
-def _config_probabilities(domain, p, q):
-    """Free-edge configurations and their Dobrushin random-cluster
-    probabilities, from one cluster_stats call per configuration."""
-    n_free = len(domain.free_edges)
-    bc = dobrushin_bc(domain.primal, domain.a, domain.b)
-    configs = list(itertools.product((0, 1), repeat=n_free))
-    o = np.empty(len(configs), dtype=np.int32)
-    k = np.empty(len(configs), dtype=np.int32)
-    for i, bits in enumerate(configs):
-        full = [0] * domain.primal.n_edges
-        for t, e in enumerate(domain.free_edges):
-            full[e] = bits[t]
-        k[i], _ = cluster_stats(domain.primal, tuple(full), bc)
-        o[i] = sum(bits)
-    prob, _ = _probabilities(p, q, o, k, n_free)
-    return zip(configs, prob.tolist())
+# successor codes of a slot whose next segment leaves the status vertices:
+# through e_b, or anywhere off the curve (never reached on a valid domain)
+_EXIT, _STRAY = -1, -2
+
+# configurations walked at a time, and about the bytes each holds in the
+# walk's index and temporary arrays
+_WALK_CHUNK = 1 << 15
+_WALK_BYTES = 96
+
+# bytes per configuration of the probabilities: open and cluster counts
+# (int32) and three float64 arrays while the log-weights are summed
+_PROB_BYTES = 32
+
+
+class _SlotTable(NamedTuple):
+    """The exploration rule of a domain over its medial slots.
+
+    Slot 4 i + j is status vertex i entered from side CCW_SIDES[j]. For
+    slot s and state b of the primal edge at its vertex, succ[s, b] is the
+    next slot (or _EXIT, _STRAY), turn[s, b] the turn there (+1 left) and
+    eid[s, b] the index in edges of the canonical segment left along;
+    bit[s] is the free position of the edge (0 at forced vertices, whose
+    two state columns are equal). Walks enter slot start from e_a, whose
+    index in edges is entry.
+    """
+
+    edges: tuple
+    entry: int
+    start: int
+    bit: np.ndarray
+    succ: np.ndarray
+    turn: np.ndarray
+    eid: np.ndarray
+
+
+def _slot_table(domain):
+    status = domain.status
+    edges = tuple(sorted(medial_edges(domain)))
+    edge_id = {e: i for i, e in enumerate(edges)}
+    slot = {(z, d): 4 * i + j for i, z in enumerate(status)
+            for j, d in enumerate(CCW_SIDES)}
+    bit = np.zeros(len(slot), dtype=np.int64)
+    succ, turn, eid = (np.zeros((len(slot), 2), dtype=np.int64)
+                       for _ in range(3))
+    for z, (kind, k) in status.items():
+        if kind == "free":
+            states = (False, True)
+            bit[[slot[z, d] for d in CCW_SIDES]] = domain.free_pos[k]
+        else:
+            states = (kind == "primal",) * 2
+        for b, open_primal in enumerate(states):
+            for d_in, d_out in _arc_pairs(domain, z, open_primal).items():
+                s = slot[z, d_in]
+                # the path arrives travelling along -d_in: a left turn when
+                # the cross product (-d_in) x d_out is positive
+                turn[s, b] = 1 if d_in[1] * d_out[0] > d_in[0] * d_out[1] else -1
+                nxt = (z[0] + d_out[0], z[1] + d_out[1])
+                if nxt not in status:
+                    succ[s, b] = _EXIT if (z, nxt) == domain.e_b else _STRAY
+                    eid[s, b] = edge_id[domain.e_b]
+                    continue
+                e = oriented_segment(z, nxt)
+                succ[s, b] = (slot[nxt, (-d_out[0], -d_out[1])]
+                              if e in edge_id else _STRAY)
+                eid[s, b] = edge_id.get(e, 0)
+    tail, head = domain.e_a
+    start = slot[head, (tail[0] - head[0], tail[1] - head[1])]
+    return _SlotTable(edges, edge_id[domain.e_a], start, bit, succ, turn, eid)
+
+
+def _lockstep_field(table, masks, prob, sigma):
+    """Sum prob * exp(i sigma W(e, e_b)) over the explorations of masks.
+
+    All explorations advance one slot per step, and each step sums the
+    probabilities into hist[e, t]: leaving along edge e, t - n_slots turns
+    after e_a. The total turning is the same for every exploration
+    (asserted), so in offset units W = total - t. Returns (F over
+    table.edges, slot moves, segments of the longest exploration with e_a
+    and e_b).
+    """
+    n_slots = len(table.bit)
+    width = 2 * n_slots + 1
+    n_bins = len(table.edges) * width
+    succ, turn, eid = (a.ravel() for a in (table.succ, table.turn, table.eid))
+    hist = np.zeros(n_bins)
+    hist[table.entry * width + n_slots] = prob.sum()
+    slot = np.full(len(masks), table.start, dtype=np.int64)
+    turned = np.full(len(masks), n_slots, dtype=np.int64)
+    total, moves = None, 0
+    for length in range(2, n_slots + 2):
+        at = 2 * slot + ((masks >> table.bit[slot]) & 1)
+        turned += turn[at]
+        hist += np.bincount(eid[at] * width + turned, weights=prob,
+                            minlength=n_bins)
+        slot = succ[at]
+        moves += len(at)
+        done = slot < 0
+        if not done.any():
+            continue
+        if np.any(slot[done] != _EXIT):
+            raise AssertionError("exploration left the curve off e_b")
+        ends = turned[done]
+        if total is None:
+            total = int(ends[0])
+        if ends.min() != total or ends.max() != total:
+            raise AssertionError("total turning depends on the configuration")
+        keep = ~done
+        masks, slot, turned, prob = (a[keep] for a in (masks, slot, turned, prob))
+        if not len(masks):
+            break
+    else:
+        raise AssertionError("exploration longer than %d slots" % n_slots)
+    phase = np.exp(1j * sigma * (math.pi / 2.0) * (total - np.arange(width)))
+    return hist.reshape(-1, width) @ phase, moves, length
+
+
+def _check_observable_budget(domain):
+    """Refuse, before allocating, an observable over too many free edges:
+    past MAX_ENUM_EDGES, or past the byte budget with the label table, the
+    probabilities and one walk chunk counted together."""
+    n = len(domain.free_edges)
+    row = domain.primal.n_vertices * _label_dtype(
+        n, domain.primal.n_vertices).itemsize
+    _check_budget((1 << n) * (row + _PROB_BYTES)
+                  + min(1 << n, _WALK_CHUNK) * _WALK_BYTES,
+                  "the observable over %d free edges" % n)
+
+
+def _free_edge_probabilities(domain, p, q):
+    """Dobrushin random-cluster probability of every free-edge mask, bit t
+    the state of free edge t, from the label table of the primal restricted
+    to its free edges (same vertex indices, so the same wired block)."""
+    primal = domain.primal
+    free = LatticeGraph(primal.vertices,
+                        [primal.edges[k] for k in domain.free_edges])
+    bc = dobrushin_bc(primal, domain.a, domain.b)
+    prob, _ = _probabilities(p, q, open_count_array(free.n_edges),
+                             cluster_count_array(free, bc), free.n_edges)
+    return prob
 
 
 @dataclass
 class ObservableField:
-    """F per medial edge, f per medial vertex (q=2 only), and the spin."""
+    """F per medial edge, f per medial vertex (q=2 only), the spin, and
+    the work counters and phase timings of the enumeration."""
 
     edge_values: dict
     vertex_values: dict
@@ -213,17 +362,33 @@ class ObservableField:
     domain: DobrushinDomain
     p: float
     q: float
+    counters: dict
+    timings: dict
 
 
 def edge_observable(domain, p, q):
     """F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] by enumeration."""
     sigma = sigma_obs(q)
-    total = {e: 0.0 + 0.0j for e in medial_edges(domain)}
-    for bits, w in _config_probabilities(domain, p, q):
-        steps, _ = _explore(domain, _pairings(domain, bits))
-        for key, wind in winding_profile(steps).items():
-            total[key] += w * cmath.exp(1j * sigma * wind)
-    return ObservableField(total, {}, sigma, domain, p, q)
+    _check_observable_budget(domain)
+    t0 = time.perf_counter()
+    prob = _free_edge_probabilities(domain, p, q)
+    t1 = time.perf_counter()
+    table = _slot_table(domain)
+    F = np.zeros(len(table.edges), dtype=complex)
+    moves = longest = 0
+    for lo in range(0, len(prob), _WALK_CHUNK):
+        hi = min(lo + _WALK_CHUNK, len(prob))
+        part, n_moves, n_longest = _lockstep_field(
+            table, np.arange(lo, hi, dtype=np.int64), prob[lo:hi], sigma)
+        F += part
+        moves += n_moves
+        longest = max(longest, n_longest)
+    t2 = time.perf_counter()
+    counters = {"configs": len(prob), "walk_steps": moves,
+                "longest_exploration": longest}
+    timings = {"probabilities_s": t1 - t0, "walk_s": t2 - t1}
+    return ObservableField(dict(zip(table.edges, F.tolist())), {}, sigma,
+                           domain, p, q, counters, timings)
 
 
 def contour_residuals(field):
@@ -255,7 +420,8 @@ def contour_check(domain, q, p=None):
     res = contour_residuals(field)
     worst = max(res.values()) if res else 0.0
     return {"p": p_used, "q": q, "max_residual": worst,
-            "n_vertices": len(res), "ok": bool(worst <= 1e-10)}
+            "n_vertices": len(res), "ok": bool(worst <= 1e-10),
+            "counters": field.counters, "timings": field.timings}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +513,8 @@ def sholo_report(domain, p=None):
             "square_split": square, "boundary_tangent": tangent,
             "cauchy_riemann": cr, "exit_projection": exit_proj,
             "ok": bool(max(line, square, tangent, exit_proj) <= 1e-10
-                       and cr <= 1e-9)}
+                       and cr <= 1e-9),
+            "counters": field.counters, "timings": field.timings}
 
 
 def _cauchy_riemann_residual(domain, fv):

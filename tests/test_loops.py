@@ -1,5 +1,8 @@
 import cmath
+import functools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from critlat.lattice import (
     to_black,
 )
 from critlat.loops import (
+    _lockstep_field,
+    _slot_table,
     build_H,
     contour_check,
     contour_residuals,
@@ -455,3 +460,128 @@ def test_contour_residual_field_keys():
     field = edge_observable(dom_rect22(), p_self_dual(2.0), 2.0)
     res = contour_residuals(field)
     assert res and all(v in dom_rect22().status for v in res)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep walk against the per-configuration trace
+
+
+REFERENCE_DOMAINS = {
+    "diamond_14": dom_diamond_14,
+    "diamond_13": dom_diamond_13,
+    "rect21": dom_rect21,
+    "rect22": dom_rect22,
+    "rect32": lambda: medial_domain(build_rect((0, 3), (0, 2)), (0, 0), (3, 2)),
+    "slit_11": lambda: medial_domain(build_rect((0, 1), (0, 1)), (0, 0), (0, 0)),
+    "slit_21": lambda: medial_domain(build_rect((0, 2), (0, 1)), (2, 1), (2, 1)),
+    "corner_21": lambda: medial_domain(build_rect((0, 2), (0, 1)), (1, 0),
+                                       (1, 0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def per_config_trace(name):
+    """(domain, rows): one (o, k, exploration length, winding profile) row
+    per free-edge configuration, traced by loop_encode."""
+    dom = REFERENCE_DOMAINS[name]()
+    bc = dobrushin_bc(dom.primal, dom.a, dom.b)
+    rows = []
+    for cfg in all_bits(len(dom.free_edges)):
+        full = [0] * dom.primal.n_edges
+        for t, k in enumerate(dom.free_edges):
+            full[k] = cfg[t]
+        k_clusters, _ = cluster_stats(dom.primal, tuple(full), bc)
+        steps = loop_encode(dom, cfg).exploration
+        rows.append((sum(cfg), k_clusters, len(steps),
+                     winding_profile(steps)))
+    return dom, rows
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+@pytest.mark.parametrize("q", [0.5, 2.0, 9.0])
+def test_lockstep_observable_matches_trace(name, q):
+    # every fixture, the 12-free-edge rect and the degenerate a = b domains
+    dom, rows = per_config_trace(name)
+    p = p_self_dual(q)
+    sigma = sigma_obs(q)
+    m = len(dom.free_edges)
+    w = np.array([p ** o * (1 - p) ** (m - o) * q ** k
+                  for o, k, _, _ in rows])
+    w /= w.sum()
+    total = {}
+    for wt, (_, _, _, prof) in zip(w, rows):
+        for e, wind in prof.items():
+            total[e] = total.get(e, 0.0) + wt * cmath.exp(1j * sigma * wind)
+    field = edge_observable(dom, p, q)
+    assert set(field.edge_values) == set(medial_edges(dom))
+    assert set(total) <= set(field.edge_values)
+    for e, val in field.edge_values.items():
+        assert abs(val - total.get(e, 0.0)) < 1e-12
+    assert field.counters == {
+        "configs": 2 ** m,
+        "walk_steps": sum(n - 1 for _, _, n, _ in rows),
+        "longest_exploration": max(n for _, _, n, _ in rows)}
+    assert set(field.timings) == {"probabilities_s", "walk_s"}
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 9.0])
+def test_lockstep_walk_half_diamond(q):
+    # 2^18 configurations are too many to trace one by one: the walk runs
+    # on a sample of masks with arbitrary weights against the trace of the
+    # same masks, and the whole observable satisfies the degenerate
+    # marked-edge identities F(e_b) = 1, F(e_a) = exp(i pi sigma)
+    dom = medial_domain(half_diamond(3), (0, 0), (0, 0))
+    m = len(dom.free_edges)
+    sigma = sigma_obs(q)
+    rng = np.random.default_rng(11)
+    masks = rng.integers(0, 2 ** m, size=300)
+    weights = rng.random(300)
+    want = {}
+    for mask, wt in zip(masks, weights):
+        cfg = [(int(mask) >> t) & 1 for t in range(m)]
+        prof = winding_profile(loop_encode(dom, cfg).exploration)
+        for e, wind in prof.items():
+            want[e] = want.get(e, 0.0) + wt * cmath.exp(1j * sigma * wind)
+    table = _slot_table(dom)
+    got, _, _ = _lockstep_field(table, masks.astype(np.int64), weights, sigma)
+    for e, val in zip(table.edges, got):
+        assert abs(val - want.get(e, 0.0)) < 1e-12
+    field = edge_observable(dom, p_self_dual(q), q)
+    assert abs(field.edge_values[dom.e_b] - 1.0) < 1e-12
+    assert abs(field.edge_values[dom.e_a] - cmath.exp(1j * math.pi * sigma)) \
+        < 1e-12
+
+
+def test_observable_over_budget_refused_before_allocating():
+    # 24 free edges: a 2^24-row label table plus the probabilities
+    dom = medial_domain(build_rect((0, 4), (0, 3)), (0, 0), (4, 3))
+    assert len(dom.free_edges) == 24
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes"):
+            edge_observable(dom, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("q", [2.0, 9.0])
+def test_contour_relation_18_free_edges(q):
+    dom = medial_domain(build_rect((0, 3), (0, 3)), (0, 0), (3, 3))
+    assert len(dom.free_edges) == 18
+    t0 = time.perf_counter()
+    rep = contour_check(dom, q)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["ok"] and rep["max_residual"] <= 1e-10
+    assert rep["counters"]["configs"] == 2 ** 18
+    assert rep["timings"]["walk_s"] > 0
+
+
+def test_sholo_report_16_free_edges():
+    dom = medial_domain(build_rect((0, 4), (0, 2)), (0, 0), (4, 2))
+    assert len(dom.free_edges) == 16
+    rep = sholo_report(dom)
+    assert rep["ok"]
+    assert rep["counters"]["configs"] == 2 ** 16
+    assert set(rep["timings"]) == {"probabilities_s", "walk_s"}
