@@ -30,7 +30,13 @@ import warnings
 import numpy as np
 
 from .lattice import free_bc
-from .oracle import connectivity_event, even_overlap_event, ising_moment
+from .oracle import (
+    MAX_ENUM_EDGES,
+    _check_budget,
+    connectivity_event,
+    even_overlap_event,
+    ising_moment,
+)
 
 DEFAULT_N_MAX = 8
 
@@ -41,6 +47,12 @@ def parity_masks(graph, sources):
     if len(set(idx)) != len(idx):
         raise ValueError("sources must be distinct vertices")
     m = graph.n_edges
+    if m > MAX_ENUM_EDGES:
+        raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
+    # per mask: the int64 mask, its parity row and the row compared to sources
+    _check_budget((1 << m) * (8 + 2 * graph.n_vertices),
+                  "the parity table over %d edges and %d vertices"
+                  % (m, graph.n_vertices))
     masks = np.arange(1 << m, dtype=np.int64)
     par = np.zeros((1 << m, graph.n_vertices), dtype=np.uint8)
     for k, (u, v) in enumerate(graph.edges):

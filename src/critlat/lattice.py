@@ -280,7 +280,8 @@ def cluster_stats(graph, config, bc):
 def crossing_detect(graph, config, rect, direction):
     """Open crossing of the rectangle rect = (x0, y0, x1, y1).
 
-    Only edges with both endpoints inside the (floored) rectangle count.
+    Only edges with both endpoints inside the (floored) rectangle count:
+    the others are closed before cluster_stats labels the clusters.
     direction "horizontal" joins x = x0 to x = x1, "vertical" joins
     y = y0 to y = y1.
     """
@@ -289,23 +290,20 @@ def crossing_detect(graph, config, rect, direction):
     x0, y0, x1, y1 = (int(math.floor(c)) for c in rect)
     if direction not in ("horizontal", "vertical"):
         raise ValueError("direction must be horizontal or vertical")
-    inside = [i for i, v in enumerate(graph.vertices)
-              if x0 <= v[0] <= x1 and y0 <= v[1] <= y1]
-    if not inside:
-        return False
-    pos = {i: j for j, i in enumerate(inside)}
-    uf = UnionFind(len(inside))
+
+    def inside(v):
+        return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
+
     bits = config.bits if isinstance(config, PercolationConfig) else config
-    for k, (u, v) in enumerate(graph.edges):
-        if not bits[k]:
-            continue
-        iu, iv = graph.vertex_index[u], graph.vertex_index[v]
-        if iu in pos and iv in pos:
-            uf.union(pos[iu], pos[iv])
+    # an edge (u, v) is one unit step up from u, so u and v are inside iff
+    # u clears the lower corner and v the upper one
+    kept = [b and x0 <= u[0] and y0 <= u[1] and v[0] <= x1 and v[1] <= y1
+            for b, (u, v) in zip(bits, graph.edges)]
+    _, labels = cluster_stats(graph, kept, BoundaryCondition("free", ()))
     axis = 0 if direction == "horizontal" else 1
     lo, hi = (x0, x1) if axis == 0 else (y0, y1)
-    left = {uf.find(pos[i]) for i in inside if graph.vertices[i][axis] == lo}
-    right = {uf.find(pos[i]) for i in inside if graph.vertices[i][axis] == hi}
+    left = {l for l, v in zip(labels, graph.vertices) if v[axis] == lo and inside(v)}
+    right = {l for l, v in zip(labels, graph.vertices) if v[axis] == hi and inside(v)}
     return bool(left & right)
 
 

@@ -35,6 +35,17 @@ c = sqrt(2 + sqrt(q)) > 2 the Bethe ansatz value of the limiting rate is
 which vanishes as q -> 4+ like 8 exp(-pi^2 / sqrt(q-4)) (note that
 sqrt(q-4) = 2 sinh(lambda)).
 
+Brute-force census.  brute_force_census enumerates the ice configurations
+without the transfer matrix.  It visits the medial vertices in row order
+over a uint64 array of partial arrow masks with an int8 flip count per row:
+each edge of the vertex not yet assigned doubles the array (arrow bit clear,
+then set), only the rows with exactly two inward arrows at the vertex are
+kept, and their flip count rises by one where W != E.  One bincount over
+(|w| at the cut, flips) then gives an integer table, and Z and the sector
+sums are that table times c^flips.  Each doubling is sized against the
+byte budget before it is made, and tori past 64 medial edges, the mask
+width, are refused.
+
 Random-cluster side.  TorusRc holds the primal torus, its dual (sites of
 odd parity) and the medial loop structure.  Cluster homology is computed by
 lifting clusters to the universal cover: a cycle closing with displacement
@@ -209,27 +220,6 @@ class TransferMatrix:
         return math.log(top / self.eigs[self.N - 1][-1])
 
 
-def transfer_matrix(N, c):
-    return TransferMatrix(N, c)
-
-
-def sector_traces(N, M, c):
-    """(Z, Zt): full trace of V^M and its popcount N-1 restriction."""
-    V = TransferMatrix(N, c)
-    return V.trace_power(M), V.sector_trace(M, N - 1)
-
-
-def spectral_rate(N, M, c):
-    """-(1/M) log(Zt / Z), evaluated in log space."""
-    return TransferMatrix(N, c).spectral_rate(M)
-
-
-def gap_rate(N, c):
-    """log of the ratio of the two dominant block eigenvalues, the M -> oo
-    limit of spectral_rate at fixed N."""
-    return TransferMatrix(N, c).gap_rate()
-
-
 # ---------------------------------------------------------------------------
 # closed-form rate
 
@@ -290,11 +280,6 @@ def rate_report(q, Ns=(2, 3, 4, 5), M=256):
 # ---------------------------------------------------------------------------
 # brute-force oracle over arrow configurations
 
-# the six ice vertices keyed by (W, E, S, N) bits; 1/2 straight, 3/4 turned,
-# 5/6 charged (horizontal flip)
-_VERTEX_TYPE = {(1, 1, 1, 1): 1, (0, 0, 0, 0): 2, (1, 1, 0, 0): 3,
-                (0, 0, 1, 1): 4, (1, 0, 0, 1): 5, (0, 1, 1, 0): 6}
-
 
 def _medial_slots(N, M):
     """Per-vertex slots (edge id, bit value meaning inward).
@@ -317,81 +302,46 @@ def _medial_slots(N, M):
 
 
 def brute_force_census(N, M, c):
-    """Depth-first enumeration of all ice configurations on the M x 2N torus.
+    """Breadth-first enumeration of all ice configurations on the M x 2N torus.
 
-    Independent of the transfer matrix: edges are assigned one by one with
-    local in/out pruning at the medial vertices.  Returns total weight,
-    per-|w| sector weights and the configuration count.
+    Independent of the transfer matrix: the medial vertices are visited in
+    row order, each unassigned edge of a vertex doubles the array of partial
+    arrow masks, and only the rows with two inward arrows at the vertex are
+    kept.  Returns total weight, per-|w| sector weights and the
+    configuration count.
     """
     P = 2 * N
-    nh = M * P
-    n_edges = 2 * nh
+    if 2 * M * P > 64:
+        raise ValueError("census masks hold at most 64 medial edges, not %d"
+                         % (2 * M * P))
     slots = _medial_slots(N, M)
-    # backrefs: which (vertex, inward-bit) pairs each edge participates in
-    refs = [[] for _ in range(n_edges)]
-    for v, four in slots.items():
-        for eid, pol in four:
-            refs[eid].append((v, pol))
-    # assignment order: a column of horizontal edges, then the vertical
-    # column to its west, so vertices complete as early as possible
-    order = [0 * P + j for j in range(P)]
-    for i in range(1, M):
-        order += [i * P + j for j in range(P)]
-        order += [nh + (i - 1) * P + j for j in range(P)]
-    order += [nh + (M - 1) * P + j for j in range(P)]
-    assert sorted(order) == list(range(n_edges))
-
-    bits = [0] * n_edges
-    n_set = dict.fromkeys(slots, 0)
-    n_in = dict.fromkeys(slots, 0)
-    cut = [(M - 1) * P + j for j in range(P)]  # horizontal edges across u = 0
-    sectors = {}
-    count = 0
-    total = 0.0
-
-    def weight_and_sector():
-        flips = 0
-        for four in slots.values():
-            wesn = (bits[four[0][0]], bits[four[1][0]],
-                    bits[four[2][0]], bits[four[3][0]])
-            # KeyError here would mean the pruning let an ice violation through
-            if _VERTEX_TYPE[wesn] >= 5:
-                flips += 1
-        return c ** flips, sum(bits[e] for e in cut)
-
-    def rec(k):
-        nonlocal count, total
-        if k == len(order):
-            w, sec = weight_and_sector()
-            count += 1
-            total += w
-            sectors[sec] = sectors.get(sec, 0.0) + w
-            return
-        eid = order[k]
-        for b in (0, 1):
-            bits[eid] = b
-            ok = True
-            touched = []
-            for v, pol in refs[eid]:
-                n_set[v] += 1
-                n_in[v] += b == pol
-                touched.append((v, b == pol))
-                if n_in[v] > 2 or n_set[v] - n_in[v] > 2 or \
-                        (n_set[v] == 4 and n_in[v] != 2):
-                    ok = False
-            if ok:
-                rec(k + 1)
-            for v, inw in touched:
-                n_set[v] -= 1
-                n_in[v] -= inw
-        bits[eid] = 0
-
-    rec(0)
-    return {"Z": total, "sectors": sectors, "configs": count}
-
-
-def brute_force_Z(N, M, c):
-    return brute_force_census(N, M, c)["Z"]
+    masks = np.zeros(1, dtype=np.uint64)
+    flips = np.zeros(1, dtype=np.int8)
+    assigned = set()
+    for four in slots.values():
+        for eid, _ in four:
+            if eid in assigned:
+                continue
+            assigned.add(eid)
+            # a uint64 mask and an int8 flip count per row
+            _check_budget(2 * masks.size * 9, "the ice census at %d rows"
+                          % (2 * masks.size))
+            masks = np.concatenate((masks, masks | np.uint64(1 << eid)))
+            flips = np.concatenate((flips, flips))
+        inward = [(masks >> np.uint64(e) & np.uint64(1)) == pol for e, pol in four]
+        keep = np.sum(inward, axis=0, dtype=np.uint8) == 2
+        masks = masks[keep]
+        # W != E exactly when both or neither of W and E point inward
+        flips = flips[keep] + (inward[0] == inward[1])[keep]
+    cut = sum(1 << ((M - 1) * P + j) for j in range(P))  # horizontal edges at u = 0
+    n_v = len(slots)
+    sector = np.bitwise_count(masks & np.uint64(cut)).astype(np.intp)
+    table = np.bincount(sector * (n_v + 1) + flips,
+                        minlength=(P + 1) * (n_v + 1)).reshape(P + 1, n_v + 1)
+    weights = table @ c ** np.arange(n_v + 1.0)
+    return {"Z": float(weights.sum()),
+            "sectors": {m: float(w) for m, w in enumerate(weights) if table[m].any()},
+            "configs": int(table.sum())}
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critlat import oracle
 from critlat.currents import (
     DEFAULT_N_MAX,
     connected_trace,
@@ -327,3 +329,26 @@ def test_truncated_ineq_checks():
                                 [(0, 0), (1, 0), (0, 2), (1, 1)],
                                 ((0, 0), (1, 2), [(0, 1), (1, 1)]))
     assert rep["ok"] and rep["u4_ok"] and rep["simon"]["ok"]
+
+
+def _refused_before_allocating(call, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parity_masks_refused_before_allocating(monkeypatch):
+    # 31 edges: 2^31 masks and a 2^31 x 20 parity table, about 60 GB
+    big = build_rect((0, 4), (0, 3))
+    assert big.n_edges == 31
+    _refused_before_allocating(lambda: hte_correlation(big, 0.3, [(0, 0), (4, 3)]),
+                               "edges")
+    _refused_before_allocating(lambda: single_current_sum(big, [(0, 0), (4, 3)], 0.3),
+                               "edges")
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1 << 10)
+    _refused_before_allocating(lambda: parity_masks(GRID23, ()), "bytes")

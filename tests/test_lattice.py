@@ -178,6 +178,23 @@ def test_crossing_rect_rounding():
     assert not crossing_detect(g, ladder, (0, 0, 2, 1), "vertical")
 
 
+def test_crossing_ignores_edges_outside_rect():
+    # three sides of the 3x3-vertex square are open: their path joins the
+    # ends of the missing side, but only through edges outside a rect that
+    # leaves out the side opposite to the missing one
+    g = build_rect((0, 2), (0, 2))
+    # sides are (axis, coordinate) pairs
+    for missing, direction, rect in [((1, 0), "horizontal", (0, 0, 2, 1)),
+                                     ((1, 2), "horizontal", (0, 1, 2, 2)),
+                                     ((0, 0), "vertical", (0, 0, 1, 2)),
+                                     ((0, 2), "vertical", (1, 0, 2, 2))]:
+        sides = {(0, 0), (0, 2), (1, 0), (1, 2)} - {missing}
+        bits = tuple(int(any(u[a] == v[a] == c for a, c in sides))
+                     for u, v in g.edges)
+        assert crossing_detect(g, bits, (0, 0, 2, 2), direction)
+        assert not crossing_detect(g, bits, rect, direction), missing
+
+
 # ---------------------------------------------------------------------------
 # Dobrushin domains: the diamond fixtures, traced by hand
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,28 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critlat import oracle
 from critlat.oracle import p_self_dual
 from critlat.sixvertex import (
     TorusRc,
     TransferMatrix,
     asymptotic_rate,
     block_states,
-    brute_force_Z,
     brute_force_census,
     c_from_q,
     closed_form_rate,
-    gap_rate,
     loop_weight_constant,
     oriented_sector_sums,
     rate_report,
     rc6v_verify,
-    sector_traces,
-    spectral_rate,
     transfer_block,
-    transfer_matrix,
 )
 
-# frozen outputs of brute_force_census (independent DFS over arrow configs)
+# frozen outputs of brute_force_census (independent of the transfer matrix)
 BF_22_C2 = {"Z": 1344.0, "configs": 114,
             "sectors": {0: 4.0, 1: 208.0, 2: 920.0, 3: 208.0, 4: 4.0}}
 BF_33_C25 = {"Z": 18611928.625976562, "configs": 8324,
@@ -92,7 +89,7 @@ def test_apply_matches_full():
         assert np.max(np.abs(V.apply(v) - v @ F)) < 1e-12 * np.max(np.abs(F))
 
 
-@pytest.mark.parametrize("N,M", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("N,M", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
 @pytest.mark.parametrize("c", [1.7, 2.0, 2.5])
 def test_trace_matches_brute_force(N, M, c):
     cen = brute_force_census(N, M, c)
@@ -123,7 +120,28 @@ def test_frozen_census_values():
     assert cen["Z"] == pytest.approx(BF_33_C25["Z"], rel=1e-12)
     for m, v in BF_33_C25["sectors"].items():
         assert cen["sectors"][m] == pytest.approx(v, rel=1e-12)
-    assert brute_force_Z(2, 2, 2.0) == pytest.approx(1344.0)
+    assert brute_force_census(2, 2, 2.0)["Z"] == pytest.approx(1344.0)
+
+
+def _refused_before_allocating(call, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_census_refuses_past_mask_width():
+    # 80 medial edges do not fit one uint64 arrow mask
+    _refused_before_allocating(lambda: brute_force_census(4, 5, 2.0), "64")
+
+
+def test_census_refuses_past_byte_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 64 << 10)
+    _refused_before_allocating(lambda: brute_force_census(3, 3, 2.0), "bytes")
 
 
 def test_sector_traces_symmetry_and_bound():
@@ -131,7 +149,7 @@ def test_sector_traces_symmetry_and_bound():
     # traces agree; the restricted trace is dominated by the full one
     for (N, M, c) in [(2, 3, 2.1), (3, 2, 2.6), (3, 5, 3.0)]:
         V = TransferMatrix(N, c)
-        Z, Zt = sector_traces(N, M, c)
+        Z, Zt = V.trace_power(M), V.sector_trace(M, N - 1)
         assert Zt == pytest.approx(V.sector_trace(M, N + 1), rel=1e-12)
         assert 0.0 < Zt < Z
         assert Z == pytest.approx(V.trace_power(M), rel=1e-14)
@@ -148,15 +166,16 @@ def test_central_sector_dominates_for_large_c():
 def test_spectral_rate_positive_and_nonincreasing_in_M():
     c = c_from_q(9.0)
     for N in (2, 3):
-        rates = [spectral_rate(N, M, c) for M in (2, 4, 8, 16, 32, 64)]
+        V = TransferMatrix(N, c)
+        rates = [V.spectral_rate(M) for M in (2, 4, 8, 16, 32, 64)]
         assert all(r > 0 for r in rates)
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         # and it converges to the eigenvalue gap of the two blocks
-        assert rates[-1] == pytest.approx(gap_rate(N, c), abs=1e-6)
+        assert rates[-1] == pytest.approx(V.gap_rate(), abs=1e-6)
 
 
 def test_spectral_rate_large_M_no_overflow():
-    r = spectral_rate(3, 5000, c_from_q(16.0))
+    r = TransferMatrix(3, c_from_q(16.0)).spectral_rate(5000)
     assert 0.0 < r < 2.0
 
 
@@ -164,7 +183,7 @@ def test_gap_rate_decreases_with_N_towards_closed_form():
     for q in (5.0, 9.0):
         c = c_from_q(q)
         closed = closed_form_rate(q)
-        gaps = [gap_rate(N, c) for N in range(2, 7)]
+        gaps = [TransferMatrix(N, c).gap_rate() for N in range(2, 7)]
         # finite-N gaps approach the closed form from above, monotonically
         # on this range; only that monotone trend is asserted
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -408,7 +427,7 @@ def test_transfer_matrix_rejects_bad_input():
         TransferMatrix(5, 2.0).full()
     with pytest.raises(ValueError):
         TransferMatrix(2, 2.0).apply(np.ones(7))
-    assert transfer_matrix(2, 2.0).N == 2
+    assert TransferMatrix(2, 2.0).N == 2
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +568,9 @@ def test_rate_report_rows_equal_gap_and_spectral_rate():
     c = c_from_q(q)
     rep = rate_report(q, Ns=(2, 3, 4), M=M)
     for row in rep["per_N"]:
-        assert row["gap_rate"] == gap_rate(row["N"], c)
-        assert row["spectral_rate_M"] == spectral_rate(row["N"], M, c)
+        V = TransferMatrix(row["N"], c)
+        assert row["gap_rate"] == V.gap_rate()
+        assert row["spectral_rate_M"] == V.spectral_rate(M)
         assert row["abs_error"] == abs(row["gap_rate"] - rep["closed_form"])
 
 
