@@ -33,6 +33,7 @@ from .lattice import free_bc
 from .oracle import (
     MAX_ENUM_EDGES,
     _check_budget,
+    _superset_transform,
     connectivity_event,
     even_overlap_event,
     ising_moment,
@@ -120,17 +121,6 @@ def single_current_sum(graph, A, beta, n_max=DEFAULT_N_MAX):
                for mask in parity_masks(graph, A))
 
 
-def _superset_transform(values, g):
-    """T[x] = sum over S >= x of g^(|S \\ x|) values[S], all x at once."""
-    out = np.array(values, dtype=float)
-    n = len(out).bit_length() - 1
-    masks = np.arange(len(out))
-    for b in range(n):
-        lower = np.nonzero(((masks >> b) & 1) == 0)[0]
-        out[lower] += g * out[lower | (1 << b)]
-    return out
-
-
 def double_current_sum(graph, A, B, beta, n_max=DEFAULT_N_MAX, trace=None):
     """sum over d(n1)=A, d(n2)=B, entries <= n_max of w(n1)w(n2)F(trace).
 
@@ -190,6 +180,10 @@ def _multigraph_values(graph, n_max):
     count = (n_max + 1) ** m
     if count > MULTIGRAPH_CAP:
         raise ValueError("refusing to enumerate %d multigraphs" % count)
+    # per multigraph: the int64 index, two int64 temporaries while a column
+    # is cut out, and the |E| int8 columns; the arrays built after the
+    # parity filter hold only the multigraphs of the right parity
+    _check_budget(count * (24 + m), "%d multigraphs over %d edges" % (count, m))
     idx = np.arange(count, dtype=np.int64)
     return [((idx // (n_max + 1) ** e) % (n_max + 1)).astype(np.int8)
             for e in range(m)]

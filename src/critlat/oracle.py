@@ -601,19 +601,23 @@ def increasing_events(n_edges):
     return out
 
 
+def _superset_transform(values, g):
+    """T[x] = sum over S >= x of g^(|S \\ x|) values[S], all x at once."""
+    out = np.array(values, dtype=float)
+    n = len(out).bit_length() - 1
+    masks = np.arange(len(out))
+    for b in range(n):
+        lower = np.nonzero(((masks >> b) & 1) == 0)[0]
+        out[lower] += g * out[lower | (1 << b)]
+    return out
+
+
 def cylinder_probabilities(prob):
     """cp[f] = probability that all edges of f are open, all f at once.
 
     Superset-sum transform of the configuration probabilities (cp[0] = 1).
     """
-    cp = np.array(prob, dtype=float)
-    size = len(cp)
-    n = size.bit_length() - 1
-    masks = np.arange(size)
-    for b in range(n):
-        lower = np.nonzero(((masks >> b) & 1) == 0)[0]
-        cp[lower] += cp[lower | (1 << b)]
-    return cp
+    return _superset_transform(prob, 1.0)
 
 
 def fkg_gap(graph, p, q, bc, ev_a, ev_b):

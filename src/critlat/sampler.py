@@ -325,18 +325,12 @@ def chain_advance(graph, p, q, bc, state, n_sweeps):
     return ChainState(tuple(bits[:m]), state.seed, state.step + n_sweeps)
 
 
-def chain_start(graph, seed, start="open"):
-    if start == "open":
-        bits = (1,) * graph.n_edges
-    elif start == "closed":
-        bits = (0,) * graph.n_edges
-    else:
-        bits = tuple(int(b) for b in start)
-    return ChainState(bits, seed, 0)
+def chain_start(graph, seed):
+    """The all-open state every chain starts from."""
+    return ChainState((1,) * graph.n_edges, seed, 0)
 
 
-def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin,
-                  start="open"):
+def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
     """(n_samples, m) states of one chain, thinned after burn-in.
 
     Not an exact sampler: the marginal is phi^xi only in the long-chain
@@ -345,7 +339,7 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin,
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
     links, ends = _links(graph, bc)
-    bits = _open_state(chain_start(graph, seed, start).bits)
+    bits = _open_state(chain_start(graph, seed).bits)
     out = np.zeros((n_samples, m), dtype=np.uint8)
     step = 0
     for t in range(burn_in):
@@ -476,12 +470,11 @@ def connect_mc(graph, p, q, bc, x, y, n_samples, seed, method="cftp",
     return binomial_estimate(hits, n_samples, seed, method)
 
 
-def chi_square_gof(masks, probs, min_expected=5.0):
+def chi_square_gof(masks, probs):
     """Chi-square goodness of fit of sampled masks against exact probs.
 
-    Cells with expected count below min_expected are pooled (smallest
-    first) to keep the asymptotic chi-square valid. Returns (stat, p_value,
-    dof).
+    Cells with expected count below 5 are pooled (smallest first) to keep
+    the asymptotic chi-square valid. Returns (stat, p_value, dof).
     """
     from scipy import stats
 
@@ -494,7 +487,7 @@ def chi_square_gof(masks, probs, min_expected=5.0):
     for i in order:
         acc_o += counts[i]
         acc_e += expected[i]
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             obs_cells.append(acc_o)
             exp_cells.append(acc_e)
             acc_o = acc_e = 0.0

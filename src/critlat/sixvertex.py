@@ -23,11 +23,14 @@ weighs c^{#flips}.
 Transfer matrix.  States are bitmasks of the 2N arrows crossing a cut.  The
 column-to-column operator V conserves popcount.  Within a block the entry
 V[W, E] is c^{#flips} times the number of vertical completions of the
-column, which is 2 for W = E, 1 if the flip positions alternate in sign
-around the column and 0 otherwise (the vertical arrows perform a {0,1}
-walk whose steps are W_j - E_j).  Z(N, M) = tr(V^M), and the restricted
-trace Zt over the popcount N-1 block decays like exp(-M * rate).  For
-c = sqrt(2 + sqrt(q)) > 2 the Bethe ansatz value of the limiting rate is
+column: 2 for W = E, 1 if the flips alternate in sign around the column and
+0 otherwise.  transfer_block applies that rule to whole blocks of bitmasks.
+TransferMatrix.apply contracts a column the local way instead, one two-state
+tensor per row (the vertical arrows perform a {0,1} walk whose steps are
+W_j - E_j), and is the independent route the blocks are checked against.
+Z(N, M) = tr(V^M), and the restricted trace Zt over the popcount N-1 block
+decays like exp(-M * rate).  For c = sqrt(2 + sqrt(q)) > 2 the Bethe ansatz
+value of the limiting rate is
 
     rate(q) = lambda + 2 sum_{k>=1} (-1)^k tanh(k lambda) / k,
     cosh(lambda) = sqrt(q) / 2,
@@ -85,7 +88,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import logsumexp
 
 from .oracle import (
     _MERGE_MASKS,
@@ -113,21 +115,27 @@ def block_states(n_arrows, m):
 
 
 def transfer_block(N, c, m):
-    """Dense popcount-m block of the column-to-column transfer operator."""
-    states = block_states(2 * N, m)
-    bits = np.array([[(s >> j) & 1 for j in range(2 * N)] for s in states],
-                    dtype=np.int8)
-    B = len(states)
-    V = np.empty((B, B))
-    for lo in range(0, B, 256):
-        d = bits[lo:lo + 256, None, :] - bits[None, :, :]
-        # vertical arrows walk S_{j+1} = S_j + (W_j - E_j) on {0,1}; the
-        # number of valid starting values is 2 minus the cumulative range
-        cum = np.cumsum(d, axis=2)
-        spread = np.maximum(cum.max(axis=2), 0) - np.minimum(cum.min(axis=2), 0)
-        count = np.clip(2 - spread, 0, None)
-        V[lo:lo + 256] = count * c ** np.abs(d).sum(axis=2)
-    return V
+    """Dense popcount-m block of the column-to-column transfer operator.
+
+    The flips alternate exactly when the up flips (W & ~E) or the down flips
+    (E & ~W) are the 1st, 3rd, 5th, ... flip from bit 0, which an inclusive
+    prefix XOR of the flip word marks; for W = E both hold, giving 2.
+    """
+    # the narrowest unsigned type of 2N bits; only the low 2N bits are read
+    dtype = np.min_scalar_type((1 << 2 * N) - 1)
+    s = np.array(block_states(2 * N, m), dtype=dtype)
+    W, E = s[:, None], s[None, :]
+    flips = W ^ E
+    parity = flips.copy()
+    shift = 1
+    while shift < 2 * N:
+        parity ^= parity << shift
+        shift *= 2
+    odd = flips & parity
+    count = ((W & ~E) == odd).astype(np.int8) + ((E & ~W) == odd)
+    weights = (c ** np.arange(2 * N + 1.0))[np.bitwise_count(flips)]
+    weights *= count
+    return weights
 
 
 class TransferMatrix:
@@ -190,28 +198,17 @@ class TransferMatrix:
     def trace_power(self, M):
         return sum(self.sector_trace(M, m) for m in range(2 * self.N + 1))
 
-    def log_sector_trace(self, M, m):
-        """(log |tr|, sign) of the restricted trace, safe for large M."""
-        lam = self.eigs[m]
-        nz = np.abs(lam) > 0
-        if not nz.any():
-            return -math.inf, 0.0
-        return logsumexp(M * np.log(np.abs(lam[nz])), b=np.sign(lam[nz]) ** M,
-                         return_sign=True)
-
-    def log_trace_power(self, M):
-        parts = [self.log_sector_trace(M, m) for m in range(2 * self.N + 1)]
-        vals = np.array([p[0] for p in parts])
-        signs = np.array([p[1] for p in parts])
-        return logsumexp(vals, b=signs, return_sign=True)
-
     def spectral_rate(self, M):
-        """-(1/M) log(Zt / Z), evaluated in log space."""
-        lzt, st = self.log_sector_trace(M, self.N - 1)
-        lz, sz = self.log_trace_power(M)
-        if st <= 0 or sz <= 0:
-            raise ArithmeticError("restricted traces must be positive")
-        return -(lzt - lz) / M
+        """-(1/M) log(Zt / Z), as gap_rate plus its finite-M correction.
+
+        Every block is nonnegative with diagonal 2, so its top eigenvalue is
+        its Perron root and bounds every |lambda| in the block; the powers of
+        each block are scaled by its own root, so no term exceeds 1.
+        """
+        tops = np.array([e[-1] for e in self.eigs])
+        sums = np.array([np.sum((e / t) ** M) for e, t in zip(self.eigs, tops)])
+        total = np.sum((tops / tops.max()) ** M * sums)
+        return self.gap_rate() + math.log(total / sums[self.N - 1]) / M
 
     def gap_rate(self):
         """log of the ratio of the two dominant block eigenvalues, the

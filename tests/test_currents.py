@@ -352,3 +352,13 @@ def test_parity_masks_refused_before_allocating(monkeypatch):
                                "edges")
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1 << 10)
     _refused_before_allocating(lambda: parity_masks(GRID23, ()), "bytes")
+
+
+def test_multigraphs_refused_past_byte_budget(monkeypatch):
+    # 7^7 = 823,543 multigraphs pass MULTIGRAPH_CAP but not a 64 KiB budget
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 64 << 10)
+    g = build_rect((0, 2), (0, 1))
+    assert g.n_edges == 7
+    _refused_before_allocating(
+        lambda: verify_switching(g, [(0, 0), (2, 1)], [(0, 0), (1, 0)], 0.4,
+                                 n_max=6), "bytes")

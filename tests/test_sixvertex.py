@@ -82,7 +82,7 @@ def test_full_matches_blocks_and_conserves_popcount():
 
 def test_apply_matches_full():
     rng = np.random.default_rng(7)
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4):
         V = TransferMatrix(N, 2.3)
         F = V.full()
         v = rng.standard_normal(1 << (2 * N))
@@ -177,6 +177,21 @@ def test_spectral_rate_positive_and_nonincreasing_in_M():
 def test_spectral_rate_large_M_no_overflow():
     r = TransferMatrix(3, c_from_q(16.0)).spectral_rate(5000)
     assert 0.0 < r < 2.0
+
+
+@pytest.mark.parametrize("q", [6.25, 100.0])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_spectral_rate_matches_high_precision(N, q):
+    # -(1/M) log(sum_{N-1} lambda^M / sum lambda^M) at 50 digits over the
+    # same block spectra
+    V = TransferMatrix(N, c_from_q(q))
+    with mpmath.workdps(50):
+        eigs = [[mpmath.mpf(float(x)) for x in e] for e in V.eigs]
+        for M in (1, 2, 3, 64, 5000):
+            zt = mpmath.fsum(x ** M for x in eigs[N - 1])
+            z = mpmath.fsum(x ** M for e in eigs for x in e)
+            want = float(-mpmath.log(zt / z) / M)
+            assert V.spectral_rate(M) == pytest.approx(want, rel=1e-12)
 
 
 def test_gap_rate_decreases_with_N_towards_closed_form():
