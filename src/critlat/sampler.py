@@ -7,12 +7,12 @@ is random((n_rows, n_edges))[i, k] drawn from a Philox generator keyed by
 earlier time replays the identical variates at overlapping times, which is
 what coupling-from-the-past requires. Sweeps update edges in index order.
 
-The single-edge conditional P[w_e = 1 | rest] is p when the endpoints of e
-are connected off e (boundary wiring included), p/(p + q(1-p)) otherwise; an
-edge is opened iff its uniform is >= P[w_e = 0 | rest]. For q >= 1 the
-disconnected threshold dominates the connected one, so two chains driven by
-the same variates preserve the partial order, and both thresholds decrease
-in p, which gives the shared-variate monotonicity in p.
+The single-edge conditional is oracle.thresholds: P[w_e = 0 | rest] when the
+endpoints of e are connected off e (boundary wiring included) and when they
+are not. An edge is opened iff its uniform is >= the value that applies. For
+q >= 1 the disconnected threshold dominates the connected one, so two chains
+driven by the same variates preserve the partial order, and both thresholds
+decrease in p, which gives the shared-variate monotonicity in p.
 
 Whether the endpoints of e are connected off e is answered by one helper,
 `_joined_off`: a bidirectional breadth-first search from the two endpoints
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import cluster_stats, free_bc
-from .oracle import scan_configs
+from .oracle import _joined_off_rows, scan_configs, thresholds
 
 
 # doubling horizons 1, 2, 4, ... are capped here; reaching the cap is an
@@ -44,6 +44,10 @@ CFTP_MAX_SWEEPS = 1 << 22
 # largest edge count for the precomputed connectivity-off-e tables used by
 # the vectorized batch sampler
 TABLE_MAX_EDGES = 12
+
+# burn-in and thinning, in sweeps, of the chains of connect_mc and mc_estimate
+CHAIN_BURN_IN = 500
+CHAIN_THIN = 5
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,16 +93,6 @@ def sweep_uniforms(seed, epoch, n_rows, n_edges):
     return gen.random((n_rows, n_edges))
 
 
-def thresholds(p, q):
-    """(connected, disconnected) values of P[w_e = 0 | rest]."""
-    return 1.0 - p, q * (1.0 - p) / (p + q * (1.0 - p))
-
-
-def _edge_ends(graph):
-    return np.array([(graph.vertex_index[u], graph.vertex_index[v])
-                     for u, v in graph.edges], dtype=np.int32)
-
-
 def _links(graph, bc):
     """(links, ends) for the single-edge conditional, once per (graph, bc).
 
@@ -109,7 +103,7 @@ def _links(graph, bc):
     connection.
     """
     m = graph.n_edges
-    ends = _edge_ends(graph).tolist()
+    ends = graph.edge_ends
     wired = [block for block in bc.blocks if len(block) > 1]
     links = [[] for _ in range(graph.n_vertices + len(wired))]
     for k, (a, b) in enumerate(ends):
@@ -186,7 +180,7 @@ def _connected_batch(graph, bc, bits_batch, src, dst):
     from scipy.sparse.csgraph import connected_components
 
     n_rows, n = bits_batch.shape[0], graph.n_vertices
-    ends = _edge_ends(graph)
+    ends = np.array(graph.edge_ends, dtype=np.int32).reshape(-1, 2)
     wires = np.array([(block[0], i) for block in bc.blocks
                       for i in block[1:]], dtype=np.int32).reshape(-1, 2)
     offset = np.arange(0, n_rows * n, n, dtype=np.int32)[:, None]
@@ -219,9 +213,8 @@ def conn_off_tables(graph, bc):
     labels = scan_configs(graph, bc)
     masks = np.arange(1 << m, dtype=np.int64)
     tables = np.empty((m, 1 << m), dtype=bool)
-    for k, (u, v) in enumerate(_edge_ends(graph)):
-        rest = masks & ~(1 << k)
-        tables[k] = labels[rest, u] == labels[rest, v]
+    for k in range(m):
+        tables[k] = _joined_off_rows(labels, graph.edge_ends, k, masks)
     return tables
 
 
@@ -304,9 +297,9 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
     return result
 
 
-def cftp_sample(graph, p, q, bc, seed, max_sweeps=CFTP_MAX_SWEEPS):
+def cftp_sample(graph, p, q, bc, seed):
     """One exact sample; row 0 of the batch stream for this seed."""
-    return cftp_batch(graph, p, q, bc, seed, 1, max_sweeps)[0]
+    return cftp_batch(graph, p, q, bc, seed, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +379,8 @@ def es_reverse(graph, colors, p, rng):
         rng = np.random.default_rng(rng)
     u = rng.random(graph.n_edges)
     bits = np.zeros(graph.n_edges, dtype=np.uint8)
-    for k, (a, b) in enumerate(graph.edges):
-        same = colors[graph.vertex_index[a]] == colors[graph.vertex_index[b]]
-        bits[k] = 1 if (same and u[k] < p) else 0
+    for k, (a, b) in enumerate(graph.edge_ends):
+        bits[k] = 1 if (colors[a] == colors[b] and u[k] < p) else 0
     return bits
 
 
@@ -402,42 +394,49 @@ def binomial_estimate(hits, n, seed, method):
                     n, seed, method)
 
 
+def _draw(graph, p, q, bc, seed, n_samples, method, burn_in, thin):
+    """(n_samples, m) draws: exact CFTP ("cftp") or one thinned heat-bath
+    chain ("chain"); any other method is refused."""
+    if method == "cftp":
+        return cftp_batch(graph, p, q, bc, seed, n_samples)
+    if method == "chain":
+        return chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
+    raise ValueError("method must be cftp or chain")
+
+
 def mc_estimate(graph, p, q, bc, value_fn, n_samples, seed,
-                method="cftp", burn_in=500, thin=5):
+                method="cftp", burn_in=CHAIN_BURN_IN, thin=CHAIN_THIN):
     """Sample mean and standard error of value_fn(bits).
 
     method cftp uses independent exact draws; method chain uses one long
     heat-bath chain with the declared burn-in and thinning (approximate,
     flagged in the result).
     """
-    if method == "cftp":
-        batch = cftp_batch(graph, p, q, bc, seed, n_samples)
-    elif method == "chain":
-        batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
-    else:
-        raise ValueError("method must be cftp or chain")
+    batch = _draw(graph, p, q, bc, seed, n_samples, method, burn_in, thin)
     vals = np.array([float(value_fn(b)) for b in batch])
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return Estimate(mean, se, n_samples, seed, method)
 
 
-def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, method=None,
-                burn_in=1500, thin=20):
+def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
+                thin=20):
     """Estimate of the horizontal open-crossing probability of [0,nx]x[0,ny].
 
-    The event is an omega-open path; the boundary condition only enters the
-    sampling weights. q = 1 draws product configurations directly; q != 1
-    uses a thinned heat-bath chain unless method forces cftp.
+    The event is an omega-open path; the boundary condition ("free" or
+    "wired") only enters the sampling weights. q = 1 draws product
+    configurations directly; q != 1 uses a thinned heat-bath chain.
     """
     from .lattice import build_rect, wired_bc
 
+    if bc_kind not in ("free", "wired"):
+        raise ValueError("bc_kind must be free or wired")
     graph = build_rect((0, nx), (0, ny))
     bc = wired_bc(graph) if bc_kind == "wired" else free_bc(graph)
     left = [i for i, v in enumerate(graph.vertices) if v[0] == 0]
     right = [i for i, v in enumerate(graph.vertices) if v[0] == nx]
     event_bc = free_bc(graph)
-    if q == 1.0 and method is None:
+    if q == 1.0:
         hits = 0
         chunk = 4096
         done = 0
@@ -448,24 +447,17 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, method=None,
                                          right).sum())
             done += take
         return binomial_estimate(hits, n_samples, seed, "direct")
-    method = method or "chain"
-    if method == "chain":
-        batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
-    else:
-        batch = cftp_batch(graph, p, q, bc, seed, n_samples)
+    batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
     hits = int(_connected_batch(graph, event_bc, batch, left, right).sum())
-    return binomial_estimate(hits, n_samples, seed, method)
+    return binomial_estimate(hits, n_samples, seed, "chain")
 
 
-def connect_mc(graph, p, q, bc, x, y, n_samples, seed, method="cftp",
-               burn_in=500, thin=5):
+def connect_mc(graph, p, q, bc, x, y, n_samples, seed, method="cftp"):
     """Estimate of phi[x <-> y in omega^xi]."""
 
     ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
-    if method == "chain":
-        batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
-    else:
-        batch = cftp_batch(graph, p, q, bc, seed, n_samples)
+    batch = _draw(graph, p, q, bc, seed, n_samples, method, CHAIN_BURN_IN,
+                  CHAIN_THIN)
     hits = int(_connected_batch(graph, bc, batch, [ix], [iy]).sum())
     return binomial_estimate(hits, n_samples, seed, method)
 

@@ -101,6 +101,9 @@ from .oracle import (
 # dense-block transfer matrices stay cheap up to C(14, 7) = 3432 states
 MAX_TRANSFER_N = 7
 
+# tolerance of the cluster identity in rc6v_verify
+RC6V_TOL = 1e-8
+
 
 def c_from_q(q):
     """Six-vertex c-weight coupled to the cluster weight q."""
@@ -757,8 +760,8 @@ def oriented_sector_sums(rc, q):
     return _oriented_sectors(rc.N, l0, table["alpha"], base)
 
 
-def rc6v_verify(N, M, q, p=None, tol=1e-8):
-    """Torus correspondence report between random-cluster and six-vertex sums.
+def rc6v_verify(N, M, q):
+    """Torus random-cluster (at p_c) and six-vertex sums compared.
 
     All quantities come from exact enumeration of the 2^(2MN) bond
     configurations plus the transfer matrix.  The report covers:
@@ -781,8 +784,7 @@ def rc6v_verify(N, M, q, p=None, tol=1e-8):
         raise ValueError("correspondence stated for q > 4")
     rc = TorusRc(N, M)
     table = rc.census_table()
-    if p is None:
-        p = p_self_dual(q)
+    p = p_self_dual(q)
     sq = math.sqrt(q)
     w = _rc_weights(rc, table, q, p)
     l = table["loops"]
@@ -830,6 +832,6 @@ def rc6v_verify(N, M, q, p=None, tol=1e-8):
         "zt_from_A": zt_from_A,
         "zt_leak": Zt - zt_from_A,
         "A_slice_gap": abs(q * zt_from_A / (c0 * wA) - 1.0),
-        "identity_pass": bool(gap <= tol),
-        "tol": tol,
+        "identity_pass": bool(gap <= RC6V_TOL),
+        "tol": RC6V_TOL,
     }

@@ -317,6 +317,15 @@ def test_simon_inequality_and_witness():
         simon_report(grid, 0.5, (0, 0), (2, 1), [(1, 0)])
 
 
+def test_simon_names_the_joining_cluster():
+    # (5, 0) is a component of its own, so it is not in the witness
+    grid = build_rect((0, 2), (0, 1))
+    g = LatticeGraph(grid.vertices + ((5, 0),), grid.edges)
+    with pytest.raises(ValueError, match="open path") as info:
+        simon_report(g, 0.5, (0, 0), (2, 1), [(1, 0)])
+    assert "[(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)]" in str(info.value)
+
+
 def test_simon_equality_on_tree():
     # correlations factorize through the middle vertex of a path
     rep = simon_report(PATH2, 0.8, (0, 0), (2, 0), [(1, 0)])
@@ -352,6 +361,31 @@ def test_parity_masks_refused_before_allocating(monkeypatch):
                                "edges")
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1 << 10)
     _refused_before_allocating(lambda: parity_masks(GRID23, ()), "bytes")
+
+
+def test_n_max_past_int8_refused_before_allocating():
+    # entries past 127 would wrap in the int8 multigraph columns, and past
+    # 170 the factorials overflow a float
+    edge = build_rect((0, 1), (0, 0))
+    ends = [(0, 0), (1, 0)]
+    rep = verify_switching(edge, ends, ends, 0.3, n_max=127)
+    assert rep["ok"]
+    assert abs(rep["lhs"] - rep["rhs"]) <= 1e-12 * rep["rhs"]
+    calls = [
+        lambda n: verify_switching(edge, ends, ends, 0.3, n_max=n),
+        lambda n: single_current_sum(edge, ends, 0.3, n_max=n),
+        lambda n: double_current_sum(edge, ends, (), 0.3, n_max=n),
+        lambda n: double_current_event(edge, ends, 0.3, n_max=n),
+        lambda n: squared_correlation_gap(edge, (0, 0), (1, 0), 0.3, n_max=n),
+        lambda n: parity_class_sums(0.3, n),
+        lambda n: truncation_tail_bound(edge, 0.3, n),
+        lambda n: switching_tail_bound(edge, 0.3, n),
+    ]
+    for call in calls:
+        _refused_before_allocating(lambda: call(128), r"\[0, 127\]")
+        for n_max in (171, -1):
+            with pytest.raises(ValueError, match=r"\[0, 127\]"):
+                call(n_max)
 
 
 def test_multigraphs_refused_past_byte_budget(monkeypatch):

@@ -95,6 +95,40 @@ def test_percolation_config_mask_roundtrip():
     assert c.n_open() == 3 and c.n_closed() == 2
 
 
+def _induced(cells):
+    """The subgraph of Z^2 induced on cells."""
+    cells = set(cells)
+    return LatticeGraph(cells, [(c, (c[0] + dx, c[1] + dy)) for c in cells
+                                for dx, dy in ((1, 0), (0, 1))
+                                if (c[0] + dx, c[1] + dy) in cells])
+
+
+def test_is_connected_small_graphs():
+    assert LatticeGraph([], []).is_connected()
+    assert LatticeGraph([(0, 0)], []).is_connected()
+    two = LatticeGraph([(0, 0), (1, 0), (3, 0), (4, 0)],
+                       [((0, 0), (1, 0)), ((3, 0), (4, 0))])
+    assert not two.is_connected()
+    isolated = LatticeGraph([(0, 0), (1, 0), (2, 0)], [((0, 0), (1, 0))])
+    assert not isolated.is_connected()
+
+
+def test_complement_connected_shapes():
+    l_shape = _induced([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
+    u_shape = _induced([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2),
+                        (2, 2)])
+    # the four corners of its bounding box meet only outside it
+    plus = _induced([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
+    assert l_shape.complement_connected() and u_shape.complement_connected()
+    assert plus.complement_connected()
+    ring = _induced([(x, y) for x in range(3) for y in range(3)
+                     if (x, y) != (1, 1)])
+    assert not ring.complement_connected()
+    # the four lattice neighbours of the missing cell (1, 1) enclose it
+    around = LatticeGraph([(1, 0), (0, 1), (2, 1), (1, 2)], [])
+    assert not around.complement_connected()
+
+
 # ---------------------------------------------------------------------------
 # planar duality
 

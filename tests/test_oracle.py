@@ -161,6 +161,21 @@ def test_conditional_closed_form_all_bcs():
     assert abs(got - 1.0 / 3.0) < 1e-15
 
 
+def test_perturbed_threshold_fails_conditional_gap(monkeypatch):
+    from critlat import oracle
+
+    exact = oracle.thresholds
+    for which in (0, 1):
+        def bumped(p, q, which=which):
+            thr = list(exact(p, q))
+            thr[which] += 1e-6
+            return tuple(thr)
+
+        monkeypatch.setattr(oracle, "thresholds", bumped)
+        gap = edge_conditional_gap(SQUARE, 0.37, 2.5, free_bc(SQUARE), 0)
+        assert abs(gap - 1e-6) < 1e-12
+
+
 def test_conditional_on_box():
     bc = wired_bc(BOX1)
     for k in (0, 5, 11):

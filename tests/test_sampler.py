@@ -306,6 +306,21 @@ def test_connect_mc_vs_oracle():
     assert abs(est.mean - exact) < 4 * est.std_error + 1e-9
 
 
+def test_unknown_method_refused():
+    bc = free_bc(SQUARE)
+    with pytest.raises(ValueError, match="method"):
+        connect_mc(SQUARE, 0.5, 2.0, bc, (0, 0), (1, 1), 10, 1,
+                   method="chian")
+    with pytest.raises(ValueError, match="method"):
+        mc_estimate(SQUARE, 0.5, 2.0, bc, lambda b: b[0], 10, 1,
+                    method="chian")
+
+
+def test_unknown_boundary_kind_refused():
+    with pytest.raises(ValueError, match="bc_kind"):
+        crossing_mc(2, 1, 0.5, 1.0, "wierd", 10, 1)
+
+
 def test_crossing_mc_bernoulli_half():
     est = crossing_mc(3, 2, 0.5, 1.0, "free", 50000, 2)
     assert est.method == "direct"
