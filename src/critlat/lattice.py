@@ -15,6 +15,18 @@ Conventions used throughout the package:
   A global quarter-turn rotation is applied at construction so that the exit
   edge e_b points in the +x direction.
 
+A DobrushinDomain computes, once, everything its observables read: the
+Dobrushin wiring bc of the (ba) arc, the marked edges e_a and e_b (the sides
+of black(a) and black(b) facing the first and last white of the (ab)*
+chain), and the slot table of the exploration (successor, turn and medial
+edge of every slot under each edge state, and the medial edge on each
+slot's own side). The constructor refuses with a ValueError: a domain
+without an edge, a disconnected or holed domain, missing induced edges,
+marked points off the boundary or repeated on the outer walk, a (ba) arc
+through a vertex that touches the outer face only through a missing
+diagonal cell, colliding medial status vertices, and a slot table in which
+some arc joins a curve-carrying side to a dead one.
+
 Connectivity in omega^xi goes through one primitive per input shape:
 
 * one configuration: cluster_stats (is_connected, complement_connected and
@@ -34,6 +46,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 OUTER = "outer"
 
@@ -105,7 +120,8 @@ class LatticeGraph:
             adj[u].append((v, k))
             adj[v].append((u, k))
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self._boundary = None
+        self._boundary = tuple(v for v, nbrs in zip(self.vertices, adj)
+                               if len(nbrs) < 2 * ambient_dim)
 
     @property
     def n_vertices(self):
@@ -117,24 +133,8 @@ class LatticeGraph:
 
     def boundary(self):
         """Vertices x for which some ambient-lattice edge xy is missing from E
-        (y ranges over all 2d unit-step neighbors of x, inside or outside V)."""
-        if self._boundary is None:
-            out = []
-            for v in self.vertices:
-                for axis in range(self.ambient_dim):
-                    done = False
-                    for s in (1, -1):
-                        w = list(v)
-                        w[axis] += s
-                        w = tuple(w)
-                        e = (v, w) if v < w else (w, v)
-                        if e not in self.edge_index:
-                            out.append(v)
-                            done = True
-                            break
-                    if done:
-                        break
-            self._boundary = tuple(out)
+        (y ranges over all 2d unit-step neighbors of x, inside or outside V):
+        those with fewer than 2d incident edges."""
         return self._boundary
 
     def is_connected(self):
@@ -151,6 +151,8 @@ class LatticeGraph:
         """
         if self.ambient_dim != 2:
             raise ValueError("complement check only implemented for d=2")
+        if not self.vertices:
+            return True
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
         cells = {(x, y) for x in range(min(xs) - 2, max(xs) + 3)
@@ -244,7 +246,9 @@ def custom_bc(graph, blocks):
     for block in blocks:
         idx = tuple(sorted(graph.vertex_index[tuple(v)] for v in block))
         if not set(idx) <= bd:
-            raise ValueError("boundary-condition block not inside the boundary")
+            raise ValueError(
+                "boundary-condition block not inside the boundary: %s"
+                % (graph.vertices[min(set(idx) - bd)],))
         if set(idx) & used:
             raise ValueError("boundary-condition blocks overlap")
         used |= set(idx)
@@ -255,7 +259,10 @@ def custom_bc(graph, blocks):
 
 def dobrushin_bc(graph, a, b):
     """Wire the counterclockwise boundary arc from b to a; the rest is free."""
-    _, ba_vertices, _, _ = boundary_arcs(graph, a, b)
+    return _wire_arc(graph, boundary_arcs(graph, a, b)[1])
+
+
+def _wire_arc(graph, ba_vertices):
     return BoundaryCondition(
         "dobrushin", custom_bc(graph, (ba_vertices,)).blocks)
 
@@ -516,6 +523,14 @@ def oriented_segment(z, w):
     return tail, head
 
 
+def _shared_side(black, white):
+    """The medial segment between two edge-adjacent faces, oriented
+    counterclockwise around the black one."""
+    corners = [{(f[0] + dx, f[1] + dy) for dx in (0, 1) for dy in (0, 1)}
+               for f in (black, white)]
+    return oriented_segment(*sorted(corners[0] & corners[1]))
+
+
 def rotate_point(p, k):
     """Quarter-turn p by k*90 degrees ccw about (1/2, 1/2); integer-exact."""
     x, y = p
@@ -533,17 +548,49 @@ def rotate_face(f, k):
     return (i, j)
 
 
+# successor codes of a slot whose next segment leaves the status vertices:
+# through e_b, or anywhere off the curve (never reached from e_a)
+_EXIT, _STRAY = -1, -2
+
+
+class _SlotTable(NamedTuple):
+    """The exploration rule of a domain over its medial slots.
+
+    Slot 4 i + j is status vertex i entered from side CCW_SIDES[j]. side[s]
+    is the index in edges of the canonical segment on that side, or -1 when
+    the side carries no curve. For slot s and state b of the primal edge at
+    its vertex, succ[s, b] is the next slot (or _EXIT, _STRAY), turn[s, b]
+    the turn there (+1 left) and eid[s, b] the index in edges of the
+    canonical segment left along; bit[s] is the free position of the edge
+    (0 at forced vertices, whose two state columns are equal). Walks enter
+    slot start from e_a, whose index in edges is entry.
+    """
+
+    edges: tuple
+    entry: int
+    start: int
+    side: np.ndarray
+    bit: np.ndarray
+    succ: np.ndarray
+    turn: np.ndarray
+    eid: np.ndarray
+
+
 class DobrushinDomain:
     """A primal domain with two marked boundary points and all the medial
     structure the loop representation needs.
 
     All geometry below is in the diagonal embedding, already rotated so the
-    exit edge e_b points east.
+    exit edge e_b points east. The domain owns its Dobrushin wiring (bc)
+    and its slot table (slots); see the module docstring for what it
+    refuses.
     """
 
     def __init__(self, primal, a, b):
         if primal.ambient_dim != 2:
             raise ValueError("Dobrushin domains are two-dimensional")
+        if not primal.edges:
+            raise ValueError("a Dobrushin domain needs an edge")
         if not primal.is_connected():
             raise ValueError("domain must be connected")
         if not primal.complement_connected():
@@ -563,6 +610,10 @@ class DobrushinDomain:
         ab_v, ba_v, ab_e, ba_e = boundary_arcs(primal, a, b)
         self.ab_vertices, self.ba_vertices = ab_v, ba_v
         self.ab_edges, self.ba_edges = ab_e, ba_e
+        # a (ba) vertex with all four neighbours in the domain still meets
+        # the outer face through a missing diagonal cell; custom_bc refuses
+        # to wire it, naming it
+        self.bc = _wire_arc(primal, ba_v)
         ba_set = set(ba_e)
         self.free_edges = tuple(k for k in range(primal.n_edges)
                                 if k not in ba_set)
@@ -586,17 +637,12 @@ class DobrushinDomain:
         for z in forced_dual_mid:
             status[z] = ("dual", None)
         if len(status) != len(self.free_edges) + len(self.ba_edges) + len(forced_dual_mid):
-            raise AssertionError("medial status vertices collide")
+            raise ValueError("medial status vertices collide")
 
-        # whites the curve can hug: the (ab)* wrap plus the flanks of every
-        # free edge; segments whose white side lies elsewhere (outside the
-        # wired arc, or across a degenerate slit) carry no curve
-        in_play = set(whites)
-        for k in self.free_edges:
-            u, w = primal.edges[k]
-            in_play.update(self._flanking_whites(black[u], black[w]))
-
-        e_a, e_b = self._find_marked_edges(status, blacks, in_play)
+        # the path enters across the side of black(a) facing the first
+        # (ab)* white and leaves across the side of black(b) facing the last
+        e_a = _shared_side(black[a], whites[0])
+        e_b = _shared_side(black[b], whites[-1])
 
         # global rotation: make e_b point east
         tail, head = e_b
@@ -621,12 +667,72 @@ class DobrushinDomain:
         dual_edges = {}
         for k in self.free_edges:
             u, w = primal.edges[k]
-            z = self.medial_of_edge[k]
             f1, f2 = self._flanking_whites(self.black[u], self.black[w])
             dual_edges[k] = (f1, f2)
         self.dual_edge_of_free_edge = dual_edges
         self.whites = frozenset(itertools.chain(
             self.abstar_whites, *dual_edges.values()))
+        self.slots = self._slot_table()
+
+    def _slot_table(self):
+        """Index the medial slots, refusing a domain whose curve dangles.
+
+        Every arc at a status vertex must join two curve-carrying sides or
+        two dead ones, under each state of its edge; the curve-carrying
+        sides are the curve segments between status vertices and e_a, e_b.
+        Then the exploration from e_a can only leave the status vertices
+        through e_b.
+        """
+        status = self.status
+        slot = {(z, d): 4 * i + j for i, z in enumerate(status)
+                for j, d in enumerate(CCW_SIDES)}
+        side_edge = {}
+        for z, d in slot:
+            w = (z[0] + d[0], z[1] + d[1])
+            e = oriented_segment(z, w)
+            if (w in status and self.curve_segment(z, w)) \
+                    or e in (self.e_a, self.e_b):
+                side_edge[z, d] = e
+        edges = tuple(sorted(set(side_edge.values())))
+        edge_id = {e: i for i, e in enumerate(edges)}
+        side = np.full(len(slot), -1, dtype=np.int64)
+        for key, e in side_edge.items():
+            side[slot[key]] = edge_id[e]
+        bit = np.zeros(len(slot), dtype=np.int64)
+        succ, turn, eid = (np.zeros((len(slot), 2), dtype=np.int64)
+                           for _ in range(3))
+        for z, (kind, k) in status.items():
+            if kind == "free":
+                states = (False, True)
+                bit[[slot[z, d] for d in CCW_SIDES]] = self.free_pos[k]
+            else:
+                states = (kind == "primal",) * 2
+            for b, open_primal in enumerate(states):
+                for arc in self.arcs_at(z, open_primal, self.blacks_ne_sw(z)):
+                    for d_in, d_out in (arc, arc[::-1]):
+                        s, out = slot[z, d_in], side[slot[z, d_out]]
+                        if side[s] >= 0 > out:
+                            raise ValueError(
+                                "the curve dangles at medial vertex %s: no "
+                                "exploration path from e_a to e_b" % (z,))
+                        # the path arrives travelling along -d_in: a left
+                        # turn when the cross product (-d_in) x d_out > 0
+                        left = d_in[1] * d_out[0] > d_in[0] * d_out[1]
+                        turn[s, b] = 1 if left else -1
+                        # 0 on dead sides keeps the walk's histogram index
+                        # valid until its stray check fires
+                        eid[s, b] = max(out, 0)
+                        nxt = (z[0] + d_out[0], z[1] + d_out[1])
+                        if (z, nxt) == self.e_b:
+                            succ[s, b] = _EXIT
+                        elif out >= 0 and nxt in status:
+                            succ[s, b] = slot[nxt, (-d_out[0], -d_out[1])]
+                        else:
+                            succ[s, b] = _STRAY
+        tail, head = self.e_a
+        start = slot[head, (tail[0] - head[0], tail[1] - head[1])]
+        return _SlotTable(edges, edge_id[self.e_a], start, side, bit, succ,
+                          turn, eid)
 
     @staticmethod
     def _flanking_whites(bf, bg):
@@ -739,64 +845,6 @@ class DobrushinDomain:
         """
         bf, wf = segment_faces(z, w)
         return bf in self.blacks and wf in self.whites
-
-    def _find_marked_edges(self, status, blacks, in_play):
-        """Locate e_a and e_b, the only two medial half-edges carrying curve
-        whose far end is not a status vertex.
-
-        A slot carries curve when its black side is a domain face and its
-        white side is in play. At forced vertices the arc pairing is fixed;
-        at free vertices it depends on the edge state, so a dangling slot is
-        only allowed when both pairings pair it with live slots, making the
-        dangling half-edge configuration-independent (this happens next to
-        a degenerate marked point a = b).
-        """
-        def curve(z, d):
-            w = (z[0] + d[0], z[1] + d[1])
-            bf, wf = segment_faces(z, w)
-            return bf in blacks and wf in in_play
-
-        dangling = []
-        for z, (kind, _) in status.items():
-            ne_sw = (z[0] + z[1]) % 2 == 0
-            live = {d: curve(z, d) and
-                    (z[0] + d[0], z[1] + d[1]) in status for d in CCW_SIDES}
-            dang = {d: curve(z, d) and
-                    (z[0] + d[0], z[1] + d[1]) not in status for d in CCW_SIDES}
-            if kind == "free":
-                for d in CCW_SIDES:
-                    if not dang[d]:
-                        continue
-                    partners = []
-                    for open_primal in (False, True):
-                        for d1, d2 in self.arcs_at(z, open_primal, ne_sw):
-                            if d == d1:
-                                partners.append(d2)
-                            elif d == d2:
-                                partners.append(d1)
-                    if not all(live[p] for p in partners):
-                        raise AssertionError(
-                            "configuration-dependent dangling edge at %s" % (z,))
-                    dangling.append((z, (z[0] + d[0], z[1] + d[1])))
-                continue
-            for d1, d2 in self.arcs_at(z, kind == "primal", ne_sw):
-                if live[d1] and dang[d2]:
-                    dangling.append((z, (z[0] + d2[0], z[1] + d2[1])))
-                elif live[d2] and dang[d1]:
-                    dangling.append((z, (z[0] + d1[0], z[1] + d1[1])))
-        if len(dangling) != 2:
-            raise AssertionError("expected exactly 2 dangling half-edges, got %d"
-                                 % len(dangling))
-        marked = []
-        for z, dead in dangling:
-            tail, head = oriented_segment(z, dead)
-            marked.append((tail, head, head == z))
-        (t1, h1, in1), (t2, h2, in2) = marked
-        if in1 == in2:
-            raise AssertionError("marked edges do not form an entry/exit pair")
-        e_a = (t1, h1) if in1 else (t2, h2)
-        e_b = (t2, h2) if in1 else (t1, h1)
-        return e_a, e_b
 
     # quantities entering the loop count identity
     def v_count(self):

@@ -15,19 +15,21 @@ after e up to arrival at e_b (left turn = +pi/2) and spin sigma solving
 sin(sigma pi/2) = sqrt(q)/2 (real for q <= 4, 1 + i R for q > 4). The
 probabilities of the 2^n free-edge configurations come from the oracle's
 label table of the primal restricted to its free edges, under the Dobrushin
-wiring. The explorations of all configurations then run in lockstep over a
-slot table: a slot is a medial vertex z with the side the path enters by,
-and for each state of the primal edge at z the table holds the next slot,
-the turn (+-1) and the canonical medial edge left along. Each step reads one
-bit of every mask and sums the probabilities into a histogram over (medial
-edge, turns since e_a). The total turning from e_a to e_b is the same for
-every configuration (asserted), so W = total - turns so far, and F is the
-histogram contracted with exp(i sigma pi/2 W). loop_encode, _explore and
-winding_profile trace one configuration at a time and are the reference
-the lockstep walk is tested against. Medial edges carry the canonical
-orientation counterclockwise around their black face; the q = 2
-projections and line membership are stated through that orientation,
-squared to stay branch-free.
+wiring. The explorations of all configurations then run in lockstep over
+the domain's slot table: a slot is a medial vertex z with the side the path
+enters by, and for each state of the primal edge at z the table holds the
+next slot, the turn (+-1) and the canonical medial edge left along. The
+medial edge set and the q = 2 readers also come from the table. Each step
+reads one bit of every mask and sums the probabilities into a histogram
+over (medial edge, turns since e_a). The total turning from e_a to e_b is
+the same for every configuration (asserted), so W = total - turns so far,
+and F is the histogram contracted with exp(i sigma pi/2 W). loop_encode,
+_explore and winding_profile trace one configuration at a time from the arc
+pairing alone, without the table, and are the reference the lockstep walk
+is tested against. Medial edges carry the canonical orientation
+counterclockwise around their black face; the q = 2 projections and line
+membership are stated through that orientation, squared to stay
+branch-free.
 """
 
 from __future__ import annotations
@@ -35,16 +37,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import (
+    _EXIT,
     CCW_SIDES,
     DobrushinDomain,
     LatticeGraph,
     cluster_stats,
-    dobrushin_bc,
     oriented_segment,
     segment_faces,
 )
@@ -162,8 +163,7 @@ def loop_encode(domain, bits):
     full = [0] * domain.primal.n_edges
     for t, k in enumerate(domain.free_edges):
         full[k] = bits[t]
-    bc = dobrushin_bc(domain.primal, domain.a, domain.b)
-    k_clusters, _ = cluster_stats(domain.primal, tuple(full), bc)
+    k_clusters, _ = cluster_stats(domain.primal, tuple(full), domain.bc)
     expect = 2 * k_clusters + sum(bits) - domain.v_count()
     if config.ell != expect:
         raise AssertionError("loop count %d != 2k + o - v = %d"
@@ -173,16 +173,8 @@ def loop_encode(domain, bits):
 
 def medial_edges(domain):
     """Canonically oriented curve-carrying medial edges (incl. e_a, e_b)."""
-    status = domain.status
-    out = set()
-    for z in status:
-        for d in CCW_SIDES:
-            w = (z[0] + d[0], z[1] + d[1])
-            if w in status and domain.curve_segment(z, w):
-                out.add(oriented_segment(z, w))
-    out.add(domain.e_a)
-    out.add(domain.e_b)
-    return out
+    table = domain.slots
+    return {table.edges[e] for e in table.side if e >= 0}
 
 
 def edge_direction(edge):
@@ -210,10 +202,6 @@ def winding_profile(steps):
     return wind
 
 
-# successor codes of a slot whose next segment leaves the status vertices:
-# through e_b, or anywhere off the curve (never reached on a valid domain)
-_EXIT, _STRAY = -1, -2
-
 # configurations walked at a time, and about the bytes each holds in the
 # walk's index and temporary arrays
 _WALK_CHUNK = 1 << 15
@@ -224,60 +212,9 @@ _WALK_BYTES = 96
 _PROB_BYTES = 32
 
 
-class _SlotTable(NamedTuple):
-    """The exploration rule of a domain over its medial slots.
-
-    Slot 4 i + j is status vertex i entered from side CCW_SIDES[j]. For
-    slot s and state b of the primal edge at its vertex, succ[s, b] is the
-    next slot (or _EXIT, _STRAY), turn[s, b] the turn there (+1 left) and
-    eid[s, b] the index in edges of the canonical segment left along;
-    bit[s] is the free position of the edge (0 at forced vertices, whose
-    two state columns are equal). Walks enter slot start from e_a, whose
-    index in edges is entry.
-    """
-
-    edges: tuple
-    entry: int
-    start: int
-    bit: np.ndarray
-    succ: np.ndarray
-    turn: np.ndarray
-    eid: np.ndarray
-
-
 def _slot_table(domain):
-    status = domain.status
-    edges = tuple(sorted(medial_edges(domain)))
-    edge_id = {e: i for i, e in enumerate(edges)}
-    slot = {(z, d): 4 * i + j for i, z in enumerate(status)
-            for j, d in enumerate(CCW_SIDES)}
-    bit = np.zeros(len(slot), dtype=np.int64)
-    succ, turn, eid = (np.zeros((len(slot), 2), dtype=np.int64)
-                       for _ in range(3))
-    for z, (kind, k) in status.items():
-        if kind == "free":
-            states = (False, True)
-            bit[[slot[z, d] for d in CCW_SIDES]] = domain.free_pos[k]
-        else:
-            states = (kind == "primal",) * 2
-        for b, open_primal in enumerate(states):
-            for d_in, d_out in _arc_pairs(domain, z, open_primal).items():
-                s = slot[z, d_in]
-                # the path arrives travelling along -d_in: a left turn when
-                # the cross product (-d_in) x d_out is positive
-                turn[s, b] = 1 if d_in[1] * d_out[0] > d_in[0] * d_out[1] else -1
-                nxt = (z[0] + d_out[0], z[1] + d_out[1])
-                if nxt not in status:
-                    succ[s, b] = _EXIT if (z, nxt) == domain.e_b else _STRAY
-                    eid[s, b] = edge_id[domain.e_b]
-                    continue
-                e = oriented_segment(z, nxt)
-                succ[s, b] = (slot[nxt, (-d_out[0], -d_out[1])]
-                              if e in edge_id else _STRAY)
-                eid[s, b] = edge_id.get(e, 0)
-    tail, head = domain.e_a
-    start = slot[head, (tail[0] - head[0], tail[1] - head[1])]
-    return _SlotTable(edges, edge_id[domain.e_a], start, bit, succ, turn, eid)
+    """The exploration rule over the medial slots, built by the domain."""
+    return domain.slots
 
 
 def _lockstep_field(table, masks, prob, sigma):
@@ -345,9 +282,9 @@ def _free_edge_probabilities(domain, p, q):
     primal = domain.primal
     free = LatticeGraph(primal.vertices,
                         [primal.edges[k] for k in domain.free_edges])
-    bc = dobrushin_bc(primal, domain.a, domain.b)
     prob, _ = _probabilities(p, q, open_count_array(free.n_edges),
-                             cluster_count_array(free, bc), free.n_edges)
+                             cluster_count_array(free, domain.bc),
+                             free.n_edges)
     return prob
 
 
@@ -373,7 +310,7 @@ def edge_observable(domain, p, q):
     t0 = time.perf_counter()
     prob = _free_edge_probabilities(domain, p, q)
     t1 = time.perf_counter()
-    table = _slot_table(domain)
+    table = domain.slots
     F = np.zeros(len(table.edges), dtype=complex)
     moves = longest = 0
     for lo in range(0, len(prob), _WALK_CHUNK):
@@ -400,15 +337,9 @@ def contour_residuals(field):
     at the self-dual point, which it does to machine precision for all
     q > 0 tested.
     """
-    domain = field.domain
-    status = domain.status
     res = {}
-    for v in status:
-        nbrs = [(v[0] + d[0], v[1] + d[1]) for d in CCW_SIDES]
-        if not all(w in status and domain.curve_segment(v, w) for w in nbrs):
-            continue
-        e1, e2, e3, e4 = (field.edge_values[oriented_segment(v, w)]
-                          for w in nbrs)
+    for v, edges in _interior_vertices(field.domain).items():
+        e1, e2, e3, e4 = (field.edge_values[e] for e in edges)
         res[v] = abs(e1 - e3 + 1j * e2 - 1j * e4)
     return res
 
@@ -434,18 +365,22 @@ def project_line(edge, x):
     return 0.5 * (x + e.conjugate() * complex(x).conjugate())
 
 
-def _incident_edges(domain, z):
-    """Curve-carrying medial edges at vertex z, marked half-edges included."""
-    out = []
-    for d in CCW_SIDES:
-        w = (z[0] + d[0], z[1] + d[1])
-        if w in domain.status and domain.curve_segment(z, w):
-            out.append(oriented_segment(z, w))
-        else:
-            for marked in (domain.e_a, domain.e_b):
-                if z in marked and w in marked:
-                    out.append(marked)
-    return out
+def _incident_edges(domain):
+    """Curve-carrying medial edges at every status vertex, in CCW_SIDES
+    order, marked half-edges included."""
+    table = domain.slots
+    return {z: [table.edges[e] for e in row if e >= 0]
+            for z, row in zip(domain.status, table.side.reshape(-1, 4))}
+
+
+def _interior_vertices(domain):
+    """Status vertices whose four sides all carry curve to status vertices,
+    each with its four medial edges in CCW_SIDES order: the vertices of the
+    contour relation and of the square split."""
+    status = domain.status
+    return {z: inc for z, inc in _incident_edges(domain).items()
+            if len(inc) == 4 and all((z[0] + dx, z[1] + dy) in status
+                                     for dx, dy in CCW_SIDES)}
 
 
 def vertex_observable(field):
@@ -458,8 +393,7 @@ def vertex_observable(field):
         raise ValueError("vertex observable requires q = 2")
     domain = field.domain
     f = {}
-    for z in domain.status:
-        inc = _incident_edges(domain, z)
+    for z, inc in _incident_edges(domain).items():
         s = sum(field.edge_values[e] for e in inc)
         f[z] = 0.5 * s if len(inc) == 4 else 2.0 / (2.0 + SQRT2) * s
     worst = 0.0
@@ -486,12 +420,8 @@ def sholo_report(domain):
         ratio = val * val * edge_direction(e)
         line = max(line, abs(ratio.imag), max(0.0, -ratio.real))
     square = 0.0
-    for v in fv:
-        nbrs = [(v[0] + d[0], v[1] + d[1]) for d in CCW_SIDES]
-        if not all(w in domain.status for w in nbrs):
-            continue
-        e1, e2, e3, e4 = (field.edge_values[oriented_segment(v, w)]
-                          for w in nbrs)
+    for v, edges in _interior_vertices(domain).items():
+        e1, e2, e3, e4 = (field.edge_values[e] for e in edges)
         fval = abs(fv[v]) ** 2
         square = max(square,
                      abs(abs(e1) ** 2 + abs(e3) ** 2 - fval),
@@ -500,8 +430,9 @@ def sholo_report(domain):
     # orientations already run along the boundary from a to b, so no sign
     # fixups are needed
     tangent = 0.0
+    incident = _incident_edges(domain)
     for v, fval in fv.items():
-        inc = _incident_edges(domain, v)
+        inc = incident[v]
         if len(inc) != 2:
             continue
         nu = sum(edge_direction(e) for e in inc)

@@ -569,42 +569,22 @@ def verify_duality(graph, p, q):
 # FKG, monotonicity and boundary-comparison scans
 
 
-_INCREASING_CACHE = {}
-
-
 def increasing_events(n_edges):
     """All nonempty increasing events over n_edges, as bool arrays.
 
-    Full enumeration of upward-closed subsets of {0,1}^E; feasible only for
-    very few edges (167 events at 4); larger scans use the open-cylinder
-    events of cylinder_probabilities.
+    An upset of {0,1}^n is a pair U0 <= U1 of upsets of {0,1}^(n-1): the
+    rows with the top bit clear and those with it set. Their number grows
+    doubly exponentially (167 events at 4), so larger scans use the
+    open-cylinder events of cylinder_probabilities.
     """
     if n_edges > 4:
         raise ValueError("full increasing-event enumeration is limited to "
                          "4 edges; use cylinder_probabilities beyond that")
-    if n_edges in _INCREASING_CACHE:
-        return _INCREASING_CACHE[n_edges]
-    size = 1 << n_edges
-    out = []
-    for cand in range(1, 1 << size):
-        ok = True
-        for m in range(size):
-            if not (cand >> m) & 1:
-                continue
-            for b in range(n_edges):
-                if not (cand >> (m | (1 << b))) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            arr = np.zeros(size, dtype=bool)
-            for m in range(size):
-                if (cand >> m) & 1:
-                    arr[m] = True
-            out.append(arr)
-    _INCREASING_CACHE[n_edges] = out
-    return out
+    upsets = [np.array([False]), np.array([True])]
+    for _ in range(n_edges):
+        upsets = [np.concatenate((u0, u1)) for u1 in upsets for u0 in upsets
+                  if not (u0 & ~u1).any()]
+    return [u for u in upsets if u.any()]
 
 
 def _superset_transform(values, g):

@@ -129,6 +129,11 @@ def test_complement_connected_shapes():
     assert not around.complement_connected()
 
 
+def test_complement_connected_empty_graph():
+    # Z^2 minus nothing is Z^2, which is connected
+    assert LatticeGraph([], []).complement_connected()
+
+
 # ---------------------------------------------------------------------------
 # planar duality
 
@@ -325,6 +330,36 @@ def test_domain_rejects_bad_input():
              if u < v and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1]
     with pytest.raises(ValueError):
         medial_domain(LatticeGraph(ring, edges), (0, 0), (2, 2))
+
+
+def test_domain_refuses_status_collision():
+    # the T-shape's (ab)* chain wraps the stem so that a forced dual vertex
+    # lands on the medial vertex of a primal edge
+    t_shape = _induced([(0, 0), (0, 1), (0, 2), (1, 1)])
+    with pytest.raises(ValueError, match="collide"):
+        medial_domain(t_shape, (0, 0), (1, 1))
+
+
+def test_domain_refuses_single_vertex():
+    with pytest.raises(ValueError, match="needs an edge"):
+        medial_domain(LatticeGraph([(0, 0)], []), (0, 0), (0, 0))
+
+
+def test_domain_refuses_pinched_wired_arc():
+    # (0, -1) has all four neighbours but meets the outer face through the
+    # missing diagonal cell (-1, -2); the (ba) arc passes through it
+    g = _induced([(-1, -1), (0, -2), (0, -1), (0, 0), (1, -2), (1, -1)])
+    assert (0, -1) not in g.boundary()
+    with pytest.raises(ValueError, match=r"\(0, -1\)"):
+        medial_domain(g, (-1, -1), (0, 0))
+
+
+def test_slot_table_refuses_dangling_curve():
+    # with e_b moved onto e_a, the curve dangles at the true exit edge
+    dom = medial_domain(build_rect((0, 2), (0, 2)), (0, 0), (2, 2))
+    dom.e_b = dom.e_a
+    with pytest.raises(ValueError, match="dangles"):
+        dom._slot_table()
 
 
 def test_dobrushin_bc_wires_ba_arc():

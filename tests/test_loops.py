@@ -585,3 +585,42 @@ def test_sholo_report_16_free_edges():
     assert rep["ok"]
     assert rep["counters"]["configs"] == 2 ** 16
     assert set(rep["timings"]) == {"probabilities_s", "walk_s"}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_domain_owns_its_dobrushin_wiring(name):
+    dom = REFERENCE_DOMAINS[name]()
+    assert dom.bc == dobrushin_bc(dom.primal, dom.a, dom.b)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 9.0])
+def test_single_edge_degenerate_domain(q):
+    # one edge with a = b: both marked edges lie on black(a), and which
+    # one the arcs at the free vertex reach depends on the edge state
+    dom = medial_domain(build_rect((0, 1), (0, 0)), (0, 0), (0, 0))
+    p, sigma = p_self_dual(q), sigma_obs(q)
+    bc = dobrushin_bc(dom.primal, dom.a, dom.b)
+    total, z = {}, 0.0
+    for cfg in all_bits(len(dom.free_edges)):
+        k_clusters, _ = cluster_stats(dom.primal, tuple(cfg), bc)
+        w = p ** sum(cfg) * (1 - p) ** (1 - sum(cfg)) * q ** k_clusters
+        z += w
+        prof = winding_profile(loop_encode(dom, cfg).exploration)
+        for e, wind in prof.items():
+            total[e] = total.get(e, 0.0) + w * cmath.exp(1j * sigma * wind)
+    field = edge_observable(dom, p, q)
+    assert set(total) <= set(field.edge_values)
+    for e, val in field.edge_values.items():
+        assert abs(val - total.get(e, 0.0) / z) < 1e-12
+    assert abs(field.edge_values[dom.e_b] - 1.0) < 1e-12
+
+
+def test_sholo_report_on_c_shape():
+    # the square split reads only vertices whose four sides carry curve to
+    # status vertices; a status-only test reaches a side with no medial edge
+    cells = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)]
+    g = LatticeGraph(cells, [(u, v) for u in cells for v in cells if u < v
+                             and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1])
+    rep = sholo_report(medial_domain(g, (1, 0), (1, 2)))
+    assert rep["square_split"] <= 1e-10
+    assert rep["line_membership"] <= 1e-10

@@ -308,6 +308,21 @@ def test_increasing_event_counts():
     assert len(increasing_events(3)) == 19
 
 
+def test_increasing_events_are_all_upsets():
+    # against the definition: every nonempty family of masks that is closed
+    # under opening one more edge, filtered from all 2^(2^n) families
+    for n in range(5):
+        size = 1 << n
+        fams = ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1) == 1
+        closed = fams.any(axis=1)
+        for b in range(n):
+            up = fams[:, np.arange(size) | (1 << b)]
+            closed &= ~(fams & ~up).any(axis=1)
+        got = [e.tobytes() for e in increasing_events(n)]
+        assert len(got) == len(set(got))
+        assert set(got) == {f.tobytes() for f in fams[closed]}
+
+
 def test_cylinder_probabilities_transform():
     prob = probability_array(SQUARE, 0.4, 2.0, free_bc(SQUARE))
     cp = cylinder_probabilities(prob)
