@@ -3,23 +3,21 @@
 Currents assign a nonnegative integer to every edge with weight
 w_beta(n) = prod_e beta^{n_e}/n_e!; only the source set (odd-incidence
 vertices) and the trace (edges with n_e > 0) ever enter the identities, so
-sums over currents factorize through per-edge parity classes: with entries
-capped at n_max, the even and odd entry sums are the truncated cosh and
-sinh series c0 and c1. A pair of currents is then a pair of subgraphs
-carrying the parities plus a choice of extra supported edges where both
-entries are even and positive, with per-edge factors c1*c1, c1*c0 and
-c0*c0 - 1. Trace functionals are arrays indexed by support mask, summed
-over supersets with a weighted zeta transform.
+sums over currents factorize through per-edge parity classes, whose even
+and odd entry sums are c0 = cosh beta and c1 = sinh beta. A pair of
+currents is then a pair of subgraphs carrying the parities plus a choice
+of extra supported edges where both entries are even, with per-edge
+factors c1*c1, c1*c0 and c0*c0 - 1. Trace functionals are arrays indexed
+by support mask, summed over supersets with a weighted zeta transform.
+Every function computes these sums exactly unless its caller passes n_max.
 
-Two truncated ensembles appear. Event probabilities cap each current at
-n_max separately (parity-class compression as above). The switching check
-instead caps the summed multigraph n1 + n2 at n_max per edge: source
-swapping redistributes a total it preserves, so that family is closed
-under the bijection and the identity holds exactly on it, while a
-per-current cap leaks mass through the swap and the leak (not the
-identity) would dominate the reported gap. Either way every enumerated
-current has entries <= n_max and every report carries an explicit
-factorial tail bound on the discarded mass.
+A given n_max selects a capped ensemble, kept as an independent reference.
+Event probabilities cap each current at n_max (c0, c1 become the truncated
+series). The switching check instead enumerates the multigraphs n1 + n2
+with entries <= n_max and splits each between the two source sets; source
+swapping preserves that family, so the identity holds exactly on it. Only
+this path reads multiplicities (values_fn=). Capped reports carry a
+factorial tail bound on the discarded mass; exact ones report 0.0.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from .oracle import (
     ising_moment,
 )
 
+# multigraph cap of verify_switching(values_fn=) when no n_max is given
 DEFAULT_N_MAX = 8
 
 # largest entry cap, as multigraph entries are int8; every public function
@@ -98,14 +97,13 @@ def hte_correlation(graph, beta, A):
 
 def current_weight(values, beta):
     """w_beta(n) = prod_e beta^{n_e} / n_e!."""
-    out = 1.0
-    for v in values:
-        out *= beta ** v / math.factorial(v)
-    return out
+    return math.prod(beta ** v / math.factorial(v) for v in values)
 
 
-def parity_class_sums(beta, n_max):
-    """(c0, c1): truncated even and odd sums of beta^j/j!."""
+def parity_class_sums(beta, n_max=None):
+    """(c0, c1): even and odd sums of beta^j/j!, over j <= n_max if given."""
+    if n_max is None:
+        return math.cosh(beta), math.sinh(beta)
     _check_n_max(n_max)
     c0 = sum(beta ** j / math.factorial(j) for j in range(0, n_max + 1, 2))
     c1 = sum(beta ** j / math.factorial(j) for j in range(1, n_max + 1, 2))
@@ -117,50 +115,47 @@ def truncation_tail_bound(graph, beta, n_max):
 
     Each of the two currents can exceed the cap on any edge; the missing
     mass per edge is at most beta^{n_max+1}/(n_max+1)! e^beta, and the
-    remaining edge sums are each at most e^beta.
+    remaining edge sums are each at most e^beta. Uncapped sums lose nothing.
     """
+    if n_max is None:
+        return 0.0
     _check_n_max(n_max)
     m = graph.n_edges
     t1 = beta ** (n_max + 1) / math.factorial(n_max + 1) * math.exp(beta)
     return 2.0 * m * t1 * math.exp(beta * (2 * m - 1))
 
 
-def single_current_sum(graph, A, beta, n_max=DEFAULT_N_MAX):
-    """sum over d(n) = A, entries <= n_max, of w_beta(n)."""
+def single_current_sum(graph, A, beta, n_max=None):
+    """sum over d(n) = A (entries <= n_max if given) of w_beta(n)."""
     c0, c1 = parity_class_sums(beta, n_max)
     m = graph.n_edges
     return sum(c1 ** bin(mask).count("1") * c0 ** (m - bin(mask).count("1"))
                for mask in parity_masks(graph, A))
 
 
-def double_current_sum(graph, A, B, beta, n_max=DEFAULT_N_MAX, trace=None):
-    """sum over d(n1)=A, d(n2)=B, entries <= n_max of w(n1)w(n2)F(trace).
+def double_current_sum(graph, A, B, beta, n_max=None, trace=None):
+    """sum over d(n1)=A, d(n2)=B (entries <= n_max) of w(n1)w(n2)F(trace).
 
-    trace is an array over support masks of n1+n2 (None for F = 1). Exact
-    for the capped ensemble: parities are carried by two subgraphs, every
-    extra supported edge has both entries even and positive.
+    trace is an array over support masks of n1+n2 (None for F = 1). The
+    parities are carried by a pair of subgraphs (m1, m2), all pairs at
+    once: edges in both carry c1*c1, edges in one c1*c0, and every extra
+    supported edge has both entries even, not both zero.
     """
     c0, c1 = parity_class_sums(beta, n_max)
     g_both, g_one, g_extra = c1 * c1, c1 * c0, c0 * c0 - 1.0
-    m = graph.n_edges
-    if trace is not None:
-        transformed = _superset_transform(trace, g_extra)
-    total = 0.0
-    masks_b = parity_masks(graph, B)
-    for m1 in parity_masks(graph, A):
-        for m2 in masks_b:
-            forced = m1 | m2
-            base = 1.0
-            for k in range(m):
-                bit = 1 << k
-                if forced & bit:
-                    base *= g_both if (m1 & bit and m2 & bit) else g_one
-            if trace is None:
-                free = m - bin(forced).count("1")
-                total += base * (1.0 + g_extra) ** free
-            else:
-                total += base * transformed[forced]
-    return total
+    ma = np.array(parity_masks(graph, A), dtype=np.int64)
+    mb = np.array(parity_masks(graph, B), dtype=np.int64)
+    # per pair: the int64 forced mask, its temporaries and the float64 factors
+    _check_budget(len(ma) * len(mb) * 48, "%d x %d parity mask pairs"
+                  % (len(ma), len(mb)))
+    forced = ma[:, None] | mb[None, :]
+    both = np.bitwise_count(ma[:, None] & mb[None, :])
+    one = np.bitwise_count(forced) - both
+    if trace is None:
+        rest = (1.0 + g_extra) ** (graph.n_edges - both - one)
+    else:
+        rest = _superset_transform(trace, g_extra)[forced]
+    return float(np.sum(g_both ** both * g_one ** one * rest))
 
 
 def connected_trace(graph, x, y):
@@ -221,68 +216,74 @@ def switching_tail_bound(graph, beta, n_max):
 
     Per edge the pair weights sum to (2 beta)^s / s! over the total s, so
     the cut tail is at most beta^{n_max+1}/(n_max+1)! times a graph factor.
+    Uncapped sums lose nothing.
     """
+    if n_max is None:
+        return 0.0
     _check_n_max(n_max)
     m = graph.n_edges
     factor = m * 2.0 ** (n_max + 1) * math.exp(2.0 * beta * m)
     return beta ** (n_max + 1) / math.factorial(n_max + 1) * factor
 
 
-def verify_switching(graph, A, B, beta, n_max=DEFAULT_N_MAX, trace=None,
+def verify_switching(graph, A, B, beta, n_max=None, trace=None,
                      values_fn=None):
-    """Both sides of the source-swapping identity over capped multigraphs.
+    """Both sides of the source-swapping identity.
 
     LHS: sum over d(n1)=A, d(n2)=B of w(n1)w(n2) F(n1+n2).
     RHS: the same with sources A xor B and none, times 1[trace in F_B].
-    Pairs are enumerated through their sum s (entries <= n_max) with split
-    weights per source set, so both sides see the same multigraphs and the
-    gap measures agreement of two independent parity enumerations. F is
-    the sure event, or an array over support masks (trace=), or a
+    F is the sure event, an array over support masks (trace=), or a
     vectorized callable on the (n_edges, count) value matrix (values_fn=).
+    By default each side is one exact double_current_sum. Given n_max or
+    values_fn (then capped at DEFAULT_N_MAX unless n_max is given), pairs
+    are instead enumerated through their sum s (entries <= n_max) with
+    split weights per source set, so both sides see the same multigraphs
+    and the gap measures agreement of two independent parity enumerations.
     """
+    if values_fn is not None and n_max is None:
+        n_max = DEFAULT_N_MAX
     tail = switching_tail_bound(graph, beta, n_max)
-    m = graph.n_edges
-    vals = _multigraph_values(graph, n_max)
-    count = len(vals[0])
     a_xor_b = sorted(set(map(tuple, A)) ^ set(map(tuple, B)))
-
-    # d(n1) + d(n2) = d(n1 + n2): only multigraphs with source set A xor B
-    # contribute to either side
-    pmask = np.zeros(count, dtype=np.int64)
-    for e in range(m):
-        pmask |= (vals[e].astype(np.int64) & 1) << e
-    feasible = np.zeros(1 << m, dtype=bool)
-    feasible[parity_masks(graph, a_xor_b)] = True
-    keep = feasible[pmask]
-    vals = [v[keep] for v in vals]
-
-    smask = np.zeros(len(vals[0]), dtype=np.int64)
-    tot = np.zeros(len(vals[0]), dtype=np.int32)
-    for e in range(m):
-        smask |= (vals[e] > 0).astype(np.int64) << e
-        tot += vals[e]
-    w = beta ** tot.astype(float)
-
-    table = _split_tables(n_max)
-    w_ab = _split_weights(graph, A, vals, table)
-    w_xor = _split_weights(graph, a_xor_b, vals, table)
-    if values_fn is not None:
-        f = np.asarray(values_fn(np.stack(vals).astype(np.int32)), float)
-    elif trace is not None:
-        f = np.asarray(trace, float)[smask]
+    fb = even_overlap_trace(graph, B)
+    if n_max is None:
+        f = fb if trace is None else np.asarray(trace, float) * fb
+        lhs = double_current_sum(graph, A, B, beta, trace=trace)
+        rhs = double_current_sum(graph, a_xor_b, (), beta, trace=f)
     else:
-        f = np.ones(len(vals[0]))
-    fb = even_overlap_trace(graph, B)[smask]
+        vals = _multigraph_values(graph, n_max)
+        # d(n1) + d(n2) = d(n1 + n2): only multigraphs with source set
+        # A xor B contribute to either side
+        pmask = np.zeros(len(vals[0]), dtype=np.int64)
+        for e, v in enumerate(vals):
+            pmask |= (v.astype(np.int64) & 1) << e
+        feasible = np.zeros(1 << graph.n_edges, dtype=bool)
+        feasible[parity_masks(graph, a_xor_b)] = True
+        keep = feasible[pmask]
+        vals = [v[keep] for v in vals]
+        smask = np.zeros(len(vals[0]), dtype=np.int64)
+        tot = np.zeros(len(vals[0]), dtype=np.int32)
+        for e, v in enumerate(vals):
+            smask |= (v > 0).astype(np.int64) << e
+            tot += v
+        w = beta ** tot.astype(float)
 
-    lhs = float(np.sum(w * w_ab * f))
-    rhs = float(np.sum(w * w_xor * f * fb))
+        table = _split_tables(n_max)
+        w_ab = _split_weights(graph, A, vals, table)
+        w_xor = _split_weights(graph, a_xor_b, vals, table)
+        f = 1.0
+        if values_fn is not None:
+            f = np.asarray(values_fn(np.stack(vals).astype(np.int32)), float)
+        elif trace is not None:
+            f = np.asarray(trace, float)[smask]
+        lhs = float(np.sum(w * w_ab * f))
+        rhs = float(np.sum(w * w_xor * f * fb[smask]))
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "gap": gap, "tail_bound": tail,
             "n_max": n_max, "ok": bool(gap <= 1e-12 * scale)}
 
 
-def double_current_event(graph, B, beta, n_max=DEFAULT_N_MAX, trace=None):
+def double_current_event(graph, B, beta, n_max=None, trace=None):
     """P^B[event on the trace] for the two-current measure d(n1)=B, d(n2)=0.
 
     Returns (probability, tail_bound); trace None means the sure event.
@@ -295,12 +296,11 @@ def double_current_event(graph, B, beta, n_max=DEFAULT_N_MAX, trace=None):
     return num / den, tail
 
 
-def squared_correlation_gap(graph, x, y, beta, n_max=DEFAULT_N_MAX):
+def squared_correlation_gap(graph, x, y, beta, n_max=None):
     """|mu^f[sigma_x sigma_y]^2 - P^0[x <-> y in the trace]|."""
-    _check_n_max(n_max)
-    mu = ising_moment(graph, beta, [x, y])
     prob, tail = double_current_event(graph, (), beta, n_max,
                                       connected_trace(graph, x, y))
+    mu = ising_moment(graph, beta, [x, y])
     return abs(mu * mu - prob), tail
 
 

@@ -595,9 +595,10 @@ class DobrushinDomain:
             raise ValueError("domain must be connected")
         if not primal.complement_connected():
             raise ValueError("domain complement must be connected")
-        induced = {tuple(sorted((u, w)))
-                   for u in primal.vertices for w in primal.vertices
-                   if sum(abs(x - y) for x, y in zip(u, w)) == 1}
+        # each vertex's +x and +y neighbours in the domain
+        verts = primal.vertex_index
+        induced = {(u, w) for u in primal.vertices
+                   for w in ((u[0] + 1, u[1]), (u[0], u[1] + 1)) if w in verts}
         if set(primal.edges) != induced:
             raise ValueError("domain must contain all induced edges")
         a, b = tuple(a), tuple(b)

@@ -453,13 +453,15 @@ def _cauchy_riemann_residual(domain, fv):
 
     Faces of the medial graph are the primal/dual faces; f being
     s-holomorphic makes the sum of f(corner) * (next - corner) vanish
-    around each face whose corners all carry f.
+    around each face whose four sides are curve-carrying medial edges.
     """
+    edges = medial_edges(domain)
     worst = 0.0
     for face in list(domain.blacks) + list(domain.whites):
         x, y = face
         corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-        if not all(c in fv for c in corners):
+        if not all(oriented_segment(corners[t], corners[(t + 1) % 4]) in edges
+                   for t in range(4)):
             continue
         acc = 0.0 + 0.0j
         for t in range(4):

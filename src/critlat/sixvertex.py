@@ -782,6 +782,8 @@ def rc6v_verify(N, M, q):
         raise ValueError("correspondence needs N and M even")
     if q <= 4:
         raise ValueError("correspondence stated for q > 4")
+    # an integer q would fail at q ** -s
+    q = float(q)
     rc = TorusRc(N, M)
     table = rc.census_table()
     p = p_self_dual(q)

@@ -37,6 +37,10 @@ SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
 PATH2 = LatticeGraph([(0, 0), (1, 0), (2, 0)],
                      [((0, 0), (1, 0)), ((1, 0), (2, 0))])
+CUBE_VERTICES = list(itertools.product((0, 1), repeat=3))
+CUBE = LatticeGraph(CUBE_VERTICES,
+                    [(u, v) for u in CUBE_VERTICES for v in CUBE_VERTICES
+                     if u < v and sum(abs(a - b) for a, b in zip(u, v)) == 1])
 
 
 def test_even_subgraphs_of_cycle():
@@ -91,7 +95,7 @@ def test_hte_matches_spin_oracle(beta):
 
 
 def test_consistency_triangle():
-    # spin moment, tanh-weight ratio, truncated current ratio
+    # spin moment, tanh-weight ratio, exact and truncated current ratios
     beta, x, y = 0.6, (0, 0), (1, 2)
     spin = potts_two_point(GRID23, 2, beta, x, y)
     hte = hte_correlation(GRID23, beta, [x, y])
@@ -100,7 +104,7 @@ def test_consistency_triangle():
     deep = (single_current_sum(GRID23, [x, y], beta, n_max=16)
             / single_current_sum(GRID23, (), beta, n_max=16))
     assert abs(spin - hte) < 1e-10
-    assert abs(ratio - hte) < 1e-6  # capped at n_max = 8
+    assert abs(ratio - hte) < 1e-12
     assert abs(deep - hte) < 1e-12
 
 
@@ -224,7 +228,7 @@ def test_switching_identity(graph, beta):
     rep = verify_switching(graph, A, B, beta)
     assert rep["ok"]
     assert rep["gap"] <= 1e-8
-    assert rep["gap"] <= rep["tail_bound"]
+    assert rep["gap"] <= 1e-13 * max(1.0, rep["lhs"])
 
 
 def test_switching_with_trace_functional():
@@ -252,6 +256,37 @@ def test_switching_gap_stays_at_roundoff():
                                0.9, n_max=n)
         assert rep["gap"] <= 1e-12
         assert rep["gap"] <= rep["tail_bound"]
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+def test_exact_switching_sides_match_deep_multigraphs(beta):
+    # at n_max = 24 the discarded multigraph mass is below 1e-18 here
+    rng = np.random.default_rng(3)
+    traces = (None, rng.random(1 << SQUARE.n_edges),
+              connected_trace(SQUARE, (0, 0), (1, 1)))
+    for A, B in (([(0, 0), (1, 0)], [(0, 0), (1, 1)]),
+                 ([(0, 1), (1, 0)], [(0, 1), (1, 0)])):
+        for trace in traces:
+            exact = verify_switching(SQUARE, A, B, beta, trace=trace)
+            deep = verify_switching(SQUARE, A, B, beta, n_max=24, trace=trace)
+            assert exact["n_max"] is None and exact["tail_bound"] == 0.0
+            for side in ("lhs", "rhs"):
+                assert exact[side] == pytest.approx(deep[side], rel=1e-12)
+
+
+@pytest.mark.parametrize("graph", [SQUARE, GRID23, CUBE],
+                         ids=["cycle4", "grid23", "cube"])
+def test_exact_identities_at_roundoff(graph):
+    v = graph.vertices
+    for beta in (0.1, 0.4, 1.0):
+        for trace in (None, connected_trace(graph, v[1], v[-1])):
+            rep = verify_switching(graph, [v[0], v[1]], [v[0], v[-1]], beta,
+                                   trace=trace)
+            assert rep["ok"] and rep["tail_bound"] == 0.0
+            assert rep["gap"] <= 1e-13 * max(1.0, rep["lhs"])
+        gap, tail = squared_correlation_gap(graph, v[0], v[-1], beta)
+        assert gap <= 1e-13 and tail == 0.0
+        assert double_current_event(graph, (), beta)[1] == 0.0
 
 
 def test_squared_correlation_gap_shrinks_with_n_max():
@@ -361,6 +396,16 @@ def test_parity_masks_refused_before_allocating(monkeypatch):
                                "edges")
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1 << 10)
     _refused_before_allocating(lambda: parity_masks(GRID23, ()), "bytes")
+
+
+def test_exact_currents_refused_before_allocating():
+    big = build_rect((0, 4), (0, 3))
+    assert big.n_edges == 31
+    ends = [(0, 0), (4, 3)]
+    _refused_before_allocating(lambda: verify_switching(big, ends, ends, 0.3),
+                               "edges")
+    _refused_before_allocating(lambda: double_current_sum(big, ends, (), 0.3),
+                               "edges")
 
 
 def test_n_max_past_int8_refused_before_allocating():

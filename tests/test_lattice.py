@@ -340,6 +340,16 @@ def test_domain_refuses_status_collision():
         medial_domain(t_shape, (0, 0), (1, 1))
 
 
+def test_domain_refuses_missing_induced_edge():
+    # the 3x3 rect with the interior edge (1, 1)-(2, 1) removed
+    rect = build_rect((0, 2), (0, 2))
+    g = LatticeGraph(rect.vertices,
+                     [e for e in rect.edges if e != ((1, 1), (2, 1))])
+    assert g.n_edges == rect.n_edges - 1
+    with pytest.raises(ValueError, match="induced edges"):
+        medial_domain(g, (0, 0), (2, 2))
+
+
 def test_domain_refuses_single_vertex():
     with pytest.raises(ValueError, match="needs an edge"):
         medial_domain(LatticeGraph([(0, 0)], []), (0, 0), (0, 0))

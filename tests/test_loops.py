@@ -615,6 +615,17 @@ def test_single_edge_degenerate_domain(q):
     assert abs(field.edge_values[dom.e_b] - 1.0) < 1e-12
 
 
+def test_cauchy_riemann_on_faces_of_curve_edges():
+    # the 3x3 box minus (2, 2): the white face of the missing corner cell
+    # has corners carrying f but sides that carry no curve
+    cells = [(x, y) for x in range(3) for y in range(3) if (x, y) != (2, 2)]
+    g = LatticeGraph(cells, [(u, v) for u in cells for v in cells if u < v
+                             and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1])
+    rep = sholo_report(medial_domain(g, (2, 1), (0, 1)))
+    assert rep["cauchy_riemann"] <= 1e-12
+    assert rep["ok"]
+
+
 def test_sholo_report_on_c_shape():
     # the square split reads only vertices whose four sides carry curve to
     # status vertices; a status-only test reaches a side with no medial edge

@@ -420,6 +420,14 @@ def test_rc6v_verify_smallest_torus():
     assert rep["knc_partition_gap"] > 1e-3
 
 
+def test_rc6v_verify_integer_q():
+    # an integer q once failed at q ** -s on an integer array
+    rep, want = rc6v_verify(2, 2, 25), rc6v_verify(2, 2, 25.0)
+    assert rep.keys() == want.keys()
+    for key, value in want.items():
+        assert rep[key] == value, key
+
+
 def test_rc6v_verify_rejects_bad_input():
     with pytest.raises(ValueError):
         rc6v_verify(2, 3, 5.0)
