@@ -11,6 +11,12 @@ factors c1*c1, c1*c0 and c0*c0 - 1. Trace functionals are arrays indexed
 by support mask, summed over supersets with a weighted zeta transform.
 Every function computes these sums exactly unless its caller passes n_max.
 
+Parity masks are read off one int64 word per edge mask, a bit for each
+vertex some edge touches (at most 52): the words of the 2^k masks over
+edges < k are copied to the next 2^k, XOR the endpoint bits of edge k. The
+byte budget counts 17 bytes per mask: the word, its comparison with the
+source word and the int64 index of a hit.
+
 A given n_max selects a capped ensemble, kept as an independent reference.
 Event probabilities cap each current at n_max (c0, c1 become the truncated
 series). The switching check instead enumerates the multigraphs n1 + n2
@@ -53,31 +59,23 @@ def _check_n_max(n_max):
 
 def parity_masks(graph, sources):
     """All edge subsets whose odd-degree vertex set equals sources."""
-    idx = sorted(graph.vertex_index[tuple(x)] for x in sources)
+    idx = [graph.vertex_index[tuple(x)] for x in sources]
     if len(set(idx)) != len(idx):
         raise ValueError("sources must be distinct vertices")
     m = graph.n_edges
     if m > MAX_ENUM_EDGES:
         raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
-    # per mask: the int64 mask, its parity row and the row compared to sources
-    _check_budget((1 << m) * (8 + 2 * graph.n_vertices),
-                  "the parity table over %d edges and %d vertices"
-                  % (m, graph.n_vertices))
-    masks = np.arange(1 << m, dtype=np.int64)
-    par = np.zeros((1 << m, graph.n_vertices), dtype=np.uint8)
+    _check_budget((1 << m) * 17, "the parity words of %d edges" % m)
+    bit = {}
+    for u, v in graph.edge_ends:
+        bit.setdefault(u, 1 << len(bit))
+        bit.setdefault(v, 1 << len(bit))
+    if not set(idx) <= bit.keys():
+        return []
+    par = np.zeros(1 << m, dtype=np.int64)
     for k, (u, v) in enumerate(graph.edge_ends):
-        bit = ((masks >> k) & 1).astype(np.uint8)
-        par[:, u] ^= bit
-        par[:, v] ^= bit
-    want = np.zeros(graph.n_vertices, dtype=np.uint8)
-    want[idx] = 1
-    hit = (par == want).all(axis=1)
-    return [int(f) for f in masks[hit]]
-
-
-def even_subgraphs(graph, sources=()):
-    """Iterator of edge masks eta with boundary d(eta) = sources."""
-    return iter(parity_masks(graph, sources))
+        np.bitwise_xor(par[:1 << k], bit[u] ^ bit[v], out=par[1 << k:2 << k])
+    return np.flatnonzero(par == sum(bit[i] for i in idx)).tolist()
 
 
 def hte_correlation(graph, beta, A):

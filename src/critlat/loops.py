@@ -212,11 +212,6 @@ _WALK_BYTES = 96
 _PROB_BYTES = 32
 
 
-def _slot_table(domain):
-    """The exploration rule over the medial slots, built by the domain."""
-    return domain.slots
-
-
 def _lockstep_field(table, masks, prob, sigma):
     """Sum prob * exp(i sigma W(e, e_b)) over the explorations of masks.
 

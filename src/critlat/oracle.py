@@ -590,11 +590,10 @@ def increasing_events(n_edges):
 def _superset_transform(values, g):
     """T[x] = sum over S >= x of g^(|S \\ x|) values[S], all x at once."""
     out = np.array(values, dtype=float)
-    n = len(out).bit_length() - 1
-    masks = np.arange(len(out))
-    for b in range(n):
-        lower = np.nonzero(((masks >> b) & 1) == 0)[0]
-        out[lower] += g * out[lower | (1 << b)]
+    for b in range(len(out).bit_length() - 1):
+        # rows [:, 0] have bit b clear, rows [:, 1] the same masks with it set
+        v = out.reshape(-1, 2, 1 << b)
+        v[:, 0] += g * v[:, 1]
     return out
 
 

@@ -17,7 +17,6 @@ from critlat.currents import (
     double_current_event,
     double_current_sum,
     even_overlap_trace,
-    even_subgraphs,
     hte_correlation,
     parity_class_sums,
     parity_masks,
@@ -45,9 +44,9 @@ CUBE = LatticeGraph(CUBE_VERTICES,
 
 def test_even_subgraphs_of_cycle():
     # cycle space of the 4-cycle has dimension 1
-    assert sorted(even_subgraphs(SQUARE)) == [0, 0b1111]
+    assert sorted(parity_masks(SQUARE, ())) == [0, 0b1111]
     # sourceless subgraphs of a tree: only the empty one
-    assert list(even_subgraphs(PATH2)) == [0]
+    assert list(parity_masks(PATH2, ())) == [0]
 
 
 def test_parity_masks_adjacent_pair():
@@ -62,6 +61,57 @@ def test_parity_masks_adjacent_pair():
                 deg[SQUARE.vertex_index[v]] += 1
     odd = [i for i, d in enumerate(deg) if d % 2]
     assert odd == sorted(SQUARE.vertex_index[x] for x in [(0, 0), (1, 0)])
+
+
+# the 7-edge rect after 70 isolated vertices: every edge touches a vertex
+# whose index is past 63
+RECT7_ISOLATED = LatticeGraph(
+    [(-1 - i, 0) for i in range(70)] + list(build_rect((0, 2), (0, 1)).vertices),
+    build_rect((0, 2), (0, 1)).edges)
+
+
+@pytest.mark.parametrize("graph", [PATH2, SQUARE, GRID23, CUBE, RECT7_ISOLATED],
+                         ids=["path2", "cycle4", "grid23", "cube",
+                              "rect7_isolated"])
+def test_parity_masks_match_degree_parity(graph):
+    touched = sorted({graph.vertices[i] for e in graph.edge_ends for i in e})
+    x, y, z = touched[0], touched[-1], touched[1]
+    source_sets = [(), (x, y), (x, y, z)]
+    isolated = [v for v in graph.vertices if v not in touched]
+    if isolated:
+        source_sets.append((x, isolated[-1]))
+    for sources in source_sets:
+        want = sorted(graph.vertex_index[v] for v in sources)
+        ref = []
+        for mask in range(1 << graph.n_edges):
+            deg = [0] * graph.n_vertices
+            for k, (u, v) in enumerate(graph.edge_ends):
+                if mask >> k & 1:
+                    deg[u] ^= 1
+                    deg[v] ^= 1
+            if [i for i, d in enumerate(deg) if d] == want:
+                ref.append(mask)
+        assert parity_masks(graph, sources) == ref
+    if isolated:
+        assert parity_masks(graph, (x, isolated[-1])) == []
+        assert graph.vertex_index[x] > 63
+
+
+def test_exact_currents_on_22_edges():
+    g = build_rect((0, 4), (0, 2))
+    assert g.n_edges == 22
+    gap, tail = squared_correlation_gap(g, (0, 0), (4, 2), 0.4)
+    assert gap <= 1e-13 and tail == 0.0
+    rep = verify_switching(g, [(0, 0), (1, 0)], [(0, 0), (4, 2)], 0.4)
+    assert rep["gap"] <= 1e-13 * rep["lhs"] and rep["tail_bound"] == 0.0
+    # the 2^22 int64 parity words take 32 MiB
+    tracemalloc.start()
+    try:
+        parity_masks(g, [(0, 0), (4, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 def test_odd_sources_infeasible():

@@ -22,7 +22,6 @@ from critlat.lattice import (
 )
 from critlat.loops import (
     _lockstep_field,
-    _slot_table,
     build_H,
     contour_check,
     contour_residuals,
@@ -542,7 +541,7 @@ def test_lockstep_walk_half_diamond(q):
         prof = winding_profile(loop_encode(dom, cfg).exploration)
         for e, wind in prof.items():
             want[e] = want.get(e, 0.0) + wt * cmath.exp(1j * sigma * wind)
-    table = _slot_table(dom)
+    table = dom.slots
     got, _, _ = _lockstep_field(table, masks.astype(np.int64), weights, sigma)
     for e, val in zip(table.edges, got):
         assert abs(val - want.get(e, 0.0)) < 1e-12

@@ -23,6 +23,7 @@ from critlat.lattice import (
 )
 from critlat.oracle import (
     MAX_ENUM_EDGES,
+    _superset_transform,
     all_boundary_connection,
     all_even_overlap,
     all_pairs_connectivity,
@@ -330,6 +331,18 @@ def test_cylinder_probabilities_transform():
     for f in (1, 5, 15):
         ev = cylinder_event(SQUARE, [k for k in range(4) if f & (1 << k)])
         assert abs(cp[f] - prob[ev].sum()) < 1e-12
+
+
+@pytest.mark.parametrize("g", [1.0, 0.37])
+def test_superset_transform_matches_direct_sum(g):
+    rng = np.random.default_rng(3)
+    for m in range(7):
+        v = rng.random(1 << m)
+        want = [sum(g ** bin(s & ~x).count("1") * v[s]
+                    for s in range(1 << m) if s & x == x)
+                for x in range(1 << m)]
+        np.testing.assert_allclose(_superset_transform(v, g), want,
+                                   rtol=1e-13, atol=0)
 
 
 def test_fkg_verify_square_and_grid():
