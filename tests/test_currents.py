@@ -437,7 +437,7 @@ def _refused_before_allocating(call, match):
 
 
 def test_parity_masks_refused_before_allocating(monkeypatch):
-    # 31 edges: 2^31 masks and a 2^31 x 20 parity table, about 60 GB
+    # 31 edges: 2^31 masks at 17 bytes of parity words each, about 36 GB
     big = build_rect((0, 4), (0, 3))
     assert big.n_edges == 31
     _refused_before_allocating(lambda: hte_correlation(big, 0.3, [(0, 0), (4, 3)]),

@@ -1,6 +1,7 @@
 """Hexagonal-lattice self-avoiding walks: strip identity, observable, counts."""
 
 import cmath
+import gc
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from critlat.saw import (
     SIGMA,
     X_C,
     HexDomain,
+    _midedge_sums,
     dir_indices,
     identity_check,
     observable,
@@ -31,6 +33,10 @@ COS14 = math.cos(math.pi / 4)
 # exact honeycomb walk counts; the walk sequence is classical
 C_KNOWN = [1, 3, 6, 12, 24, 48, 90, 174, 336, 648, 1218, 2328, 4416]
 B_KNOWN = [1, 1, 2, 2, 6, 6, 18, 18, 54, 54, 170, 170, 542]
+
+# c_n for n = 0..18 (OEIS A001668)
+A001668 = [1, 3, 6, 12, 24, 48, 90, 174, 336, 648, 1218, 2328, 4416, 8388,
+           15780, 29892, 56268, 106200, 199350]
 
 
 def test_strip_domain_smallest():
@@ -304,3 +310,109 @@ def test_domain_is_frozen():
     assert isinstance(d, HexDomain)
     with pytest.raises(AttributeError):
         d.T = 5
+
+
+def _full_midedge_sums(domain, x, sigma):
+    """Every walk from a, both halves, on coordinate tuples and sets."""
+    sums = dict.fromkeys(domain.mid_edges(), 0.0j)
+    sums[A_MID] = sums.get(A_MID, 0.0j) + 1.0
+    start = (2, 0)
+    if start not in domain.vertices:
+        return sums, 0
+    xpow = [x ** n for n in range(len(domain.vertices) + 1)]
+    coef = -1j * sigma * math.pi / 3.0
+    visited = {start}
+    best = [1]
+
+    def go(v, k_in, w, n):
+        vx, vy = v
+        for k in dir_indices(vx):
+            if k == (k_in + 3) % 6:
+                continue
+            wn = w + turn_sign(k_in, k)
+            dx, dy = DIRS[k]
+            sums[(vx + dx // 2, vy + dy // 2)] += cmath.exp(coef * wn) * xpow[n]
+            u = (vx + dx, vy + dy)
+            if u in domain.vertices and u not in visited:
+                best[0] = max(best[0], n + 1)
+                visited.add(u)
+                go(u, k, wn, n + 1)
+                visited.discard(u)
+
+    go(start, 0, 0, 1)
+    return sums, best[0]
+
+
+def _full_counts(n_max):
+    """Walks and bridges from (-2, 0) in all six directions of the start."""
+    c = [1] + [0] * n_max
+    b = [1] + [0] * n_max
+    x0 = -2
+    visited = {(x0, 0)}
+
+    def go(v, n, lo, hi):
+        if n == n_max:
+            return
+        for k in dir_indices(v[0]):
+            dx, dy = DIRS[k]
+            u = (v[0] + dx, v[1] + dy)
+            if u in visited:
+                continue
+            c[n + 1] += 1
+            lo_u, hi_u = min(lo, u[0]), max(hi, u[0])
+            if lo_u > x0 and u[0] == hi_u:
+                b[n + 1] += 1
+            visited.add(u)
+            go(u, n + 1, lo_u, hi_u)
+            visited.discard(u)
+
+    go((x0, 0), 0, math.inf, -math.inf)
+    return c, b
+
+
+@pytest.mark.parametrize("T,L", [(1, 0), (1, 1), (2, 2), (3, 1), (2, 6), (0, 2)])
+@pytest.mark.parametrize("x,sigma", [(X_C, 0.0), (X_C, SIGMA), (0.7, 0.3)])
+def test_midedge_sums_match_full_enumeration(T, L, x, sigma):
+    # the half walk plus its conjugated mirror must equal both halves walked
+    d = strip_domain(T, L)
+    got, got_longest = _midedge_sums(d, x, sigma)
+    ref, ref_longest = _full_midedge_sums(d, x, sigma)
+    assert set(got) == set(ref)
+    assert got_longest == ref_longest
+    for m, val in ref.items():
+        assert abs(got[m] - val) <= 1e-13
+
+
+def test_walk_counts_match_full_enumeration():
+    for n_max in range(15):
+        assert saw_counts(n_max) == _full_counts(n_max)
+
+
+def test_walk_counts_match_oeis():
+    assert saw_counts(18)[0] == A001668
+
+
+def test_midedge_sums_refuse_asymmetric_domain():
+    d = strip_domain(2, 1)
+    lopsided = HexDomain(T=d.T, L=d.L, vertices=d.vertices - {(4, 2)},
+                         interior=d.interior, alpha=d.alpha, beta=d.beta,
+                         eps_top=d.eps_top, eps_bot=d.eps_bot)
+    with pytest.raises(ValueError):
+        _midedge_sums(lopsided, X_C, SIGMA)
+
+
+def test_walks_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        identity_check(2, 2)
+        observable(strip_domain(2, 1))
+        saw_counts(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_identity_on_wider_strips():
+    assert identity_check(4, 2) < 1e-12
+    assert identity_check(5, 1) < 1e-12
