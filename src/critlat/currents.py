@@ -1,15 +1,11 @@
 """High-temperature expansion and the random-current representation.
 
 Currents assign a nonnegative integer to every edge with weight
-w_beta(n) = prod_e beta^{n_e}/n_e!; only the source set (odd-incidence
-vertices) and the trace (edges with n_e > 0) ever enter the identities, so
-sums over currents factorize through per-edge parity classes, whose even
-and odd entry sums are c0 = cosh beta and c1 = sinh beta. A pair of
-currents is then a pair of subgraphs carrying the parities plus a choice
-of extra supported edges where both entries are even, with per-edge
-factors c1*c1, c1*c0 and c0*c0 - 1. Trace functionals are arrays indexed
-by support mask, summed over supersets with a weighted zeta transform.
-Every function computes these sums exactly unless its caller passes n_max.
+w_beta(n) = prod_e beta^{n_e}/n_e!. Only the source set (odd-incidence
+vertices) and the trace (edges with n_e > 0) enter the identities, so every
+current sum is exact over per-edge parity classes, whose even and odd
+entry sums are cosh beta and sinh beta. Trace functionals are arrays
+indexed by support mask, summed over supersets by a weighted zeta transform.
 
 Parity masks are read off one int64 word per edge mask, a bit for each
 vertex some edge touches (at most 52): the words of the 2^k masks over
@@ -17,13 +13,10 @@ edges < k are copied to the next 2^k, XOR the endpoint bits of edge k. The
 byte budget counts 17 bytes per mask: the word, its comparison with the
 source word and the int64 index of a hit.
 
-A given n_max selects a capped ensemble, kept as an independent reference.
-Event probabilities cap each current at n_max (c0, c1 become the truncated
-series). The switching check instead enumerates the multigraphs n1 + n2
-with entries <= n_max and splits each between the two source sets; source
-swapping preserves that family, so the identity holds exactly on it. Only
-this path reads multiplicities (values_fn=). Capped reports carry a
-factorial tail bound on the discarded mass; exact ones report 0.0.
+Only the switching check keeps a capped ensemble, as its independent
+reference: verify_switching(n_max=) enumerates the multigraphs n1 + n2 with
+entries <= n_max and splits each between the two source sets. That family
+is closed under source swapping; only this path reads multiplicities.
 """
 
 from __future__ import annotations
@@ -46,8 +39,8 @@ from .oracle import (
 # multigraph cap of verify_switching(values_fn=) when no n_max is given
 DEFAULT_N_MAX = 8
 
-# largest entry cap, as multigraph entries are int8; every public function
-# taking n_max, or its first call, refuses a larger one before allocating
+# largest entry cap, as multigraph entries are int8; both functions taking
+# n_max refuse a larger one before allocating
 N_MAX_LIMIT = 127
 
 
@@ -78,19 +71,21 @@ def parity_masks(graph, sources):
     return np.flatnonzero(par == sum(bit[i] for i in idx)).tolist()
 
 
-def hte_correlation(graph, beta, A):
-    """tanh-weight ratio sum_{d eta = A} / sum_{d eta = empty}.
+def single_current_sum(graph, A, beta):
+    """sum over d(n) = A of w_beta(n) = cosh^|E| sum_{d eta = A} tanh^|eta|."""
+    ones = np.bitwise_count(np.array(parity_masks(graph, A), dtype=np.int64))
+    return math.cosh(beta) ** graph.n_edges * float(np.sum(math.tanh(beta) ** ones))
 
-    Equals the Ising moment E[sigma_A] at inverse temperature beta; odd |A|
-    gives 0 (with a warning, the sum is empty by parity).
+
+def hte_correlation(graph, beta, A):
+    """tanh-weight ratio sum_{d eta = A} / sum_{d eta = empty} = E[sigma_A].
+
+    Odd |A| gives 0 with a warning: the sum is empty by parity.
     """
     if len(A) % 2 == 1:
         warnings.warn("odd source sets have no even-subgraph expansion")
         return 0.0
-    t = math.tanh(beta)
-    num = sum(t ** bin(mask).count("1") for mask in parity_masks(graph, A))
-    den = sum(t ** bin(mask).count("1") for mask in parity_masks(graph, ()))
-    return num / den
+    return single_current_sum(graph, A, beta) / single_current_sum(graph, (), beta)
 
 
 def current_weight(values, beta):
@@ -98,62 +93,40 @@ def current_weight(values, beta):
     return math.prod(beta ** v / math.factorial(v) for v in values)
 
 
-def parity_class_sums(beta, n_max=None):
-    """(c0, c1): even and odd sums of beta^j/j!, over j <= n_max if given."""
-    if n_max is None:
-        return math.cosh(beta), math.sinh(beta)
-    _check_n_max(n_max)
-    c0 = sum(beta ** j / math.factorial(j) for j in range(0, n_max + 1, 2))
-    c1 = sum(beta ** j / math.factorial(j) for j in range(1, n_max + 1, 2))
-    return c0, c1
-
-
-def truncation_tail_bound(graph, beta, n_max):
-    """Upper bound on the effect of capping double-current entries.
-
-    Each of the two currents can exceed the cap on any edge; the missing
-    mass per edge is at most beta^{n_max+1}/(n_max+1)! e^beta, and the
-    remaining edge sums are each at most e^beta. Uncapped sums lose nothing.
-    """
-    if n_max is None:
-        return 0.0
-    _check_n_max(n_max)
-    m = graph.n_edges
-    t1 = beta ** (n_max + 1) / math.factorial(n_max + 1) * math.exp(beta)
-    return 2.0 * m * t1 * math.exp(beta * (2 * m - 1))
-
-
-def single_current_sum(graph, A, beta, n_max=None):
-    """sum over d(n) = A (entries <= n_max if given) of w_beta(n)."""
-    c0, c1 = parity_class_sums(beta, n_max)
-    m = graph.n_edges
-    return sum(c1 ** bin(mask).count("1") * c0 ** (m - bin(mask).count("1"))
-               for mask in parity_masks(graph, A))
-
-
-def double_current_sum(graph, A, B, beta, n_max=None, trace=None):
-    """sum over d(n1)=A, d(n2)=B (entries <= n_max) of w(n1)w(n2)F(trace).
-
-    trace is an array over support masks of n1+n2 (None for F = 1). The
-    parities are carried by a pair of subgraphs (m1, m2), all pairs at
-    once: edges in both carry c1*c1, edges in one c1*c0, and every extra
-    supported edge has both entries even, not both zero.
-    """
-    c0, c1 = parity_class_sums(beta, n_max)
-    g_both, g_one, g_extra = c1 * c1, c1 * c0, c0 * c0 - 1.0
+def _parity_pairs(graph, A, B):
+    """(m1 | m2, |m1 & m2|, |m1 ^ m2|) over all parity mask pairs of A, B;
+    a source set given twice is enumerated once."""
     ma = np.array(parity_masks(graph, A), dtype=np.int64)
-    mb = np.array(parity_masks(graph, B), dtype=np.int64)
+    mb = (ma if set(map(tuple, A)) == set(map(tuple, B))
+          else np.array(parity_masks(graph, B), dtype=np.int64))
     # per pair: the int64 forced mask, its temporaries and the float64 factors
     _check_budget(len(ma) * len(mb) * 48, "%d x %d parity mask pairs"
                   % (len(ma), len(mb)))
-    forced = ma[:, None] | mb[None, :]
     both = np.bitwise_count(ma[:, None] & mb[None, :])
-    one = np.bitwise_count(forced) - both
+    one = np.bitwise_count(ma[:, None] ^ mb[None, :])
+    return ma[:, None] | mb[None, :], both, one
+
+
+def _pair_sum(graph, pairs, beta, trace):
+    """double_current_sum over the mask pairs of _parity_pairs."""
+    forced, both, one = pairs
+    c0, c1 = math.cosh(beta), math.sinh(beta)
     if trace is None:
-        rest = (1.0 + g_extra) ** (graph.n_edges - both - one)
+        rest = (c0 * c0) ** (graph.n_edges - both - one)
     else:
-        rest = _superset_transform(trace, g_extra)[forced]
-    return float(np.sum(g_both ** both * g_one ** one * rest))
+        rest = _superset_transform(trace, c0 * c0 - 1.0)[forced]
+    return float(np.sum((c1 * c1) ** both * (c1 * c0) ** one * rest))
+
+
+def double_current_sum(graph, A, B, beta, trace=None):
+    """sum over d(n1)=A, d(n2)=B of w(n1)w(n2)F(trace).
+
+    trace is an array over support masks of n1+n2 (None for F = 1). The
+    parities are carried by a pair of subgraphs (m1, m2), all pairs at once:
+    edges in both carry sinh^2, edges in one sinh cosh, and every extra
+    supported edge has both entries even, not both zero.
+    """
+    return _pair_sum(graph, _parity_pairs(graph, A, B), beta, trace)
 
 
 def connected_trace(graph, x, y):
@@ -233,10 +206,9 @@ def verify_switching(graph, A, B, beta, n_max=None, trace=None,
     F is the sure event, an array over support masks (trace=), or a
     vectorized callable on the (n_edges, count) value matrix (values_fn=).
     By default each side is one exact double_current_sum. Given n_max or
-    values_fn (then capped at DEFAULT_N_MAX unless n_max is given), pairs
-    are instead enumerated through their sum s (entries <= n_max) with
-    split weights per source set, so both sides see the same multigraphs
-    and the gap measures agreement of two independent parity enumerations.
+    values_fn (capped at DEFAULT_N_MAX), both sides instead enumerate the
+    multigraphs s = n1 + n2 with entries <= n_max, with split weights per
+    source set: the gap compares two independent parity enumerations.
     """
     if values_fn is not None and n_max is None:
         n_max = DEFAULT_N_MAX
@@ -281,25 +253,23 @@ def verify_switching(graph, A, B, beta, n_max=None, trace=None,
             "n_max": n_max, "ok": bool(gap <= 1e-12 * scale)}
 
 
-def double_current_event(graph, B, beta, n_max=None, trace=None):
+def double_current_event(graph, B, beta, trace=None):
     """P^B[event on the trace] for the two-current measure d(n1)=B, d(n2)=0.
 
-    Returns (probability, tail_bound); trace None means the sure event.
+    trace None means the sure event. Refuses a B that no current carries.
     """
-    tail = truncation_tail_bound(graph, beta, n_max)
-    if trace is None:
-        return 1.0, tail
-    den = double_current_sum(graph, B, (), beta, n_max, None)
-    num = double_current_sum(graph, B, (), beta, n_max, trace)
-    return num / den, tail
+    pairs = _parity_pairs(graph, B, ())
+    den = _pair_sum(graph, pairs, beta, None)
+    if den == 0.0:
+        raise ValueError("no current of positive weight has source set %r" % (B,))
+    return 1.0 if trace is None else _pair_sum(graph, pairs, beta, trace) / den
 
 
-def squared_correlation_gap(graph, x, y, beta, n_max=None):
+def squared_correlation_gap(graph, x, y, beta):
     """|mu^f[sigma_x sigma_y]^2 - P^0[x <-> y in the trace]|."""
-    prob, tail = double_current_event(graph, (), beta, n_max,
-                                      connected_trace(graph, x, y))
+    prob = double_current_event(graph, (), beta, connected_trace(graph, x, y))
     mu = ising_moment(graph, beta, [x, y])
-    return abs(mu * mu - prob), tail
+    return abs(mu * mu - prob)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,8 @@ def crossing_event(graph, rect, direction):
     Requires every edge of the graph to lie inside rect, which is the case
     for the crossing rectangles used here.
     """
+    if direction not in ("horizontal", "vertical"):
+        raise ValueError("direction must be horizontal or vertical")
     x0, y0, x1, y1 = (int(math.floor(c)) for c in rect)
     inside = [i for i, v in enumerate(graph.vertices)
               if x0 <= v[0] <= x1 and y0 <= v[1] <= y1]
@@ -440,6 +442,9 @@ def verify_es_coupling(graph, ps, qs, products=None):
 
     if any(q != int(q) or q < 2 for q in qs):
         raise ValueError("spin side needs integer q >= 2")
+    if products and 2 not in qs:
+        raise ValueError("products are compared at q = 2 only, and qs %r has "
+                         "no 2" % (list(qs),))
     n = graph.n_vertices
     wired = _wired_fix(graph)
     _label_dtype(graph.n_edges, n)  # refuses a label table past the caps

@@ -1,7 +1,9 @@
 """Current sums checked against brute force, spins, and each other."""
 
+import inspect
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,23 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critlat import oracle
+from critlat import currents, oracle
 from critlat.currents import (
-    DEFAULT_N_MAX,
     connected_trace,
     current_weight,
     double_current_event,
     double_current_sum,
     even_overlap_trace,
     hte_correlation,
-    parity_class_sums,
     parity_masks,
     simon_report,
     single_current_sum,
     squared_correlation_gap,
     switching_tail_bound,
     truncated_ineq_checks,
-    truncation_tail_bound,
     u4_value,
     verify_switching,
 )
@@ -100,8 +99,7 @@ def test_parity_masks_match_degree_parity(graph):
 def test_exact_currents_on_22_edges():
     g = build_rect((0, 4), (0, 2))
     assert g.n_edges == 22
-    gap, tail = squared_correlation_gap(g, (0, 0), (4, 2), 0.4)
-    assert gap <= 1e-13 and tail == 0.0
+    assert squared_correlation_gap(g, (0, 0), (4, 2), 0.4) <= 1e-13
     rep = verify_switching(g, [(0, 0), (1, 0)], [(0, 0), (4, 2)], 0.4)
     assert rep["gap"] <= 1e-13 * rep["lhs"] and rep["tail_bound"] == 0.0
     # the 2^22 int64 parity words take 32 MiB
@@ -125,16 +123,6 @@ def test_current_weight():
     assert current_weight([0, 0], 1.3) == 1.0
 
 
-def test_parity_class_sums_approach_cosh_sinh():
-    c0, c1 = parity_class_sums(0.6, DEFAULT_N_MAX)
-    # first omitted terms: j = 10 for the even series, j = 9 for the odd
-    assert abs(c0 - math.cosh(0.6)) < 0.6 ** 10 / math.factorial(10) * 2
-    assert abs(c1 - math.sinh(0.6)) < 0.6 ** 9 / math.factorial(9) * 2
-    c0, c1 = parity_class_sums(0.6, 30)
-    assert abs(c0 - math.cosh(0.6)) < 1e-15
-    assert abs(c1 - math.sinh(0.6)) < 1e-15
-
-
 @pytest.mark.parametrize("beta", [0.25, 0.6, 1.1])
 def test_hte_matches_spin_oracle(beta):
     for A in ([(0, 0), (1, 2)], [(0, 1), (1, 1)],
@@ -145,17 +133,16 @@ def test_hte_matches_spin_oracle(beta):
 
 
 def test_consistency_triangle():
-    # spin moment, tanh-weight ratio, exact and truncated current ratios
+    # spin moment, tanh-weight ratio and current ratio; hte_correlation is
+    # the ratio of single sums, so the current ratio is read off the double
+    # sums Z_xy Z_0 / Z_0 Z_0
     beta, x, y = 0.6, (0, 0), (1, 2)
     spin = potts_two_point(GRID23, 2, beta, x, y)
     hte = hte_correlation(GRID23, beta, [x, y])
-    ratio = (single_current_sum(GRID23, [x, y], beta)
-             / single_current_sum(GRID23, (), beta))
-    deep = (single_current_sum(GRID23, [x, y], beta, n_max=16)
-            / single_current_sum(GRID23, (), beta, n_max=16))
+    ratio = (double_current_sum(GRID23, [x, y], (), beta)
+             / double_current_sum(GRID23, (), (), beta))
     assert abs(spin - hte) < 1e-10
     assert abs(ratio - hte) < 1e-12
-    assert abs(deep - hte) < 1e-12
 
 
 def brute_single_sum(graph, A, beta, n_max):
@@ -173,54 +160,28 @@ def brute_single_sum(graph, A, beta, n_max):
 
 
 def test_single_current_sum_brute_force():
+    # the brute-force caps leave out under 2e-15 of each sum
     for A in ((), [(0, 0), (2, 0)], [(0, 0), (1, 0)]):
-        got = single_current_sum(PATH2, A, 0.7, n_max=5)
-        assert got == pytest.approx(brute_single_sum(PATH2, A, 0.7, 5),
+        got = single_current_sum(PATH2, A, 0.7)
+        assert got == pytest.approx(brute_single_sum(PATH2, A, 0.7, 20),
                                     rel=1e-12)
-    got = single_current_sum(SQUARE, [(0, 0), (0, 1)], 0.9, n_max=3)
+    got = single_current_sum(SQUARE, [(0, 0), (0, 1)], 0.9)
     assert got == pytest.approx(brute_single_sum(SQUARE, [(0, 0), (0, 1)],
-                                                 0.9, 3), rel=1e-12)
-
-
-def brute_double_sum(graph, A, B, beta, n_max, trace):
-    wa = sorted(graph.vertex_index[tuple(x)] for x in A)
-    wb = sorted(graph.vertex_index[tuple(x)] for x in B)
-    ends = [(graph.vertex_index[u], graph.vertex_index[v])
-            for u, v in graph.edges]
-
-    def sources(values):
-        deg = [0] * graph.n_vertices
-        for k, (a, b) in enumerate(ends):
-            deg[a] += values[k]
-            deg[b] += values[k]
-        return [i for i, d in enumerate(deg) if d % 2]
-
-    space = list(itertools.product(range(n_max + 1), repeat=graph.n_edges))
-    ones = [(v, current_weight(v, beta)) for v in space if sources(v) == wa]
-    twos = [(v, current_weight(v, beta)) for v in space if sources(v) == wb]
-    total = 0.0
-    for v1, w1 in ones:
-        for v2, w2 in twos:
-            supp = 0
-            for k in range(graph.n_edges):
-                if v1[k] + v2[k] > 0:
-                    supp |= 1 << k
-            total += w1 * w2 * (1.0 if trace is None else trace[supp])
-    return total
+                                                 0.9, 16), rel=1e-12)
 
 
 @pytest.mark.parametrize("A,B", [((), ()),
                                  ([(0, 0), (1, 0)], [(0, 0), (0, 1)]),
                                  ([(0, 0), (1, 0)], ())])
 def test_double_current_sum_brute_force(A, B):
+    # the left side of the multigraph enumeration, which
+    # test_switching_sides_brute_force checks against brute force; at
+    # n_max = 24 its switching_tail_bound is 2e-17 here
     rng = np.random.default_rng(5)
-    trace = rng.random(1 << SQUARE.n_edges)
-    got = double_current_sum(SQUARE, A, B, 0.8, n_max=3, trace=trace)
-    want = brute_double_sum(SQUARE, A, B, 0.8, 3, trace)
-    assert got == pytest.approx(want, rel=1e-12)
-    got = double_current_sum(SQUARE, A, B, 0.8, n_max=3)
-    want = brute_double_sum(SQUARE, A, B, 0.8, 3, None)
-    assert got == pytest.approx(want, rel=1e-12)
+    for trace in (rng.random(1 << SQUARE.n_edges), None):
+        got = double_current_sum(SQUARE, A, B, 0.8, trace=trace)
+        want = verify_switching(SQUARE, A, B, 0.8, n_max=24, trace=trace)
+        assert got == pytest.approx(want["lhs"], rel=1e-12)
 
 
 def brute_switch_sides(graph, A, B, beta, n_max, trace):
@@ -334,18 +295,51 @@ def test_exact_identities_at_roundoff(graph):
                                    trace=trace)
             assert rep["ok"] and rep["tail_bound"] == 0.0
             assert rep["gap"] <= 1e-13 * max(1.0, rep["lhs"])
-        gap, tail = squared_correlation_gap(graph, v[0], v[-1], beta)
-        assert gap <= 1e-13 and tail == 0.0
-        assert double_current_event(graph, (), beta)[1] == 0.0
+        assert squared_correlation_gap(graph, v[0], v[-1], beta) <= 1e-13
+        assert double_current_event(graph, (), beta) == 1.0
 
 
-def test_squared_correlation_gap_shrinks_with_n_max():
-    gaps = [squared_correlation_gap(SQUARE, (0, 0), (1, 1), 0.9,
-                                    n_max=n)[0]
-            for n in (2, 4, 6, 8)]
-    for lo, hi in zip(gaps[1:], gaps):
-        assert lo <= hi + 1e-15
-    assert gaps[-1] < gaps[0]
+# outputs of the earlier implementation, pinned so that the exact sums stay
+# where they were: single sums for () and (x, y), double sums for
+# ((x, v1), (x, y)) and for ((v1, y), ()) with F = 1[x <-> y], and the
+# probabilities of x <-> y under sources () and (x, v1)
+PREVIOUS_SUMS = {
+    "cycle4": (SQUARE, 0.9, (5.328194770765662, 4.328194770765661,
+                             19.785753068221073, 19.785753068221076,
+                             0.6598624391266021, 0.812319173186625)),
+    "grid23": (GRID23, 0.6, (3.9165430831847985, 1.675916598357044,
+                             4.30815070224979, 4.3081507022497885,
+                             0.18310448745547453, 0.3746318255898514)),
+    "cube": (CUBE, 0.4, (2.9996141679352513, 1.0130005483546123,
+                         1.5518895276107, 1.5518895276107014,
+                         0.11404823497607698, 0.258536113726256)),
+    "rect22": (build_rect((0, 4), (0, 2)), 0.4, (
+        6.763434826229656, 0.36295666114525865, 1.0828553471582565,
+        1.0828553471582574, 0.0028798835258719373, 0.008421964286046302)),
+}
+
+
+@pytest.mark.parametrize("name", list(PREVIOUS_SUMS))
+def test_exact_sums_match_previous_values(name):
+    graph, beta, want = PREVIOUS_SUMS[name]
+    v = graph.vertices
+    x, y = v[0], v[-1]
+    conn = connected_trace(graph, x, y)
+    got = (single_current_sum(graph, (), beta),
+           single_current_sum(graph, [x, y], beta),
+           double_current_sum(graph, [x, v[1]], [x, y], beta),
+           double_current_sum(graph, [v[1], y], (), beta, trace=conn),
+           double_current_event(graph, (), beta, trace=conn),
+           double_current_event(graph, [x, v[1]], beta, trace=conn))
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+
+
+def test_only_the_switching_reference_takes_n_max():
+    takes = {name for name, f in inspect.getmembers(currents, inspect.isfunction)
+             if f.__module__ == currents.__name__ and not name.startswith("_")
+             and "n_max" in inspect.signature(f).parameters}
+    assert takes == {"verify_switching", "switching_tail_bound"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -359,10 +353,9 @@ def test_switching_gap_below_tail(beta, ia, ib):
 
 
 def test_tail_bounds_decrease():
-    for bound in (truncation_tail_bound, switching_tail_bound):
-        tails = [bound(SQUARE, 0.6, n) for n in (2, 4, 8, 12, 16)]
-        assert tails == sorted(tails, reverse=True)
-        assert tails[-1] < 1e-8
+    tails = [switching_tail_bound(SQUARE, 0.6, n) for n in (2, 4, 8, 12, 16)]
+    assert tails == sorted(tails, reverse=True)
+    assert tails[-1] < 1e-8
 
 
 def test_multigraph_cap_refused():
@@ -374,18 +367,41 @@ def test_multigraph_cap_refused():
 def test_squared_correlation_is_sourceless_connection():
     for graph, x, y in ((SQUARE, (0, 0), (1, 1)),
                         (GRID23, (0, 0), (1, 2))):
-        gap, tail = squared_correlation_gap(graph, x, y, 0.5)
-        assert gap <= max(tail, 1e-10)
-        assert gap <= 1e-8
+        assert squared_correlation_gap(graph, x, y, 0.5) <= 1e-10
 
 
 def test_double_current_event_bounds():
     trace = even_overlap_trace(SQUARE, [(0, 0), (1, 1)])
-    prob, tail = double_current_event(SQUARE, [(0, 0), (1, 1)], 0.6,
-                                      trace=trace)
+    prob = double_current_event(SQUARE, [(0, 0), (1, 1)], 0.6, trace=trace)
     assert 0.0 <= prob <= 1.0
-    sure, _ = double_current_event(SQUARE, (), 0.6)
-    assert sure == 1.0
+    assert double_current_event(SQUARE, (), 0.6) == 1.0
+
+
+def test_double_current_event_refuses_infeasible_sources():
+    # odd source sets, and a source on a vertex that no edge touches
+    trace = connected_trace(SQUARE, (0, 0), (1, 1))
+    for graph, B in ((SQUARE, [(0, 0)]), (SQUARE, [(0, 0), (1, 0), (1, 1)]),
+                     (RECT7_ISOLATED, [(0, 0), (-70, 0)])):
+        for tr in (None, trace if graph is SQUARE else None):
+            with pytest.raises(ValueError, match=re.escape(repr(B))):
+                double_current_event(graph, B, 0.6, trace=tr)
+
+
+def test_event_and_gap_enumerate_each_source_set_once(monkeypatch):
+    calls = []
+    real = currents.parity_masks
+
+    def counted(graph, sources):
+        calls.append(list(sources))
+        return real(graph, sources)
+
+    monkeypatch.setattr(currents, "parity_masks", counted)
+    x, y = (0, 0), (1, 2)
+    squared_correlation_gap(GRID23, x, y, 0.6)
+    assert calls == [[]]
+    calls.clear()
+    double_current_event(GRID23, [x, y], 0.6, connected_trace(GRID23, x, y))
+    assert calls == [[x, y], []]
 
 
 def test_u4_nonpositive():
@@ -468,12 +484,6 @@ def test_n_max_past_int8_refused_before_allocating():
     assert abs(rep["lhs"] - rep["rhs"]) <= 1e-12 * rep["rhs"]
     calls = [
         lambda n: verify_switching(edge, ends, ends, 0.3, n_max=n),
-        lambda n: single_current_sum(edge, ends, 0.3, n_max=n),
-        lambda n: double_current_sum(edge, ends, (), 0.3, n_max=n),
-        lambda n: double_current_event(edge, ends, 0.3, n_max=n),
-        lambda n: squared_correlation_gap(edge, (0, 0), (1, 0), 0.3, n_max=n),
-        lambda n: parity_class_sums(0.3, n),
-        lambda n: truncation_tail_bound(edge, 0.3, n),
         lambda n: switching_tail_bound(edge, 0.3, n),
     ]
     for call in calls:

@@ -233,6 +233,15 @@ def test_es_coupling_box_with_interior_vertex():
     assert report["ok"], report
 
 
+def test_es_products_refused_without_q2():
+    # products are compared at q = 2 only; the 4x4-vertex rect is refused
+    # here before its gigabytes of q = 3 spin tables are sized
+    for graph in (GRID23, build_rect((0, 3), (0, 3))):
+        with pytest.raises(ValueError, match="q = 2"):
+            verify_es_coupling(graph, [0.35], [3],
+                               products=[((0, 0), (1, 2))])
+
+
 def test_wired_one_point_matches_boundary_connection():
     p, q = 0.45, 2
     beta = es_beta_from_p(p, q)
@@ -526,6 +535,11 @@ def test_crossing_event_matches_cluster_stats():
         _, lab = cluster_stats(g, _bits(mask, g.n_edges), free_bc(g))
         assert ev[mask] == bool({lab[i] for i in left}
                                 & {lab[j] for j in right})
+
+
+def test_crossing_event_refuses_unknown_direction():
+    with pytest.raises(ValueError, match="horizontal or vertical"):
+        crossing_event(RECT7, (0, 0, 2, 1), "horizontl")
 
 
 def _refused_before_allocating(call):
