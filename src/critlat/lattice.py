@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 * Vertices are integer coordinate tuples; edges are unordered nearest-neighbor
   pairs, indexed lexicographically by (min endpoint, max endpoint).
+* A configuration is a plain sequence of edge bits, bits[k] = 1 when edge k
+  is open; a boundary condition is a partition of the boundary into wired
+  blocks (singletons are free).
 * The planar dual of a full rectangular domain lives on the shifted lattice:
   the unit face with south-west corner (i,j) gets the integer label (i,j); the
   unbounded face gets the label OUTER.
@@ -140,7 +143,7 @@ class LatticeGraph:
     def is_connected(self):
         """At most one cluster when all edges are open (none when empty)."""
         k, _ = cluster_stats(self, (1,) * self.n_edges,
-                             BoundaryCondition("free", ()))
+                             BoundaryCondition(()))
         return k <= 1
 
     def complement_connected(self):
@@ -196,46 +199,21 @@ def build_rect(x_range, y_range):
 
 
 @dataclass(frozen=True)
-class PercolationConfig:
-    """One bit per edge index: 1 = open, 0 = closed."""
-
-    bits: tuple
-
-    @classmethod
-    def from_mask(cls, mask, n_edges):
-        return cls(tuple((mask >> k) & 1 for k in range(n_edges)))
-
-    def mask(self):
-        m = 0
-        for k, b in enumerate(self.bits):
-            if b:
-                m |= 1 << k
-        return m
-
-    def n_open(self):
-        return sum(self.bits)
-
-    def n_closed(self):
-        return len(self.bits) - sum(self.bits)
-
-
-@dataclass(frozen=True)
 class BoundaryCondition:
     """Partition of the boundary into wired blocks (singletons = free)."""
 
-    kind: str
     blocks: tuple  # tuple of tuples of vertex indices
 
 
 def free_bc(graph):
     bd = [graph.vertex_index[v] for v in graph.boundary()]
-    return BoundaryCondition("free", tuple((i,) for i in sorted(bd)))
+    return BoundaryCondition(tuple((i,) for i in sorted(bd)))
 
 
 def wired_bc(graph):
     bd = sorted(graph.vertex_index[v] for v in graph.boundary())
     blocks = (tuple(bd),) if bd else ()
-    return BoundaryCondition("wired", blocks)
+    return BoundaryCondition(blocks)
 
 
 def custom_bc(graph, blocks):
@@ -245,6 +223,8 @@ def custom_bc(graph, blocks):
     out, used = [], set()
     for block in blocks:
         idx = tuple(sorted(graph.vertex_index[tuple(v)] for v in block))
+        if not idx:
+            raise ValueError("boundary-condition block is empty")
         if not set(idx) <= bd:
             raise ValueError(
                 "boundary-condition block not inside the boundary: %s"
@@ -254,27 +234,21 @@ def custom_bc(graph, blocks):
         used |= set(idx)
         out.append(idx)
     out.extend((i,) for i in sorted(bd - used))
-    return BoundaryCondition("custom", tuple(sorted(out)))
+    return BoundaryCondition(tuple(sorted(out)))
 
 
 def dobrushin_bc(graph, a, b):
     """Wire the counterclockwise boundary arc from b to a; the rest is free."""
-    return _wire_arc(graph, boundary_arcs(graph, a, b)[1])
+    return custom_bc(graph, (boundary_arcs(graph, a, b)[1],))
 
 
-def _wire_arc(graph, ba_vertices):
-    return BoundaryCondition(
-        "dobrushin", custom_bc(graph, (ba_vertices,)).blocks)
-
-
-def cluster_stats(graph, config, bc):
+def cluster_stats(graph, bits, bc):
     """Cluster count and labels of the configuration with bc blocks wired.
 
     Returns (k, labels): k clusters after contracting every block of bc;
     labels[i] = smallest vertex index in the cluster of vertex i.
     """
     uf = UnionFind(graph.n_vertices)
-    bits = config.bits if isinstance(config, PercolationConfig) else config
     for k, (u, v) in enumerate(graph.edge_ends):
         if bits[k]:
             uf.union(u, v)
@@ -285,7 +259,7 @@ def cluster_stats(graph, config, bc):
     return len(set(labels)), labels
 
 
-def crossing_detect(graph, config, rect, direction):
+def crossing_detect(graph, bits, rect, direction):
     """Open crossing of the rectangle rect = (x0, y0, x1, y1).
 
     Only edges with both endpoints inside the (floored) rectangle count:
@@ -302,12 +276,11 @@ def crossing_detect(graph, config, rect, direction):
     def inside(v):
         return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
 
-    bits = config.bits if isinstance(config, PercolationConfig) else config
     # an edge (u, v) is one unit step up from u, so u and v are inside iff
     # u clears the lower corner and v the upper one
     kept = [b and x0 <= u[0] and y0 <= u[1] and v[0] <= x1 and v[1] <= y1
             for b, (u, v) in zip(bits, graph.edges)]
-    _, labels = cluster_stats(graph, kept, BoundaryCondition("free", ()))
+    _, labels = cluster_stats(graph, kept, BoundaryCondition(()))
     axis = 0 if direction == "horizontal" else 1
     lo, hi = (x0, x1) if axis == 0 else (y0, y1)
     left = {l for l, v in zip(labels, graph.vertices) if v[axis] == lo and inside(v)}
@@ -420,25 +393,14 @@ def boundary_arcs(graph, a, b):
 class DualGraph:
     """Planar dual: one vertex per face (bounded faces labelled by their
     south-west corner, unbounded face by OUTER); edges[k] crosses primal
-    edge k."""
+    edge k, and dual edge k is open iff primal edge k is closed."""
 
     vertices: tuple
     edges: tuple
-    primal: LatticeGraph
 
 
-def dual_map(graph, config):
-    """Dual graph and dual configuration, omega*_{e*} = 1 - omega_e.
-
-    Applied to a DualGraph it returns the stored primal back (the pairing
-    e <-> e* is an involution; labels translate accordingly).
-    """
-    bits = config.bits if isinstance(config, PercolationConfig) else config
-
-    if isinstance(graph, DualGraph):
-        flipped = PercolationConfig(tuple(1 - b for b in bits))
-        return graph.primal, flipped
-
+def dual_map(graph):
+    """The planar dual of a two-dimensional graph with unit-square faces."""
     if graph.ambient_dim != 2:
         raise ValueError("duality only for d=2")
     faces = _face_orbits(graph)
@@ -459,9 +421,7 @@ def dual_map(graph, config):
     dual_edges = []
     for iu, iv in graph.edge_ends:
         dual_edges.append((face_of_directed[(iu, iv)], face_of_directed[(iv, iu)]))
-    dual = DualGraph(tuple(sorted(set(labels), key=str)), tuple(dual_edges), graph)
-    flipped = PercolationConfig(tuple(1 - b for b in bits))
-    return dual, flipped
+    return DualGraph(tuple(sorted(set(labels), key=str)), tuple(dual_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +461,13 @@ def segment_faces(z, w):
     return cands[1], cands[0]
 
 
-def segment_black(z, w):
-    """The black face bordering the unit medial segment z-w."""
-    return segment_faces(z, w)[0]
-
-
 def oriented_segment(z, w):
     """Orient the medial segment z-w counterclockwise around its black face.
 
     Returns (tail, head); the direction head - tail equals i*(mid - center)
     up to the positive scale, center being the black face center.
     """
-    black = segment_black(z, w)
-    c = face_center(black)
+    c = face_center(segment_faces(z, w)[0])
     mid = complex(z[0] + w[0], z[1] + w[1]) / 2
     d = 1j * (mid - c)
     head = (round(mid.real + d.real), round(mid.imag + d.imag))
@@ -614,7 +568,7 @@ class DobrushinDomain:
         # a (ba) vertex with all four neighbours in the domain still meets
         # the outer face through a missing diagonal cell; custom_bc refuses
         # to wire it, naming it
-        self.bc = _wire_arc(primal, ba_v)
+        self.bc = custom_bc(primal, (ba_v,))
         ba_set = set(ba_e)
         self.free_edges = tuple(k for k in range(primal.n_edges)
                                 if k not in ba_set)
@@ -856,44 +810,3 @@ class DobrushinDomain:
 def medial_domain(primal, a, b):
     """Construct the Dobrushin domain (primal, a, b) with its medial data."""
     return DobrushinDomain(primal, a, b)
-
-
-# ---------------------------------------------------------------------------
-# graph file format: `v x y` / `e x1 y1 x2 y2` / `a x y` / `b x y`
-
-
-def write_graph(path, graph, a=None, b=None):
-    with open(path, "w") as fh:
-        for v in graph.vertices:
-            fh.write("v %s\n" % " ".join(map(str, v)))
-        for u, w in graph.edges:
-            fh.write("e %s %s\n" % (" ".join(map(str, u)), " ".join(map(str, w))))
-        if a is not None:
-            fh.write("a %s\n" % " ".join(map(str, a)))
-        if b is not None:
-            fh.write("b %s\n" % " ".join(map(str, b)))
-
-
-def read_graph(path):
-    """Returns (graph, a, b); a and b are None when absent."""
-    vertices, edges = [], []
-    a = b = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            kind, nums = tok[0], [int(t) for t in tok[1:]]
-            if kind == "v":
-                vertices.append(tuple(nums))
-            elif kind == "e":
-                d = len(nums) // 2
-                edges.append((tuple(nums[:d]), tuple(nums[d:])))
-            elif kind == "a":
-                a = tuple(nums)
-            elif kind == "b":
-                b = tuple(nums)
-            else:
-                raise ValueError("unknown record %r" % kind)
-    return LatticeGraph(vertices, edges), a, b

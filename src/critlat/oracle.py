@@ -147,13 +147,6 @@ def _rc_probabilities(graph, p, q, bc):
                           cluster_count_array(graph, bc), graph.n_edges)
 
 
-def weight_array(graph, p, q, bc):
-    """p^o(w) (1-p)^c(w) q^k(w^xi) for every mask."""
-    return np.exp(_log_weights(p, q, open_count_array(graph.n_edges),
-                               cluster_count_array(graph, bc),
-                               graph.n_edges))
-
-
 def partition_function(graph, p, q, bc):
     """Z = sum_w p^o (1-p)^c q^k."""
     return math.exp(log_partition_function(graph, p, q, bc))
@@ -174,12 +167,6 @@ def rc_expectation(graph, p, q, bc, values):
 
 def rc_probability(graph, p, q, bc, event):
     return rc_expectation(graph, p, q, bc, np.asarray(event, dtype=float))
-
-
-def rc_distribution(graph, p, q, bc):
-    """Exact probability table over all masks and the partition function Z."""
-    prob, log_z = _rc_probabilities(graph, p, q, bc)
-    return prob, math.exp(log_z)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +240,10 @@ def crossing_event(graph, rect, direction):
 
 def cylinder_event(graph, open_edges):
     """All edges of open_edges (edge indices) open."""
+    bad = set(open_edges) - set(range(graph.n_edges))
+    if bad:
+        raise ValueError("edge index %r not in range(%d)"
+                         % (min(bad), graph.n_edges))
     need = sum(1 << k for k in set(open_edges))
     masks = np.arange(1 << graph.n_edges, dtype=np.int64)
     return (masks & need) == need
@@ -345,6 +336,9 @@ def potts_beta_c(q):
 
 
 def _check_color_table(graph, q, fixed):
+    """Refuse a q that is not an integer >= 2, then a table over the budget."""
+    if q != int(q) or q < 2:
+        raise ValueError("spin side needs integer q >= 2, not %r" % (q,))
     n = graph.n_vertices
     configs = q ** (n - len(fixed or {}))
     # the int8 colours and the float64 dots
@@ -360,7 +354,7 @@ def _color_table(graph, q, fixed=None):
     temperature beta is exp(beta * dots).
     """
     _check_color_table(graph, q, fixed)
-    n = graph.n_vertices
+    q, n = int(q), graph.n_vertices
     fixed = fixed or {}
     free = [i for i in range(n) if i not in fixed]
     m = q ** len(free)
@@ -440,15 +434,13 @@ def verify_es_coupling(graph, ps, qs, products=None):
     """
     from .lattice import wired_bc
 
-    if any(q != int(q) or q < 2 for q in qs):
-        raise ValueError("spin side needs integer q >= 2")
     if products and 2 not in qs:
         raise ValueError("products are compared at q = 2 only, and qs %r has "
                          "no 2" % (list(qs),))
     n = graph.n_vertices
     wired = _wired_fix(graph)
     _label_dtype(graph.n_edges, n)  # refuses a label table past the caps
-    for q in set(int(q) for q in qs):
+    for q in set(qs):
         _check_color_table(graph, q, None)
         _check_color_table(graph, q, wired)
 
@@ -520,7 +512,7 @@ def dual_cluster_count_array(graph):
     """kstar[mask] = clusters of the dual of primal mask (open iff e closed)."""
     from .lattice import dual_map
 
-    dual, _ = dual_map(graph, (0,) * graph.n_edges)
+    dual = dual_map(graph)
     index = {v: i for i, v in enumerate(dual.vertices)}
     ends = [(index[f], index[g]) for f, g in dual.edges]
     # dual edge k is open iff primal edge k is closed, so the dual mask of
@@ -619,45 +611,35 @@ def fkg_gap(graph, p, q, bc, ev_a, ev_b):
     return pab - pa * pb
 
 
-def fkg_scan(graph, p, q, mode="verify", bc=None):
+def fkg_scan(graph, p, q, bc=None):
     """Positive-association scan over increasing events.
 
-    verify: requires q >= 1 and |E| <= 8; checks phi[A and B] >= phi[A]phi[B]
-    for every pair from the event class (all increasing events up to 4 edges,
+    Requires q >= 1 and |E| <= 8; checks phi[A and B] >= phi[A]phi[B] for
+    every pair from the event class (all increasing events up to 4 edges,
     all open-cylinder events beyond) and reports the minimal gap.
-    search: scans subgraphs by edge count, then cylinder-event pairs in
-    lexicographic order, and reports the first violating witness (the q < 1
-    counterexample hunt).
     """
     if graph.n_edges > 8:
         raise ValueError("event scan limited to 8 edges")
-    if mode == "verify":
-        if q < 1.0:
-            raise ValueError("verify mode requires q >= 1")
-        if bc is None:
-            bc = free_bc(graph)
-        prob = probability_array(graph, p, q, bc)
-        if graph.n_edges <= 4:
-            events = np.array(increasing_events(graph.n_edges))
-            pe = events @ prob
-            inter = (events * prob) @ events.T
-            gaps = inter - np.outer(pe, pe)
-            return {"mode": mode, "event_class": "increasing",
-                    "n_events": len(events),
-                    "min_gap": float(gaps.min()), "tol": SCAN_TOL,
-                    "ok": bool(gaps.min() >= -SCAN_TOL)}
-        cp = cylinder_probabilities(prob)
-        f = np.arange(1, len(cp))
-        inter = cp[np.bitwise_or.outer(f, f)]
-        gaps = inter - np.outer(cp[f], cp[f])
-        return {"mode": mode, "event_class": "cylinder",
-                "n_events": len(f), "min_gap": float(gaps.min()),
-                "tol": SCAN_TOL, "ok": bool(gaps.min() >= -SCAN_TOL)}
-    if mode != "search":
-        raise ValueError("mode must be verify or search")
-    witness = _fkg_search(graph, p, q)
-    return {"mode": mode, "witness": witness, "tol": SCAN_TOL,
-            "ok": witness is not None}
+    if q < 1.0:
+        raise ValueError("the FKG scan requires q >= 1")
+    if bc is None:
+        bc = free_bc(graph)
+    prob = probability_array(graph, p, q, bc)
+    if graph.n_edges <= 4:
+        events = np.array(increasing_events(graph.n_edges))
+        pe = events @ prob
+        inter = (events * prob) @ events.T
+        gaps = inter - np.outer(pe, pe)
+        return {"event_class": "increasing", "n_events": len(events),
+                "min_gap": float(gaps.min()), "tol": SCAN_TOL,
+                "ok": bool(gaps.min() >= -SCAN_TOL)}
+    cp = cylinder_probabilities(prob)
+    f = np.arange(1, len(cp))
+    inter = cp[np.bitwise_or.outer(f, f)]
+    gaps = inter - np.outer(cp[f], cp[f])
+    return {"event_class": "cylinder", "n_events": len(f),
+            "min_gap": float(gaps.min()), "tol": SCAN_TOL,
+            "ok": bool(gaps.min() >= -SCAN_TOL)}
 
 
 def _fkg_search(graph, p, q):

@@ -6,6 +6,8 @@ is random((n_rows, n_edges))[i, k] drawn from a Philox generator keyed by
 (seed, t). The stream is counter based, so rerunning a coupling from an
 earlier time replays the identical variates at overlapping times, which is
 what coupling-from-the-past requires. Sweeps update edges in index order.
+A plain chain starts all open and reads the block of epoch t at sweep t, so
+the seed fixes its whole trajectory.
 
 The single-edge conditional is oracle.thresholds: P[w_e = 0 | rest] when the
 endpoints of e are connected off e (boundary wiring included) and when they
@@ -62,15 +64,6 @@ class Estimate:
     n_samples: int
     seed: int
     method: str
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Heat-bath chain state; replayable from (seed, graph, params, step)."""
-
-    bits: tuple
-    seed: int
-    step: int
 
 
 def sweep_uniforms(seed, epoch, n_rows, n_edges):
@@ -297,34 +290,13 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
     return result
 
 
-def cftp_sample(graph, p, q, bc, seed):
-    """One exact sample; row 0 of the batch stream for this seed."""
-    return cftp_batch(graph, p, q, bc, seed, 1)[0]
-
-
 # ---------------------------------------------------------------------------
 # plain chains (burn-in sampling; the only option for q < 1)
 
 
-def chain_advance(graph, p, q, bc, state, n_sweeps):
-    """Advance a ChainState by n_sweeps full sweeps (edges in index order)."""
-    m = graph.n_edges
-    thr_c, thr_d = thresholds(p, q)
-    links, ends = _links(graph, bc)
-    bits = _open_state(state.bits)
-    for t in range(state.step, state.step + n_sweeps):
-        u = sweep_uniforms(state.seed, t, 1, m)[0].tolist()
-        _sweep(links, ends, bits, u, thr_c, thr_d)
-    return ChainState(tuple(bits[:m]), state.seed, state.step + n_sweeps)
-
-
-def chain_start(graph, seed):
-    """The all-open state every chain starts from."""
-    return ChainState((1,) * graph.n_edges, seed, 0)
-
-
 def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
-    """(n_samples, m) states of one chain, thinned after burn-in.
+    """(n_samples, m) states of one chain from the all-open state, thinned
+    after burn-in.
 
     Not an exact sampler: the marginal is phi^xi only in the long-chain
     limit, and thinned draws stay correlated. Valid for every q > 0.
@@ -332,7 +304,7 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
     links, ends = _links(graph, bc)
-    bits = _open_state(chain_start(graph, seed).bits)
+    bits = _open_state([1] * m)
     out = np.zeros((n_samples, m), dtype=np.uint8)
     step = 0
     for t in range(burn_in):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from critlat.lattice import (
     LatticeGraph,
-    PercolationConfig,
     UnionFind,
     boundary_arcs,
     boundary_cycle,
@@ -19,9 +18,7 @@ from critlat.lattice import (
     dual_map,
     free_bc,
     medial_domain,
-    read_graph,
     wired_bc,
-    write_graph,
 )
 
 
@@ -78,6 +75,14 @@ def test_cluster_count_monotone_in_bc(mask, data):
     assert k_free - k_wired <= len(bd) - 1
 
 
+def test_custom_bc_refuses_empty_block():
+    g = build_box(1, 2)
+    bd = list(g.boundary())
+    for blocks in ([[]], [bd[:2], []]):
+        with pytest.raises(ValueError, match="empty"):
+            custom_bc(g, blocks)
+
+
 def test_union_find_roots_are_minima():
     uf = UnionFind(6)
     uf.union(5, 3)
@@ -86,13 +91,6 @@ def test_union_find_roots_are_minima():
     uf.union(0, 5)
     assert uf.find(4) == 0
     assert uf.n_classes() == 3
-
-
-def test_percolation_config_mask_roundtrip():
-    c = PercolationConfig.from_mask(0b1011, 5)
-    assert c.bits == (1, 1, 0, 1, 0)
-    assert c.mask() == 0b1011
-    assert c.n_open() == 3 and c.n_closed() == 2
 
 
 def _induced(cells):
@@ -141,32 +139,24 @@ def test_complement_connected_empty_graph():
 def test_dual_unit_square():
     g = build_rect((0, 1), (0, 1))
     assert g.n_edges == 4
-    dual, conf = dual_map(g, (1, 0, 0, 1))
+    dual = dual_map(g)
     assert len(dual.edges) == 4
-    assert conf.bits == (0, 1, 1, 0)
     # one bounded face plus the outer one
     assert len(dual.vertices) == 2
 
 
 def test_dual_involution_and_euler_counts():
-    import random
-
-    rng = random.Random(7)
     g = build_box(2, 2)
-    for _ in range(25):
-        bits = tuple(rng.randint(0, 1) for _ in range(g.n_edges))
-        dual, dconf = dual_map(g, bits)
-        assert len(dual.edges) == g.n_edges
-        assert sum(bits) + dconf.n_open() == g.n_edges
-        back, bconf = dual_map(dual, dconf)
-        assert back is g
-        assert bconf.bits == bits
+    dual = dual_map(g)
+    assert len(dual.edges) == g.n_edges
+    # Euler: |V| - |E| + |F| = 2, the outer face included
+    assert g.n_vertices - g.n_edges + len(dual.vertices) == 2
 
 
 def test_dual_rejects_3d():
     g = build_box(1, 3)
     with pytest.raises(ValueError):
-        dual_map(g, (0,) * g.n_edges)
+        dual_map(g)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +377,3 @@ def test_boundary_arcs_box():
     assert ab_v[0] == (-2, -2) and ab_v[-1] == (2, 2)
     assert ba_v[0] == (2, 2) and ba_v[-1] == (-2, -2)
     assert len(ab_e) == 8 and len(ba_e) == 8
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def test_graph_file_roundtrip(tmp_path):
-    path = tmp_path / "dom.graph"
-    write_graph(path, DIAMOND, a=P1, b=P3)
-    g, a, b = read_graph(path)
-    assert g.vertices == DIAMOND.vertices
-    assert g.edges == DIAMOND.edges
-    assert (a, b) == (P1, P3)

@@ -23,6 +23,7 @@ from critlat.lattice import (
 )
 from critlat.oracle import (
     MAX_ENUM_EDGES,
+    _fkg_search,
     _superset_transform,
     all_boundary_connection,
     all_even_overlap,
@@ -56,13 +57,11 @@ from critlat.oracle import (
     potts_two_point,
     probability_array,
     rc_conditional,
-    rc_distribution,
     rc_probability,
     scan_configs,
     spin_ensemble,
     verify_duality,
     verify_es_coupling,
-    weight_array,
 )
 
 SQUARE = build_rect((0, 1), (0, 1))
@@ -81,6 +80,15 @@ def test_q1_is_bernoulli_product():
         assert np.abs(prob - expected).max() < 1e-14
 
 
+def test_cylinder_event_refuses_out_of_range_edges():
+    g = build_rect((0, 2), (0, 1))
+    assert g.n_edges == 7
+    for bad in ([10], [99], [-1], [0, 7]):
+        with pytest.raises(ValueError, match="not in range"):
+            cylinder_event(g, bad)
+    assert cylinder_event(g, [6]).sum() == 1 << 6
+
+
 def test_single_edge_open_probability():
     p, q = 0.4, 3.0
     ev = cylinder_event(EDGE, [0])
@@ -89,14 +97,16 @@ def test_single_edge_open_probability():
 
 
 def test_point_masses_at_p_0_and_1():
-    prob0, _ = rc_distribution(SQUARE, 0.0, 2.0, free_bc(SQUARE))
-    prob1, _ = rc_distribution(SQUARE, 1.0, 2.0, free_bc(SQUARE))
+    prob0 = probability_array(SQUARE, 0.0, 2.0, free_bc(SQUARE))
+    prob1 = probability_array(SQUARE, 1.0, 2.0, free_bc(SQUARE))
     assert prob0[0] == 1.0 and prob0[1:].sum() == 0.0
     assert prob1[-1] == 1.0 and prob1[:-1].sum() == 0.0
 
 
 def test_distribution_normalizes():
-    prob, z = rc_distribution(BOX1, 0.47, 2.3, dobrushin_bc(BOX1, (1, 1), (-1, -1)))
+    bc = dobrushin_bc(BOX1, (1, 1), (-1, -1))
+    prob = probability_array(BOX1, 0.47, 2.3, bc)
+    z = partition_function(BOX1, 0.47, 2.3, bc)
     assert z > 0
     assert abs(prob.sum() - 1.0) < 1e-12
 
@@ -125,13 +135,11 @@ def test_point_masses_every_entry_point(bc, p, q):
     point = np.zeros(1 << n)
     point[mask] = 1.0
     assert np.array_equal(probability_array(GRID23, p, q, bc), point)
-    prob, z = rc_distribution(GRID23, p, q, bc)
-    assert np.array_equal(prob, point)
+    z = partition_function(GRID23, p, q, bc)
     assert abs(z - q ** k) < 1e-12 * q ** k
-    assert abs(partition_function(GRID23, p, q, bc) - q ** k) < 1e-12 * q ** k
     assert abs(log_partition_function(GRID23, p, q, bc)
                - k * math.log(q)) < 1e-12
-    w = weight_array(GRID23, p, q, bc)
+    w = probability_array(GRID23, p, q, bc) * z
     assert np.count_nonzero(w) == 1
     assert abs(w[mask] - q ** k) < 1e-12 * q ** k
 
@@ -231,6 +239,18 @@ def test_es_coupling_box_with_interior_vertex():
     report = verify_es_coupling(BOX1, [0.35, 0.6], [2, 3],
                                 products=[((0, 0), (1, 1))])
     assert report["ok"], report
+
+
+@pytest.mark.parametrize("q", [1, 2.5, 0])
+def test_spin_side_refuses_non_integer_or_small_q(q):
+    with pytest.raises(ValueError, match="integer q >= 2"):
+        spin_ensemble(SQUARE, q, 0.3)
+    with pytest.raises(ValueError, match="integer q >= 2"):
+        potts_two_point(SQUARE, q, 0.3, (0, 0), (1, 1))
+    with pytest.raises(ValueError, match="integer q >= 2"):
+        potts_one_point_wired(BOX1, q, 0.3, (0, 0))
+    with pytest.raises(ValueError, match="integer q >= 2"):
+        verify_es_coupling(SQUARE, [0.5], [2, q])
 
 
 def test_es_products_refused_without_q2():
@@ -390,10 +410,9 @@ def test_fkg_witness_below_q1():
 
 
 def test_fkg_scan_search_mode():
-    r = fkg_scan(SQUARE, 0.5, 0.5, mode="search")
-    assert r["ok"] and r["witness"]["gap"] < -1e-12
-    r2 = fkg_scan(SQUARE, 0.5, 2.0, mode="search")
-    assert not r2["ok"] and r2["witness"] is None
+    witness = _fkg_search(SQUARE, 0.5, 0.5)
+    assert witness["gap"] < -1e-12
+    assert _fkg_search(SQUARE, 0.5, 2.0) is None
 
 
 def test_mon_scan():
@@ -515,7 +534,7 @@ def test_event_arrays_match_cluster_stats(g, bc):
 @pytest.mark.parametrize("g", [PATH2, SQUARE, GRID23, RECT7, BOX1],
                          ids=["path2", "square", "grid23", "rect7", "box1"])
 def test_dual_counts_match_union_find(g):
-    dual, _ = dual_map(g, (0,) * g.n_edges)
+    dual = dual_map(g)
     index = {v: i for i, v in enumerate(dual.vertices)}
     kstar = dual_cluster_count_array(g)
     for mask in range(1 << g.n_edges):

@@ -25,14 +25,10 @@ from critlat.oracle import (
     rc_probability,
 )
 from critlat.sampler import (
-    ChainState,
     Estimate,
     bits_to_masks,
     cftp_batch,
-    cftp_sample,
-    chain_advance,
     chain_samples,
-    chain_start,
     chi_square_gof,
     conn_off_tables,
     connect_mc,
@@ -187,7 +183,8 @@ def test_cftp_deterministic():
     a = cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 42, 64)
     b = cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 42, 64)
     assert (a == b).all()
-    assert (cftp_sample(SQUARE, 0.5, 2.0, free_bc(SQUARE), 42) == a[0]).all()
+    assert (cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 42, 1)[0]
+            == a[0]).all()
 
 
 def test_cftp_paths_agree():
@@ -215,15 +212,6 @@ def test_cftp_horizon_failure_is_loud():
 
 # ---------------------------------------------------------------------------
 # plain chains
-
-
-def test_chain_replay_composes():
-    bc = free_bc(SQUARE)
-    s0 = chain_start(SQUARE, 77)
-    s1 = chain_advance(SQUARE, 0.5, 2.0, bc, s0, 5)
-    s2 = chain_advance(SQUARE, 0.5, 2.0, bc, s1, 5)
-    direct = chain_advance(SQUARE, 0.5, 2.0, bc, s0, 10)
-    assert s2 == direct
 
 
 def test_chain_matches_oracle_q_below_one():
