@@ -28,8 +28,8 @@ import numpy as np
 
 from .lattice import cluster_stats, free_bc
 from .oracle import (
-    MAX_ENUM_EDGES,
     _check_budget,
+    _check_enum_edges,
     _superset_transform,
     connectivity_event,
     even_overlap_event,
@@ -52,12 +52,11 @@ def _check_n_max(n_max):
 
 def parity_masks(graph, sources):
     """All edge subsets whose odd-degree vertex set equals sources."""
-    idx = [graph.vertex_index[tuple(x)] for x in sources]
+    idx = [graph.index(x) for x in sources]
     if len(set(idx)) != len(idx):
         raise ValueError("sources must be distinct vertices")
     m = graph.n_edges
-    if m > MAX_ENUM_EDGES:
-        raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
+    _check_enum_edges(m)
     _check_budget((1 << m) * 17, "the parity words of %d edges" % m)
     bit = {}
     for u, v in graph.edge_ends:
@@ -297,8 +296,8 @@ def simon_report(graph, beta, x, z, S):
     mu[sigma_y sigma_z]; S must disconnect x from z in the graph: with every
     edge touching S closed, x and z must lie in different clusters.
     """
-    blocked = {graph.vertex_index[tuple(v)] for v in S}
-    ix, iz = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(z)]
+    blocked = {graph.index(v) for v in S}
+    ix, iz = graph.index(x), graph.index(z)
     if ix in blocked or iz in blocked:
         raise ValueError("endpoints must lie outside the separating set")
     bits = [u not in blocked and v not in blocked for u, v in graph.edge_ends]

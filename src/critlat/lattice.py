@@ -5,8 +5,11 @@ Conventions used throughout the package:
 * Vertices are integer coordinate tuples; edges are unordered nearest-neighbor
   pairs, indexed lexicographically by (min endpoint, max endpoint).
 * A configuration is a plain sequence of edge bits, bits[k] = 1 when edge k
-  is open; a boundary condition is a partition of the boundary into wired
-  blocks (singletons are free).
+  is open. A boundary condition lists its wired blocks only: disjoint sorted
+  tuples of at least two boundary vertex indices; every other vertex is
+  free, so the free condition has no block. Wiring is contraction: omega^xi
+  is omega with every vertex replaced by the smallest vertex of its block,
+  the map BoundaryCondition.roots.
 * The planar dual of a full rectangular domain lives on the shifted lattice:
   the unit face with south-west corner (i,j) gets the integer label (i,j); the
   unbounded face gets the label OUTER.
@@ -30,16 +33,19 @@ through a vertex that touches the outer face only through a missing
 diagonal cell, colliding medial status vertices, and a slot table in which
 some arc joins a curve-carrying side to a dead one.
 
-Connectivity in omega^xi goes through one primitive per input shape:
+Connectivity in omega^xi goes through one primitive per input shape, and
+each reads the contraction bc.roots instead of adding links for the wiring:
 
-* one configuration: cluster_stats (is_connected, complement_connected and
-  currents.simon_report call it);
+* one configuration: cluster_stats, a union-find started from the roots
+  (is_connected, complement_connected and currents.simon_report call it);
 * one heat-bath update: sampler._joined_off, an early-exit bidirectional
-  BFS, 5.8x faster per update than a union-find rebuild;
+  BFS over the contracted edges, 5.8x faster per update than a union-find
+  rebuild;
 * sampled batches: sampler._connected_batch, one scipy connected-components
-  call (0.016 s against 0.074 s for per-row cluster_stats on 4096 rows of
-  the 31-edge 5x4-vertex rectangle, 2-core x86_64 host);
-* all 2^|E| masks: oracle._label_table;
+  call over the contracted edges (0.016 s against 0.074 s for per-row
+  cluster_stats on 4096 rows of the 31-edge 5x4-vertex rectangle, 2-core
+  x86_64 host);
+* all 2^|E| masks: oracle._label_table, whose mask-0 row is the roots;
 * all masks on the torus cover: sixvertex._lifted_table, checked against
   the TorusRc walkers.
 UnionFind stays as the reference the tests compare against.
@@ -123,8 +129,9 @@ class LatticeGraph:
             adj[u].append((v, k))
             adj[v].append((u, k))
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self._boundary = tuple(v for v, nbrs in zip(self.vertices, adj)
-                               if len(nbrs) < 2 * ambient_dim)
+        # the boundary() vertices by index, in increasing order
+        self.boundary_indices = tuple(i for i, nbrs in enumerate(adj)
+                                      if len(nbrs) < 2 * ambient_dim)
 
     @property
     def n_vertices(self):
@@ -138,7 +145,16 @@ class LatticeGraph:
         """Vertices x for which some ambient-lattice edge xy is missing from E
         (y ranges over all 2d unit-step neighbors of x, inside or outside V):
         those with fewer than 2d incident edges."""
-        return self._boundary
+        return tuple(self.vertices[i] for i in self.boundary_indices)
+
+    def index(self, v):
+        """The index of vertex v (a coordinate sequence), refusing with a
+        ValueError a vertex that is not in the graph."""
+        v = tuple(v)
+        try:
+            return self.vertex_index[v]
+        except KeyError:
+            raise ValueError("vertex %r is not in the graph" % (v,)) from None
 
     def is_connected(self):
         """At most one cluster when all edges are open (none when empty)."""
@@ -200,40 +216,50 @@ def build_rect(x_range, y_range):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Partition of the boundary into wired blocks (singletons = free)."""
+    """The wired blocks of a boundary condition; every other vertex is free."""
 
-    blocks: tuple  # tuple of tuples of vertex indices
+    blocks: tuple  # sorted tuples of >= 2 vertex indices, in sorted order
+
+    def roots(self, n_vertices):
+        """root[v]: the smallest vertex of v's block, v itself when free.
+
+        Identifying v with root[v] turns omega into omega^xi; each block is a
+        depth-one tree under its smallest vertex, a valid union-find forest.
+        """
+        root = list(range(n_vertices))
+        for block in self.blocks:
+            for v in block:
+                root[v] = block[0]
+        return root
 
 
 def free_bc(graph):
-    bd = [graph.vertex_index[v] for v in graph.boundary()]
-    return BoundaryCondition(tuple((i,) for i in sorted(bd)))
+    return BoundaryCondition(())
 
 
 def wired_bc(graph):
-    bd = sorted(graph.vertex_index[v] for v in graph.boundary())
-    blocks = (tuple(bd),) if bd else ()
-    return BoundaryCondition(blocks)
+    bd = graph.boundary_indices
+    return BoundaryCondition((bd,) if len(bd) > 1 else ())
 
 
 def custom_bc(graph, blocks):
     """Wire the given blocks (vertex coordinate lists); the rest of the
     boundary stays free. Blocks must be disjoint subsets of the boundary."""
-    bd = {graph.vertex_index[v] for v in graph.boundary()}
+    bd = set(graph.boundary_indices)
     out, used = [], set()
     for block in blocks:
-        idx = tuple(sorted(graph.vertex_index[tuple(v)] for v in block))
+        idx = {graph.index(v) for v in block}
         if not idx:
             raise ValueError("boundary-condition block is empty")
-        if not set(idx) <= bd:
+        if not idx <= bd:
             raise ValueError(
                 "boundary-condition block not inside the boundary: %s"
-                % (graph.vertices[min(set(idx) - bd)],))
-        if set(idx) & used:
+                % (graph.vertices[min(idx - bd)],))
+        if idx & used:
             raise ValueError("boundary-condition blocks overlap")
-        used |= set(idx)
-        out.append(idx)
-    out.extend((i,) for i in sorted(bd - used))
+        used |= idx
+        if len(idx) > 1:
+            out.append(tuple(sorted(idx)))
     return BoundaryCondition(tuple(sorted(out)))
 
 
@@ -248,13 +274,11 @@ def cluster_stats(graph, bits, bc):
     Returns (k, labels): k clusters after contracting every block of bc;
     labels[i] = smallest vertex index in the cluster of vertex i.
     """
-    uf = UnionFind(graph.n_vertices)
+    uf = UnionFind(0)
+    uf.parent = bc.roots(graph.n_vertices)  # every block already joined
     for k, (u, v) in enumerate(graph.edge_ends):
         if bits[k]:
             uf.union(u, v)
-    for block in bc.blocks:
-        for i in block[1:]:
-            uf.union(block[0], i)
     labels = tuple(uf.find(i) for i in range(graph.n_vertices))
     return len(set(labels)), labels
 
@@ -562,9 +586,9 @@ class DobrushinDomain:
 
         self.primal = primal
         self.a, self.b = a, b
-        ab_v, ba_v, ab_e, ba_e = boundary_arcs(primal, a, b)
+        ab_v, ba_v, _, ba_e = boundary_arcs(primal, a, b)
         self.ab_vertices, self.ba_vertices = ab_v, ba_v
-        self.ab_edges, self.ba_edges = ab_e, ba_e
+        self.ba_edges = ba_e
         # a (ba) vertex with all four neighbours in the domain still meets
         # the outer face through a missing diagonal cell; custom_bc refuses
         # to wire it, naming it
@@ -619,14 +643,9 @@ class DobrushinDomain:
         self.free_pos = {k: t for t, k in enumerate(self.free_edges)}
 
         # whites of the dual domain: flanks of free edges plus the (ab)* arc
-        dual_edges = {}
-        for k in self.free_edges:
-            u, w = primal.edges[k]
-            f1, f2 = self._flanking_whites(self.black[u], self.black[w])
-            dual_edges[k] = (f1, f2)
-        self.dual_edge_of_free_edge = dual_edges
-        self.whites = frozenset(itertools.chain(
-            self.abstar_whites, *dual_edges.values()))
+        flanks = (self._flanking_whites(self.black[u], self.black[w])
+                  for u, w in (primal.edges[k] for k in self.free_edges))
+        self.whites = frozenset(itertools.chain(self.abstar_whites, *flanks))
         self.slots = self._slot_table()
 
     def _slot_table(self):

@@ -52,11 +52,24 @@ def _check_budget(n_bytes, what):
                          % (what, n_bytes, MAX_TABLE_BYTES))
 
 
-def _label_dtype(n_edges, n_vertices):
-    """dtype of a label table, after refusing one past the caps."""
+def _check_enum_edges(n_edges):
+    """Refuse an enumeration over more than MAX_ENUM_EDGES edges."""
     if n_edges > MAX_ENUM_EDGES:
         raise ValueError("refusing to enumerate more than %d edges"
                          % MAX_ENUM_EDGES)
+
+
+def _check_edges(graph, edges):
+    """Refuse an edge index outside range(graph.n_edges)."""
+    bad = set(edges) - set(range(graph.n_edges))
+    if bad:
+        raise ValueError("edge index %r not in range(%d)"
+                         % (min(bad), graph.n_edges))
+
+
+def _label_dtype(n_edges, n_vertices):
+    """dtype of a label table, after refusing one past the caps."""
+    _check_enum_edges(n_edges)
     dtype = np.dtype(np.uint8 if n_vertices <= 255 else np.uint16)
     _check_budget((1 << n_edges) * n_vertices * dtype.itemsize,
                   "a label table over %d edges and %d vertices"
@@ -64,15 +77,14 @@ def _label_dtype(n_edges, n_vertices):
     return dtype
 
 
-def _label_table(n_vertices, ends, blocks=()):
-    """labels[mask, v] for the graph with edges ends[k] = (u, v) indices,
-    each block of vertex indices wired together. The table is stored vertex
-    by vertex (a transposed view), so every column is contiguous."""
+def _label_table(n_vertices, ends, roots):
+    """labels[mask, v] for the graph with edges ends[k] = (u, v) indices
+    and vertex v identified with roots[v] (the contraction of
+    BoundaryCondition.roots). The table is stored vertex by vertex (a
+    transposed view), so every column is contiguous."""
     cols = np.empty((n_vertices, 1 << len(ends)),
                     dtype=_label_dtype(len(ends), n_vertices))
-    cols[:, 0] = np.arange(n_vertices)
-    for block in blocks:
-        cols[list(block), 0] = min(block)
+    cols[:, 0] = roots
     for k, (u, v) in enumerate(ends):
         half = 1 << k
         cols[:, half:2 * half] = cols[:, :half]
@@ -90,7 +102,8 @@ def scan_configs(graph, bc, leaf=None):
     in omega^xi, with bit k of mask the state of edge k. leaf(mask,
     labels[mask]), if given, is called once per configuration in mask order.
     """
-    labels = _label_table(graph.n_vertices, graph.edge_ends, bc.blocks)
+    labels = _label_table(graph.n_vertices, graph.edge_ends,
+                          bc.roots(graph.n_vertices))
     if leaf is not None:
         for mask, row in enumerate(labels):
             leaf(mask, row)
@@ -112,8 +125,7 @@ def cluster_count_array(graph, bc):
 
 def open_count_array(n_edges):
     """o(omega), as int32, for every configuration mask."""
-    if n_edges > MAX_ENUM_EDGES:
-        raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
+    _check_enum_edges(n_edges)
     masks = np.arange(1 << n_edges, dtype=np.uint32)
     return np.bitwise_count(masks).astype(np.int32)
 
@@ -200,20 +212,16 @@ def _even_overlaps(labels, subsets):
     return out
 
 
-def _boundary_indices(graph):
-    return [graph.vertex_index[v] for v in graph.boundary()]
-
-
 def connectivity_event(graph, bc, x, y):
     """Bool array over masks: x and y in one cluster of omega^xi."""
-    ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
+    ix, iy = graph.index(x), graph.index(y)
     return _pair_events(scan_configs(graph, bc), [(ix, iy)])[0]
 
 
 def boundary_connection_event(graph, bc, x):
     """Bool array over masks: x is connected to some boundary vertex."""
-    ix = graph.vertex_index[tuple(x)]
-    return _joined(scan_configs(graph, bc), _boundary_indices(graph),
+    ix = graph.index(x)
+    return _joined(scan_configs(graph, bc), graph.boundary_indices,
                    [ix])[:, 0]
 
 
@@ -240,10 +248,8 @@ def crossing_event(graph, rect, direction):
 
 def cylinder_event(graph, open_edges):
     """All edges of open_edges (edge indices) open."""
-    bad = set(open_edges) - set(range(graph.n_edges))
-    if bad:
-        raise ValueError("edge index %r not in range(%d)"
-                         % (min(bad), graph.n_edges))
+    _check_enum_edges(graph.n_edges)
+    _check_edges(graph, open_edges)
     need = sum(1 << k for k in set(open_edges))
     masks = np.arange(1 << graph.n_edges, dtype=np.int64)
     return (masks & need) == need
@@ -262,13 +268,13 @@ def all_boundary_connection(graph, bc):
     containing a boundary vertex of omega^xi."""
     labels = scan_configs(graph, bc)
     return np.ascontiguousarray(_joined(
-        labels, _boundary_indices(graph), range(graph.n_vertices)).T)
+        labels, graph.boundary_indices, range(graph.n_vertices)).T)
 
 
 def all_even_overlap(graph, bc, subsets):
     """One scan; row r is the event that every cluster of omega^xi meets
     subsets[r] (a vertex tuple) an even number of times."""
-    idx = [[graph.vertex_index[tuple(x)] for x in A] for A in subsets]
+    idx = [[graph.index(x) for x in A] for A in subsets]
     return _even_overlaps(scan_configs(graph, bc), idx)
 
 
@@ -293,6 +299,7 @@ def _joined_off_rows(labels, ends, k, masks):
 def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
     """P[w_e = 1 | rest] for the configuration rest_mask off e: one minus
     the threshold of thresholds(p, q) that applies."""
+    _check_edges(graph, [edge_k])
     bits = [k != edge_k and (rest_mask >> k) & 1
             for k in range(graph.n_edges)]
     _, labels = cluster_stats(graph, bits, bc)
@@ -303,6 +310,7 @@ def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
 def edge_conditional_gap(graph, p, q, bc, edge_k):
     """Worst deviation of thresholds(p, q) from P[w_e = 0 | rest] computed
     from the weights, over all 2^(|E|-1) rest configurations."""
+    _check_edges(graph, [edge_k])
     n = graph.n_edges
     labels = scan_configs(graph, bc)
     lw = _log_weights(p, q, open_count_array(n), _count_roots(labels), n)
@@ -335,10 +343,15 @@ def potts_beta_c(q):
     return (q - 1.0) / q * math.log(1.0 + math.sqrt(q))
 
 
-def _check_color_table(graph, q, fixed):
-    """Refuse a q that is not an integer >= 2, then a table over the budget."""
+def _check_spin_q(q):
+    """Refuse a q that is not an integer >= 2: the spin side has q colours."""
     if q != int(q) or q < 2:
         raise ValueError("spin side needs integer q >= 2, not %r" % (q,))
+
+
+def _check_color_table(graph, q, fixed):
+    """Refuse a q that is not an integer >= 2, then a table over the budget."""
+    _check_spin_q(q)
     n = graph.n_vertices
     configs = q ** (n - len(fixed or {}))
     # the int8 colours and the float64 dots
@@ -379,38 +392,39 @@ def spin_ensemble(graph, q, beta, fixed=None):
 
 def _wired_fix(graph):
     """Every boundary spin fixed to the color 0."""
-    return dict.fromkeys(_boundary_indices(graph), 0)
+    return dict.fromkeys(graph.boundary_indices, 0)
 
 
 def potts_two_point(graph, q, beta, x, y):
     """mu^f[sigma_x . sigma_y] under free boundary conditions."""
+    ix, iy = graph.index(x), graph.index(y)
     colors, w = spin_ensemble(graph, q, beta)
-    ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
     dot = np.where(colors[:, ix] == colors[:, iy], 1.0, -1.0 / (q - 1.0))
     return float(w @ dot) / float(w.sum())
 
 
 def potts_one_point_wired(graph, q, beta, x):
     """mu^b[sigma_x . b] with boundary spins wired to the color b = 0."""
+    ix = graph.index(x)
     colors, w = spin_ensemble(graph, q, beta, _wired_fix(graph))
-    ix = graph.vertex_index[tuple(x)]
     dot = np.where(colors[:, ix] == 0, 1.0, -1.0 / (q - 1.0))
     return float(w @ dot) / float(w.sum())
 
 
 def ising_moment(graph, beta, A, plus_boundary=False):
     """E[prod_{x in A} sigma_x] for q = 2 spins in {-1, +1}."""
+    idx = [graph.index(x) for x in A]
     fixed = _wired_fix(graph) if plus_boundary else None
     colors, w = spin_ensemble(graph, 2, beta, fixed)
     s = np.ones(len(w))
-    for x in A:
-        s *= 1.0 - 2.0 * colors[:, graph.vertex_index[tuple(x)]]
+    for i in idx:
+        s *= 1.0 - 2.0 * colors[:, i]
     return float(w @ s) / float(w.sum())
 
 
 def even_overlap_event(graph, bc, A):
     """Every cluster of omega^xi meets A an even number of times."""
-    idx = [graph.vertex_index[tuple(x)] for x in A]
+    idx = [graph.index(x) for x in A]
     return _even_overlaps(scan_configs(graph, bc), [idx])[0]
 
 
@@ -438,6 +452,7 @@ def verify_es_coupling(graph, ps, qs, products=None):
         raise ValueError("products are compared at q = 2 only, and qs %r has "
                          "no 2" % (list(qs),))
     n = graph.n_vertices
+    prod_idx = [[graph.index(x) for x in A] for A in products or ()]
     wired = _wired_fix(graph)
     _label_dtype(graph.n_edges, n)  # refuses a label table past the caps
     for q in set(qs):
@@ -450,13 +465,11 @@ def verify_es_coupling(graph, ps, qs, products=None):
     k0 = _count_roots(labels)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     conn = _pair_events(labels, pairs)
-    prod_idx = [[graph.vertex_index[tuple(x)] for x in A]
-                for A in products or ()]
     prod_events = _even_overlaps(labels, prod_idx)
     labels = scan_configs(graph, wired_bc(graph))
     k1 = _count_roots(labels)
     bconn = np.ascontiguousarray(
-        _joined(labels, _boundary_indices(graph), range(n)).T)
+        _joined(labels, graph.boundary_indices, range(n)).T)
     del labels
 
     keys = ("pair_max_err", "wired_max_err", "product_max_err")
@@ -517,7 +530,8 @@ def dual_cluster_count_array(graph):
     ends = [(index[f], index[g]) for f, g in dual.edges]
     # dual edge k is open iff primal edge k is closed, so the dual mask of
     # primal mask is 2^|E| - 1 - mask: the dual counts read backwards
-    return _count_roots(_label_table(len(dual.vertices), ends))[::-1]
+    return _count_roots(_label_table(len(dual.vertices), ends,
+                                     range(len(dual.vertices))))[::-1]
 
 
 def _duality_sums(graph, p, q):
@@ -766,7 +780,7 @@ def phi_sum(S, p, d=2):
     labels = scan_configs(g, free_bc(g))
     prob, _ = _probabilities(p, 1.0, open_count_array(g.n_edges),
                              _count_roots(labels), g.n_edges)
-    root = labels[:, g.vertex_index[origin]]
+    root = labels[:, g.index(origin)]
     total = 0.0
     for x in S:
         n_out = 0
@@ -778,5 +792,5 @@ def phi_sum(S, p, d=2):
                     n_out += 1
         if n_out:
             total += n_out * float(
-                prob[labels[:, g.vertex_index[x]] == root].sum())
+                prob[labels[:, g.index(x)] == root].sum())
     return p * total

@@ -19,12 +19,13 @@ decrease in p, which gives the shared-variate monotonicity in p.
 Whether the endpoints of e are connected off e is answered by one helper,
 `_joined_off`: a bidirectional breadth-first search from the two endpoints
 over the open edges other than e, stopping as soon as the two sides meet.
-Its adjacency is built once per (graph, bc); every wired block of bc adds a
-hub node joined to its vertices by always-open links. The answer is the
-boolean a union-find over all open edges gives, so the variates consumed,
-the trajectories and the coupling argument above do not depend on how it is
-computed. Small graphs in coupling from the past read the same boolean from
-precomputed tables instead (`conn_off_tables`).
+Its adjacency is built once per (graph, bc) on the contracted graph: every
+edge end is replaced by the smallest vertex of its wired block (bc.roots),
+so a state list holds the edge bits only and wiring counts as connection.
+The answer is the boolean a union-find over all open edges gives, so the
+variates consumed, the trajectories and the coupling argument above do not
+depend on how it is computed. Small graphs in coupling from the past read
+the same boolean from precomputed tables instead (`conn_off_tables`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import cluster_stats, free_bc
-from .oracle import _joined_off_rows, scan_configs, thresholds
+from .oracle import (
+    _check_edges,
+    _check_spin_q,
+    _joined_off_rows,
+    scan_configs,
+    thresholds,
+)
 
 
 # doubling horizons 1, 2, 4, ... are capped here; reaching the cap is an
@@ -89,23 +96,15 @@ def sweep_uniforms(seed, epoch, n_rows, n_edges):
 def _links(graph, bc):
     """(links, ends) for the single-edge conditional, once per (graph, bc).
 
-    ends[k] is the vertex pair of edge k, and links[v] lists (w, k) for every
-    edge k joining v and w. Each wired block of bc adds a hub node joined to
-    its vertices by links numbered m = n_edges; a state list carries a
-    trailing 1 at index m, so hub links are always open and wiring counts as
-    connection.
+    ends[k] is the pair of block roots (bc.roots) of the endpoints of edge
+    k, and links[v] lists (w, k) for every edge k joining roots v and w.
     """
-    m = graph.n_edges
-    ends = graph.edge_ends
-    wired = [block for block in bc.blocks if len(block) > 1]
-    links = [[] for _ in range(graph.n_vertices + len(wired))]
+    root = bc.roots(graph.n_vertices)
+    ends = [(root[u], root[v]) for u, v in graph.edge_ends]
+    links = [[] for _ in range(graph.n_vertices)]
     for k, (a, b) in enumerate(ends):
         links[a].append((b, k))
         links[b].append((a, k))
-    for hub, block in enumerate(wired, start=graph.n_vertices):
-        for v in block:
-            links[v].append((hub, m))
-            links[hub].append((v, m))
     return links, ends
 
 
@@ -143,19 +142,15 @@ def _sweep(links, ends, state, u, thr_c, thr_d):
         state[k] = 1 if u[k] >= thr else 0
 
 
-def _open_state(bits):
-    """Heat-bath state list: the edge bits and the always-open hub slot."""
-    return [int(b) for b in bits] + [1]
-
-
 def heatbath_step(graph, bits, edge_k, u, p, q, bc):
     """One heat-bath update of edge_k driven by the uniform u.
 
     Returns the new bits tuple; the edge is opened iff u >= P[w_e=0|rest].
     """
+    _check_edges(graph, [edge_k])
     links, ends = _links(graph, bc)
     x, y = ends[edge_k]
-    conn = _joined_off(links, _open_state(bits), x, y, edge_k)
+    conn = _joined_off(links, bits, x, y, edge_k)
     thr_c, thr_d = thresholds(p, q)
     out = list(bits)
     out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
@@ -166,25 +161,23 @@ def _connected_batch(graph, bc, bits_batch, src, dst):
     """Per-row indicator that some src vertex joins some dst vertex.
 
     One connected-components call on the block-diagonal graph of the batch:
-    row r's open edges join vertices offset by r * n_vertices, and each
-    wired block of bc is joined in every row.
+    row r's open edges join the block roots (bc.roots) of their endpoints,
+    offset by r * n_vertices, and src and dst are read at their roots.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n_rows, n = bits_batch.shape[0], graph.n_vertices
-    ends = np.array(graph.edge_ends, dtype=np.int32).reshape(-1, 2)
-    wires = np.array([(block[0], i) for block in bc.blocks
-                      for i in block[1:]], dtype=np.int32).reshape(-1, 2)
+    root = np.array(bc.roots(n), dtype=np.int32)
+    ends = root[np.array(graph.edge_ends, dtype=np.int32).reshape(-1, 2)]
     offset = np.arange(0, n_rows * n, n, dtype=np.int32)[:, None]
     is_open = bits_batch.astype(bool, copy=False)
-    a = np.concatenate([(offset + ends[:, 0])[is_open],
-                        (offset + wires[:, 0]).ravel()])
-    b = np.concatenate([(offset + ends[:, 1])[is_open],
-                        (offset + wires[:, 1]).ravel()])
+    a = (offset + ends[:, 0])[is_open]
+    b = (offset + ends[:, 1])[is_open]
     adj = csr_matrix((np.ones(a.size), (a, b)), shape=(n_rows * n,) * 2)
     _, labels = connected_components(adj, directed=False)
     labels = labels.reshape(n_rows, n)
+    src, dst = root[list(src)], root[list(dst)]
     hit = labels[:, src][:, :, None] == labels[:, dst][:, None, :]
     return hit.any(axis=(1, 2))
 
@@ -260,8 +253,8 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
             top = np.full(active.size, full, dtype=np.int64)
             bot = np.zeros(active.size, dtype=np.int64)
         else:
-            top = [_open_state([1] * m) for _ in active]
-            bot = [_open_state([0] * m) for _ in active]
+            top = [[1] * m for _ in active]
+            bot = [[0] * m for _ in active]
         for t in range(-horizon, 0):
             u = sweep_uniforms(seed, t, n_samples, m)[active]
             if tables is not None:
@@ -281,8 +274,8 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
             top = ((top[:, None] >> shifts) & 1).astype(np.uint8)
             bot = ((bot[:, None] >> shifts) & 1).astype(np.uint8)
         else:
-            top = np.array(top, dtype=np.uint8)[:, :m]
-            bot = np.array(bot, dtype=np.uint8)[:, :m]
+            top = np.array(top, dtype=np.uint8)
+            bot = np.array(bot, dtype=np.uint8)
         done = (top == bot).all(axis=1)
         result[active[done]] = top[done]
         active = active[~done]
@@ -304,7 +297,7 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
     links, ends = _links(graph, bc)
-    bits = _open_state([1] * m)
+    bits = [1] * m
     out = np.zeros((n_samples, m), dtype=np.uint8)
     step = 0
     for t in range(burn_in):
@@ -316,7 +309,7 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
             u = sweep_uniforms(seed, step, 1, m)[0].tolist()
             _sweep(links, ends, bits, u, thr_c, thr_d)
             step += 1
-        out[i] = bits[:m]
+        out[i] = bits
     return out
 
 
@@ -327,9 +320,11 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
 def es_forward(graph, bits, q, rng, bc=None, boundary_color=None):
     """Spins from clusters: one uniform color per cluster of omega^xi.
 
-    boundary_color forces every cluster that meets the graph boundary to
-    that color (the monochromatic boundary condition).
+    q must be an integer >= 2, as on the spin side. boundary_color forces
+    every cluster that meets the graph boundary to that color (the
+    monochromatic boundary condition).
     """
+    _check_spin_q(q)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     if bc is None:
@@ -339,8 +334,8 @@ def es_forward(graph, bits, q, rng, bc=None, boundary_color=None):
     color_of = {r: int(c) for r, c in
                 zip(roots, rng.integers(0, q, size=len(roots)))}
     if boundary_color is not None:
-        for v in graph.boundary():
-            color_of[labels[graph.vertex_index[v]]] = boundary_color
+        for i in graph.boundary_indices:
+            color_of[labels[i]] = boundary_color
     return np.array([color_of[labels[i]] for i in range(graph.n_vertices)],
                     dtype=np.int8)
 
@@ -427,7 +422,7 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
 def connect_mc(graph, p, q, bc, x, y, n_samples, seed, method="cftp"):
     """Estimate of phi[x <-> y in omega^xi]."""
 
-    ix, iy = graph.vertex_index[tuple(x)], graph.vertex_index[tuple(y)]
+    ix, iy = graph.index(x), graph.index(y)
     batch = _draw(graph, p, q, bc, seed, n_samples, method, CHAIN_BURN_IN,
                   CHAIN_THIN)
     hits = int(_connected_batch(graph, bc, batch, [ix], [iy]).sum())

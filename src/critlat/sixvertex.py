@@ -91,8 +91,8 @@ import numpy as np
 
 from .oracle import (
     _MERGE_MASKS,
-    MAX_ENUM_EDGES,
     _check_budget,
+    _check_enum_edges,
     _log_weights,
     open_count_array,
     p_self_dual,
@@ -667,8 +667,7 @@ class TorusRc:
         before any is built.
         """
         E = self.n_edges
-        if E > MAX_ENUM_EDGES:
-            raise ValueError("refusing to enumerate more than %d edges" % MAX_ENUM_EDGES)
+        _check_enum_edges(E)
         graphs = {
             "loop": (2 * self.M * self.P, self._medial_links(),
                      (2 * self.M, 2 * self.P)),

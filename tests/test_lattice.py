@@ -75,6 +75,46 @@ def test_cluster_count_monotone_in_bc(mask, data):
     assert k_free - k_wired <= len(bd) - 1
 
 
+def test_bc_holds_wired_blocks_and_contracts_to_roots():
+    g = build_box(1, 2)
+    n, bd = g.n_vertices, g.boundary_indices
+    assert free_bc(g).blocks == ()
+    assert free_bc(g).roots(n) == list(range(n))
+    assert wired_bc(g).blocks == (bd,)
+    assert wired_bc(g).roots(n) == [bd[0] if v in bd else v for v in range(n)]
+    # a one-vertex block wires nothing and is not stored
+    bc = custom_bc(g, [[(1, 1)], [(1, 0), (-1, -1)]])
+    i, j, k = g.index((-1, -1)), g.index((1, 0)), g.index((1, 1))
+    assert bc.blocks == ((i, j),)
+    assert bc.roots(n)[j] == i and bc.roots(n)[k] == k
+
+
+def _missing_vertex_calls():
+    from critlat import currents, oracle, sampler
+
+    g = build_rect((0, 2), (0, 1))
+    far = (9, 9)
+    return {
+        "custom_bc": lambda: custom_bc(g, [[(0, 0), far]]),
+        "connectivity_event": lambda: oracle.connectivity_event(
+            g, free_bc(g), (0, 0), far),
+        "ising_moment": lambda: oracle.ising_moment(g, 0.3, [(0, 0), far]),
+        "verify_es_coupling": lambda: oracle.verify_es_coupling(
+            g, [0.5], [2], products=[[(0, 0), far]]),
+        "parity_masks": lambda: currents.parity_masks(g, [(0, 0), far]),
+        "simon_report": lambda: currents.simon_report(
+            g, 0.3, (0, 0), far, [(1, 0), (1, 1)]),
+        "connect_mc": lambda: sampler.connect_mc(
+            g, 0.5, 2.0, free_bc(g), (0, 0), far, 10, 1),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_missing_vertex_calls()))
+def test_missing_vertex_refused_by_name(entry):
+    with pytest.raises(ValueError, match=r"vertex \(9, 9\) is not in"):
+        _missing_vertex_calls()[entry]()
+
+
 def test_custom_bc_refuses_empty_block():
     g = build_box(1, 2)
     bd = list(g.boundary())
@@ -367,7 +407,7 @@ def test_dobrushin_bc_wires_ba_arc():
     sizes = sorted(len(b) for b in bc.blocks)
     assert sizes == [4]
     bc = dobrushin_bc(DIAMOND, P1, P3)
-    assert sorted(len(b) for b in bc.blocks) == [1, 3]
+    assert sorted(len(b) for b in bc.blocks) == [3]
 
 
 def test_boundary_arcs_box():

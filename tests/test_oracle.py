@@ -63,6 +63,7 @@ from critlat.oracle import (
     verify_duality,
     verify_es_coupling,
 )
+from critlat.sampler import es_forward, heatbath_step
 
 SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
@@ -156,6 +157,9 @@ def test_enumeration_cap_refused():
     assert big.n_edges > MAX_ENUM_EDGES
     with pytest.raises(ValueError):
         partition_function(big, 0.5, 1.0, free_bc(big))
+    # refused before its 2^40 masks are allocated
+    with pytest.raises(ValueError, match="more than %d" % MAX_ENUM_EDGES):
+        cylinder_event(big, [0])
 
 
 def test_conditional_closed_form_all_bcs():
@@ -168,6 +172,17 @@ def test_conditional_closed_form_all_bcs():
     assert rc_conditional(EDGE, 0.37, 1.0, free_bc(EDGE), 0, 0) == 0.37
     got = rc_conditional(SQUARE, 0.5, 2.0, free_bc(SQUARE), 0, 0)
     assert abs(got - 1.0 / 3.0) < 1e-15
+
+
+def test_edge_index_refused_before_use():
+    bc = free_bc(SQUARE)
+    for bad in (4, 99, -1):
+        with pytest.raises(ValueError, match="not in range"):
+            rc_conditional(SQUARE, 0.5, 2.0, bc, bad, 0)
+        with pytest.raises(ValueError, match="not in range"):
+            edge_conditional_gap(SQUARE, 0.5, 2.0, bc, bad)
+        with pytest.raises(ValueError, match="not in range"):
+            heatbath_step(SQUARE, (1, 1, 1, 1), bad, 0.5, 0.5, 2.0, bc)
 
 
 def test_perturbed_threshold_fails_conditional_gap(monkeypatch):
@@ -251,6 +266,8 @@ def test_spin_side_refuses_non_integer_or_small_q(q):
         potts_one_point_wired(BOX1, q, 0.3, (0, 0))
     with pytest.raises(ValueError, match="integer q >= 2"):
         verify_es_coupling(SQUARE, [0.5], [2, q])
+    with pytest.raises(ValueError, match="integer q >= 2"):
+        es_forward(SQUARE, (1, 0, 0, 0), q, 5)
 
 
 def test_es_products_refused_without_q2():

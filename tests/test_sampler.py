@@ -407,7 +407,7 @@ def test_joined_off_matches_tables(graph, bc):
     tables = conn_off_tables(graph, bc)
     links, ends = _links(graph, bc)
     for mask in range(1 << m):
-        state = [(mask >> j) & 1 for j in range(m)] + [1]
+        state = [(mask >> j) & 1 for j in range(m)]
         for k, (x, y) in enumerate(ends):
             assert _joined_off(links, state, x, y, k) == tables[k][mask]
 
