@@ -48,7 +48,10 @@ each reads the contraction bc.roots instead of adding links for the wiring:
 * all 2^|E| masks: oracle._label_table, whose mask-0 row is the roots;
 * all masks on the torus cover: sixvertex._lifted_table, checked against
   the TorusRc walkers.
-UnionFind stays as the reference the tests compare against.
+UnionFind stays as the reference the tests compare against. An open
+crossing of a rectangle is one more connectivity event, with no primitive of
+its own: oracle.crossing_event reads it for all masks from the label table,
+and sampler.crossing_mc from _connected_batch for sampled batches.
 """
 
 from __future__ import annotations
@@ -91,9 +94,6 @@ class UnionFind:
             rx, ry = ry, rx
         self.parent[ry] = rx
         return True
-
-    def n_classes(self):
-        return sum(1 for x, p in enumerate(self.parent) if x == p)
 
 
 class LatticeGraph:
@@ -281,35 +281,6 @@ def cluster_stats(graph, bits, bc):
             uf.union(u, v)
     labels = tuple(uf.find(i) for i in range(graph.n_vertices))
     return len(set(labels)), labels
-
-
-def crossing_detect(graph, bits, rect, direction):
-    """Open crossing of the rectangle rect = (x0, y0, x1, y1).
-
-    Only edges with both endpoints inside the (floored) rectangle count:
-    the others are closed before cluster_stats labels the clusters.
-    direction "horizontal" joins x = x0 to x = x1, "vertical" joins
-    y = y0 to y = y1.
-    """
-    import math
-
-    x0, y0, x1, y1 = (int(math.floor(c)) for c in rect)
-    if direction not in ("horizontal", "vertical"):
-        raise ValueError("direction must be horizontal or vertical")
-
-    def inside(v):
-        return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
-
-    # an edge (u, v) is one unit step up from u, so u and v are inside iff
-    # u clears the lower corner and v the upper one
-    kept = [b and x0 <= u[0] and y0 <= u[1] and v[0] <= x1 and v[1] <= y1
-            for b, (u, v) in zip(bits, graph.edges)]
-    _, labels = cluster_stats(graph, kept, BoundaryCondition(()))
-    axis = 0 if direction == "horizontal" else 1
-    lo, hi = (x0, x1) if axis == 0 else (y0, y1)
-    left = {l for l, v in zip(labels, graph.vertices) if v[axis] == lo and inside(v)}
-    right = {l for l, v in zip(labels, graph.vertices) if v[axis] == hi and inside(v)}
-    return bool(left & right)
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +598,12 @@ class DobrushinDomain:
         tail, head = e_b
         d = (head[0] - tail[0], head[1] - tail[1])
         k_rot = {(1, 0): 0, (0, 1): 3, (-1, 0): 2, (0, -1): 1}[d]
-        self.rotation = k_rot
         rp = lambda p: rotate_point(p, k_rot)
         rf = lambda f: rotate_face(f, k_rot)
 
         self.black = {v: rf(black[v]) for v in primal.vertices}
         self.blacks = frozenset(rf(f) for f in blacks)
-        self.medial_of_edge = {k: rp(z) for k, z in mid.items()}
         self.abstar_whites = tuple(rf(w) for w in whites)
-        self.forced_dual = frozenset(rp(z) for z in forced_dual_mid)
-        self.forced_primal = frozenset(rp(mid[k]) for k in self.ba_edges)
         self.status = {rp(z): s for z, s in status.items()}
         self.e_a = (rp(e_a[0]), rp(e_a[1]))
         self.e_b = (rp(e_b[0]), rp(e_b[1]))

@@ -28,7 +28,15 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from .lattice import cluster_stats, free_bc
+from .lattice import (
+    LatticeGraph,
+    build_rect,
+    cluster_stats,
+    custom_bc,
+    dual_map,
+    free_bc,
+    wired_bc,
+)
 
 # hard cap on enumerable edge sets
 MAX_ENUM_EDGES = 26
@@ -300,6 +308,9 @@ def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
     """P[w_e = 1 | rest] for the configuration rest_mask off e: one minus
     the threshold of thresholds(p, q) that applies."""
     _check_edges(graph, [edge_k])
+    if not 0 <= rest_mask < 1 << graph.n_edges:
+        raise ValueError("rest_mask %r not in range(2**%d)"
+                         % (rest_mask, graph.n_edges))
     bits = [k != edge_k and (rest_mask >> k) & 1
             for k in range(graph.n_edges)]
     _, labels = cluster_stats(graph, bits, bc)
@@ -446,8 +457,6 @@ def verify_es_coupling(graph, ps, qs, products=None):
     before the first is built. Returns a report dict; report["ok"] is the
     verdict.
     """
-    from .lattice import wired_bc
-
     if products and 2 not in qs:
         raise ValueError("products are compared at q = 2 only, and qs %r has "
                          "no 2" % (list(qs),))
@@ -523,8 +532,6 @@ def p_self_dual(q):
 
 def dual_cluster_count_array(graph):
     """kstar[mask] = clusters of the dual of primal mask (open iff e closed)."""
-    from .lattice import dual_map
-
     dual = dual_map(graph)
     index = {v: i for i, v in enumerate(dual.vertices)}
     ends = [(index[f], index[g]) for f, g in dual.edges]
@@ -663,8 +670,6 @@ def _fkg_search(graph, p, q):
     within a subgraph, pairs (F1, F2) in lexicographic mask order. Returns
     {edges, f1, f2, gap} or None.
     """
-    from .lattice import LatticeGraph
-
     for n_sub in range(1, graph.n_edges + 1):
         for subset in itertools.combinations(range(graph.n_edges), n_sub):
             edges = [graph.edges[k] for k in subset]
@@ -683,8 +688,6 @@ def _fkg_search(graph, p, q):
 
 def fkg_witness_q_below_one(p=0.5, q=0.5):
     """First FKG violation for q < 1 on subgraphs of the unit square."""
-    from .lattice import build_rect
-
     return _fkg_search(build_rect((0, 1), (0, 1)), p, q)
 
 
@@ -695,8 +698,6 @@ def mon_scan(graph, q, ps):
     p < p' from ps, the minimum of phi_{p'}[A] - phi_p[A] over cylinder
     events A; q >= 1.
     """
-    from .lattice import wired_bc
-
     if q < 1.0:
         raise ValueError("monotonicity in p needs q >= 1")
     ps = sorted(ps)
@@ -729,8 +730,6 @@ def cbc_scan(graph, p, q):
     For every partition xi of the boundary and every cylinder event A,
     phi^0[A] <= phi^xi[A] <= phi^1[A]; q >= 1. Returns the worst gaps.
     """
-    from .lattice import custom_bc, wired_bc
-
     if q < 1.0:
         raise ValueError("boundary comparison needs q >= 1")
     cp0 = cylinder_probabilities(
@@ -761,8 +760,6 @@ def phi_sum(S, p, d=2):
     S is a set of d-dimensional integer points containing the origin; the
     connection probabilities use only edges with both endpoints in S.
     """
-    from .lattice import LatticeGraph
-
     S = {tuple(v) for v in S}
     origin = (0,) * d
     if origin not in S:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import cluster_stats, free_bc
+from .lattice import build_rect, cluster_stats, free_bc, wired_bc
 from .oracle import (
     _check_edges,
     _check_spin_q,
@@ -325,6 +325,9 @@ def es_forward(graph, bits, q, rng, bc=None, boundary_color=None):
     monochromatic boundary condition).
     """
     _check_spin_q(q)
+    if boundary_color is not None and boundary_color not in range(int(q)):
+        raise ValueError("boundary_color %r not in range(%d)"
+                         % (boundary_color, q))
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     if bc is None:
@@ -394,8 +397,6 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
     "wired") only enters the sampling weights. q = 1 draws product
     configurations directly; q != 1 uses a thinned heat-bath chain.
     """
-    from .lattice import build_rect, wired_bc
-
     if bc_kind not in ("free", "wired"):
         raise ValueError("bc_kind must be free or wired")
     graph = build_rect((0, nx), (0, ny))

@@ -161,17 +161,6 @@ class TransferMatrix:
             self._eigs = tuple(np.linalg.eigvalsh(b) for b in self.blocks)
         return self._eigs
 
-    def full(self):
-        """Dense 4^N operator assembled from the blocks (cross-checks only)."""
-        if self.N > 4:
-            raise ValueError("full matrix materialized only for N <= 4")
-        dim = 1 << (2 * self.N)
-        out = np.zeros((dim, dim))
-        for m, block in enumerate(self.blocks):
-            idx = np.array(block_states(2 * self.N, m), dtype=np.intp)
-            out[np.ix_(idx, idx)] = block
-        return out
-
     def apply(self, vec):
         """Matrix-free product vec @ V via the local vertex rule.
 
@@ -563,15 +552,6 @@ class TorusRc:
         dual_mask = ~mask & ((1 << self.n_edges) - 1)
         return self._census(self.dual_edges, len(self.dual_sites), dual_mask, reverse)
 
-    def all_dual_retractible(self, mask):
-        """1 iff every dual cluster is retractible."""
-        return int(self.dual_clusters(mask).n_nonretractible == 0)
-
-    def one_winding_pair(self, mask):
-        """Exactly one primal and one dual cluster wind north-east."""
-        return self.clusters(mask).n_winding_ne == 1 and \
-            self.dual_clusters(mask).n_winding_ne == 1
-
     def loop_census(self, mask):
         """Interface loops on the medial torus.
 
@@ -620,11 +600,6 @@ class TorusRc:
         # every medial edge lies on exactly one loop
         assert sum(l for l, _, _, _ in out) == 2 * M * P
         return out
-
-    def loop_counts(self, mask):
-        """(total loops, non-retractible loops)."""
-        census = self.loop_census(mask)
-        return len(census), sum(1 for _, _, a, b in census if a or b)
 
     def _medial_links(self):
         """Per bond, the loop links of the medial torus for bit 0 and bit 1.

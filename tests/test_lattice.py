@@ -1,5 +1,4 @@
-import itertools
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,18 +11,16 @@ from critlat.lattice import (
     build_box,
     build_rect,
     cluster_stats,
-    crossing_detect,
     custom_bc,
     dobrushin_bc,
     dual_map,
     free_bc,
     medial_domain,
+    rotate_face,
+    to_black,
     wired_bc,
 )
-
-
-def all_configs(n_edges):
-    return itertools.product((0, 1), repeat=n_edges)
+from critlat.oracle import crossing_event
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,7 @@ def test_union_find_roots_are_minima():
     assert uf.find(5) == 3 and uf.find(4) == 3
     uf.union(0, 5)
     assert uf.find(4) == 0
-    assert uf.n_classes() == 3
+    assert len({uf.find(x) for x in range(6)}) == 3
 
 
 def _induced(cells):
@@ -229,39 +226,16 @@ def test_crossing_duality_exhaustive(n):
     # a horizontal open crossing of [0,n] x [0,n-1] exists iff no vertical
     # dual-open crossing of the shifted rectangle does
     g = build_rect((0, n), (0, n - 1))
-    rect = (0, 0, n, n - 1)
     dg, crossed = dual_rect(n, g)
-    for bits in all_configs(g.n_edges):
-        h = crossing_detect(g, bits, rect, "horizontal")
-        dconf = tuple(1 if k < 0 else 1 - bits[k] for k in crossed)
-        v = crossing_detect(dg, dconf, (0, -1, n - 1, n - 1), "vertical")
-        assert h != v
-
-
-def test_crossing_rect_rounding():
-    g = build_rect((0, 2), (0, 1))
-    ladder = tuple(1 if u[1] == v[1] == 0 else 0
-                   for u, v in g.edges)
-    assert crossing_detect(g, ladder, (0, 0, 2, 1), "horizontal")
-    assert crossing_detect(g, ladder, (0.0, 1.4, 2.0, 1.9), "horizontal") is False
-    assert not crossing_detect(g, ladder, (0, 0, 2, 1), "vertical")
-
-
-def test_crossing_ignores_edges_outside_rect():
-    # three sides of the 3x3-vertex square are open: their path joins the
-    # ends of the missing side, but only through edges outside a rect that
-    # leaves out the side opposite to the missing one
-    g = build_rect((0, 2), (0, 2))
-    # sides are (axis, coordinate) pairs
-    for missing, direction, rect in [((1, 0), "horizontal", (0, 0, 2, 1)),
-                                     ((1, 2), "horizontal", (0, 1, 2, 2)),
-                                     ((0, 0), "vertical", (0, 0, 1, 2)),
-                                     ((0, 2), "vertical", (1, 0, 2, 2))]:
-        sides = {(0, 0), (0, 2), (1, 0), (1, 2)} - {missing}
-        bits = tuple(int(any(u[a] == v[a] == c for a, c in sides))
-                     for u, v in g.edges)
-        assert crossing_detect(g, bits, (0, 0, 2, 2), direction)
-        assert not crossing_detect(g, bits, rect, direction), missing
+    h = crossing_event(g, (0, 0, n, n - 1), "horizontal")
+    v = crossing_event(dg, (0, -1, n - 1, n - 1), "vertical")
+    # the dual mask of every primal mask: the outer-face links open, every
+    # other dual edge open iff the primal edge it crosses is closed
+    masks = np.arange(1 << g.n_edges, dtype=np.int64)
+    dual = np.zeros_like(masks)
+    for t, k in enumerate(crossed):
+        dual |= (1 if k < 0 else (~masks >> k) & 1) << t
+    assert (h != v[dual]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +254,25 @@ def test_diamond_walk_is_ccw():
     assert verts[i:] + verts[:i] == [P1, P4, P3, P2]
 
 
+def _status_points(dom, kind):
+    """The medial vertices of dom whose status is kind."""
+    return {z for z, (k, _) in dom.status.items() if k == kind}
+
+
+def _rotated_by(dom, k):
+    """dom.black is the diagonal embedding turned by k quarter turns."""
+    return all(dom.black[v] == rotate_face(to_black(v), k)
+               for v in dom.primal.vertices)
+
+
 def test_domain_fixture_one_arc_edge():
     # a = P1, b = P4: one free edge P1-P4, wired arc P4-P3-P2-P1
     dom = medial_domain(DIAMOND, P1, P4)
-    assert dom.rotation == 0
+    assert _rotated_by(dom, 0)
     assert [DIAMOND.edges[k] for k in dom.free_edges] == [(P4, P1)]
-    assert dom.medial_of_edge[dom.free_edges[0]] == (1, 0)
-    assert dom.forced_primal == {(2, 0), (2, 1), (1, 1)}
-    assert dom.forced_dual == {(0, 0), (1, -1)}
+    assert dom.status[(1, 0)] == ("free", dom.free_edges[0])
+    assert _status_points(dom, "primal") == {(2, 0), (2, 1), (1, 1)}
+    assert _status_points(dom, "dual") == {(0, 0), (1, -1)}
     assert dom.abstar_whites == ((-1, 0), (0, -1), (1, -2))
     assert dom.e_a == ((0, 1), (0, 0))
     assert dom.e_b == ((1, -1), (2, -1))
@@ -297,12 +282,12 @@ def test_domain_fixture_one_arc_edge():
 def test_domain_fixture_two_arc_edges():
     # a = P1, b = P3: free edges P1-P4 and P4-P3, wired arc P3-P2-P1
     dom = medial_domain(DIAMOND, P1, P3)
-    assert dom.rotation == 3
+    assert _rotated_by(dom, 3)
     assert dom.e_b[1][0] - dom.e_b[0][0] == 1 and dom.e_b[0][1] == dom.e_b[1][1]
     assert dom.e_b == ((0, -2), (1, -2))
     assert dom.e_a == ((1, 1), (0, 1))
-    assert dom.forced_primal == {(1, -1), (1, 0)}
-    assert dom.forced_dual == {(0, 1), (-1, 0), (-1, -1), (0, -2)}
+    assert _status_points(dom, "primal") == {(1, -1), (1, 0)}
+    assert _status_points(dom, "dual") == {(0, 1), (-1, 0), (-1, -1), (0, -2)}
     assert len(dom.abstar_whites) == 5
     assert dom.v_count() == 2
 
@@ -315,12 +300,12 @@ def test_domain_degenerate_marked_point():
     dom = medial_domain(square, (0, 0), (0, 0))
     assert dom.ba_edges == ()
     assert len(dom.free_edges) == 4
-    assert dom.rotation == 1
+    assert _rotated_by(dom, 1)
     assert dom.e_b == ((0, 0), (1, 0))
     assert dom.e_a == ((1, 1), (0, 1))
     assert len(dom.abstar_whites) == 7
-    assert len(dom.forced_dual) == 6
-    assert dom.forced_primal == frozenset()
+    assert len(_status_points(dom, "dual")) == 6
+    assert _status_points(dom, "primal") == set()
     assert dom.v_count() == 4
 
 

@@ -16,9 +16,7 @@ from critlat.lattice import (
     LatticeGraph,
     medial_domain,
     oriented_segment,
-    rotate_face,
     segment_faces,
-    to_black,
 )
 from critlat.loops import (
     _lockstep_field,
@@ -224,8 +222,7 @@ def test_degenerate_marked_windings():
 def wrap_flank_edges(dom, graph):
     """Boundary medial edges between a live medial vertex and a forced-dual
     one, keyed by the primal vertex whose face they border."""
-    from_black = {rotate_face(to_black(v), dom.rotation): v
-                  for v in graph.vertices}
+    from_black = {dom.black[v]: v for v in graph.vertices}
     wrap = set(dom.abstar_whites)
     out, seen = {}, set()
     for z, (kz, _) in dom.status.items():

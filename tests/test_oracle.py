@@ -185,6 +185,15 @@ def test_edge_index_refused_before_use():
             heatbath_step(SQUARE, (1, 1, 1, 1), bad, 0.5, 0.5, 2.0, bc)
 
 
+def test_rest_mask_refused_outside_the_edge_masks():
+    bc = free_bc(RECT7)
+    top = (1 << RECT7.n_edges) - 1
+    assert rc_conditional(RECT7, 0.5, 2.0, bc, 0, top) == 0.5
+    for bad in (-1, top + 1, 1 << 40):
+        with pytest.raises(ValueError, match="rest_mask"):
+            rc_conditional(RECT7, 0.5, 2.0, bc, 0, bad)
+
+
 def test_perturbed_threshold_fails_conditional_gap(monkeypatch):
     from critlat import oracle
 
@@ -559,7 +568,7 @@ def test_dual_counts_match_union_find(g):
         for k, (f, h) in enumerate(dual.edges):
             if not mask & (1 << k):
                 uf.union(index[f], index[h])
-        assert kstar[mask] == uf.n_classes()
+        assert kstar[mask] == len({uf.find(i) for i in index.values()})
 
 
 def test_crossing_event_matches_cluster_stats():

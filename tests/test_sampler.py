@@ -239,6 +239,14 @@ def test_es_forward_boundary_color():
     assert (colors == 0).all()  # every vertex of the square is boundary
 
 
+def test_es_forward_refuses_boundary_color_outside_q():
+    for bad in (-1, 3, 7):
+        with pytest.raises(ValueError, match="boundary_color"):
+            es_forward(SQUARE, (1, 0, 0, 0), 3, 5, boundary_color=bad)
+    colors = es_forward(SQUARE, (1, 0, 0, 0), 3, 5, boundary_color=2)
+    assert (colors == 2).all()
+
+
 def test_es_reverse_respects_spins():
     colors = np.array([0, 1, 1, 0], dtype=np.int8)
     rng = np.random.default_rng(0)
