@@ -25,6 +25,9 @@ column-to-column operator V conserves popcount.  Within a block the entry
 V[W, E] is c^{#flips} times the number of vertical completions of the
 column: 2 for W = E, 1 if the flips alternate in sign around the column and
 0 otherwise.  transfer_block applies that rule to whole blocks of bitmasks.
+Every block commutes with the cyclic shift of the 2N arrows, so its spectrum
+is solved one shift momentum at a time, on the block's rows at the shift
+orbit representatives (shift_orbits).
 TransferMatrix.apply contracts a column the local way instead, one two-state
 tensor per row (the vertical arrows perform a {0,1} walk whose steps are
 W_j - E_j), and is the independent route the blocks are checked against.
@@ -98,7 +101,8 @@ from .oracle import (
     p_self_dual,
 )
 
-# dense-block transfer matrices stay cheap up to C(14, 7) = 3432 states
+# the dense block build bounds N: the popcount-N block has C(2N, N)^2
+# entries, 3432^2 at N = 7
 MAX_TRANSFER_N = 7
 
 # tolerance of the cluster identity in rc6v_verify
@@ -114,7 +118,24 @@ def c_from_q(q):
 
 def block_states(n_arrows, m):
     """All arrow-line bitmasks of length n_arrows with popcount m, sorted."""
-    return tuple(s for s in range(1 << n_arrows) if bin(s).count("1") == m)
+    words = np.arange(1 << n_arrows, dtype=np.int64)
+    return tuple(np.flatnonzero(np.bitwise_count(words) == m).tolist())
+
+
+def shift_orbits(n_arrows, m):
+    """Orbits of block_states(n_arrows, m) under the cyclic shift rotl.
+
+    Each orbit's representative is its smallest word.  Returns reps, the
+    representatives' positions in block_states (reps[r] is orbit r's);
+    orbit and shift, per state its orbit and a d with state = rotl^d(its
+    representative); and period, per orbit its length n_r.
+    """
+    s = np.array(block_states(n_arrows, m), dtype=np.int64)
+    k = np.arange(n_arrows)[:, None]
+    rot = ((s << k) | (s >> (n_arrows - k))) & ((1 << n_arrows) - 1)
+    orbit = np.unique(rot.min(0), return_inverse=True)[1]
+    shift = -rot.argmin(0) % n_arrows
+    return np.flatnonzero(shift == 0), orbit, shift, np.bincount(orbit)
 
 
 def transfer_block(N, c, m):
@@ -156,9 +177,36 @@ class TransferMatrix:
 
     @property
     def eigs(self):
-        """Per-block spectra; blocks are symmetric so eigvalsh applies."""
+        """Per-block spectra, each sorted ascending.
+
+        A block B commutes with the shift of the L = 2N arrows, so it is
+        diagonal in the momentum states |r, kappa> = n_r^{-1/2} sum_d
+        exp(-2 pi i kappa d / L) |rotl^d rep_r>, which exist for the orbits
+        r with kappa n_r = 0 mod L.  Its entries in sector kappa are
+        sqrt(n_i / n_j) sum_{b in orbit j} B[rep_i, b] exp(-2 pi i kappa d_b
+        / L), d_b the shift of b: the representatives' rows, summed by
+        (orbit, shift) and Fourier transformed over the shift.  Each sector
+        is Hermitian and solved by eigvalsh; sector L - kappa is the
+        conjugate of sector kappa and repeats its spectrum, so kappa runs
+        over 0..N only.
+        """
         if self._eigs is None:
-            self._eigs = tuple(np.linalg.eigvalsh(b) for b in self.blocks)
+            L = 2 * self.N
+            spectra = []
+            for m, block in enumerate(self.blocks):
+                reps, orbit, shift, period = shift_orbits(L, m)
+                k = len(reps)
+                at = (np.arange(k)[:, None] * k + orbit) * L + shift
+                F = np.bincount(at.ravel(), block[reps].ravel(), k * k * L)
+                F = np.fft.fft(F.reshape(k, k, L))
+                F *= np.sqrt(period[:, None] / period)[..., None]
+                e = []
+                for kappa in range(self.N + 1):
+                    keep = np.flatnonzero(kappa * period % L == 0)
+                    sector = np.linalg.eigvalsh(F[..., kappa][np.ix_(keep, keep)])
+                    e += [sector] * (1 if kappa in (0, self.N) else 2)
+                spectra.append(np.sort(np.concatenate(e)))
+            self._eigs = tuple(spectra)
         return self._eigs
 
     def apply(self, vec):

@@ -203,9 +203,9 @@ def test_dual_rejects_3d():
 def dual_rect(n, graph):
     """The dual of R_n = [0,n] x [0,n-1] for vertical dual crossings: faces
     (i,j) with 0 <= i <= n-1, -1 <= j <= n-1; strips j = -1 and j = n-1 are
-    the split outer face and connect horizontally for free. Returns the dual
-    graph and, per dual edge, the index of the primal edge it crosses, or -1
-    for the always-open links of the outer face."""
+    the split outer face, whose vertices are all sources or targets of the
+    vertical crossing, so they need no links of their own. Returns the dual
+    graph and, per dual edge, the index of the primal edge it crosses."""
     verts = [(i, j) for i in range(n) for j in range(-1, n)]
     crossed = {}
     for i in range(n):
@@ -213,10 +213,9 @@ def dual_rect(n, graph):
             crossed[((i, j), (i, j + 1))] = graph.edge_index[
                 ((i, j + 1), (i + 1, j + 1))]
     for i in range(n - 1):
-        for j in range(-1, n):
-            crossed[((i, j), (i + 1, j))] = (
-                -1 if j in (-1, n - 1)
-                else graph.edge_index[((i + 1, j), (i + 1, j + 1))])
+        for j in range(n - 1):
+            crossed[((i, j), (i + 1, j))] = graph.edge_index[
+                ((i + 1, j), (i + 1, j + 1))]
     dg = LatticeGraph(verts, list(crossed))
     return dg, [crossed[e] for e in dg.edges]
 
@@ -229,12 +228,12 @@ def test_crossing_duality_exhaustive(n):
     dg, crossed = dual_rect(n, g)
     h = crossing_event(g, (0, 0, n, n - 1), "horizontal")
     v = crossing_event(dg, (0, -1, n - 1, n - 1), "vertical")
-    # the dual mask of every primal mask: the outer-face links open, every
-    # other dual edge open iff the primal edge it crosses is closed
+    # the dual mask of every primal mask: each dual edge is open iff the
+    # primal edge it crosses is closed
     masks = np.arange(1 << g.n_edges, dtype=np.int64)
     dual = np.zeros_like(masks)
     for t, k in enumerate(crossed):
-        dual |= (1 if k < 0 else (~masks >> k) & 1) << t
+        dual |= ((~masks >> k) & 1) << t
     assert (h != v[dual]).all()
 
 

@@ -11,21 +11,26 @@ from hypothesis import strategies as st
 
 from critlat.lattice import (
     LatticeGraph,
+    UnionFind,
     build_box,
     build_rect,
+    cluster_stats,
+    custom_bc,
     dobrushin_bc,
     free_bc,
     wired_bc,
 )
 from critlat.oracle import (
-    boundary_connection_event,
     connectivity_event,
+    crossing_event,
     cylinder_event,
     probability_array,
     rc_probability,
 )
 from critlat.sampler import (
-    Estimate,
+    _connected_batch,
+    _joined_off,
+    _links,
     bits_to_masks,
     cftp_batch,
     chain_samples,
@@ -325,8 +330,6 @@ def test_crossing_mc_bernoulli_half():
 
 def test_crossing_mc_chain_small_box_vs_oracle():
     # 3x2 box is enumerable, so the chain estimator can be checked exactly
-    from critlat.oracle import crossing_event
-
     g = build_rect((0, 2), (0, 1))
     exact = rc_probability(g, 0.6, 2.0, free_bc(g),
                            crossing_event(g, (0, 0, 2, 1), "horizontal"))
@@ -345,8 +348,6 @@ def test_boundary_connection_decays_with_size():
         bd = {g.vertex_index[v] for v in g.boundary()}
 
         def hit(bits, g=g, bd=bd, bc=bc):
-            from critlat.lattice import cluster_stats
-
             _, labels = cluster_stats(g, tuple(int(x) for x in bits), bc)
             root0 = labels[g.vertex_index[(0, 0)]]
             return float(any(labels[i] == root0 for i in bd))
@@ -360,8 +361,6 @@ def test_boundary_connection_decays_with_size():
 def test_conn_off_tables_match_bruteforce():
     bc = dobrushin_bc(SQUARE, (0, 0), (1, 1))
     tables = conn_off_tables(SQUARE, bc)
-    from critlat.lattice import UnionFind
-
     ends = [(SQUARE.vertex_index[u], SQUARE.vertex_index[v])
             for u, v in SQUARE.edges]
     for mask in range(16):
@@ -383,8 +382,6 @@ def test_conn_off_tables_match_bruteforce():
 
 def _uf_conn_off(graph, bc, bits, k):
     """Reference conditional: rebuild a union-find over every open edge."""
-    from critlat.lattice import UnionFind
-
     uf = UnionFind(graph.n_vertices)
     for block in bc.blocks:
         for i in block[1:]:
@@ -397,8 +394,6 @@ def _uf_conn_off(graph, bc, bits, k):
 
 
 def _conditional_cases():
-    from critlat.lattice import custom_bc
-
     box1 = build_box(1)
     two_blocks = custom_bc(box1, [[(-1, -1), (-1, 0), (-1, 1)],
                                   [(1, -1), (1, 0)]])
@@ -409,8 +404,6 @@ def _conditional_cases():
 
 @pytest.mark.parametrize("graph,bc", _conditional_cases())
 def test_joined_off_matches_tables(graph, bc):
-    from critlat.sampler import _joined_off, _links
-
     m = graph.n_edges
     tables = conn_off_tables(graph, bc)
     links, ends = _links(graph, bc)
@@ -462,9 +455,6 @@ def test_cftp_non_table_draws_each_sweep_once(monkeypatch):
 
 @pytest.mark.parametrize("bc_kind", ["free", "wired", "dobrushin"])
 def test_connected_batch_matches_cluster_stats(bc_kind):
-    from critlat.lattice import cluster_stats
-    from critlat.sampler import _connected_batch
-
     g = build_rect((0, 3), (0, 2))
     bc = {"free": free_bc(g), "wired": wired_bc(g),
           "dobrushin": dobrushin_bc(g, (0, 0), (3, 2))}[bc_kind]

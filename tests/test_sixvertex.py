@@ -21,6 +21,7 @@ from critlat.sixvertex import (
     oriented_sector_sums,
     rate_report,
     rc6v_verify,
+    shift_orbits,
     transfer_block,
 )
 
@@ -54,6 +55,36 @@ def test_block_states_partition():
     for n in (2, 4, 6):
         all_states = sorted(s for m in range(n + 1) for s in block_states(n, m))
         assert all_states == list(range(1 << n))
+
+
+def test_shift_orbits_partition_the_block():
+    # every state is a rotation of its orbit's representative, which is the
+    # orbit's smallest word; the periods sum to the block size, and over all
+    # momenta kappa the sectors (kappa n_r = 0 mod 2N) keep each orbit n_r
+    # times
+    for N in range(1, 8):
+        L = 2 * N
+        for m in range(L + 1):
+            s = np.array(block_states(L, m))
+            reps, orbit, shift, period = shift_orbits(L, m)
+            rep = s[reps][orbit]
+            rot = ((rep << shift) | (rep >> (L - shift))) & ((1 << L) - 1)
+            assert (rot == s).all()
+            assert all(s[orbit == r].min() == s[i] for r, i in enumerate(reps))
+            assert period.sum() == math.comb(L, m) == len(s)
+            kept = sum(np.sum(kappa * period % L == 0) for kappa in range(L))
+            assert kept == math.comb(L, m)
+
+
+@pytest.mark.parametrize("c", [1.7, 2.0, c_from_q(100.0)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_eigs_match_dense(N, c):
+    # the momentum-resolved spectra against one dense eigvalsh per block
+    V = TransferMatrix(N, c)
+    for e, block in zip(V.eigs, V.blocks):
+        want = np.linalg.eigvalsh(block)
+        assert len(e) == len(want)
+        assert np.max(np.abs(e - want)) <= 1e-12 * want[-1]
 
 
 def test_transfer_block_hand_values_N1():
