@@ -1,7 +1,8 @@
 """Exact enumeration oracles for random-cluster and Potts measures.
 
-Everything here is brute force over all 2^|E| edge configurations (or q^|V|
-spin configurations) with exact bookkeeping; it is the ground truth that the
+Everything here is brute force over all 2^|E| edge configurations (or the
+q^(free vertices) spin configurations, up to color permutation in the
+Edwards-Sokal check) with exact bookkeeping; it is the ground truth that the
 samplers, observables and transfer matrices are tested against.
 Edge configurations are enumerated into one label table per (graph, bc):
 labels[mask, v] is the smallest vertex index in the cluster of v in
@@ -18,6 +19,12 @@ _log_weights, in log space; probabilities, Z and log Z all come from there,
 and so do the dual weights and the weights of the loops and sixvertex
 modules. With 0 log 0 = 0, p = 0 and p = 1 are point masses on the
 all-closed and the all-open configuration, with Z = q^k of that mask.
+The weight depends on a configuration only through its class (o, k), and
+the Potts weight only through the number of equal-color edges, so the
+Edwards-Sokal check counts each event once per class with exact integer
+bincounts and evaluates _log_weights on the class grid at each (p, q).
+Its free colorings fix vertex 0 to color 0, q^(|V|-1) of them: the free
+weights and the pair events are invariant under color permutations.
 """
 
 from __future__ import annotations
@@ -120,10 +127,10 @@ def scan_configs(graph, bc, leaf=None):
 
 def _count_roots(labels):
     """Cluster count of every row: the vertices that label their cluster."""
-    out = np.zeros(len(labels), dtype=np.int32)
+    out = np.zeros(len(labels), dtype=labels.dtype)  # k <= |V| fits
     for v in range(labels.shape[1]):
         out += labels[:, v] == v
-    return out
+    return out.astype(np.int32)
 
 
 def cluster_count_array(graph, bc):
@@ -365,40 +372,48 @@ def _check_color_table(graph, q, fixed):
     _check_spin_q(q)
     n = graph.n_vertices
     configs = q ** (n - len(fixed or {}))
-    # the int8 colours and the float64 dots
+    # the int8 colours and the float64 Gibbs weights of spin_ensemble
     _check_budget(configs * (n + 8),
                   "a table of %d colourings of %d vertices" % (configs, n))
 
 
 def _color_table(graph, q, fixed=None):
-    """All q^(free vertices) colorings and their summed simplex dots.
+    """All q^(free vertices) colorings and their agreement counts.
 
-    Returns (colors, dots): colors is a (configs, |V|) int8 array, dots[c] is
-    sum_e sigma_u . sigma_v for coloring c. The Gibbs weight at inverse
-    temperature beta is exp(beta * dots).
+    Returns (colors, agree): colors is a (configs, |V|) int8 array whose free
+    columns count in base q, the first free vertex fastest, and agree[c] is
+    the number of edges whose ends share a color in coloring c. The Gibbs
+    weight at inverse temperature beta is exp(beta * _simplex_dots(agree)).
     """
     _check_color_table(graph, q, fixed)
     q, n = int(q), graph.n_vertices
     fixed = fixed or {}
     free = [i for i in range(n) if i not in fixed]
     m = q ** len(free)
-    colors = np.zeros((m, n), dtype=np.int8)
+    # stored vertex by vertex, so every column is contiguous
+    colors = np.empty((n, m), dtype=np.int8).T
     for i, c in fixed.items():
         colors[:, i] = c
-    base = np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int8)
     for j, i in enumerate(free):
-        colors[:, i] = (base // (q ** j)) % q
-    dots = np.zeros(m)
-    off = -1.0 / (q - 1.0)
+        colors[:, i] = np.tile(np.repeat(digits, q ** j), m // q ** (j + 1))
+    agree = np.zeros(m, dtype=np.min_scalar_type(graph.n_edges))
     for iu, iv in graph.edge_ends:
-        dots += np.where(colors[:, iu] == colors[:, iv], 1.0, off)
-    return colors, dots
+        agree += colors[:, iu] == colors[:, iv]
+    return colors, agree
+
+
+def _simplex_dots(agree, q, n_edges):
+    """sum_e sigma_u . sigma_v of colorings with agree equal-color edges of
+    n_edges: each such edge gives 1, every other edge -1/(q-1)."""
+    off = -1.0 / (q - 1.0)
+    return agree * (1.0 - off) + n_edges * off
 
 
 def spin_ensemble(graph, q, beta, fixed=None):
     """All q^(free vertices) Potts colorings and their Gibbs weights."""
-    colors, dots = _color_table(graph, q, fixed)
-    return colors, np.exp(beta * dots)
+    colors, agree = _color_table(graph, q, fixed)
+    return colors, np.exp(beta * _simplex_dots(agree, q, graph.n_edges))
 
 
 def _wired_fix(graph):
@@ -439,10 +454,99 @@ def even_overlap_event(graph, bc, A):
     return _even_overlaps(scan_configs(graph, bc), [idx])[0]
 
 
-def _event_sums(events, prob):
-    """prob summed over each row of a bool event stack, row by row, never as
-    a float cast of the whole stack."""
-    return np.array([prob[ev].sum() for ev in events])
+def _class_counts(cls, n_classes, events):
+    """Exact integer counts by class: row 0 counts every entry of each class
+    of cls, row r + 1 the entries where the r-th bool row of events holds.
+    events is consumed one row at a time, never stacked."""
+    return np.array([np.bincount(cls, minlength=n_classes)]
+                    + [np.bincount(cls[ev], minlength=n_classes)
+                       for ev in events])
+
+
+def _class_means(counts, log_w):
+    """Rows 1.. of counts contracted with the class weights exp(log_w) and
+    divided by row 0, the weight of every configuration; classes that no
+    configuration has are dropped before exponentiating."""
+    seen = counts[0] > 0
+    log_w = log_w[seen]
+    w = np.exp(log_w - log_w.max())
+    counts = counts[:, seen]
+    return (counts[1:] @ w) / (counts[0] @ w)
+
+
+def _es_sides(graph, ps, qs, prod_idx):
+    """Yield, for each q in qs and p in ps, the lists (spin, cluster) of the
+    expectations that the Edwards-Sokal coupling equates at beta(p, q):
+
+    pair: mu^f[sigma_x . sigma_y] and phi^0[x <-> y] over the vertex pairs
+    x < y; wired: mu^b[sigma_x . b] and phi^1[x <-> boundary] over x; and
+    at q = 2 only, product: E[prod_A sigma_x] and phi^0[every cluster meets
+    A evenly] over the vertex index lists A of prod_idx.
+
+    Both weights depend on a configuration only through its class: the
+    random-cluster weight on (open edges o, clusters k), the Potts weight on
+    the number a of equal-color edges. Each event is counted once per class,
+    per boundary condition on the cluster side and per q on the spin side,
+    and each grid point contracts those counts with the class weights.
+    """
+    n, n_edges = graph.n_vertices, graph.n_edges
+    # cluster side: class o (|V| + 1) + k, one label table per boundary
+    # condition; wired_bc contracts the boundary into one cluster, so a
+    # vertex touches it when it shares the label of boundary vertex b
+    n_classes = (n_edges + 1) * (n + 1)
+    o_cls, k_cls = np.divmod(np.arange(n_classes), n + 1)
+    o = (n + 1) * open_count_array(n_edges)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = scan_configs(graph, free_bc(graph))
+    free_counts = _class_counts(
+        o + _count_roots(labels), n_classes, itertools.chain(
+            (labels[:, i] == labels[:, j] for i, j in pairs),
+            (_even_overlaps(labels, [ids])[0] for ids in prod_idx)))
+    del labels  # before the wired table is built
+    labels = scan_configs(graph, wired_bc(graph))
+    b = graph.boundary_indices[0]
+    wired_counts = _class_counts(
+        o + _count_roots(labels), n_classes,
+        (labels[:, i] == labels[:, b] for i in range(n)))
+    del labels, o
+
+    # spin side: the free colorings with vertex 0 colored 0, q^(|V|-1) of
+    # them, which the free weights and the pair events do not tell from
+    # their color permutations; a q = 2 product row counts the colorings
+    # with an even number of 1s on A minus the rest, and the global spin
+    # flip cancels the moment of an odd A
+    odd = np.array([len(ids) % 2 for ids in prod_idx], dtype=bool)
+    n_pairs = len(pairs)
+    spin_counts = {}
+    for q in qs:
+        q = int(q)
+        if q not in spin_counts:
+            colors, agree = _color_table(graph, q, {0: 0})
+            parity = (np.bitwise_xor.reduce(colors[:, ids], axis=1)
+                      for ids in prod_idx if q == 2)
+            free = _class_counts(agree, n_edges + 1, itertools.chain(
+                (colors[:, i] == colors[:, j] for i, j in pairs),
+                (bits == 0 for bits in parity)))
+            free[1 + n_pairs:] = 2 * free[1 + n_pairs:] - free[0]
+            colors, agree = _color_table(graph, q, _wired_fix(graph))
+            spin_counts[q] = free, _class_counts(
+                agree, n_edges + 1, (colors[:, i] == 0 for i in range(n)))
+            del colors, agree
+        spin_free, spin_wired = spin_counts[q]
+        off = -1.0 / (q - 1.0)
+        dots = _simplex_dots(np.arange(n_edges + 1), q, n_edges)
+        for p in ps:
+            spin_w = es_beta_from_p(p, q) * dots
+            rc_w = _log_weights(p, q, o_cls, k_cls, n_edges)
+            same = _class_means(spin_free, spin_w)
+            joined = _class_means(free_counts, rc_w)
+            spin = [off + (1.0 - off) * same[:n_pairs],
+                    off + (1.0 - off) * _class_means(spin_wired, spin_w)]
+            cluster = [joined[:n_pairs], _class_means(wired_counts, rc_w)]
+            if q == 2:
+                spin.append(np.where(odd, 0.0, same[n_pairs:]))
+                cluster.append(joined[n_pairs:])
+            yield spin, cluster
 
 
 def verify_es_coupling(graph, ps, qs, products=None):
@@ -453,64 +557,35 @@ def verify_es_coupling(graph, ps, qs, products=None):
     mu^b[sigma_x . b] with phi^1[x <-> boundary] at the matching beta.
     products, if given, is a list of vertex tuples A; for q = 2 the moment
     E[prod_A sigma_x] is compared with the probability that every cluster
-    meets A evenly. Every table is sized, and refused over the budget,
-    before the first is built. Returns a report dict; report["ok"] is the
-    verdict.
+    meets A evenly. An empty ps or qs and a p outside (0,1) are refused, and
+    every table is sized, and refused over the budget, before the first is
+    built. The expectations come from counts by weight class, with the free
+    spins enumerated up to color permutation (_es_sides). Returns a report
+    dict; report["ok"] is the verdict.
     """
+    ps, qs = list(ps), list(qs)
+    if not ps or not qs:
+        raise ValueError("verify_es_coupling needs a nonempty grid, not ps "
+                         "%r and qs %r" % (ps, qs))
+    for p in ps:
+        if not 0.0 < p < 1.0:
+            raise ValueError("p must be in (0,1), not %r" % (p,))
     if products and 2 not in qs:
         raise ValueError("products are compared at q = 2 only, and qs %r has "
-                         "no 2" % (list(qs),))
-    n = graph.n_vertices
+                         "no 2" % (qs,))
     prod_idx = [[graph.index(x) for x in A] for A in products or ()]
-    wired = _wired_fix(graph)
-    _label_dtype(graph.n_edges, n)  # refuses a label table past the caps
+    _label_dtype(graph.n_edges, graph.n_vertices)  # refuses past the caps
     for q in set(qs):
         _check_color_table(graph, q, None)
-        _check_color_table(graph, q, wired)
-
-    # one label table per boundary condition
-    o = open_count_array(graph.n_edges)
-    labels = scan_configs(graph, free_bc(graph))
-    k0 = _count_roots(labels)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    conn = _pair_events(labels, pairs)
-    prod_events = _even_overlaps(labels, prod_idx)
-    labels = scan_configs(graph, wired_bc(graph))
-    k1 = _count_roots(labels)
-    bconn = np.ascontiguousarray(
-        _joined(labels, graph.boundary_indices, range(n)).T)
-    del labels
+        _check_color_table(graph, q, _wired_fix(graph))
 
     keys = ("pair_max_err", "wired_max_err", "product_max_err")
     report = {**dict.fromkeys(keys, 0.0), "tol": IDENTITY_TOL, "cases": 0}
-    tables = {}
-    for q in qs:
-        q = int(q)
-        if q not in tables:
-            tables[q] = _color_table(graph, q) + _color_table(graph, q, wired)
-        colors, dots, colors_b, dots_b = tables[q]
-        off = -1.0 / (q - 1.0)
-        for p in ps:
-            beta = es_beta_from_p(p, q)
-            prob0, _ = _probabilities(p, q, o, k0, graph.n_edges)
-            prob1, _ = _probabilities(p, q, o, k1, graph.n_edges)
-            w, wb = np.exp(beta * dots), np.exp(beta * dots_b)
-            same = np.array([w[colors[:, i] == colors[:, j]].sum()
-                             for i, j in pairs]) / w.sum()
-            aligned = np.array([wb[colors_b[:, i] == 0].sum()
-                                for i in range(n)]) / wb.sum()
-            errs = [off + (1.0 - off) * same - _event_sums(conn, prob0),
-                    off + (1.0 - off) * aligned - _event_sums(bconn, prob1)]
-            if q == 2:
-                # prod_A sigma_x = (-1)^(number of x in A with color 1)
-                mu = [w @ (1.0 - 2.0 * (colors[:, ids].sum(axis=1) & 1))
-                      for ids in prod_idx]
-                errs.append(np.array(mu) / w.sum()
-                            - _event_sums(prod_events, prob0))
-            for key, err in zip(keys, errs):
-                report[key] = max(report[key],
-                                  float(np.abs(err).max(initial=0.0)))
-            report["cases"] += 1
+    for spin, cluster in _es_sides(graph, ps, qs, prod_idx):
+        for key, s, c in zip(keys, spin, cluster):
+            report[key] = max(report[key],
+                              float(np.abs(s - c).max(initial=0.0)))
+        report["cases"] += 1
     report["ok"] = all(report[key] <= IDENTITY_TOL for key in keys)
     return report
 

@@ -23,7 +23,10 @@ from critlat.lattice import (
 )
 from critlat.oracle import (
     MAX_ENUM_EDGES,
+    _color_table,
+    _es_sides,
     _fkg_search,
+    _simplex_dots,
     _superset_transform,
     all_boundary_connection,
     all_even_overlap,
@@ -69,6 +72,7 @@ SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
 BOX1 = build_box(1)
 EDGE = LatticeGraph([(0, 0), (1, 0)], [((0, 0), (1, 0))])
+RECT17 = build_rect((0, 3), (0, 2))
 
 
 def test_q1_is_bernoulli_product():
@@ -263,6 +267,139 @@ def test_es_coupling_box_with_interior_vertex():
     report = verify_es_coupling(BOX1, [0.35, 0.6], [2, 3],
                                 products=[((0, 0), (1, 1))])
     assert report["ok"], report
+
+
+def _reference_color_table(graph, q, fixed=None):
+    """Every coloring of the free vertices by base-q digits of its row
+    index, the first free vertex fastest, and its simplex dot edge by edge."""
+    n = graph.n_vertices
+    fixed = fixed or {}
+    free = [i for i in range(n) if i not in fixed]
+    m = q ** len(free)
+    colors = np.zeros((m, n), dtype=np.int8)
+    for i, c in fixed.items():
+        colors[:, i] = c
+    base = np.arange(m, dtype=np.int64)
+    for j, i in enumerate(free):
+        colors[:, i] = (base // (q ** j)) % q
+    dots = np.zeros(m)
+    off = -1.0 / (q - 1.0)
+    for iu, iv in graph.edge_ends:
+        dots += np.where(colors[:, iu] == colors[:, iv], 1.0, off)
+    return colors, dots
+
+
+def _reference_es_sides(graph, p, q, products):
+    """The expectations of _es_sides summed configuration by configuration:
+    over all q^|V| colorings, and over the label-table event rows."""
+    n = graph.n_vertices
+    off = -1.0 / (q - 1.0)
+    beta = es_beta_from_p(p, q)
+    colors, dots = _reference_color_table(graph, q)
+    w = np.exp(beta * dots)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    same = np.array([w[colors[:, i] == colors[:, j]].sum()
+                     for i, j in pairs]) / w.sum()
+    colors_b, dots_b = _reference_color_table(
+        graph, q, dict.fromkeys(graph.boundary_indices, 0))
+    wb = np.exp(beta * dots_b)
+    aligned = np.array([wb[colors_b[:, i] == 0].sum()
+                        for i in range(n)]) / wb.sum()
+    prob0 = probability_array(graph, p, q, free_bc(graph))
+    prob1 = probability_array(graph, p, q, wired_bc(graph))
+    conn = all_pairs_connectivity(graph, free_bc(graph))[1]
+    bconn = all_boundary_connection(graph, wired_bc(graph))
+    spin = [off + (1.0 - off) * same, off + (1.0 - off) * aligned]
+    cluster = [np.array([prob0[ev].sum() for ev in conn]),
+               np.array([prob1[ev].sum() for ev in bconn])]
+    if q == 2:
+        # prod_A sigma_x = (-1)^(number of x in A with color 1)
+        idx = [[graph.index(x) for x in A] for A in products]
+        spin.append(np.array([w @ (1.0 - 2.0 * (colors[:, ids].sum(axis=1)
+                                                & 1)) for ids in idx])
+                    / w.sum())
+        even = all_even_overlap(graph, free_bc(graph), products)
+        cluster.append(np.array([prob0[ev].sum() for ev in even]))
+    return spin, cluster
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("graph", [SQUARE, GRID23, BOX1],
+                         ids=["square", "grid23", "box1"])
+def test_es_sides_match_configuration_sums(graph, q):
+    v = graph.vertices
+    products = [v[:1], v[1:3], v[1:4], v[-4:], (v[0], v[-1])]
+    idx = [[graph.index(x) for x in A] for A in products]
+    ps = [0.2, p_self_dual(q), 0.8]
+    sides = list(_es_sides(graph, ps, [q], idx))
+    assert len(sides) == len(ps)
+    for p, (spin, cluster) in zip(ps, sides):
+        ref_spin, ref_cluster = _reference_es_sides(graph, p, q, products)
+        assert len(spin) == len(cluster) == len(ref_spin) == 2 + (q == 2)
+        for got, ref in zip(spin + cluster, ref_spin + ref_cluster):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("graph", [SQUARE, GRID23, BOX1],
+                         ids=["square", "grid23", "box1"])
+def test_color_table_matches_digit_columns(graph, q):
+    for fixed in (None, {0: 0}, dict.fromkeys(graph.boundary_indices, 1)):
+        colors, agree = _color_table(graph, q, fixed)
+        ref_colors, ref_dots = _reference_color_table(graph, q, fixed)
+        assert np.array_equal(colors, ref_colors)
+        dots = _simplex_dots(agree, q, graph.n_edges)
+        if q <= 3:
+            assert np.array_equal(dots, ref_dots)
+        else:
+            assert np.abs(dots - ref_dots).max() \
+                <= 1e-13 * np.abs(ref_dots).max()
+
+
+def test_es_free_spins_enumerated_up_to_color_permutation(monkeypatch):
+    from critlat import oracle
+
+    exact, rows = oracle._color_table, []
+
+    def counted(graph, q, fixed=None):
+        colors, agree = exact(graph, q, fixed)
+        rows.append((q, len(fixed), len(colors)))
+        return colors, agree
+
+    monkeypatch.setattr(oracle, "_color_table", counted)
+    assert verify_es_coupling(BOX1, [0.4], [2, 3])["ok"]
+    # BOX1: 9 vertices, 8 of them on the boundary
+    assert rows == [(2, 1, 2 ** 8), (2, 8, 2), (3, 1, 3 ** 8), (3, 8, 3)]
+
+
+def test_es_coupling_17e_peak_memory():
+    assert RECT17.n_edges == 17
+    tracemalloc.start()
+    try:
+        report = verify_es_coupling(RECT17, [0.3, 0.6], [2, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"], report
+    assert peak < 12 << 20
+
+
+def test_es_coupling_refuses_p_outside_open_interval():
+    for p in (0.0, 1.0, -0.2, 1.5):
+        _refused_before_allocating(
+            lambda: verify_es_coupling(RECT17, [0.3, p], [2]),
+            match=r"p must be in \(0,1\), not %r" % p)
+
+
+def test_es_coupling_refuses_empty_ps():
+    _refused_before_allocating(lambda: verify_es_coupling(RECT17, [], [2]),
+                               match=r"ps \[\]")
+
+
+def test_es_coupling_refuses_empty_qs():
+    _refused_before_allocating(lambda: verify_es_coupling(RECT17, [0.5], []),
+                               match=r"qs \[\]")
 
 
 @pytest.mark.parametrize("q", [1, 2.5, 0])
@@ -526,6 +663,7 @@ def test_label_table_matches_cluster_stats(g, bc):
     assert seen == list(range(1 << g.n_edges))
     assert labels.shape == (1 << g.n_edges, g.n_vertices)
     counts = cluster_count_array(g, bc)
+    assert counts.dtype == np.int32
     for mask in range(1 << g.n_edges):
         k, lab = cluster_stats(g, _bits(mask, g.n_edges), bc)
         assert tuple(int(x) for x in labels[mask]) == lab
@@ -587,10 +725,10 @@ def test_crossing_event_refuses_unknown_direction():
         crossing_event(RECT7, (0, 0, 2, 1), "horizontl")
 
 
-def _refused_before_allocating(call):
+def _refused_before_allocating(call, match="bytes"):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="bytes"):
+        with pytest.raises(ValueError, match=match):
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
