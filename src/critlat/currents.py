@@ -15,8 +15,10 @@ source word and the int64 index of a hit.
 
 Only the switching check keeps a capped ensemble, as its independent
 reference: verify_switching(n_max=) enumerates the multigraphs n1 + n2 with
-entries <= n_max and splits each between the two source sets. That family
-is closed under source swapping; only this path reads multiplicities.
+entries <= n_max and source set A xor B, per parity word of A xor B the
+product of odd entries on its edges and even entries on the others, and
+splits each between the two source sets. That family is closed under
+source swapping; only this path reads multiplicities.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ from .lattice import cluster_stats, free_bc
 from .oracle import (
     _check_budget,
     _check_enum_edges,
+    _product_columns,
     _superset_transform,
     connectivity_event,
     even_overlap_event,
     ising_moment,
 )
-
-# multigraph cap of verify_switching(values_fn=) when no n_max is given
-DEFAULT_N_MAX = 8
 
 # largest entry cap, as multigraph entries are int8; both functions taking
 # n_max refuse a larger one before allocating
@@ -151,19 +151,30 @@ def _split_tables(n_max):
     return table
 
 
-def _multigraph_values(graph, n_max):
-    """Per-edge value columns of all multigraphs with entries <= n_max."""
+def _multigraph_values(graph, n_max, sources):
+    """(|E|, count) int8 values of the multigraphs with entries <= n_max and
+    source set sources, built per parity word of sources."""
     m = graph.n_edges
     count = (n_max + 1) ** m
     if count > MULTIGRAPH_CAP:
         raise ValueError("refusing to enumerate %d multigraphs" % count)
-    # per multigraph: the int64 index, two int64 temporaries while a column
-    # is cut out, and the |E| int8 columns; the arrays built after the
-    # parity filter hold only the multigraphs of the right parity
+    # the full product is still charged 24 + |E| bytes per multigraph, so
+    # every (graph, n_max) refused when all of it was built stays refused
     _check_budget(count * (24 + m), "%d multigraphs over %d edges" % (count, m))
-    idx = np.arange(count, dtype=np.int64)
-    return [((idx // (n_max + 1) ** e) % (n_max + 1)).astype(np.int8)
-            for e in range(m)]
+    alphabets = (np.arange(0, n_max + 1, 2), np.arange(1, n_max + 1, 2))
+    blocks = [[alphabets[(w >> e) & 1] for e in range(m)]
+              for w in parity_masks(graph, sources)]
+    sizes = [math.prod(map(len, b)) for b in blocks]
+    # per kept multigraph: the |E| int8 values, then in verify_switching the
+    # int64 support mask and at most eight float64 arrays
+    _check_budget(sum(sizes) * (m + 72), "%d multigraphs of the right parity"
+                  " over %d edges" % (sum(sizes), m))
+    vals = np.empty((m, sum(sizes)), dtype=np.int8)
+    cuts = np.cumsum(sizes, dtype=np.int64)[:-1]
+    for block, part in zip(blocks, np.split(vals, cuts, axis=1)):
+        for row, col in zip(part, _product_columns(block)):
+            row[:] = col
+    return vals
 
 
 def _split_weights(graph, sources, vals, table):
@@ -172,9 +183,9 @@ def _split_weights(graph, sources, vals, table):
     The complementary current s - n1 inherits its source set from parity,
     and T[1, 0] = 0 confines both currents to the support automatically.
     """
-    total = np.zeros(len(vals[0]))
+    total = np.zeros(vals.shape[1])
     for pi in parity_masks(graph, sources):
-        term = np.ones(len(vals[0]))
+        term = np.ones(vals.shape[1])
         for e in range(graph.n_edges):
             term *= table[(pi >> e) & 1][vals[e]]
         total += term
@@ -196,21 +207,17 @@ def switching_tail_bound(graph, beta, n_max):
     return beta ** (n_max + 1) / math.factorial(n_max + 1) * factor
 
 
-def verify_switching(graph, A, B, beta, n_max=None, trace=None,
-                     values_fn=None):
+def verify_switching(graph, A, B, beta, n_max=None, trace=None):
     """Both sides of the source-swapping identity.
 
     LHS: sum over d(n1)=A, d(n2)=B of w(n1)w(n2) F(n1+n2).
     RHS: the same with sources A xor B and none, times 1[trace in F_B].
-    F is the sure event, an array over support masks (trace=), or a
-    vectorized callable on the (n_edges, count) value matrix (values_fn=).
-    By default each side is one exact double_current_sum. Given n_max or
-    values_fn (capped at DEFAULT_N_MAX), both sides instead enumerate the
-    multigraphs s = n1 + n2 with entries <= n_max, with split weights per
+    F is the sure event or an array over support masks (trace=). By default
+    each side is one exact double_current_sum. Given n_max, both sides
+    instead enumerate the multigraphs s = n1 + n2 with entries <= n_max and
+    d(s) = A xor B, the only ones either side counts, with split weights per
     source set: the gap compares two independent parity enumerations.
     """
-    if values_fn is not None and n_max is None:
-        n_max = DEFAULT_N_MAX
     tail = switching_tail_bound(graph, beta, n_max)
     a_xor_b = sorted(set(map(tuple, A)) ^ set(map(tuple, B)))
     fb = even_overlap_trace(graph, B)
@@ -219,31 +226,16 @@ def verify_switching(graph, A, B, beta, n_max=None, trace=None,
         lhs = double_current_sum(graph, A, B, beta, trace=trace)
         rhs = double_current_sum(graph, a_xor_b, (), beta, trace=f)
     else:
-        vals = _multigraph_values(graph, n_max)
-        # d(n1) + d(n2) = d(n1 + n2): only multigraphs with source set
-        # A xor B contribute to either side
-        pmask = np.zeros(len(vals[0]), dtype=np.int64)
-        for e, v in enumerate(vals):
-            pmask |= (v.astype(np.int64) & 1) << e
-        feasible = np.zeros(1 << graph.n_edges, dtype=bool)
-        feasible[parity_masks(graph, a_xor_b)] = True
-        keep = feasible[pmask]
-        vals = [v[keep] for v in vals]
-        smask = np.zeros(len(vals[0]), dtype=np.int64)
-        tot = np.zeros(len(vals[0]), dtype=np.int32)
+        vals = _multigraph_values(graph, n_max, a_xor_b)
+        smask = np.zeros(vals.shape[1], dtype=np.int64)
         for e, v in enumerate(vals):
             smask |= (v > 0).astype(np.int64) << e
-            tot += v
-        w = beta ** tot.astype(float)
+        w = beta ** vals.sum(axis=0, dtype=float)
 
         table = _split_tables(n_max)
         w_ab = _split_weights(graph, A, vals, table)
         w_xor = _split_weights(graph, a_xor_b, vals, table)
-        f = 1.0
-        if values_fn is not None:
-            f = np.asarray(values_fn(np.stack(vals).astype(np.int32)), float)
-        elif trace is not None:
-            f = np.asarray(trace, float)[smask]
+        f = 1.0 if trace is None else np.asarray(trace, float)[smask]
         lhs = float(np.sum(w * w_ab * f))
         rhs = float(np.sum(w * w_xor * f * fb[smask]))
     gap = abs(lhs - rhs)

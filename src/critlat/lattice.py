@@ -649,7 +649,7 @@ class DobrushinDomain:
             else:
                 states = (kind == "primal",) * 2
             for b, open_primal in enumerate(states):
-                for arc in self.arcs_at(z, open_primal, self.blacks_ne_sw(z)):
+                for arc in self.arcs_at(z, open_primal):
                     for d_in, d_out in (arc, arc[::-1]):
                         s, out = slot[z, d_in], side[slot[z, d_out]]
                         if side[s] >= 0 > out:
@@ -758,22 +758,16 @@ class DobrushinDomain:
 
     # arc pairing: at a status vertex the two arcs avoid the open diagonal
     @staticmethod
-    def arcs_at(z, open_primal, blacks_ne_sw):
+    def arcs_at(z, open_primal):
         """The two arcs at medial vertex z as ((in,out),(in,out)) compass
         pairs; open diagonal NE-SW pairs (N,W),(S,E), NW-SE pairs (N,E),(S,W).
 
-        blacks_ne_sw: True when the blacks at z sit NE and SW (even corner).
-        open_primal: True when the primal edge through z is open.
+        open_primal: True when the primal edge through z is open. The blacks
+        at z sit NE and SW when z has even parity, NW and SE otherwise.
         """
-        diag_ne_sw = blacks_ne_sw if open_primal else not blacks_ne_sw
-        if diag_ne_sw:
+        if ((z[0] + z[1]) % 2 == 0) == open_primal:
             return (((0, 1), (-1, 0)), ((0, -1), (1, 0)))
         return (((0, 1), (1, 0)), ((0, -1), (-1, 0)))
-
-    def blacks_ne_sw(self, z):
-        """True when the two black faces at corner z are its NE and SW
-        quadrant faces (corner parity even)."""
-        return (z[0] + z[1]) % 2 == 0
 
     def curve_segment(self, z, w):
         """True when the unit medial segment z-w carries curve: its black

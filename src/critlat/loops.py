@@ -87,16 +87,6 @@ class LoopConfig:
         return len(self.loops) + 1
 
 
-def _arc_pairs(domain, z, open_primal):
-    """Arc pairing (side -> side) at status vertex z for one edge state."""
-    table = {}
-    for d1, d2 in DobrushinDomain.arcs_at(z, open_primal,
-                                          domain.blacks_ne_sw(z)):
-        table[d1] = d2
-        table[d2] = d1
-    return table
-
-
 def _pairings(domain, bits):
     """Arc pairing (side -> side) at every status vertex for this config."""
     pair = {}
@@ -105,7 +95,8 @@ def _pairings(domain, bits):
             open_primal = bool(bits[domain.free_pos[k]])
         else:
             open_primal = kind == "primal"
-        pair[z] = _arc_pairs(domain, z, open_primal)
+        pair[z] = {d: e for arc in DobrushinDomain.arcs_at(z, open_primal)
+                   for d, e in (arc, arc[::-1])}
     return pair
 
 

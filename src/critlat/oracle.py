@@ -377,13 +377,24 @@ def _check_color_table(graph, q, fixed):
                   "a table of %d colourings of %d vertices" % (configs, n))
 
 
+def _product_columns(alphabets):
+    """The int8 columns of the Cartesian product of the alphabets, the first
+    column fastest; a zero-size alphabet empties every column."""
+    rows = math.prod(len(a) for a in alphabets)
+    inner = 1
+    for a in alphabets:
+        col = np.repeat(np.asarray(a, dtype=np.int8), inner)
+        inner *= len(a)
+        yield np.tile(col, rows // inner if rows else 0)
+
+
 def _color_table(graph, q, fixed=None):
     """All q^(free vertices) colorings and their agreement counts.
 
     Returns (colors, agree): colors is a (configs, |V|) int8 array whose free
-    columns count in base q, the first free vertex fastest, and agree[c] is
-    the number of edges whose ends share a color in coloring c. The Gibbs
-    weight at inverse temperature beta is exp(beta * _simplex_dots(agree)).
+    columns are the _product_columns of q colours each, and agree[c] is the
+    number of edges whose ends share a color in coloring c. The Gibbs weight
+    at inverse temperature beta is exp(beta * _simplex_dots(agree)).
     """
     _check_color_table(graph, q, fixed)
     q, n = int(q), graph.n_vertices
@@ -394,9 +405,8 @@ def _color_table(graph, q, fixed=None):
     colors = np.empty((n, m), dtype=np.int8).T
     for i, c in fixed.items():
         colors[:, i] = c
-    digits = np.arange(q, dtype=np.int8)
-    for j, i in enumerate(free):
-        colors[:, i] = np.tile(np.repeat(digits, q ** j), m // q ** (j + 1))
+    for i, col in zip(free, _product_columns([range(q)] * len(free))):
+        colors[:, i] = col
     agree = np.zeros(m, dtype=np.min_scalar_type(graph.n_edges))
     for iu, iv in graph.edge_ends:
         agree += colors[:, iu] == colors[:, iv]

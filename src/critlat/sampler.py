@@ -64,6 +64,14 @@ _MASK64 = (1 << 64) - 1
 _THREAD = threading.local()
 
 
+def _check_draws(n_samples, burn_in=0, thin=1):
+    """Refuse n_samples < 1, burn_in < 0 or thin < 1, naming the value."""
+    for name, value, least in (("n_samples", n_samples, 1),
+                               ("burn_in", burn_in, 0), ("thin", thin, 1)):
+        if value < least:
+            raise ValueError("%s must be >= %d, not %r" % (name, least, value))
+
+
 @dataclass(frozen=True)
 class Estimate:
     mean: float
@@ -235,6 +243,7 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
         raise ValueError("coupling from the past needs q >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be inside (0,1)")
+    _check_draws(n_samples)
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
     full = (1 << m) - 1
@@ -294,6 +303,7 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
     Not an exact sampler: the marginal is phi^xi only in the long-chain
     limit, and thinned draws stay correlated. Valid for every q > 0.
     """
+    _check_draws(n_samples, burn_in, thin)
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
     links, ends = _links(graph, bc)
@@ -405,6 +415,7 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
     right = [i for i, v in enumerate(graph.vertices) if v[0] == nx]
     event_bc = free_bc(graph)
     if q == 1.0:
+        _check_draws(n_samples)
         hits = 0
         chunk = 4096
         done = 0
@@ -467,7 +478,9 @@ def chi_square_gof(masks, probs):
 
 
 def bits_to_masks(batch):
-    """(n, m) bit rows -> integer masks (bit k = edge k)."""
+    """(n, m) bit rows -> integer masks (bit k = edge k), m <= 63."""
     m = batch.shape[1]
+    if m > 63:
+        raise ValueError("%d columns overflow an int64 mask (at most 63)" % m)
     weights = (1 << np.arange(m, dtype=np.int64))
     return batch.astype(np.int64) @ weights

@@ -249,14 +249,47 @@ def test_switching_with_trace_functional():
     assert rep["ok"] and rep["gap"] <= 1e-8
 
 
-def test_switching_values_functional():
-    # F reads the actual multiplicities of n1 + n2, not just the trace
-    def values_fn(vals):
-        return np.exp(-0.1 * vals.sum(axis=0))
+def _odd_vertices(graph, values):
+    deg = [0] * graph.n_vertices
+    for t, (a, b) in zip(values, graph.edge_ends):
+        deg[a] += t
+        deg[b] += t
+    return tuple(i for i, d in enumerate(deg) if d % 2)
 
-    rep = verify_switching(SQUARE, [(0, 0), (1, 0)], [(0, 1), (1, 1)],
-                           0.7, values_fn=values_fn)
-    assert rep["ok"] and rep["gap"] <= 1e-8
+
+@pytest.mark.parametrize("graph", [PATH2, SQUARE, GRID23],
+                         ids=["path2", "cycle4", "grid23"])
+def test_multigraphs_built_of_the_right_parity_only(graph):
+    # the generate-and-filter reference: every multigraph with entries
+    # <= n_max, kept when its odd vertices are the source set
+    v = graph.vertices
+    sources = [(), [v[0], v[1]], [v[1], v[-1]], [v[0], v[-1]], v[:4], [v[0]]]
+    for n_max in range(4):
+        by_odd = {}
+        for s in itertools.product(range(n_max + 1), repeat=graph.n_edges):
+            by_odd.setdefault(_odd_vertices(graph, s), set()).add(s)
+        for S in sources:
+            want = by_odd.get(tuple(sorted(graph.index(x) for x in S)), set())
+            got = currents._multigraph_values(graph, n_max, S)
+            assert got.dtype == np.int8 and got.shape[0] == graph.n_edges
+            rows = [tuple(r) for r in got.T.tolist()]
+            assert len(rows) == len(want) and set(rows) == want
+
+
+def test_capped_switching_on_odd_sources_and_zero_cap():
+    trace = np.random.default_rng(8).random(1 << SQUARE.n_edges)
+    v = SQUARE.vertices
+    cases = [([v[0]], (), 2), ([v[0], v[1]], [v[2]], 2),
+             ([v[0], v[1]], [v[0], v[3]], 0), ((), (), 0),
+             ([v[0], v[1]], [v[0], v[1]], 0), ([v[0]], [v[1], v[2]], 0)]
+    for A, B, n_max in cases:
+        for tr in (None, trace):
+            rep = verify_switching(SQUARE, A, B, 0.8, n_max=n_max, trace=tr)
+            lhs, rhs = brute_switch_sides(SQUARE, A, B, 0.8, n_max, tr)
+            assert (rep["lhs"], rep["rhs"]) == (lhs, rhs)
+            assert rep["ok"] == (lhs == rhs)
+            if (len(A) + len(B)) % 2:
+                assert rep["lhs"] == rep["rhs"] == 0.0 and rep["ok"]
 
 
 def test_switching_gap_stays_at_roundoff():

@@ -1,6 +1,7 @@
 """Exact-enumeration oracle checks: weights, conditionals, Edwards-Sokal,
 duality, positive association and the pivotality sum."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from critlat.oracle import (
     _color_table,
     _es_sides,
     _fkg_search,
+    _product_columns,
     _simplex_dots,
     _superset_transform,
     all_boundary_connection,
@@ -355,6 +357,20 @@ def test_color_table_matches_digit_columns(graph, q):
         else:
             assert np.abs(dots - ref_dots).max() \
                 <= 1e-13 * np.abs(ref_dots).max()
+
+
+@pytest.mark.parametrize("alphabets", [
+    [], [[3, 1, 4]], [[0, 2], [5], [1, 3, 7], [2, 4]], [[1, 2], [], [3]], [[]],
+    [[-1, 0, 1]] * 3,
+])
+def test_product_columns_match_itertools_product(alphabets):
+    cols = list(_product_columns([np.array(a) for a in alphabets]))
+    assert len(cols) == len(alphabets)
+    assert all(c.dtype == np.int8 for c in cols)
+    # no alphabets give no columns over the product's single empty row
+    rows = list(zip(*(c.tolist() for c in cols))) if cols else [()]
+    # the first column fastest: itertools.product with the order reversed
+    assert rows == [r[::-1] for r in itertools.product(*alphabets[::-1])]
 
 
 def test_es_free_spins_enumerated_up_to_color_permutation(monkeypatch):

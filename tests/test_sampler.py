@@ -466,3 +466,63 @@ def test_connected_batch_matches_cluster_stats(bc_kind):
             _, labels = cluster_stats(g, tuple(row), bc)
             expect = any(labels[s] == labels[d] for s in src for d in dst)
             assert hit == expect
+
+
+def test_bits_to_masks_refuses_past_63_columns():
+    # column 65 would wrap to 1 << 1 in int64, and to 0 in the matrix product
+    batch = np.zeros((2, 70), dtype=np.uint8)
+    batch[:, 65] = 1
+    with pytest.raises(ValueError, match="70 columns"):
+        bits_to_masks(batch)
+    edge63 = np.zeros((1, 63), dtype=np.uint8)
+    edge63[0, 62] = 1
+    assert bits_to_masks(edge63).tolist() == [1 << 62]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_chain_samples_refuses_no_draws(n):
+    with pytest.raises(ValueError, match="n_samples must be >= 1, not %d" % n):
+        chain_samples(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, n, 10, 2)
+
+
+def test_chain_samples_refuses_negative_burn_in():
+    with pytest.raises(ValueError, match="burn_in must be >= 0, not -5"):
+        chain_samples(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 4, -5, 2)
+
+
+def test_chain_samples_refuses_zero_thinning():
+    with pytest.raises(ValueError, match="thin must be >= 1, not 0"):
+        chain_samples(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 4, 10, 0)
+
+
+def test_cftp_batch_refuses_no_draws():
+    with pytest.raises(ValueError, match="n_samples must be >= 1, not 0"):
+        cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 0)
+
+
+@pytest.mark.parametrize("method", ["cftp", "chain"])
+def test_estimators_refuse_no_draws(method):
+    bc = free_bc(SQUARE)
+    with pytest.raises(ValueError, match="n_samples must be >= 1, not 0"):
+        connect_mc(SQUARE, 0.5, 2.0, bc, (0, 0), (1, 1), 0, 3, method=method)
+    with pytest.raises(ValueError, match="n_samples must be >= 1, not 0"):
+        mc_estimate(SQUARE, 0.5, 2.0, bc, lambda b: 1.0, 0, 3, method=method)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_crossing_mc_refuses_bad_sizes(q):
+    with pytest.raises(ValueError, match="n_samples must be >= 1, not 0"):
+        crossing_mc(2, 1, 0.5, q, "free", 0, 3)
+    if q != 1.0:
+        with pytest.raises(ValueError, match="thin must be >= 1, not 0"):
+            crossing_mc(2, 1, 0.5, q, "free", 5, 3, thin=0)
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            crossing_mc(2, 1, 0.5, q, "free", 5, 3, burn_in=-1)
+
+
+def test_mc_estimate_chain_refuses_bad_schedule():
+    bc = free_bc(SQUARE)
+    for kw, match in (({"thin": 0}, "thin"), ({"burn_in": -5}, "burn_in")):
+        with pytest.raises(ValueError, match=match):
+            mc_estimate(SQUARE, 0.5, 2.0, bc, lambda b: 1.0, 4, 3,
+                        method="chain", **kw)
