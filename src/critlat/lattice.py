@@ -38,9 +38,11 @@ each reads the contraction bc.roots instead of adding links for the wiring:
 
 * one configuration: cluster_stats, a union-find started from the roots
   (is_connected, complement_connected and currents.simon_report call it);
-* one heat-bath update: sampler._joined_off, an early-exit bidirectional
-  BFS over the contracted edges, 5.8x faster per update than a union-find
-  rebuild;
+* a heat-bath chain: kept cluster labels (sampler._clusters) for a closed
+  edge, and an early-exit bidirectional BFS over the contracted edges
+  (sampler._cut_side, behind _joined_off) for an open edge that may close,
+  3.6x faster per box(3) sweep than the BFS on every edge; on at most 12
+  edges, sampler.conn_off_tables, read from the all-mask label table below;
 * sampled batches: sampler._connected_batch, one scipy connected-components
   call over the contracted edges (0.016 s against 0.074 s for per-row
   cluster_stats on 4096 rows of the 31-edge 5x4-vertex rectangle, 2-core

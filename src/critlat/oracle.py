@@ -145,14 +145,19 @@ def open_count_array(n_edges):
     return np.bitwise_count(masks).astype(np.int32)
 
 
+def _check_pq(p, q=1.0):
+    """Refuse p outside [0, 1] and q <= 0 (NaN included), naming the value."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1], not %r" % (p,))
+    if not q > 0.0:
+        raise ValueError("q must be > 0, not %r" % (q,))
+
+
 def _log_weights(p, q, o, k, n_edges):
     """log of p^o (1-p)^(n_edges-o) q^k for open counts o and cluster
     counts k; 0 log 0 = 0, so at p = 0 or 1 every configuration but the
     all-closed or all-open one gets -inf."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0,1]")
-    if q <= 0:
-        raise ValueError("q must be positive")
+    _check_pq(p, q)
     counts = np.arange(n_edges + 1)
     by_open = xlogy(counts, p) + xlogy(n_edges - counts, 1.0 - p)
     return by_open[o] + k * math.log(q)
@@ -300,6 +305,7 @@ def all_even_overlap(graph, bc, subsets):
 def thresholds(p, q):
     """P[w_e = 0 | rest] when the endpoints of e are joined off e in
     omega^xi (bc wiring included), and when they are not."""
+    _check_pq(p, q)
     return 1.0 - p, q * (1.0 - p) / (p + q * (1.0 - p))
 
 

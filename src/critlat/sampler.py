@@ -16,21 +16,29 @@ q >= 1 the disconnected threshold dominates the connected one, so two chains
 driven by the same variates preserve the partial order, and both thresholds
 decrease in p, which gives the shared-variate monotonicity in p.
 
-Whether the endpoints of e are connected off e is answered by one helper,
-`_joined_off`: a bidirectional breadth-first search from the two endpoints
-over the open edges other than e, stopping as soon as the two sides meet.
-Its adjacency is built once per (graph, bc) on the contracted graph: every
-edge end is replaced by the smallest vertex of its wired block (bc.roots),
-so a state list holds the edge bits only and wiring counts as connection.
-The answer is the boolean a union-find over all open edges gives, so the
-variates consumed, the trajectories and the coupling argument above do not
-depend on how it is computed. Small graphs in coupling from the past read
-the same boolean from precomputed tables instead (`conn_off_tables`).
+Whether the endpoints of e are connected off e is asked on the contracted
+graph: every edge end is replaced by the smallest vertex of its wired block
+(bc.roots), so a state holds the edge bits only and wiring counts as
+connection. Graphs with at most TABLE_MAX_EDGES edges keep each state as an
+integer mask and read the answer from precomputed tables
+(`conn_off_tables`), in chains and in coupling from the past. Larger graphs
+keep a state list with cluster labels (`_clusters`). A closed edge reads the
+answer from the labels. An open edge asks only when its uniform lies below
+the larger threshold, so that it may close, and then searches (`_cut_side`,
+the search of `_joined_off`: breadth-first from both endpoints, stopping as
+soon as the two sides meet or one runs out). Opening an edge between two
+clusters relabels the smaller; closing a bridge gives the side the search
+exhausted a label of its own. Every route gives the
+boolean a union-find over all open edges gives, so the variates consumed,
+the trajectories and the coupling argument above do not depend on which
+one answers. In coupling from the past, a row whose two chains have met
+sweeps once: equal states driven by the same variates stay equal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -39,6 +47,7 @@ import numpy as np
 from .lattice import build_rect, cluster_stats, free_bc, wired_bc
 from .oracle import (
     _check_edges,
+    _check_pq,
     _check_spin_q,
     _joined_off_rows,
     scan_configs,
@@ -50,8 +59,8 @@ from .oracle import (
 # explicit sampling failure, never a silent truncation
 CFTP_MAX_SWEEPS = 1 << 22
 
-# largest edge count for the precomputed connectivity-off-e tables used by
-# the vectorized batch sampler
+# largest edge count for the precomputed connectivity-off-e tables, read by
+# the mask-encoded chains and coupling from the past
 TABLE_MAX_EDGES = 12
 
 # burn-in and thinning, in sweeps, of the chains of connect_mc and mc_estimate
@@ -84,20 +93,23 @@ class Estimate:
 def sweep_uniforms(seed, epoch, n_rows, n_edges):
     """The (n_rows, n_edges) uniform block of sweep `epoch`.
 
-    Each thread keeps one Philox generator and re-keys it here: counter,
-    buffer and key are reset to those of a fresh Philox(key=(seed, epoch)),
-    whose constructor would also draw OS entropy that the key then discards.
+    Each thread keeps one Philox generator and one state dict, and re-keys
+    the generator here: counter, buffer and key are reset to those of a
+    fresh Philox(key=(seed, epoch)), whose constructor would also draw OS
+    entropy that the key then discards. The setter copies the values.
     """
-    key = np.array([seed & _MASK64, epoch & _MASK64], dtype=np.uint64)
-    gen = getattr(_THREAD, "gen", None)
-    if gen is None:
-        gen = _THREAD.gen = np.random.Generator(np.random.Philox(key=key))
-    else:
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+    rekey = getattr(_THREAD, "rekey", None)
+    if rekey is None:
+        gen = np.random.Generator(np.random.Philox(0))
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0] * 4, "key": [0, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        rekey = _THREAD.rekey = gen, state, state["state"]["key"]
+    gen, state, key = rekey
+    key[0] = seed & _MASK64
+    key[1] = epoch & _MASK64
+    gen.bit_generator.state = state
     return gen.random((n_rows, n_edges))
 
 
@@ -116,15 +128,16 @@ def _links(graph, bc):
     return links, ends
 
 
-def _joined_off(links, state, x, y, k):
-    """Are x and y joined by links open in state, edge k excluded?
+def _cut_side(links, state, x, y, k):
+    """None when x and y are joined by links open in state, edge k
+    excluded; otherwise the set of vertices joined to one of them off k.
 
     Bidirectional breadth-first search with early exit: each step takes the
     next vertex from the side with fewer vertices queued, and the search
-    stops as soon as the two sides meet or either runs out.
+    stops as soon as the two sides meet (None) or one runs out (its set).
     """
     if x == y:
-        return True
+        return None
     near, far = {x}, {y}
     queue, other = [x], [y]
     head = other_head = 0
@@ -137,17 +150,64 @@ def _joined_off(links, state, x, y, k):
         for w, j in links[v]:
             if j != k and state[j] and w not in near:
                 if w in far:
-                    return True
+                    return None
                 near.add(w)
                 queue.append(w)
-    return False
+    return near if head == len(queue) else far
 
 
-def _sweep(links, ends, state, u, thr_c, thr_d):
-    """One in-place heat-bath sweep of a state list (edges in index order)."""
+def _joined_off(links, state, x, y, k):
+    """Are x and y joined by links open in state, edge k excluded?"""
+    return _cut_side(links, state, x, y, k) is None
+
+
+def _clusters(ends, state, n_vertices):
+    """Kept cluster labels of a state list: lab[v] is the set of vertices
+    joined to v by open links, one set object per cluster."""
+    lab = [{v} for v in range(n_vertices)]
     for k, (x, y) in enumerate(ends):
-        thr = thr_c if _joined_off(links, state, x, y, k) else thr_d
-        state[k] = 1 if u[k] >= thr else 0
+        if state[k]:
+            _merge(lab, x, y)
+    return lab
+
+
+def _merge(lab, x, y):
+    """Join the clusters of x and y in lab, relabelling the smaller one."""
+    big, small = lab[x], lab[y]
+    if big is not small:
+        if len(big) < len(small):
+            big, small = small, big
+        big |= small
+        for v in small:
+            lab[v] = big
+
+
+def _sweep(links, ends, state, lab, u, thr_c, thr_d):
+    """One in-place heat-bath sweep of a state list and its labels
+    (_clusters), edges in index order.
+
+    A closed edge reads whether its ends are joined off it from the labels.
+    An open edge asks only when u is below the larger threshold, so that it
+    may close, and then searches (_cut_side); when it closes as a bridge,
+    the side the search exhausted becomes a cluster of its own.
+    """
+    opens = max(thr_c, thr_d)  # u >= opens opens e whatever the answer
+    for k, (x, y) in enumerate(ends):
+        if not state[k]:
+            joined = lab[x] is lab[y]
+            if u[k] >= (thr_c if joined else thr_d):
+                state[k] = 1
+                if not joined:
+                    _merge(lab, x, y)
+        elif u[k] < opens:
+            side = _cut_side(links, state, x, y, k)
+            if side is None:
+                state[k] = 1 if u[k] >= thr_c else 0
+            elif u[k] < thr_d:
+                state[k] = 0
+                lab[x] -= side
+                for v in side:
+                    lab[v] = side
 
 
 def heatbath_step(graph, bits, edge_k, u, p, q, bc):
@@ -191,7 +251,7 @@ def _connected_batch(graph, bc, bits_batch, src, dst):
 
 
 # ---------------------------------------------------------------------------
-# connectivity-off-e tables for the vectorized small-graph sampler
+# connectivity-off-e tables for the mask-encoded small-graph samplers
 
 
 def conn_off_tables(graph, bc):
@@ -212,15 +272,29 @@ def conn_off_tables(graph, bc):
     return tables
 
 
-def _batch_sweep_masks(masks, u, tables, thr_c, thr_d):
-    """One in-place heat-bath sweep of a batch of mask-encoded states."""
-    m = tables.shape[0]
-    for k in range(m):
+def _batch_sweep_masks(masks, u, thr):
+    """One in-place heat-bath sweep of a batch of mask-encoded states;
+    thr[k][mask] is the threshold that applies to edge k in mask."""
+    for k in range(len(thr)):
         bit = 1 << k
-        conn = tables[k][masks]
-        thr = np.where(conn, thr_c, thr_d)
-        opened = u[:, k] >= thr
+        opened = u[:, k] >= thr[k][masks]
         masks[:] = np.where(opened, masks | bit, masks & ~bit)
+
+
+def _sweep_mask(mask, u, thr):
+    """One heat-bath sweep of one mask-encoded state, thr as a list of
+    lists; returns the new mask."""
+    bit = 1
+    for x, row in zip(u, thr):
+        mask = mask | bit if x >= row[mask] else mask & ~bit
+        bit <<= 1
+    return mask
+
+
+def _mask_bits(masks, m):
+    """(n, m) uint8 bit rows of integer masks (bit k = edge k)."""
+    return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(m))
+            & 1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +313,18 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
     of it and produce identical output; use_tables overrides the automatic
     choice.
     """
-    if q < 1.0:
-        raise ValueError("coupling from the past needs q >= 1")
+    if not q >= 1.0:
+        raise ValueError("coupling from the past needs q >= 1, not %r" % (q,))
     if not 0.0 < p < 1.0:
-        raise ValueError("p must be inside (0,1)")
+        raise ValueError("p must be inside (0, 1), not %r" % (p,))
     _check_draws(n_samples)
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
     full = (1 << m) - 1
     if use_tables is None:
         use_tables = m <= TABLE_MAX_EDGES
-    tables = conn_off_tables(graph, bc) if use_tables else None
+    thr = np.where(conn_off_tables(graph, bc), thr_c, thr_d) \
+        if use_tables else None
     links, ends = _links(graph, bc)
     result = np.zeros((n_samples, m), dtype=np.uint8)
     active = np.arange(n_samples)
@@ -258,33 +333,36 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
         if horizon > max_sweeps:
             raise RuntimeError(
                 "CFTP did not coalesce within %d sweeps" % max_sweeps)
-        if tables is not None:
+        if thr is not None:
             top = np.full(active.size, full, dtype=np.int64)
             bot = np.zeros(active.size, dtype=np.int64)
         else:
-            top = [[1] * m for _ in active]
-            bot = [[0] * m for _ in active]
+            # (state, labels) per row; a coalesced row's bottom is its top
+            n = graph.n_vertices
+            top = [([1] * m, _clusters(ends, [1] * m, n)) for _ in active]
+            bot = [([0] * m, [{v} for v in range(n)]) for _ in active]
         for t in range(-horizon, 0):
             u = sweep_uniforms(seed, t, n_samples, m)[active]
-            if tables is not None:
-                _batch_sweep_masks(top, u, tables, thr_c, thr_d)
-                _batch_sweep_masks(bot, u, tables, thr_c, thr_d)
+            if thr is not None:
+                _batch_sweep_masks(top, u, thr)
+                _batch_sweep_masks(bot, u, thr)
                 ordered = not (bot & ~top).any()
             else:
-                for hi, lo, row in zip(top, bot, u.tolist()):
-                    _sweep(links, ends, hi, row, thr_c, thr_d)
-                    _sweep(links, ends, lo, row, thr_c, thr_d)
-                ordered = all(a <= b for hi, lo in zip(top, bot)
-                              for a, b in zip(lo, hi))
+                for i, row in enumerate(u.tolist()):
+                    _sweep(links, ends, *top[i], row, thr_c, thr_d)
+                    if bot[i] is not top[i]:
+                        _sweep(links, ends, *bot[i], row, thr_c, thr_d)
+                        if bot[i][0] == top[i][0]:
+                            bot[i] = top[i]
+                ordered = all(all(map(operator.le, lo, hi))
+                              for (hi, _), (lo, _) in zip(top, bot))
             if not ordered:
                 raise AssertionError("monotone coupling order violated")
-        if tables is not None:
-            shifts = np.arange(m)
-            top = ((top[:, None] >> shifts) & 1).astype(np.uint8)
-            bot = ((bot[:, None] >> shifts) & 1).astype(np.uint8)
+        if thr is not None:
+            top, bot = _mask_bits(top, m), _mask_bits(bot, m)
         else:
-            top = np.array(top, dtype=np.uint8)
-            bot = np.array(bot, dtype=np.uint8)
+            top = np.array([s for s, _ in top], dtype=np.uint8)
+            bot = np.array([s for s, _ in bot], dtype=np.uint8)
         done = (top == bot).all(axis=1)
         result[active[done]] = top[done]
         active = active[~done]
@@ -301,26 +379,31 @@ def chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin):
     after burn-in.
 
     Not an exact sampler: the marginal is phi^xi only in the long-chain
-    limit, and thinned draws stay correlated. Valid for every q > 0.
+    limit, and thinned draws stay correlated. Valid for every q > 0. Up to
+    TABLE_MAX_EDGES edges the chain is one integer mask read against
+    conn_off_tables, otherwise a state list with kept labels (_sweep).
     """
     _check_draws(n_samples, burn_in, thin)
     m = graph.n_edges
     thr_c, thr_d = thresholds(p, q)
-    links, ends = _links(graph, bc)
-    bits = [1] * m
-    out = np.zeros((n_samples, m), dtype=np.uint8)
-    step = 0
-    for t in range(burn_in):
-        u = sweep_uniforms(seed, step, 1, m)[0].tolist()
-        _sweep(links, ends, bits, u, thr_c, thr_d)
-        step += 1
-    for i in range(n_samples):
-        for t in range(thin):
-            u = sweep_uniforms(seed, step, 1, m)[0].tolist()
-            _sweep(links, ends, bits, u, thr_c, thr_d)
-            step += 1
-        out[i] = bits
-    return out
+    table = m <= TABLE_MAX_EDGES
+    if table:
+        thr = np.where(conn_off_tables(graph, bc), thr_c, thr_d).tolist()
+        state = (1 << m) - 1
+    else:
+        links, ends = _links(graph, bc)
+        state = [1] * m
+        lab = _clusters(ends, state, graph.n_vertices)
+    rows = []
+    for t in range(burn_in + n_samples * thin):
+        u = sweep_uniforms(seed, t, 1, m)[0].tolist()
+        if table:
+            state = _sweep_mask(state, u, thr)
+        else:
+            _sweep(links, ends, state, lab, u, thr_c, thr_d)
+        if t >= burn_in and (t - burn_in) % thin == thin - 1:
+            rows.append(state if table else state[:])
+    return _mask_bits(rows, m) if table else np.array(rows, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +418,9 @@ def es_forward(graph, bits, q, rng, bc=None, boundary_color=None):
     monochromatic boundary condition).
     """
     _check_spin_q(q)
+    if len(bits) != graph.n_edges:
+        raise ValueError("bits has %d entries for %d edges"
+                         % (len(bits), graph.n_edges))
     if boundary_color is not None and boundary_color not in range(int(q)):
         raise ValueError("boundary_color %r not in range(%d)"
                          % (boundary_color, q))
@@ -355,6 +441,10 @@ def es_forward(graph, bits, q, rng, bc=None, boundary_color=None):
 
 def es_reverse(graph, colors, p, rng):
     """Percolation from spins: equal-endpoint edges open with probability p."""
+    if len(colors) != graph.n_vertices:
+        raise ValueError("colors has %d entries for %d vertices"
+                         % (len(colors), graph.n_vertices))
+    _check_pq(p)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     u = rng.random(graph.n_edges)
@@ -409,6 +499,7 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
     """
     if bc_kind not in ("free", "wired"):
         raise ValueError("bc_kind must be free or wired")
+    _check_pq(p, q)
     graph = build_rect((0, nx), (0, ny))
     bc = wired_bc(graph) if bc_kind == "wired" else free_bc(graph)
     left = [i for i, v in enumerate(graph.vertices) if v[0] == 0]

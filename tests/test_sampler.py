@@ -28,9 +28,12 @@ from critlat.oracle import (
     rc_probability,
 )
 from critlat.sampler import (
+    TABLE_MAX_EDGES,
+    _clusters,
     _connected_batch,
     _joined_off,
     _links,
+    _sweep,
     bits_to_masks,
     cftp_batch,
     chain_samples,
@@ -206,8 +209,10 @@ def test_cftp_monotone_in_p():
 
 
 def test_cftp_rejects_q_below_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs q >= 1, not 0.5"):
         cftp_batch(SQUARE, 0.5, 0.5, free_bc(SQUARE), 1, 10)
+    with pytest.raises(ValueError, match=r"inside \(0, 1\), not 1.0"):
+        cftp_batch(SQUARE, 1.0, 2.0, free_bc(SQUARE), 1, 10)
 
 
 def test_cftp_horizon_failure_is_loud():
@@ -250,6 +255,23 @@ def test_es_forward_refuses_boundary_color_outside_q():
             es_forward(SQUARE, (1, 0, 0, 0), 3, 5, boundary_color=bad)
     colors = es_forward(SQUARE, (1, 0, 0, 0), 3, 5, boundary_color=2)
     assert (colors == 2).all()
+
+
+def test_es_maps_refuse_wrong_lengths_and_p():
+    g = build_rect((0, 2), (0, 1))  # 6 vertices, 7 edges
+    for n in (3, 10):
+        with pytest.raises(ValueError, match="bits has %d entries for 7 edges"
+                           % n):
+            es_forward(g, [1] * n, 2, 1)
+    for n in (5, 7):
+        with pytest.raises(ValueError,
+                           match="colors has %d entries for 6 vertices" % n):
+            es_reverse(g, [0] * n, 0.5, 1)
+    for p in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\], not %r"
+                           % p):
+            es_reverse(g, [0] * 6, p, 1)
+    assert es_reverse(g, [0] * 6, 1.0, 1).tolist() == [1] * 7
 
 
 def test_es_reverse_respects_spins():
@@ -526,3 +548,108 @@ def test_mc_estimate_chain_refuses_bad_schedule():
         with pytest.raises(ValueError, match=match):
             mc_estimate(SQUARE, 0.5, 2.0, bc, lambda b: 1.0, 4, 3,
                         method="chain", **kw)
+
+
+@pytest.mark.parametrize("p,q,match", [
+    (1.5, 2.0, r"p must be in \[0, 1\], not 1.5"),
+    (-0.1, 0.5, r"p must be in \[0, 1\], not -0.1"),
+    (0.5, -1.0, r"q must be > 0, not -1.0"),
+    (0.5, 0.0, r"q must be > 0, not 0.0"),
+    (0.5, float("nan"), r"q must be > 0, not nan")])
+def test_chain_paths_refuse_p_and_q_out_of_range(p, q, match):
+    g = build_rect((0, 2), (0, 1))
+    bc = free_bc(g)
+    calls = [lambda: chain_samples(g, p, q, bc, 1, 3, 2, 1),
+             lambda: connect_mc(g, p, q, bc, (0, 0), (2, 1), 10, 1,
+                                method="chain"),
+             lambda: mc_estimate(g, p, q, bc, lambda b: 1.0, 10, 1,
+                                 method="chain"),
+             lambda: crossing_mc(2, 1, p, q, "free", 10, 1)]
+    if q == 2.0:  # p alone is wrong: the direct q = 1 path refuses it too
+        calls.append(lambda: crossing_mc(2, 1, p, 1.0, "free", 10, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the mask-encoded chain, the kept labels and the draws of each path
+
+
+def _uf_chain(graph, bc, p, q, seed, n_samples, burn_in, thin):
+    """Reference chain: the union-find conditional on every update."""
+    thr_c, thr_d = thresholds(p, q)
+    m = graph.n_edges
+    bits, rows = [1] * m, []
+    for t in range(burn_in + n_samples * thin):
+        u = sweep_uniforms(seed, t, 1, m)[0]
+        for k in range(m):
+            conn = _uf_conn_off(graph, bc, bits, k)
+            bits[k] = 1 if u[k] >= (thr_c if conn else thr_d) else 0
+        if t >= burn_in and (t - burn_in + 1) % thin == 0:
+            rows.append(list(bits))
+    return rows
+
+
+@pytest.mark.parametrize("q", [2.0, 0.5])
+@pytest.mark.parametrize("graph,bc", _conditional_cases())
+def test_table_chain_matches_union_find(graph, bc, q):
+    assert graph.n_edges <= TABLE_MAX_EDGES  # the mask-encoded path
+    got = chain_samples(graph, 0.55, q, bc, 31, 12, burn_in=7, thin=3)
+    assert got.tolist() == _uf_chain(graph, bc, 0.55, q, 31, 12, 7, 3)
+
+
+def _label_cases():
+    cases = []
+    for n in (2, 3):
+        g = build_box(n)
+        two_blocks = custom_bc(g, [[(-n, j) for j in range(-n, n + 1)],
+                                   [(n, -n), (n, 0)]])
+        cases += [(g, wired_bc(g)), (g, dobrushin_bc(g, (-n, -n), (n, n))),
+                  (g, two_blocks)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [2.0, 0.5])
+@pytest.mark.parametrize("graph,bc", _label_cases())
+def test_kept_labels_match_cluster_stats(graph, bc, q):
+    # after every sweep: the state is the union-find chain's, and the kept
+    # labels (one shared set per cluster) give cluster_stats' partition
+    n, m = graph.n_vertices, graph.n_edges
+    links, ends = _links(graph, bc)
+    root = bc.roots(n)
+    thr_c, thr_d = thresholds(0.5, q)
+    bits = [1] * m
+    lab = _clusters(ends, bits, n)
+    expect = _uf_chain(graph, bc, 0.5, q, 17, 25, 0, 1)
+    for t in range(25):
+        _sweep(links, ends, bits, lab, sweep_uniforms(17, t, 1, m)[0].tolist(),
+               thr_c, thr_d)
+        assert bits == expect[t], t
+        first = {}  # label -> its smallest vertex, cluster_stats' labels
+        got = tuple(first.setdefault(id(lab[r]), v)
+                    for v, r in enumerate(root))
+        assert got == cluster_stats(graph, bits, bc)[1], t
+        assert all(lab[w] is lab[v] for v in range(n) for w in lab[v]), t
+
+
+@pytest.mark.parametrize("graph,bc", _conditional_cases())
+def test_cftp_paths_agree_on_every_boundary(graph, bc):
+    a = cftp_batch(graph, 0.55, 2.0, bc, 23, 64, use_tables=True)
+    b = cftp_batch(graph, 0.55, 2.0, bc, 23, 64, use_tables=False)
+    assert (a == b).all()
+
+
+@pytest.mark.parametrize("graph", [SQUARE, build_box(2)])
+def test_chain_draws_each_sweep_once(monkeypatch, graph):
+    import critlat.sampler as sampler
+
+    calls = []
+
+    def counted(seed, epoch, n_rows, n_edges):
+        calls.append((epoch, n_rows, n_edges))
+        return sweep_uniforms(seed, epoch, n_rows, n_edges)
+
+    monkeypatch.setattr(sampler, "sweep_uniforms", counted)
+    chain_samples(graph, 0.5, 2.0, free_bc(graph), 5, 4, burn_in=3, thin=2)
+    assert calls == [(t, 1, graph.n_edges) for t in range(3 + 4 * 2)]
