@@ -14,15 +14,18 @@ byte budget counts 17 bytes per mask: the word, its comparison with the
 source word and the int64 index of a hit.
 
 Only the switching check keeps a capped ensemble, as its independent
-reference: verify_switching(n_max=) enumerates the multigraphs n1 + n2 with
-entries <= n_max and source set A xor B, per parity word of A xor B the
-product of odd entries on its edges and even entries on the others, and
-splits each between the two source sets. That family is closed under
-source swapping; only this path reads multiplicities.
+reference: verify_switching(n_max=) sums the multigraphs s = n1 + n2 with
+entries <= n_max and source set A xor B, in one block per parity word of
+A xor B (odd entries on its edges, even on the others). Over a block,
+beta^|s|, the support mask of s and the splits of s between the source
+sets are outer products of per-edge vectors over the edges' alphabets.
+That family is closed under source swapping; only this path reads
+multiplicities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -32,22 +35,20 @@ from .lattice import cluster_stats, free_bc
 from .oracle import (
     _check_budget,
     _check_enum_edges,
-    _product_columns,
     _superset_transform,
     connectivity_event,
     even_overlap_event,
     ising_moment,
 )
 
-# largest entry cap, as multigraph entries are int8; both functions taking
-# n_max refuse a larger one before allocating
+# largest entry cap, below the 171! that overflows a float; both functions
+# taking n_max refuse a larger one before allocating
 N_MAX_LIMIT = 127
 
 
 def _check_n_max(n_max):
     if not 0 <= n_max <= N_MAX_LIMIT:
-        raise ValueError("n_max %d is outside [0, %d], the limit of the int8 "
-                         "multigraph entries" % (n_max, N_MAX_LIMIT))
+        raise ValueError("n_max %d is outside [0, %d]" % (n_max, N_MAX_LIMIT))
 
 
 def parity_masks(graph, sources):
@@ -151,9 +152,11 @@ def _split_tables(n_max):
     return table
 
 
-def _multigraph_values(graph, n_max, sources):
-    """(|E|, count) int8 values of the multigraphs with entries <= n_max and
-    source set sources, built per parity word of sources."""
+def _parity_blocks(graph, n_max, sources):
+    """(words, blocks): the parity words of sources and, per word, the
+    per-edge alphabets of the multigraphs with entries <= n_max that are odd
+    exactly on its edges; each multigraph of source set sources is in the
+    product of one block."""
     m = graph.n_edges
     count = (n_max + 1) ** m
     if count > MULTIGRAPH_CAP:
@@ -161,35 +164,20 @@ def _multigraph_values(graph, n_max, sources):
     # the full product is still charged 24 + |E| bytes per multigraph, so
     # every (graph, n_max) refused when all of it was built stays refused
     _check_budget(count * (24 + m), "%d multigraphs over %d edges" % (count, m))
+    words = parity_masks(graph, sources)
     alphabets = (np.arange(0, n_max + 1, 2), np.arange(1, n_max + 1, 2))
-    blocks = [[alphabets[(w >> e) & 1] for e in range(m)]
-              for w in parity_masks(graph, sources)]
-    sizes = [math.prod(map(len, b)) for b in blocks]
-    # per kept multigraph: the |E| int8 values, then in verify_switching the
-    # int64 support mask and at most eight float64 arrays
-    _check_budget(sum(sizes) * (m + 72), "%d multigraphs of the right parity"
-                  " over %d edges" % (sum(sizes), m))
-    vals = np.empty((m, sum(sizes)), dtype=np.int8)
-    cuts = np.cumsum(sizes, dtype=np.int64)[:-1]
-    for block, part in zip(blocks, np.split(vals, cuts, axis=1)):
-        for row, col in zip(part, _product_columns(block)):
-            row[:] = col
-    return vals
+    blocks = [[alphabets[(w >> e) & 1] for e in range(m)] for w in words]
+    # per multigraph of the largest block, at most ten float64 or int64
+    # arrays while verify_switching expands and sums it
+    size = max((math.prod(map(len, b)) for b in blocks), default=0)
+    _check_budget(size * 80, "a block of %d multigraphs" % size)
+    return words, blocks
 
 
-def _split_weights(graph, sources, vals, table):
-    """sum over n1 <= s with d(n1) = sources of prod_e 1/(n1_e!(s_e-n1_e)!).
-
-    The complementary current s - n1 inherits its source set from parity,
-    and T[1, 0] = 0 confines both currents to the support automatically.
-    """
-    total = np.zeros(vals.shape[1])
-    for pi in parity_masks(graph, sources):
-        term = np.ones(vals.shape[1])
-        for e in range(graph.n_edges):
-            term *= table[(pi >> e) & 1][vals[e]]
-        total += term
-    return total
+def _expand(ufunc, vectors):
+    """Entry s of the flattened outer product under ufunc (np.add or
+    np.multiply) combines vectors[e][s_e] over the edges e of a block."""
+    return np.ravel(functools.reduce(ufunc.outer, vectors, ufunc.identity))
 
 
 def switching_tail_bound(graph, beta, n_max):
@@ -226,18 +214,22 @@ def verify_switching(graph, A, B, beta, n_max=None, trace=None):
         lhs = double_current_sum(graph, A, B, beta, trace=trace)
         rhs = double_current_sum(graph, a_xor_b, (), beta, trace=f)
     else:
-        vals = _multigraph_values(graph, n_max, a_xor_b)
-        smask = np.zeros(vals.shape[1], dtype=np.int64)
-        for e, v in enumerate(vals):
-            smask |= (v > 0).astype(np.int64) << e
-        w = beta ** vals.sum(axis=0, dtype=float)
-
+        words, blocks = _parity_blocks(graph, n_max, a_xor_b)
+        masks_a = parity_masks(graph, A)
         table = _split_tables(n_max)
-        w_ab = _split_weights(graph, A, vals, table)
-        w_xor = _split_weights(graph, a_xor_b, vals, table)
-        f = 1.0 if trace is None else np.asarray(trace, float)[smask]
-        lhs = float(np.sum(w * w_ab * f))
-        rhs = float(np.sum(w * w_xor * f * fb[smask]))
+        lhs = rhs = 0.0
+        for block in blocks:
+            smask = _expand(np.add, [(a > 0) << e for e, a in enumerate(block)])
+            w = beta ** _expand(np.add, block)
+            # split weights: over the parity words pi of n1, d(n1) = A or
+            # A xor B, the sum of the products of T[bit e of pi, s_e];
+            # T[1, 0] = 0 confines both currents to the support
+            w_ab, w_xor = (sum(_expand(np.multiply, [table[(pi >> e) & 1][a]
+                                                     for e, a in enumerate(block)])
+                               for pi in pis) for pis in (masks_a, words))
+            f = 1.0 if trace is None else np.asarray(trace, float)[smask]
+            lhs += float(np.sum(w * w_ab * f))
+            rhs += float(np.sum(w * w_xor * f * fb[smask]))
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "gap": gap, "tail_bound": tail,

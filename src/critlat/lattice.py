@@ -4,6 +4,8 @@ Conventions used throughout the package:
 
 * Vertices are integer coordinate tuples; edges are unordered nearest-neighbor
   pairs, indexed lexicographically by (min endpoint, max endpoint).
+* Boxes, rectangles and every other subgraph of Z^d induced on a vertex set
+  (hole checks, Dobrushin domains, oracle.phi_sum) come from induced_graph.
 * A configuration is a plain sequence of edge bits, bits[k] = 1 when edge k
   is open. A boundary condition lists its wired blocks only: disjoint sorted
   tuples of at least two boundary vertex indices; every other vertex is
@@ -40,9 +42,9 @@ each reads the contraction bc.roots instead of adding links for the wiring:
   (is_connected, complement_connected and currents.simon_report call it);
 * a heat-bath chain: kept cluster labels (sampler._clusters) for a closed
   edge, and an early-exit bidirectional BFS over the contracted edges
-  (sampler._cut_side, behind _joined_off) for an open edge that may close,
-  3.6x faster per box(3) sweep than the BFS on every edge; on at most 12
-  edges, sampler.conn_off_tables, read from the all-mask label table below;
+  (sampler._cut_side) for an open edge that may close, 3.6x faster per
+  box(3) sweep than the BFS on every edge; on at most 12 edges,
+  sampler.conn_off_tables, read from the all-mask label table below;
 * sampled batches: sampler._connected_batch, one scipy connected-components
   call over the contracted edges (0.016 s against 0.074 s for per-row
   cluster_stats on 4096 rows of the 31-edge 5x4-vertex rectangle, 2-core
@@ -178,10 +180,20 @@ class LatticeGraph:
         ys = [v[1] for v in self.vertices]
         cells = {(x, y) for x in range(min(xs) - 2, max(xs) + 3)
                  for y in range(min(ys) - 2, max(ys) + 3)} - set(self.vertices)
-        edges = [(c, (c[0] + dx, c[1] + dy)) for c in cells
-                 for dx, dy in ((1, 0), (0, 1))
-                 if (c[0] + dx, c[1] + dy) in cells]
-        return LatticeGraph(cells, edges, 2).is_connected()
+        return induced_graph(cells, 2).is_connected()
+
+
+def induced_graph(vertices, d):
+    """The subgraph of Z^d induced on vertices: every nearest-neighbor pair
+    of them is an edge."""
+    vertices = {tuple(v) for v in vertices}
+    edges = []
+    for v in vertices:
+        for axis in range(d):
+            w = v[:axis] + (v[axis] + 1,) + v[axis + 1:]
+            if w in vertices:
+                edges.append((v, w))
+    return LatticeGraph(vertices, edges, d)
 
 
 def build_box(n, d=2):
@@ -190,30 +202,15 @@ def build_box(n, d=2):
         raise ValueError("n must be >= 0")
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
-    rng = range(-n, n + 1)
-    vertices = list(itertools.product(rng, repeat=d))
-    edges = []
-    for v in vertices:
-        for axis in range(d):
-            w = list(v)
-            w[axis] += 1
-            if w[axis] <= n:
-                edges.append((v, tuple(w)))
-    return LatticeGraph(vertices, edges, d)
+    return induced_graph(itertools.product(range(-n, n + 1), repeat=d), d)
 
 
 def build_rect(x_range, y_range):
     """Rectangle [x0,x1] x [y0,y1] in Z^2 with all nearest-neighbor edges."""
     x0, x1 = x_range
     y0, y1 = y_range
-    vertices = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
-    edges = []
-    for x, y in vertices:
-        if x + 1 <= x1:
-            edges.append(((x, y), (x + 1, y)))
-        if y + 1 <= y1:
-            edges.append(((x, y), (x, y + 1)))
-    return LatticeGraph(vertices, edges, 2)
+    return induced_graph(itertools.product(range(x0, x1 + 1),
+                                           range(y0, y1 + 1)), 2)
 
 
 @dataclass(frozen=True)
@@ -546,11 +543,7 @@ class DobrushinDomain:
             raise ValueError("domain must be connected")
         if not primal.complement_connected():
             raise ValueError("domain complement must be connected")
-        # each vertex's +x and +y neighbours in the domain
-        verts = primal.vertex_index
-        induced = {(u, w) for u in primal.vertices
-                   for w in ((u[0] + 1, u[1]), (u[0], u[1] + 1)) if w in verts}
-        if set(primal.edges) != induced:
+        if primal.edges != induced_graph(primal.vertices, 2).edges:
             raise ValueError("domain must contain all induced edges")
         a, b = tuple(a), tuple(b)
         bd = set(primal.boundary())

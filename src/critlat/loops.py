@@ -9,27 +9,26 @@ with k the cluster count under Dobrushin wiring, o the number of open
 free edges and v the marked vertex count of the domain; it is asserted
 on every trace.
 
-The observable F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] is computed
-by exact enumeration, with winding summed over the +-pi/2 turns strictly
-after e up to arrival at e_b (left turn = +pi/2) and spin sigma solving
-sin(sigma pi/2) = sqrt(q)/2 (real for q <= 4, 1 + i R for q > 4). The
-probabilities of the 2^n free-edge configurations come from the oracle's
-label table of the primal restricted to its free edges, under the Dobrushin
-wiring. The explorations of all configurations then run in lockstep over
-the domain's slot table: a slot is a medial vertex z with the side the path
-enters by, and for each state of the primal edge at z the table holds the
-next slot, the turn (+-1) and the canonical medial edge left along. The
-medial edge set and the q = 2 readers also come from the table. Each step
-reads one bit of every mask and sums the probabilities into a histogram
-over (medial edge, turns since e_a). The total turning from e_a to e_b is
-the same for every configuration (asserted), so W = total - turns so far,
-and F is the histogram contracted with exp(i sigma pi/2 W). loop_encode,
-_explore and winding_profile trace one configuration at a time from the arc
-pairing alone, without the table, and are the reference the lockstep walk
-is tested against. Medial edges carry the canonical orientation
-counterclockwise around their black face; the q = 2 projections and line
-membership are stated through that orientation, squared to stay
-branch-free.
+The observable F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] is computed by
+exact enumeration, with winding summed over the +-pi/2 turns strictly after
+e up to arrival at e_b (left turn = +pi/2) and spin sigma solving sin(sigma
+pi/2) = sqrt(q)/2 (real for q <= 4, 1 + i R for q > 4). The probabilities of
+the 2^n free-edge configurations are the oracle.probability_array of the
+primal restricted to its free edges, under the Dobrushin wiring. The
+explorations of all configurations then run in lockstep over the domain's
+slot table: a slot is a medial vertex z with the side the path enters by,
+and for each state of the primal edge at z the table holds the next slot,
+the turn (+-1) and the canonical medial edge left along. The medial edge set
+and the q = 2 readers also come from the table. Each step reads one bit of
+every mask and sums the probabilities into a histogram over (medial edge,
+turns since e_a). The total turning from e_a to e_b is the same for every
+configuration (asserted), so W = total - turns so far, and F is the
+histogram contracted with exp(i sigma pi/2 W). loop_encode, _explore and
+winding_profile trace one configuration at a time from the arc pairing
+alone, without the table, and are the reference the lockstep walk is tested
+against. Medial edges carry the canonical orientation counterclockwise
+around their black face; the q = 2 projections and line membership are
+stated through that orientation, squared to stay branch-free.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ from .lattice import (
 from .oracle import (
     _check_budget,
     _label_dtype,
-    _probabilities,
-    cluster_count_array,
-    open_count_array,
     p_self_dual,
+    probability_array,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -261,19 +258,6 @@ def _check_observable_budget(domain):
                   "the observable over %d free edges" % n)
 
 
-def _free_edge_probabilities(domain, p, q):
-    """Dobrushin random-cluster probability of every free-edge mask, bit t
-    the state of free edge t, from the label table of the primal restricted
-    to its free edges (same vertex indices, so the same wired block)."""
-    primal = domain.primal
-    free = LatticeGraph(primal.vertices,
-                        [primal.edges[k] for k in domain.free_edges])
-    prob, _ = _probabilities(p, q, open_count_array(free.n_edges),
-                             cluster_count_array(free, domain.bc),
-                             free.n_edges)
-    return prob
-
-
 @dataclass
 class ObservableField:
     """F per medial edge, f per medial vertex (q=2 only), the spin, and
@@ -294,7 +278,13 @@ def edge_observable(domain, p, q):
     sigma = sigma_obs(q)
     _check_observable_budget(domain)
     t0 = time.perf_counter()
-    prob = _free_edge_probabilities(domain, p, q)
+    # the Dobrushin measure of every free-edge mask, bit t the state of free
+    # edge t: the primal restricted to its free edges keeps its vertex
+    # indices, so domain.bc wires the same block
+    primal = domain.primal
+    free = LatticeGraph(primal.vertices,
+                        [primal.edges[k] for k in domain.free_edges])
+    prob = probability_array(free, p, q, domain.bc)
     t1 = time.perf_counter()
     table = domain.slots
     F = np.zeros(len(table.edges), dtype=complex)

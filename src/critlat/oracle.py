@@ -42,6 +42,7 @@ from .lattice import (
     custom_bc,
     dual_map,
     free_bc,
+    induced_graph,
     wired_bc,
 )
 
@@ -385,7 +386,8 @@ def _check_color_table(graph, q, fixed):
 
 def _product_columns(alphabets):
     """The int8 columns of the Cartesian product of the alphabets, the first
-    column fastest; a zero-size alphabet empties every column."""
+    column fastest; a zero-size alphabet empties every column. _color_table
+    is the only caller."""
     rows = math.prod(len(a) for a in alphabets)
     inner = 1
     for a in alphabets:
@@ -664,8 +666,13 @@ def verify_duality(graph, p, q):
     (the dual graph carries the outer face as an ordinary vertex, which is
     the wired count) plus the partition-function relation
     Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{f_b} ((1-p*)/p)^{|E|}, with f_b the
-    number of bounded faces; returns a report.
+    number of bounded faces; returns a report. Refuses p outside (0, 1] and
+    q <= 0; p = 1 is the point mass on the all-open configuration.
     """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("duality needs p in (0, 1], not %r" % (p,))
+    if not q > 0.0:
+        raise ValueError("q must be > 0, not %r" % (q,))
     prob0, prob_dual, log_z1, log_predicted = _duality_sums(graph, p, q)
     config_err = float(np.abs(prob0 - prob_dual).max())
     z_rel = abs(math.expm1(log_predicted - log_z1))
@@ -787,11 +794,14 @@ def mon_scan(graph, q, ps):
 
     For the free and the wired boundary condition and each ordered pair
     p < p' from ps, the minimum of phi_{p'}[A] - phi_p[A] over cylinder
-    events A; q >= 1.
+    events A; q >= 1, and ps must hold two distinct values.
     """
     if q < 1.0:
         raise ValueError("monotonicity in p needs q >= 1")
     ps = sorted(ps)
+    if len(set(ps)) < 2:
+        raise ValueError("mon_scan needs two distinct p values, not ps %r"
+                         % (ps,))
     worst = np.inf
     for bc in (free_bc(graph), wired_bc(graph)):
         cps = [cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
@@ -851,34 +861,16 @@ def phi_sum(S, p, d=2):
     S is a set of d-dimensional integer points containing the origin; the
     connection probabilities use only edges with both endpoints in S.
     """
-    S = {tuple(v) for v in S}
+    g = induced_graph(S, d)
     origin = (0,) * d
-    if origin not in S:
+    if origin not in g.vertex_index:
         raise ValueError("S must contain the origin")
-    edges = []
-    for v in S:
-        for axis in range(d):
-            w = list(v)
-            w[axis] += 1
-            w = tuple(w)
-            if w in S:
-                edges.append((v, w))
-    g = LatticeGraph(S, edges, d)
     # P[0 <-> x in S] for all x, from one label table
     labels = scan_configs(g, free_bc(g))
     prob, _ = _probabilities(p, 1.0, open_count_array(g.n_edges),
                              _count_roots(labels), g.n_edges)
     root = labels[:, g.index(origin)]
-    total = 0.0
-    for x in S:
-        n_out = 0
-        for axis in range(d):
-            for s in (1, -1):
-                y = list(x)
-                y[axis] += s
-                if tuple(y) not in S:
-                    n_out += 1
-        if n_out:
-            total += n_out * float(
-                prob[labels[:, g.index(x)] == root].sum())
+    # x has 2d - deg(x) lattice neighbours outside S
+    total = sum((2 * d - len(nbrs)) * float(prob[labels[:, i] == root].sum())
+                for i, nbrs in enumerate(g.adjacency) if len(nbrs) < 2 * d)
     return p * total

@@ -24,15 +24,15 @@ integer mask and read the answer from precomputed tables
 (`conn_off_tables`), in chains and in coupling from the past. Larger graphs
 keep a state list with cluster labels (`_clusters`). A closed edge reads the
 answer from the labels. An open edge asks only when its uniform lies below
-the larger threshold, so that it may close, and then searches (`_cut_side`,
-the search of `_joined_off`: breadth-first from both endpoints, stopping as
-soon as the two sides meet or one runs out). Opening an edge between two
-clusters relabels the smaller; closing a bridge gives the side the search
-exhausted a label of its own. Every route gives the
-boolean a union-find over all open edges gives, so the variates consumed,
-the trajectories and the coupling argument above do not depend on which
-one answers. In coupling from the past, a row whose two chains have met
-sweeps once: equal states driven by the same variates stay equal.
+the larger threshold, so that it may close, and then searches (`_cut_side`:
+breadth-first from both endpoints, stopping as soon as the two sides meet
+or one runs out). Opening an edge between two clusters relabels the
+smaller; closing a bridge gives the side the search exhausted a label of
+its own. Every route gives the boolean a union-find over all open edges
+gives, so the variates consumed, the trajectories and the coupling
+argument above do not depend on which one answers. In coupling from the
+past, a row whose two chains have met sweeps once: equal states driven by
+the same variates stay equal.
 """
 
 from __future__ import annotations
@@ -156,11 +156,6 @@ def _cut_side(links, state, x, y, k):
     return near if head == len(queue) else far
 
 
-def _joined_off(links, state, x, y, k):
-    """Are x and y joined by links open in state, edge k excluded?"""
-    return _cut_side(links, state, x, y, k) is None
-
-
 def _clusters(ends, state, n_vertices):
     """Kept cluster labels of a state list: lab[v] is the set of vertices
     joined to v by open links, one set object per cluster."""
@@ -218,7 +213,7 @@ def heatbath_step(graph, bits, edge_k, u, p, q, bc):
     _check_edges(graph, [edge_k])
     links, ends = _links(graph, bc)
     x, y = ends[edge_k]
-    conn = _joined_off(links, bits, x, y, edge_k)
+    conn = _cut_side(links, bits, x, y, edge_k) is None
     thr_c, thr_d = thresholds(p, q)
     out = list(bits)
     out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
@@ -301,8 +296,7 @@ def _mask_bits(masks, m):
 # coupling from the past
 
 
-def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
-               use_tables=None):
+def cftp_batch(graph, p, q, bc, seed, n_samples, use_tables=None):
     """n_samples exact draws from phi^xi_{G,p,q} as a (n_samples, m) array.
 
     Runs the all-open and all-closed chains with shared variates from
@@ -330,9 +324,9 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, max_sweeps=CFTP_MAX_SWEEPS,
     active = np.arange(n_samples)
     horizon = 1
     while active.size:
-        if horizon > max_sweeps:
+        if horizon > CFTP_MAX_SWEEPS:
             raise RuntimeError(
-                "CFTP did not coalesce within %d sweeps" % max_sweeps)
+                "CFTP did not coalesce within %d sweeps" % CFTP_MAX_SWEEPS)
         if thr is not None:
             top = np.full(active.size, full, dtype=np.int64)
             bot = np.zeros(active.size, dtype=np.int64)

@@ -77,11 +77,11 @@ edges (two links per bond, chosen by the pairing at its medial vertex, with
 offsets in half steps), and gives per mask the cluster counts, the
 non-retractible and north-east winding clusters of both sides, the loop
 count and the non-retractible loops with their common |alpha|.
-rc6v_verify, loop_weight_constant and oriented_sector_sums are numpy
-reductions over that table; the orientation sum over l0 parallel loops is
-a binomial.  TorusRc.clusters, dual_clusters and loop_census walk one
-configuration at a time and are the independent route the table is tested
-against.
+rc6v_verify, loop_weight_constant and oriented_sector_sums read that table
+through the same two reductions, _loop_constant and _oriented_sectors; the
+orientation sum over l0 parallel loops is a binomial.  TorusRc.clusters,
+dual_clusters and loop_census walk one configuration at a time and are the
+independent route the table is tested against.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ RC6V_TOL = 1e-8
 
 def c_from_q(q):
     """Six-vertex c-weight coupled to the cluster weight q."""
-    if q <= 0:
-        raise ValueError("cluster weight q must be positive")
+    if not q > 0:
+        raise ValueError("cluster weight q must be positive, not %r" % (q,))
     return math.sqrt(2.0 + math.sqrt(q))
 
 
@@ -168,8 +168,8 @@ class TransferMatrix:
     def __init__(self, N, c):
         if not 1 <= N <= MAX_TRANSFER_N:
             raise ValueError("transfer matrix limited to 1 <= N <= %d" % MAX_TRANSFER_N)
-        if c <= 0:
-            raise ValueError("c-weight must be positive")
+        if not c > 0:
+            raise ValueError("c-weight must be positive, not %r" % (c,))
         self.N = N
         self.c = float(c)
         self.blocks = tuple(transfer_block(N, c, m) for m in range(2 * N + 1))
@@ -273,8 +273,8 @@ def closed_form_rate(q):
     than the summands by a factor ~ exp(-pi^2/(2 sinh lambda)), so the
     working precision is raised to absorb that cancellation.
     """
-    if q <= 4:
-        raise ValueError("closed-form rate defined for q > 4 only")
+    if not q > 4:
+        raise ValueError("closed-form rate defined for q > 4 only, not %r" % (q,))
     lam_f = math.acosh(math.sqrt(q) / 2.0)
     cancel_digits = math.pi ** 2 / (2.0 * math.sinh(lam_f)) / math.log(10.0)
     with mpmath.workdps(int(cancel_digits) + 30):
@@ -294,8 +294,8 @@ def closed_form_rate(q):
 
 def asymptotic_rate(q):
     """Leading small-(q-4) form of the rate, 8 exp(-pi^2 / sqrt(q-4))."""
-    if q <= 4:
-        raise ValueError("asymptotic form defined for q > 4 only")
+    if not q > 4:
+        raise ValueError("asymptotic form defined for q > 4 only, not %r" % (q,))
     return 8.0 * math.exp(-math.pi ** 2 / math.sqrt(q - 4.0))
 
 
@@ -652,28 +652,23 @@ class TorusRc:
     def _medial_links(self):
         """Per bond, the loop links of the medial torus for bit 0 and bit 1.
 
-        Nodes are the medial edges: horizontal edge (i, j), id i*2N + j,
-        leaves vertex (i, j) through slot E; vertical edge (i, j), id offset
-        by 2MN, through slot N.  Offsets are in half steps, edge midpoint to
-        edge midpoint.
+        Nodes are the medial edges, with the ids of _medial_slots.  Offsets
+        are in half steps, edge midpoint to edge midpoint.
         """
-        M, P = self.M, self.P
-
-        def edge(i, j, slot):
-            if slot in (0, 2):
-                return ((i - (slot == 2)) % M) * P + j
-            return M * P + i * P + (j - (slot == 3)) % P
-
+        slots = _medial_slots(self.N, self.M)
         links = []
-        for k in range(M * P):
-            i, j = divmod(k, P)
+        for k in range(self.M * self.P):
+            i, j = divmod(k, self.P)
+            # _medial_slots lists the edges W E S N; _PAIRS slots are E N W S
+            (w, _), (e, _), (s, _), (n, _) = slots[i, j]
+            edge = (e, n, w, s)
             per_bit = []
             for bit in (False, True):
                 pairs = _PAIRS[((i + j) % 2 == 0, bit)]
                 per_bit.append(tuple(
-                    (edge(i, j, s), edge(i, j, t), _STEP[t][0] - _STEP[s][0],
-                     _STEP[t][1] - _STEP[s][1])
-                    for s, t in pairs.items() if s < t))
+                    (edge[a], edge[b], _STEP[b][0] - _STEP[a][0],
+                     _STEP[b][1] - _STEP[a][1])
+                    for a, b in pairs.items() if a < b))
             links.append(tuple(per_bit))
         return links
 
@@ -722,14 +717,17 @@ class TorusRc:
         return out
 
 
-def _oriented_sectors(N, l0, alpha, base):
-    """Arrow-sector sums of base over every orientation of the loops.
+def _oriented_sectors(N, table, q, rows=slice(None)):
+    """Arrow-sector sums over every orientation of the loops of the masks
+    selected by rows, each retractible loop weighted sqrt(q).
 
     A mask with l0 non-retractible loops, all of class +-(alpha, beta),
     shifts the +u arrow count at the cut by alpha (2j - l0) / 2 when j of
-    them are oriented one way, in C(l0, j) ways; base is the weight of the
-    mask with its retractible loops already summed over.
+    them are oriented one way, in C(l0, j) ways.
     """
+    l0 = table["loops_nonretractible"][rows]
+    alpha = table["alpha"][rows]
+    base = math.sqrt(q) ** (table["loops"][rows] - l0)
     sectors = {}
     for n, a in sorted(set(zip(l0.tolist(), alpha.tolist()))):
         total = base[(l0 == n) & (alpha == a)].sum()
@@ -741,6 +739,15 @@ def _oriented_sectors(N, l0, alpha, base):
                 raise AssertionError("cut shift outside arrow range")
             sectors[m] = sectors.get(m, 0.0) + math.comb(n, j) * float(total)
     return sectors
+
+
+def _loop_constant(table, q, w):
+    """(min, max) over masks of sqrt(q)^{l + 2s} / w, with l the loop count,
+    s the all-dual-clusters-retractible indicator and w the w_RC of every
+    mask (_rc_weights)."""
+    s = (table["dual_nonretractible"] == 0).astype(np.int64)
+    val = math.sqrt(q) ** (table["loops"] + 2 * s) / w
+    return float(val.min()), float(val.max())
 
 
 def _rc_weights(rc, table, q, p):
@@ -758,9 +765,7 @@ def loop_weight_constant(rc, q, p):
     lift and the torus Euler relation at once.
     """
     table = rc.census_table()
-    s = (table["dual_nonretractible"] == 0).astype(np.int64)
-    val = math.sqrt(q) ** (table["loops"] + 2 * s) / _rc_weights(rc, table, q, p)
-    return float(val.min()), float(val.max())
+    return _loop_constant(table, q, _rc_weights(rc, table, q, p))
 
 
 def oriented_sector_sums(rc, q):
@@ -774,12 +779,9 @@ def oriented_sector_sums(rc, q):
     preserving, so the totals must match the transfer-matrix sector traces
     at c = sqrt(2 + sqrt(q)) exactly.
     """
-    if q <= 0:
-        raise ValueError("cluster weight q must be positive")
-    table = rc.census_table()
-    l0 = table["loops_nonretractible"]
-    base = math.sqrt(q) ** (table["loops"] - l0)
-    return _oriented_sectors(rc.N, l0, table["alpha"], base)
+    if not q > 0:
+        raise ValueError("cluster weight q must be positive, not %r" % (q,))
+    return _oriented_sectors(rc.N, rc.census_table(), q)
 
 
 def rc6v_verify(N, M, q):
@@ -802,31 +804,27 @@ def rc6v_verify(N, M, q):
     """
     if N % 2 or M % 2:
         raise ValueError("correspondence needs N and M even")
-    if q <= 4:
-        raise ValueError("correspondence stated for q > 4")
+    if not q > 4:
+        raise ValueError("correspondence stated for q > 4, not %r" % (q,))
     # an integer q would fail at q ** -s
     q = float(q)
     rc = TorusRc(N, M)
     table = rc.census_table()
     p = p_self_dual(q)
-    sq = math.sqrt(q)
     w = _rc_weights(rc, table, q, p)
-    l = table["loops"]
-    l0 = table["loops_nonretractible"]
+    c0_lo, c0_hi = _loop_constant(table, q, w)
     s = (table["dual_nonretractible"] == 0).astype(np.int64)
-    val = sq ** (l + 2 * s) / w
-    c0_lo, c0_hi = float(val.min()), float(val.max())
     Ztot = float(w.sum())
     w_knc = w * (4.0 / q) ** table["nonretractible"]
     e_knc = float(w_knc.sum())
     e_knc_s = float((w_knc * q ** -s).sum())
-    e_loops = float((w * (2.0 / sq) ** l0 * q ** -s).sum())
-    base = sq ** (l - l0)
-    sectors = _oriented_sectors(N, l0, table["alpha"], base)
+    e_loops = float((w * (2.0 / math.sqrt(q)) ** table["loops_nonretractible"]
+                     * q ** -s).sum())
+    sectors = _oriented_sectors(N, table, q)
     A = (table["winding_ne"] == 1) & (table["dual_winding_ne"] == 1)
     wA = float(w[A].sum())
     # a cut shift of -2 lands in the popcount N-1 sector
-    zt_from_A = _oriented_sectors(N, l0[A], table["alpha"][A], base[A]).get(N - 1, 0.0)
+    zt_from_A = _oriented_sectors(N, table, q, A).get(N - 1, 0.0)
     c = c_from_q(q)
     V = TransferMatrix(N, c)
     Z6 = V.trace_power(M)

@@ -270,9 +270,11 @@ def test_multigraphs_built_of_the_right_parity_only(graph):
             by_odd.setdefault(_odd_vertices(graph, s), set()).add(s)
         for S in sources:
             want = by_odd.get(tuple(sorted(graph.index(x) for x in S)), set())
-            got = currents._multigraph_values(graph, n_max, S)
-            assert got.dtype == np.int8 and got.shape[0] == graph.n_edges
-            rows = [tuple(r) for r in got.T.tolist()]
+            words, blocks = currents._parity_blocks(graph, n_max, S)
+            assert len(words) == len(blocks)
+            assert all(len(b) == graph.n_edges for b in blocks)
+            rows = [r for b in blocks
+                    for r in itertools.product(*(a.tolist() for a in b))]
             assert len(rows) == len(want) and set(rows) == want
 
 
@@ -395,6 +397,11 @@ def test_multigraph_cap_refused():
     with pytest.raises(ValueError, match="refusing"):
         verify_switching(build_box(2), [(0, 0), (1, 0)],
                          [(0, 0), (0, 1)], 0.5)
+    # 10^7 multigraphs on 7 edges at n_max = 9, past MULTIGRAPH_CAP
+    g = build_rect((0, 2), (0, 1))
+    _refused_before_allocating(
+        lambda: verify_switching(g, [(0, 0), (1, 0)], [(0, 0), (0, 1)], 0.5,
+                                 n_max=9), "refusing to enumerate 10000000")
 
 
 def test_squared_correlation_is_sourceless_connection():
@@ -508,8 +515,8 @@ def test_exact_currents_refused_before_allocating():
 
 
 def test_n_max_past_int8_refused_before_allocating():
-    # entries past 127 would wrap in the int8 multigraph columns, and past
-    # 170 the factorials overflow a float
+    # n_max = 127 is the largest cap; past 170 the factorials overflow a
+    # float
     edge = build_rect((0, 1), (0, 0))
     ends = [(0, 0), (1, 0)]
     rep = verify_switching(edge, ends, ends, 0.3, n_max=127)
@@ -534,3 +541,10 @@ def test_multigraphs_refused_past_byte_budget(monkeypatch):
     _refused_before_allocating(
         lambda: verify_switching(g, [(0, 0), (2, 1)], [(0, 0), (1, 0)], 0.4,
                                  n_max=6), "bytes")
+
+
+def test_repeated_sources_and_separator_endpoints_refused():
+    with pytest.raises(ValueError, match="distinct vertices"):
+        parity_masks(SQUARE, [(0, 0), (0, 0)])
+    with pytest.raises(ValueError, match="outside the separating set"):
+        simon_report(GRID23, 0.5, (0, 0), (1, 2), [(0, 0), (1, 1)])

@@ -15,6 +15,7 @@ from critlat.lattice import (
     dobrushin_bc,
     dual_map,
     free_bc,
+    induced_graph,
     medial_domain,
     rotate_face,
     to_black,
@@ -130,14 +131,6 @@ def test_union_find_roots_are_minima():
     assert len({uf.find(x) for x in range(6)}) == 3
 
 
-def _induced(cells):
-    """The subgraph of Z^2 induced on cells."""
-    cells = set(cells)
-    return LatticeGraph(cells, [(c, (c[0] + dx, c[1] + dy)) for c in cells
-                                for dx, dy in ((1, 0), (0, 1))
-                                if (c[0] + dx, c[1] + dy) in cells])
-
-
 def test_is_connected_small_graphs():
     assert LatticeGraph([], []).is_connected()
     assert LatticeGraph([(0, 0)], []).is_connected()
@@ -149,15 +142,15 @@ def test_is_connected_small_graphs():
 
 
 def test_complement_connected_shapes():
-    l_shape = _induced([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
-    u_shape = _induced([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2),
-                        (2, 2)])
+    l_shape = induced_graph([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)], 2)
+    u_shape = induced_graph([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2),
+                             (2, 2)], 2)
     # the four corners of its bounding box meet only outside it
-    plus = _induced([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
+    plus = induced_graph([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)], 2)
     assert l_shape.complement_connected() and u_shape.complement_connected()
     assert plus.complement_connected()
-    ring = _induced([(x, y) for x in range(3) for y in range(3)
-                     if (x, y) != (1, 1)])
+    ring = induced_graph([(x, y) for x in range(3) for y in range(3)
+                          if (x, y) != (1, 1)], 2)
     assert not ring.complement_connected()
     # the four lattice neighbours of the missing cell (1, 1) enclose it
     around = LatticeGraph([(1, 0), (0, 1), (2, 1), (1, 2)], [])
@@ -349,7 +342,7 @@ def test_domain_rejects_bad_input():
 def test_domain_refuses_status_collision():
     # the T-shape's (ab)* chain wraps the stem so that a forced dual vertex
     # lands on the medial vertex of a primal edge
-    t_shape = _induced([(0, 0), (0, 1), (0, 2), (1, 1)])
+    t_shape = induced_graph([(0, 0), (0, 1), (0, 2), (1, 1)], 2)
     with pytest.raises(ValueError, match="collide"):
         medial_domain(t_shape, (0, 0), (1, 1))
 
@@ -372,7 +365,8 @@ def test_domain_refuses_single_vertex():
 def test_domain_refuses_pinched_wired_arc():
     # (0, -1) has all four neighbours but meets the outer face through the
     # missing diagonal cell (-1, -2); the (ba) arc passes through it
-    g = _induced([(-1, -1), (0, -2), (0, -1), (0, 0), (1, -2), (1, -1)])
+    g = induced_graph([(-1, -1), (0, -2), (0, -1), (0, 0), (1, -2), (1, -1)],
+                      2)
     assert (0, -1) not in g.boundary()
     with pytest.raises(ValueError, match=r"\(0, -1\)"):
         medial_domain(g, (-1, -1), (0, 0))
@@ -401,3 +395,67 @@ def test_boundary_arcs_box():
     assert ab_v[0] == (-2, -2) and ab_v[-1] == (2, 2)
     assert ba_v[0] == (2, 2) and ba_v[-1] == (-2, -2)
     assert len(ab_e) == 8 and len(ba_e) == 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(-2, 2)] * 3), max_size=25),
+       st.sampled_from([2, 3]))
+def test_induced_graph_joins_every_unit_pair(points, d):
+    cells = {p[:d] for p in points}
+    g = induced_graph(cells, d)
+    pairs = sorted((u, v) for u in cells for v in cells
+                   if u < v and sum(abs(a - b) for a, b in zip(u, v)) == 1)
+    assert g.vertices == tuple(sorted(cells))
+    assert g.edges == tuple(pairs) and g.ambient_dim == d
+
+
+def test_build_box_refuses_bad_size_and_dimension():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        build_box(-1)
+    for d in (1, 4):
+        with pytest.raises(ValueError, match="d must be 2 or 3"):
+            build_box(1, d)
+
+
+def test_lattice_graph_refuses_bad_edges_and_orders_ends():
+    with pytest.raises(ValueError, match="not a nearest-neighbor edge"):
+        LatticeGraph([(0, 0), (1, 1)], [((0, 0), (1, 1))])
+    with pytest.raises(ValueError, match="not a vertex"):
+        LatticeGraph([(0, 0)], [((0, 0), (1, 0))])
+    # an edge given larger end first is stored as (min, max), once
+    for edges in ([((1, 0), (0, 0))], [((1, 0), (0, 0)), ((0, 0), (1, 0))]):
+        g = LatticeGraph([(0, 0), (1, 0)], edges)
+        assert g.edges == (((0, 0), (1, 0)),) and g.edge_ends == ((0, 1),)
+
+
+def test_custom_bc_refuses_overlapping_blocks():
+    g = build_box(1, 2)
+    bd = list(g.boundary())
+    with pytest.raises(ValueError, match="overlap"):
+        custom_bc(g, [bd[:3], bd[2:5]])
+
+
+TWO_EDGES = LatticeGraph([(0, 0), (1, 0), (5, 0), (6, 0)],
+                         [((0, 0), (1, 0)), ((5, 0), (6, 0))])
+
+
+def test_boundary_cycle_refuses_3d_and_disconnected_graphs():
+    with pytest.raises(ValueError, match="only for d=2"):
+        boundary_cycle(build_box(1, 3))
+    with pytest.raises(ValueError, match="must be connected"):
+        boundary_cycle(TWO_EDGES)
+
+
+def test_dual_map_refuses_non_square_face():
+    # the ring around the missing cell (1, 1) bounds a face of eight edges
+    ring = induced_graph([(x, y) for x in range(3) for y in range(3)
+                          if (x, y) != (1, 1)], 2)
+    with pytest.raises(ValueError, match="unit squares"):
+        dual_map(ring)
+
+
+def test_domain_refuses_3d_and_disconnected_primal():
+    with pytest.raises(ValueError, match="two-dimensional"):
+        medial_domain(build_box(1, 3), (-1, -1, -1), (1, 1, 1))
+    with pytest.raises(ValueError, match="must be connected"):
+        medial_domain(TWO_EDGES, (0, 0), (6, 0))

@@ -631,3 +631,17 @@ def test_sholo_report_on_c_shape():
     rep = sholo_report(medial_domain(g, (1, 0), (1, 2)))
     assert rep["square_split"] <= 1e-10
     assert rep["line_membership"] <= 1e-10
+
+
+def test_loop_entry_points_refuse_bad_input():
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError, match="q must be positive"):
+            sigma_obs(q)
+    dom = dom_diamond_14()
+    for bits in ([], [0] * (len(dom.free_edges) + 1)):
+        with pytest.raises(ValueError, match="one bit per free edge"):
+            loop_encode(dom, bits)
+    # edge_observable leaves vertex_values empty until vertex_observable
+    field = edge_observable(dom, p_self_dual(2.0), 2.0)
+    with pytest.raises(ValueError, match="vertex observable required"):
+        build_H(field)

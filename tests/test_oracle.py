@@ -762,3 +762,49 @@ def test_over_budget_tables_refused_before_allocating():
     assert path.n_edges <= MAX_ENUM_EDGES
     _refused_before_allocating(lambda: cluster_count_array(path,
                                                            free_bc(path)))
+
+
+def test_scans_refuse_q_below_one_and_large_graphs():
+    with pytest.raises(ValueError, match="FKG scan requires q >= 1"):
+        fkg_scan(SQUARE, 0.5, 0.5)
+    with pytest.raises(ValueError, match="limited to 8 edges"):
+        fkg_scan(RECT17, 0.5, 2.0)
+    with pytest.raises(ValueError, match="needs q >= 1"):
+        mon_scan(SQUARE, 0.5, [0.2, 0.5])
+    with pytest.raises(ValueError, match="needs q >= 1"):
+        cbc_scan(SQUARE, 0.5, 0.5)
+    with pytest.raises(ValueError, match="limited to 4 edges"):
+        increasing_events(5)
+
+
+@pytest.mark.parametrize("ps", [[0.5], [], [0.4, 0.4]])
+def test_mon_scan_refuses_fewer_than_two_distinct_ps(ps):
+    # no pair p < p' to compare, so no verdict
+    with pytest.raises(ValueError, match=r"two distinct p values, not ps"):
+        mon_scan(SQUARE, 2.0, ps)
+
+
+@pytest.mark.parametrize("p,q,bad", [
+    (0.0, 2.0, "p"), (-0.1, 2.0, "p"), (1.5, 2.0, "p"),
+    (float("nan"), 2.0, "p"), (0.5, 0.0, "q"), (0.5, -1.0, "q"),
+    (0.5, float("nan"), "q")])
+def test_verify_duality_refuses_bad_parameters(p, q, bad):
+    value = p if bad == "p" else q
+    with pytest.raises(ValueError, match=r"%s .*, not %r$" % (bad, value)):
+        verify_duality(SQUARE, p, q)
+
+
+def test_verify_duality_at_p_one_is_a_point_mass():
+    # the all-open configuration, whose dual is all closed
+    report = verify_duality(SQUARE, 1.0, 2.0)
+    assert report["p_star"] == 0.0 and report["ok"], report
+
+
+def test_phi_sum_refuses_a_set_without_the_origin():
+    with pytest.raises(ValueError, match="contain the origin"):
+        phi_sum([(1, 0), (2, 0)], 0.3)
+
+
+def test_crossing_event_refuses_graph_outside_rect():
+    with pytest.raises(ValueError, match="graph inside rect"):
+        crossing_event(RECT7, (0, 0, 1, 1), "horizontal")

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import re
 import sys
 import tomllib
 from pathlib import Path
@@ -49,3 +51,33 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
         trace.restore()
     for owner, saved in zip(owners, before):
         assert all(vars(owner)[key] is value for key, value in saved.items())
+
+
+def test_every_top_level_name_is_used():
+    # a function, class or constant of the package that nothing names
+    # outside its own definition is dead code
+    root = PYPROJECT.parent
+    texts = {path: path.read_text() for folder in ("src", "bench", "tests")
+             for path in sorted((root / folder).rglob("*.py"))}
+    unused = []
+    for path in sorted((root / "src" / "critlat").glob("*.py")):
+        lines = texts[path].splitlines(keepends=True)
+        for node in ast.parse(texts[path]).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            # the source with this definition blanked out
+            own = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            for name in names:
+                word = re.compile(r"\b%s\b" % re.escape(name))
+                if not name.startswith("__") and not any(
+                        word.search(own if p == path else text)
+                        for p, text in texts.items()):
+                    unused.append("%s.%s" % (path.stem, name))
+    assert not unused

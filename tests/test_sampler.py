@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critlat import sampler
 from critlat.lattice import (
     LatticeGraph,
     UnionFind,
@@ -31,7 +32,7 @@ from critlat.sampler import (
     TABLE_MAX_EDGES,
     _clusters,
     _connected_batch,
-    _joined_off,
+    _cut_side,
     _links,
     _sweep,
     bits_to_masks,
@@ -215,9 +216,10 @@ def test_cftp_rejects_q_below_one():
         cftp_batch(SQUARE, 1.0, 2.0, free_bc(SQUARE), 1, 10)
 
 
-def test_cftp_horizon_failure_is_loud():
+def test_cftp_horizon_failure_is_loud(monkeypatch):
+    monkeypatch.setattr(sampler, "CFTP_MAX_SWEEPS", 0)
     with pytest.raises(RuntimeError):
-        cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 10, max_sweeps=0)
+        cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +434,8 @@ def test_joined_off_matches_tables(graph, bc):
     for mask in range(1 << m):
         state = [(mask >> j) & 1 for j in range(m)]
         for k, (x, y) in enumerate(ends):
-            assert _joined_off(links, state, x, y, k) == tables[k][mask]
+            assert (_cut_side(links, state, x, y, k) is None) \
+                == tables[k][mask]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -653,3 +656,29 @@ def test_chain_draws_each_sweep_once(monkeypatch, graph):
     monkeypatch.setattr(sampler, "sweep_uniforms", counted)
     chain_samples(graph, 0.5, 2.0, free_bc(graph), 5, 4, burn_in=3, thin=2)
     assert calls == [(t, 1, graph.n_edges) for t in range(3 + 4 * 2)]
+
+
+def test_conn_off_tables_refuse_past_the_table_cap():
+    g = build_rect((0, 2), (0, 2))
+    assert g.n_edges == TABLE_MAX_EDGES
+    assert conn_off_tables(g, free_bc(g)).shape == (12, 1 << 12)
+    big = build_rect((0, 3), (0, 2))
+    with pytest.raises(ValueError, match="limited to 12 edges"):
+        conn_off_tables(big, free_bc(big))
+
+
+def test_chi_square_gof_pools_the_tail_into_the_last_cell():
+    # expected counts 1, 2.4, 4 pool into one cell and 4.1, 4.2 into a
+    # second; the 4.3 left over joins the second
+    expected = np.array([1.0, 4.0, 4.1, 4.2, 4.3, 2.4])
+    masks = np.repeat(np.arange(6), [2, 3, 5, 4, 4, 2])
+    stat, pval, dof = chi_square_gof(masks, expected / 20.0)
+    want = (7 - 7.4) ** 2 / 7.4 + (13 - 12.6) ** 2 / 12.6
+    assert dof == 1 and stat == pytest.approx(want, rel=1e-12)
+    assert 0.0 < pval < 1.0
+
+
+def test_chi_square_gof_with_one_cell_has_no_test():
+    # 3 draws expect fewer than 5 in total: one pooled cell, no dof
+    assert chi_square_gof(np.array([0, 1, 1]), [0.5, 0.5]) == (0.0, 1.0, 0)
+    assert chi_square_gof(np.arange(6), [1 / 6] * 6) == (0.0, 1.0, 0)

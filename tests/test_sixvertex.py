@@ -636,3 +636,26 @@ def test_over_budget_torus_table_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda q: c_from_q(q), r"q must be positive, not"),
+    (lambda q: asymptotic_rate(q), r"q > 4 only, not"),
+    (lambda q: closed_form_rate(q), r"q > 4 only, not"),
+    (lambda q: rate_report(q), r"q > 4 only, not"),
+    (lambda q: oriented_sector_sums(TorusRc(1, 2), q), r"q must be positive, not"),
+    (lambda q: rc6v_verify(2, 2, q), r"q > 4, not"),
+    (lambda c: TransferMatrix(2, c), r"c-weight must be positive, not"),
+], ids=["c_from_q", "asymptotic_rate", "closed_form_rate", "rate_report",
+        "oriented_sector_sums", "rc6v_verify", "transfer_matrix"])
+def test_six_vertex_entry_points_refuse_nan(call, match):
+    # each guard is written so that NaN fails it, naming the value
+    with pytest.raises(ValueError, match=match + " nan"):
+        call(float("nan"))
+
+
+def test_oriented_sector_sums_refuse_nonpositive_q():
+    rc = TorusRc(1, 2)
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError, match="q must be positive, not %r" % q):
+            oriented_sector_sums(rc, q)
