@@ -63,8 +63,8 @@ def sigma_obs(q):
 
     Real in [0, 1] for q <= 4; on the branch 1 + iR for q > 4.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not q > 0:
+        raise ValueError("q must be positive, not %r" % (q,))
     s = math.sqrt(q) / 2.0
     if q <= 4.0:
         return 2.0 / math.pi * math.asin(s)

@@ -9,22 +9,24 @@ labels[mask, v] is the smallest vertex index in the cluster of v in
 omega^xi, the convention of lattice.cluster_stats, and bit k of mask is the
 state of edge k. The table is built edge by edge: the rows of the 2^k masks
 over edges < k are copied to the next 2^k rows, where edge k is open, and
-there the larger endpoint label of edge k is rewritten to the smaller one.
-Cluster counts and every event array are numpy reductions over that table.
-Each label or colouring table is sized before it is allocated and refused
-past MAX_TABLE_BYTES.
+there the larger endpoint label of edge k is rewritten to the smaller one,
+which lowers the cluster count built alongside by one. Every event array
+is a numpy reduction over the labels. Each label or colouring table is
+sized before it is allocated and refused past MAX_TABLE_BYTES.
 
 The random-cluster weight p^o (1-p)^c q^k is evaluated in one place,
 _log_weights, in log space; probabilities, Z and log Z all come from there,
 and so do the dual weights and the weights of the loops and sixvertex
 modules. With 0 log 0 = 0, p = 0 and p = 1 are point masses on the
 all-closed and the all-open configuration, with Z = q^k of that mask.
-The weight depends on a configuration only through its class (o, k), and
-the Potts weight only through the number of equal-color edges, so the
-Edwards-Sokal check counts each event once per class with exact integer
-bincounts and evaluates _log_weights on the class grid at each (p, q).
-Its free colorings fix vertex 0 to color 0, q^(|V|-1) of them: the free
-weights and the pair events are invariant under color permutations.
+The weight depends on a configuration only through its class
+k (|E| + 1) + o, and the Potts weight only through the number of
+equal-color edges, so each is evaluated on its class grid only: Z sums the
+classes by their exact integer counts, a probability array gathers the
+normalised grid back by class, and the Edwards-Sokal check counts each
+event once per class. Its free colorings fix vertex 0 to color 0,
+q^(|V|-1) of them: the free weights and the pair events are invariant
+under color permutations.
 """
 
 from __future__ import annotations
@@ -84,59 +86,74 @@ def _check_edges(graph, edges):
 
 
 def _label_dtype(n_edges, n_vertices):
-    """dtype of a label table, after refusing one past the caps."""
+    """dtype of a label table, after refusing one past the caps; the budget
+    charges the int32 cluster count of every mask as well."""
     _check_enum_edges(n_edges)
     dtype = np.dtype(np.uint8 if n_vertices <= 255 else np.uint16)
-    _check_budget((1 << n_edges) * n_vertices * dtype.itemsize,
+    _check_budget((1 << n_edges) * (n_vertices * dtype.itemsize + 4),
                   "a label table over %d edges and %d vertices"
                   % (n_edges, n_vertices))
     return dtype
 
 
+def _copy_half(table, half):
+    """table[..., half:2 half] = table[..., :half] in a C-contiguous table.
+    numpy cannot prove two strided slices of one array disjoint, so a slice
+    assignment first copies the source into a temporary; past _MERGE_MASKS
+    masks the copy goes one contiguous row at a time instead, with none."""
+    if half <= _MERGE_MASKS:
+        table[..., half:2 * half] = table[..., :half]
+        return
+    for row in table.reshape(-1, table.shape[-1]):
+        row[half:2 * half] = row[:half]
+
+
 def _label_table(n_vertices, ends, roots):
-    """labels[mask, v] for the graph with edges ends[k] = (u, v) indices
+    """scan_configs' (labels, clusters) for edges ends[k] = (u, v) indices
     and vertex v identified with roots[v] (the contraction of
-    BoundaryCondition.roots). The table is stored vertex by vertex (a
+    BoundaryCondition.roots). The labels are stored vertex by vertex (a
     transposed view), so every column is contiguous."""
-    cols = np.empty((n_vertices, 1 << len(ends)),
+    n_masks = 1 << len(ends)
+    cols = np.empty((n_vertices, n_masks),
                     dtype=_label_dtype(len(ends), n_vertices))
+    clusters = np.empty(n_masks, dtype=np.int32)
     cols[:, 0] = roots
+    clusters[0] = sum(r == v for v, r in enumerate(roots))
     for k, (u, v) in enumerate(ends):
         half = 1 << k
-        cols[:, half:2 * half] = cols[:, :half]
+        _copy_half(cols, half)
         for start in range(half, 2 * half, _MERGE_MASKS):
-            part = cols[:, start:min(start + _MERGE_MASKS, 2 * half)]
+            stop = min(start + _MERGE_MASKS, 2 * half)
+            part = cols[:, start:stop]
             lo = np.minimum(part[u], part[v])
-            np.copyto(part, lo, where=part == np.maximum(part[u], part[v]))
-    return cols.T
+            hi = np.maximum(part[u], part[v])
+            # the count of mask minus edge k, less one where k joins two
+            np.subtract(clusters[start - half:stop - half], lo != hi,
+                        out=clusters[start:stop])
+            np.copyto(part, lo, where=part == hi)
+    return cols.T, clusters
 
 
 def scan_configs(graph, bc, leaf=None):
-    """The label table of all 2^|E| configurations of graph under bc.
+    """The label table and cluster counts of all 2^|E| configurations of
+    graph under bc, built in one pass.
 
-    Returns labels[mask, v], the smallest vertex index in the cluster of v
-    in omega^xi, with bit k of mask the state of edge k. leaf(mask,
-    labels[mask]), if given, is called once per configuration in mask order.
+    Returns (labels, clusters): labels[mask, v] is the smallest vertex index
+    in the cluster of v in omega^xi, with bit k of mask the state of edge k,
+    and clusters[mask] = k(omega^xi) as int32. leaf(mask, labels[mask]), if
+    given, is called once per configuration in mask order.
     """
-    labels = _label_table(graph.n_vertices, graph.edge_ends,
-                          bc.roots(graph.n_vertices))
+    labels, clusters = _label_table(graph.n_vertices, graph.edge_ends,
+                                    bc.roots(graph.n_vertices))
     if leaf is not None:
         for mask, row in enumerate(labels):
             leaf(mask, row)
-    return labels
-
-
-def _count_roots(labels):
-    """Cluster count of every row: the vertices that label their cluster."""
-    out = np.zeros(len(labels), dtype=labels.dtype)  # k <= |V| fits
-    for v in range(labels.shape[1]):
-        out += labels[:, v] == v
-    return out.astype(np.int32)
+    return labels, clusters
 
 
 def cluster_count_array(graph, bc):
     """k(omega^xi) for every configuration mask."""
-    return _count_roots(scan_configs(graph, bc))
+    return scan_configs(graph, bc)[1]
 
 
 def open_count_array(n_edges):
@@ -164,20 +181,37 @@ def _log_weights(p, q, o, k, n_edges):
     return by_open[o] + k * math.log(q)
 
 
-def _probabilities(p, q, o, k, n_edges):
-    """(probabilities, log Z) of the weights given by _log_weights."""
-    w = _log_weights(p, q, o, k, n_edges)
-    top = float(w.max())
-    w -= top
-    np.exp(w, out=w)
-    total = float(w.sum())
-    w /= total
-    return w, top + math.log(total)
+def _class_grid(n_edges, n_classes):
+    """(o, k) of the weight classes c = k (n_edges + 1) + o < n_classes."""
+    k, o = np.divmod(np.arange(n_classes), n_edges + 1)
+    return o, k
 
 
-def _rc_probabilities(graph, p, q, bc):
-    return _probabilities(p, q, open_count_array(graph.n_edges),
-                          cluster_count_array(graph, bc), graph.n_edges)
+def _mask_classes(clusters, n_edges):
+    """The weight class k (n_edges + 1) + o of every mask, from its cluster
+    count k; o is the popcount of the mask."""
+    cls = clusters * (n_edges + 1)
+    cls += open_count_array(n_edges)
+    return cls
+
+
+def _class_sums(p, q, cls, n_edges):
+    """(log_w, log Z) of the masks with weight classes cls: _log_weights on
+    the class grid up to the largest class, and the log-sum-exp of log_w
+    plus the log of the class counts over the classes some mask has."""
+    counts = np.bincount(cls)
+    log_w = _log_weights(p, q, *_class_grid(n_edges, len(counts)), n_edges)
+    seen = np.flatnonzero(counts)
+    terms = log_w[seen] + np.log(counts[seen])
+    top = terms.max()
+    return log_w, float(top + math.log(np.exp(terms - top).sum()))
+
+
+def _probabilities(p, q, cls, n_edges):
+    """(probabilities, log Z) of the masks with weight classes cls: the
+    normalised class grid gathered back by class."""
+    log_w, log_z = _class_sums(p, q, cls, n_edges)
+    return np.exp(log_w - log_z)[cls], log_z
 
 
 def partition_function(graph, p, q, bc):
@@ -186,12 +220,14 @@ def partition_function(graph, p, q, bc):
 
 
 def log_partition_function(graph, p, q, bc):
-    return _rc_probabilities(graph, p, q, bc)[1]
+    cls = _mask_classes(cluster_count_array(graph, bc), graph.n_edges)
+    return _class_sums(p, q, cls, graph.n_edges)[1]
 
 
 def probability_array(graph, p, q, bc):
     """Normalized random-cluster probabilities of all configurations."""
-    return _rc_probabilities(graph, p, q, bc)[0]
+    cls = _mask_classes(cluster_count_array(graph, bc), graph.n_edges)
+    return _probabilities(p, q, cls, graph.n_edges)[0]
 
 
 def rc_expectation(graph, p, q, bc, values):
@@ -236,13 +272,13 @@ def _even_overlaps(labels, subsets):
 def connectivity_event(graph, bc, x, y):
     """Bool array over masks: x and y in one cluster of omega^xi."""
     ix, iy = graph.index(x), graph.index(y)
-    return _pair_events(scan_configs(graph, bc), [(ix, iy)])[0]
+    return _pair_events(scan_configs(graph, bc)[0], [(ix, iy)])[0]
 
 
 def boundary_connection_event(graph, bc, x):
     """Bool array over masks: x is connected to some boundary vertex."""
     ix = graph.index(x)
-    return _joined(scan_configs(graph, bc), graph.boundary_indices,
+    return _joined(scan_configs(graph, bc)[0], graph.boundary_indices,
                    [ix])[:, 0]
 
 
@@ -263,7 +299,7 @@ def crossing_event(graph, rect, direction):
     lo, hi = (x0, x1) if axis == 0 else (y0, y1)
     left = [i for i in inside if graph.vertices[i][axis] == lo]
     right = [i for i in inside if graph.vertices[i][axis] == hi]
-    return _joined(scan_configs(graph, free_bc(graph)), left,
+    return _joined(scan_configs(graph, free_bc(graph))[0], left,
                    right).any(axis=1)
 
 
@@ -281,13 +317,13 @@ def all_pairs_connectivity(graph, bc):
     the event that pairs[i] = (x, y) lie in one cluster of omega^xi."""
     n = graph.n_vertices
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return pairs, _pair_events(scan_configs(graph, bc), pairs)
+    return pairs, _pair_events(scan_configs(graph, bc)[0], pairs)
 
 
 def all_boundary_connection(graph, bc):
     """One scan; row x is the event that vertex index x touches a cluster
     containing a boundary vertex of omega^xi."""
-    labels = scan_configs(graph, bc)
+    labels = scan_configs(graph, bc)[0]
     return np.ascontiguousarray(_joined(
         labels, graph.boundary_indices, range(graph.n_vertices)).T)
 
@@ -296,7 +332,7 @@ def all_even_overlap(graph, bc, subsets):
     """One scan; row r is the event that every cluster of omega^xi meets
     subsets[r] (a vertex tuple) an even number of times."""
     idx = [[graph.index(x) for x in A] for A in subsets]
-    return _even_overlaps(scan_configs(graph, bc), idx)
+    return _even_overlaps(scan_configs(graph, bc)[0], idx)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +373,9 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     from the weights, over all 2^(|E|-1) rest configurations."""
     _check_edges(graph, [edge_k])
     n = graph.n_edges
-    labels = scan_configs(graph, bc)
-    lw = _log_weights(p, q, open_count_array(n), _count_roots(labels), n)
+    labels, clusters = scan_configs(graph, bc)
+    cls = _mask_classes(clusters, n)
+    lw = _class_sums(p, q, cls, n)[0]
     bit = 1 << edge_k
     masks = np.arange(1 << n, dtype=np.int64)
     rest = masks[(masks & bit) == 0]
@@ -346,7 +383,7 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     thr_c, thr_d = thresholds(p, q)
     expected = np.where(joined, thr_c, thr_d)
     # w(rest) / (w(rest) + w(rest + e)) from the log weight ratio
-    closed = 1.0 / (1.0 + np.exp(lw[rest | bit] - lw[rest]))
+    closed = 1.0 / (1.0 + np.exp(lw[cls[rest | bit]] - lw[cls[rest]]))
     return float(np.abs(closed - expected).max())
 
 
@@ -469,7 +506,7 @@ def ising_moment(graph, beta, A, plus_boundary=False):
 def even_overlap_event(graph, bc, A):
     """Every cluster of omega^xi meets A an even number of times."""
     idx = [graph.index(x) for x in A]
-    return _even_overlaps(scan_configs(graph, bc), [idx])[0]
+    return _even_overlaps(scan_configs(graph, bc)[0], [idx])[0]
 
 
 def _class_counts(cls, n_classes, events):
@@ -508,25 +545,24 @@ def _es_sides(graph, ps, qs, prod_idx):
     and each grid point contracts those counts with the class weights.
     """
     n, n_edges = graph.n_vertices, graph.n_edges
-    # cluster side: class o (|V| + 1) + k, one label table per boundary
-    # condition; wired_bc contracts the boundary into one cluster, so a
-    # vertex touches it when it shares the label of boundary vertex b
+    # cluster side: one label table per boundary condition; wired_bc
+    # contracts the boundary into one cluster, so a vertex touches it when
+    # it shares the label of boundary vertex b
     n_classes = (n_edges + 1) * (n + 1)
-    o_cls, k_cls = np.divmod(np.arange(n_classes), n + 1)
-    o = (n + 1) * open_count_array(n_edges)
+    o_cls, k_cls = _class_grid(n_edges, n_classes)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels = scan_configs(graph, free_bc(graph))
+    labels, clusters = scan_configs(graph, free_bc(graph))
     free_counts = _class_counts(
-        o + _count_roots(labels), n_classes, itertools.chain(
+        _mask_classes(clusters, n_edges), n_classes, itertools.chain(
             (labels[:, i] == labels[:, j] for i, j in pairs),
             (_even_overlaps(labels, [ids])[0] for ids in prod_idx)))
-    del labels  # before the wired table is built
-    labels = scan_configs(graph, wired_bc(graph))
+    del labels, clusters  # before the wired table is built
+    labels, clusters = scan_configs(graph, wired_bc(graph))
     b = graph.boundary_indices[0]
     wired_counts = _class_counts(
-        o + _count_roots(labels), n_classes,
+        _mask_classes(clusters, n_edges), n_classes,
         (labels[:, i] == labels[:, b] for i in range(n)))
-    del labels, o
+    del labels, clusters
 
     # spin side: the free colorings with vertex 0 colored 0, q^(|V|-1) of
     # them, which the free weights and the pair events do not tell from
@@ -630,8 +666,8 @@ def dual_cluster_count_array(graph):
     ends = [(index[f], index[g]) for f, g in dual.edges]
     # dual edge k is open iff primal edge k is closed, so the dual mask of
     # primal mask is 2^|E| - 1 - mask: the dual counts read backwards
-    return _count_roots(_label_table(len(dual.vertices), ends,
-                                     range(len(dual.vertices))))[::-1]
+    return _label_table(len(dual.vertices), ends,
+                        range(len(dual.vertices)))[1][::-1]
 
 
 def _duality_sums(graph, p, q):
@@ -650,9 +686,11 @@ def _duality_sums(graph, p, q):
     if bad.size:
         raise AssertionError("Euler cluster identity failed at %d" % bad[0])
     p_star = p_dual(p, q)
-    prob0, log_z0 = _probabilities(p, q, o, k0, n)
-    # dual edge k is open iff primal edge k is closed: n - o open dual edges
-    prob_dual, log_z1 = _probabilities(p_star, q, n - o, kstar, n)
+    prob0, log_z0 = _probabilities(p, q, _mask_classes(k0, n), n)
+    # the dual mask of primal mask is 2^|E| - 1 - mask (see
+    # dual_cluster_count_array), so the dual classes read backwards too
+    prob_dual, log_z1 = _probabilities(
+        p_star, q, _mask_classes(kstar[::-1], n)[::-1], n)
     f_bounded = 1 + n - graph.n_vertices
     log_predicted = (log_z0 + f_bounded * math.log(q)
                      + n * math.log((1.0 - p_star) / p))
@@ -794,14 +832,15 @@ def mon_scan(graph, q, ps):
 
     For the free and the wired boundary condition and each ordered pair
     p < p' from ps, the minimum of phi_{p'}[A] - phi_p[A] over cylinder
-    events A; q >= 1, and ps must hold two distinct values.
+    events A; q >= 1, and ps must hold two distinct values. A p given
+    twice is scanned once: equal p give no pair to compare.
     """
     if q < 1.0:
         raise ValueError("monotonicity in p needs q >= 1")
-    ps = sorted(ps)
     if len(set(ps)) < 2:
         raise ValueError("mon_scan needs two distinct p values, not ps %r"
-                         % (ps,))
+                         % (list(ps),))
+    ps = sorted(set(ps))
     worst = np.inf
     for bc in (free_bc(graph), wired_bc(graph)):
         cps = [cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
@@ -866,9 +905,9 @@ def phi_sum(S, p, d=2):
     if origin not in g.vertex_index:
         raise ValueError("S must contain the origin")
     # P[0 <-> x in S] for all x, from one label table
-    labels = scan_configs(g, free_bc(g))
-    prob, _ = _probabilities(p, 1.0, open_count_array(g.n_edges),
-                             _count_roots(labels), g.n_edges)
+    labels, clusters = scan_configs(g, free_bc(g))
+    prob, _ = _probabilities(p, 1.0, _mask_classes(clusters, g.n_edges),
+                             g.n_edges)
     root = labels[:, g.index(origin)]
     # x has 2d - deg(x) lattice neighbours outside S
     total = sum((2 * d - len(nbrs)) * float(prob[labels[:, i] == root].sum())

@@ -259,7 +259,7 @@ def conn_off_tables(graph, bc):
     if m > TABLE_MAX_EDGES:
         raise ValueError("connectivity tables limited to %d edges"
                          % TABLE_MAX_EDGES)
-    labels = scan_configs(graph, bc)
+    labels = scan_configs(graph, bc)[0]
     masks = np.arange(1 << m, dtype=np.int64)
     tables = np.empty((m, 1 << m), dtype=bool)
     for k in range(m):

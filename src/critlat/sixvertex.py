@@ -96,8 +96,9 @@ from .oracle import (
     _MERGE_MASKS,
     _check_budget,
     _check_enum_edges,
-    _log_weights,
-    open_count_array,
+    _class_sums,
+    _copy_half,
+    _mask_classes,
     p_self_dual,
 )
 
@@ -507,7 +508,7 @@ def _lifted_table(n_nodes, links, period):
     for k, per_bit in enumerate(links):
         half = 1 << k
         for arr in (lab, off, flag, rows):
-            arr[..., half:2 * half] = arr[..., :half]
+            _copy_half(arr, half)
         for base, bond_links in zip((0, half), per_bit):
             for start in range(base, base + half, _MERGE_MASKS):
                 sl = slice(start, min(start + _MERGE_MASKS, base + half))
@@ -751,9 +752,10 @@ def _loop_constant(table, q, w):
 
 
 def _rc_weights(rc, table, q, p):
-    """w_RC = p^open (1-p)^closed q^clusters of every bond mask."""
-    E = rc.n_edges
-    return np.exp(_log_weights(p, q, open_count_array(E), table["clusters"], E))
+    """w_RC = p^open (1-p)^closed q^clusters of every bond mask, evaluated
+    once per weight class and gathered back by class."""
+    cls = _mask_classes(table["clusters"], rc.n_edges)
+    return np.exp(_class_sums(p, q, cls, rc.n_edges)[0])[cls]
 
 
 def loop_weight_constant(rc, q, p):

@@ -18,6 +18,8 @@ from critlat.lattice import (
     induced_graph,
     medial_domain,
     rotate_face,
+    segment_faces,
+    shared_corner,
     to_black,
     wired_bc,
 )
@@ -160,6 +162,11 @@ def test_complement_connected_shapes():
 def test_complement_connected_empty_graph():
     # Z^2 minus nothing is Z^2, which is connected
     assert LatticeGraph([], []).complement_connected()
+
+
+def test_complement_connected_refuses_3d():
+    with pytest.raises(ValueError, match="only implemented for d=2"):
+        build_box(1, 3).complement_connected()
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +393,27 @@ def test_dobrushin_bc_wires_ba_arc():
     assert sizes == [4]
     bc = dobrushin_bc(DIAMOND, P1, P3)
     assert sorted(len(b) for b in bc.blocks) == [3]
+
+
+def test_boundary_arcs_refuse_ambiguous_split_points():
+    # (0, 0) is interior to the box; the half-diamond's outer walk passes
+    # (0, -2) twice, once on each side of its leaf
+    with pytest.raises(ValueError, match="exactly once"):
+        boundary_arcs(build_box(1), (0, 0), (1, 1))
+    with pytest.raises(ValueError, match="exactly once"):
+        dobrushin_bc(build_box(1), (-1, -1), (0, 0))
+    with pytest.raises(ValueError, match="exactly once"):
+        boundary_arcs(half_diamond(3), (0, 0), (0, -2))
+
+
+def test_medial_helpers_refuse_non_adjacent_input():
+    assert shared_corner((0, 0), (1, 1)) == (1, 1)
+    for f, g in (((0, 0), (1, 0)), ((0, 0), (2, 2)), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="not diagonal neighbors"):
+            shared_corner(f, g)
+    assert segment_faces((0, 0), (0, 1)) == ((0, 0), (-1, 0))
+    with pytest.raises(ValueError, match="not a unit medial segment"):
+        segment_faces((0, 0), (1, 1))
 
 
 def test_boundary_arcs_box():

@@ -634,10 +634,14 @@ def test_sholo_report_on_c_shape():
 
 
 def test_loop_entry_points_refuse_bad_input():
-    for q in (0.0, -1.0):
-        with pytest.raises(ValueError, match="q must be positive"):
+    for q in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="q must be positive, not %r$"
+                           % (q,)):
             sigma_obs(q)
     dom = dom_diamond_14()
+    # NaN q makes p_self_dual NaN as well; the refusal names q, not p
+    with pytest.raises(ValueError, match="q must be positive, not nan$"):
+        contour_check(dom, float("nan"))
     for bits in ([], [0] * (len(dom.free_edges) + 1)):
         with pytest.raises(ValueError, match="one bit per free edge"):
             loop_encode(dom, bits)

@@ -24,9 +24,11 @@ from critlat.lattice import (
 )
 from critlat.oracle import (
     MAX_ENUM_EDGES,
+    MAX_TABLE_BYTES,
     _color_table,
     _es_sides,
     _fkg_search,
+    _log_weights,
     _product_columns,
     _simplex_dots,
     _superset_transform,
@@ -675,15 +677,82 @@ def _engine_cases():
 @pytest.mark.parametrize("g,bc", list(_engine_cases()))
 def test_label_table_matches_cluster_stats(g, bc):
     seen = []
-    labels = scan_configs(g, bc, lambda mask, row: seen.append(mask))
+    labels, counts = scan_configs(g, bc, lambda mask, row: seen.append(mask))
     assert seen == list(range(1 << g.n_edges))
     assert labels.shape == (1 << g.n_edges, g.n_vertices)
-    counts = cluster_count_array(g, bc)
     assert counts.dtype == np.int32
+    assert np.array_equal(cluster_count_array(g, bc), counts)
     for mask in range(1 << g.n_edges):
         k, lab = cluster_stats(g, _bits(mask, g.n_edges), bc)
         assert tuple(int(x) for x in labels[mask]) == lab
         assert counts[mask] == k
+
+
+def _per_mask_probabilities(g, bc, p, q):
+    """(probabilities, log Z) from _log_weights evaluated at every mask and
+    normalised by its sum, the reference of the class-grid sums."""
+    n = g.n_edges
+    lw = _log_weights(p, q, open_count_array(n), cluster_count_array(g, bc), n)
+    top = lw.max()
+    w = np.exp(lw - top)
+    total = w.sum()
+    return w / total, top + math.log(total)
+
+
+@pytest.mark.parametrize("g,bc", list(_engine_cases()))
+def test_class_sums_match_per_mask_formula(g, bc):
+    for p, q in itertools.product((0.0, 0.37, 1.0), (0.5, 1.0, 2.0, 6.0)):
+        prob_ref, log_z_ref = _per_mask_probabilities(g, bc, p, q)
+        prob = probability_array(g, p, q, bc)
+        # the point masses at p = 0 and p = 1 keep their exact zeros
+        assert np.array_equal(prob == 0.0, prob_ref == 0.0)
+        assert np.all(np.abs(prob - prob_ref) <= 1e-13 * prob_ref)
+        # log Z to 1e-13 absolute is Z to 1e-13 relative
+        log_z = log_partition_function(g, p, q, bc)
+        assert abs(log_z - log_z_ref) <= 1e-13 * max(1.0, abs(log_z_ref))
+
+
+def test_class_sums_keep_identity_residuals_at_rounding():
+    graphs = {id(g): g for g, _ in _engine_cases()}.values()
+    for g in graphs:
+        report = verify_es_coupling(g, [0.37], [2, 6])
+        assert report["pair_max_err"] <= 1e-15, report
+        assert report["wired_max_err"] <= 1e-15, report
+        if g.n_edges == 0:
+            continue  # no planar dual
+        for p, q in itertools.product((0.37, 1.0), (0.5, 1.0, 2.0, 6.0)):
+            report = verify_duality(g, p, q)
+            assert report["config_max_err"] <= 1e-15, report
+            # the relative gap of two log partition functions of size up
+            # to 10, a few of whose ulps (1.8e-15 each) it may carry
+            assert report["z_rel_err"] <= 1e-14, report
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_partition_function_keeps_no_per_mask_weights():
+    # 2^22 masks: the 15-column uint8 labels and the int32 counts are 76 MiB
+    g = build_rect((0, 4), (0, 2))
+    assert g.n_edges == 22
+    _, peak = _traced_peak(
+        lambda: partition_function(g, 0.45, 2.0, free_bc(g)))
+    assert peak < 90 << 20
+
+
+def test_label_table_doubles_without_a_temporary():
+    # a 2-D copy of the lower half of the table would allocate the upper
+    # half once more
+    g = build_rect((0, 6), (0, 1))
+    assert g.n_edges >= 18
+    (labels, counts), peak = _traced_peak(lambda: scan_configs(g, free_bc(g)))
+    assert peak < 1.1 * (labels.nbytes + counts.nbytes)
 
 
 @pytest.mark.parametrize("g,bc", list(_engine_cases()))
@@ -764,6 +833,19 @@ def test_over_budget_tables_refused_before_allocating():
                                                            free_bc(path)))
 
 
+def test_count_column_is_charged_to_the_budget():
+    # a 24-edge path plus 4 isolated vertices: the uint8 labels alone fit
+    # the budget, the labels and the int32 counts do not
+    path = build_rect((0, 24), (0, 0))
+    g = LatticeGraph(path.vertices + tuple((x, 2) for x in range(4)),
+                     path.edges)
+    assert g.n_edges == 24 and g.n_vertices == 29
+    assert (1 << 24) * 29 <= MAX_TABLE_BYTES < (1 << 24) * (29 + 4)
+    bc = free_bc(g)
+    _refused_before_allocating(lambda: cluster_count_array(g, bc))
+    _refused_before_allocating(lambda: partition_function(g, 0.5, 2.0, bc))
+
+
 def test_scans_refuse_q_below_one_and_large_graphs():
     with pytest.raises(ValueError, match="FKG scan requires q >= 1"):
         fkg_scan(SQUARE, 0.5, 0.5)
@@ -782,6 +864,13 @@ def test_mon_scan_refuses_fewer_than_two_distinct_ps(ps):
     # no pair p < p' to compare, so no verdict
     with pytest.raises(ValueError, match=r"two distinct p values, not ps"):
         mon_scan(SQUARE, 2.0, ps)
+
+
+def test_mon_scan_scans_a_repeated_p_once():
+    once = mon_scan(RECT7, 2.0, [0.3, 0.4])
+    assert once["min_gap"] > 0.0
+    for ps in ([0.3, 0.4, 0.4], [0.4, 0.3, 0.3, 0.4]):
+        assert mon_scan(RECT7, 2.0, ps) == once
 
 
 @pytest.mark.parametrize("p,q,bad", [
