@@ -88,11 +88,6 @@ def hte_correlation(graph, beta, A):
     return single_current_sum(graph, A, beta) / single_current_sum(graph, (), beta)
 
 
-def current_weight(values, beta):
-    """w_beta(n) = prod_e beta^{n_e} / n_e!."""
-    return math.prod(beta ** v / math.factorial(v) for v in values)
-
-
 def _parity_pairs(graph, A, B):
     """(m1 | m2, |m1 & m2|, |m1 ^ m2|) over all parity mask pairs of A, B;
     a source set given twice is enumerated once."""

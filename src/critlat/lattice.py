@@ -51,7 +51,7 @@ each reads the contraction bc.roots instead of adding links for the wiring:
   x86_64 host);
 * all 2^|E| masks: oracle._label_table, whose mask-0 row is the roots;
 * all masks on the torus cover: sixvertex._lifted_table, checked against
-  the TorusRc walkers.
+  a depth-first lift of one mask at a time in tests/reference.py.
 UnionFind stays as the reference the tests compare against. An open
 crossing of a rectangle is one more connectivity event, with no primitive of
 its own: oracle.crossing_event reads it for all masks from the label table,
@@ -335,6 +335,15 @@ def _signed_area(graph, orbit):
     return s / 2.0
 
 
+def _faces_and_outer(graph):
+    """The face orbits and the outer face, the orbit of least signed area;
+    a graph without edges has no face and is refused."""
+    if not graph.n_edges:
+        raise ValueError("graph has no edges, so no faces")
+    faces = _face_orbits(graph)
+    return faces, min(faces, key=lambda orb: _signed_area(graph, orb))
+
+
 def boundary_cycle(graph):
     """Counterclockwise outer boundary walk as a list of directed edges
     (vertex-index pairs). Requires a connected planar graph with d=2."""
@@ -342,8 +351,7 @@ def boundary_cycle(graph):
         raise ValueError("boundary cycle only for d=2")
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    faces = _face_orbits(graph)
-    outer = min(faces, key=lambda orb: _signed_area(graph, orb))
+    outer = _faces_and_outer(graph)[1]
     return [(v, u) for (u, v) in reversed(outer)]
 
 
@@ -397,8 +405,7 @@ def dual_map(graph):
     """The planar dual of a two-dimensional graph with unit-square faces."""
     if graph.ambient_dim != 2:
         raise ValueError("duality only for d=2")
-    faces = _face_orbits(graph)
-    outer = min(faces, key=lambda orb: _signed_area(graph, orb))
+    faces, outer = _faces_and_outer(graph)
     face_of_directed = {}
     labels = []
     for orb in faces:
@@ -442,14 +449,14 @@ def shared_corner(f, g):
 def segment_faces(z, w):
     """(black face, white face) bordering the unit medial segment z-w."""
     (zx, zy), (wx, wy) = z, w
+    if abs(zx - wx) + abs(zy - wy) != 1:
+        raise ValueError("not a unit medial segment: %r, %r" % (z, w))
     if zx == wx:  # vertical segment, faces east/west
         y = min(zy, wy)
         cands = [(zx, y), (zx - 1, y)]
-    elif zy == wy:
+    else:
         x = min(zx, wx)
         cands = [(x, zy), (x, zy - 1)]
-    else:
-        raise ValueError("not a unit medial segment")
     if (cands[0][0] + cands[0][1]) % 2 == 0:
         return cands[0], cands[1]
     return cands[1], cands[0]

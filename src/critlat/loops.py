@@ -6,8 +6,7 @@ to e_b: at each medial vertex the two quarter-turn arcs avoid the open
 diagonal (open primal edge or dual complement, wired arc forced open,
 dual arc forced closed). The loop count obeys l = 2k + o - v exactly,
 with k the cluster count under Dobrushin wiring, o the number of open
-free edges and v the marked vertex count of the domain; it is asserted
-on every trace.
+free edges and v the marked vertex count of the domain.
 
 The observable F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] is computed by
 exact enumeration, with winding summed over the +-pi/2 turns strictly after
@@ -23,10 +22,10 @@ and the q = 2 readers also come from the table. Each step reads one bit of
 every mask and sums the probabilities into a histogram over (medial edge,
 turns since e_a). The total turning from e_a to e_b is the same for every
 configuration (asserted), so W = total - turns so far, and F is the
-histogram contracted with exp(i sigma pi/2 W). loop_encode, _explore and
-winding_profile trace one configuration at a time from the arc pairing
-alone, without the table, and are the reference the lockstep walk is tested
-against. Medial edges carry the canonical orientation counterclockwise
+histogram contracted with exp(i sigma pi/2 W). The tests check the
+lockstep walk against a trace of one configuration at a time from the arc
+pairing alone, without the table (tests/reference.py), which also asserts
+l = 2k + o - v. Medial edges carry the canonical orientation counterclockwise
 around their black face; the q = 2 projections and line membership are
 stated through that orientation, squared to stay branch-free.
 """
@@ -44,7 +43,6 @@ from .lattice import (
     CCW_SIDES,
     DobrushinDomain,
     LatticeGraph,
-    cluster_stats,
     oriented_segment,
     segment_faces,
 )
@@ -71,94 +69,6 @@ def sigma_obs(q):
     return complex(1.0, 2.0 / math.pi * math.acosh(s))
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    """Loops plus the exploration path of one configuration."""
-
-    loops: tuple        # each loop a tuple of medial vertices in cycle order
-    exploration: tuple  # directed medial segments from e_a to e_b inclusive
-
-    @property
-    def ell(self):
-        # the exploration path counts as one loop
-        return len(self.loops) + 1
-
-
-def _pairings(domain, bits):
-    """Arc pairing (side -> side) at every status vertex for this config."""
-    pair = {}
-    for z, (kind, k) in domain.status.items():
-        if kind == "free":
-            open_primal = bool(bits[domain.free_pos[k]])
-        else:
-            open_primal = kind == "primal"
-        pair[z] = {d: e for arc in DobrushinDomain.arcs_at(z, open_primal)
-                   for d, e in (arc, arc[::-1])}
-    return pair
-
-
-def _explore(domain, pair):
-    """Directed segments of gamma from e_a to e_b plus the used sides."""
-    status = domain.status
-    z = domain.e_a[1]
-    tail = domain.e_a[0]
-    d_in = (tail[0] - z[0], tail[1] - z[1])
-    steps = [domain.e_a]
-    used = set()
-    while True:
-        d_out = pair[z][d_in]
-        used.add((z, d_in))
-        used.add((z, d_out))
-        nxt = (z[0] + d_out[0], z[1] + d_out[1])
-        steps.append((z, nxt))
-        if nxt not in status:
-            if (z, nxt) != domain.e_b:
-                raise AssertionError("exploration exited off e_b at %s" % (z,))
-            return tuple(steps), used
-        d_in = (-d_out[0], -d_out[1])
-        z = nxt
-
-
-def loop_encode(domain, bits):
-    """Trace the loop decomposition; l = 2k + o - v asserted exactly."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != len(domain.free_edges):
-        raise ValueError("expected one bit per free edge")
-    pair = _pairings(domain, bits)
-    steps, used = _explore(domain, pair)
-    status = domain.status
-    loops = []
-    for z in status:
-        for d in CCW_SIDES:
-            if (z, d) in used:
-                continue
-            if not domain.curve_segment(z, (z[0] + d[0], z[1] + d[1])):
-                # dead slots: exterior corners, the outside of the wired
-                # arc, wrap-to-exterior contacts
-                continue
-            cycle = []
-            cz, cd = z, d
-            while (cz, cd) not in used:
-                used.add((cz, cd))
-                nxt = (cz[0] + cd[0], cz[1] + cd[1])
-                used.add((nxt, (-cd[0], -cd[1])))
-                cycle.append(nxt)
-                cz = nxt
-                cd = pair[cz][(-cd[0], -cd[1])]
-            loops.append(tuple(cycle))
-    config = LoopConfig(tuple(loops), steps)
-
-    full = [0] * domain.primal.n_edges
-    for t, k in enumerate(domain.free_edges):
-        full[k] = bits[t]
-    k_clusters, _ = cluster_stats(domain.primal, tuple(full), domain.bc)
-    expect = 2 * k_clusters + sum(bits) - domain.v_count()
-    if config.ell != expect:
-        raise AssertionError("loop count %d != 2k + o - v = %d"
-                             % (config.ell, expect))
-    return config
-
-
 def medial_edges(domain):
     """Canonically oriented curve-carrying medial edges (incl. e_a, e_b)."""
     table = domain.slots
@@ -169,25 +79,6 @@ def edge_direction(edge):
     """Unit complex direction of a canonically oriented medial edge."""
     (tx, ty), (hx, hy) = edge
     return complex(hx - tx, hy - ty)
-
-
-def winding_profile(steps):
-    """Winding to e_b for every edge on gamma, keyed by canonical edge.
-
-    The turn directly after each traversed segment through arrival at e_b
-    is counted, +pi/2 per left turn; the final segment e_b winds 0.
-    """
-    dirs = [complex(h[0] - t[0], h[1] - t[1]) for t, h in steps]
-    wind = {}
-    acc = 0.0
-    for i in range(len(steps) - 1, -1, -1):
-        if i < len(steps) - 1:
-            cross = (dirs[i].real * dirs[i + 1].imag
-                     - dirs[i].imag * dirs[i + 1].real)
-            acc += math.pi / 2.0 if cross > 0 else -math.pi / 2.0
-        t, h = steps[i]
-        wind[oriented_segment(t, h)] = acc
-    return wind
 
 
 # configurations walked at a time, and about the bytes each holds in the

@@ -220,12 +220,14 @@ def partition_function(graph, p, q, bc):
 
 
 def log_partition_function(graph, p, q, bc):
+    _check_pq(p, q)
     cls = _mask_classes(cluster_count_array(graph, bc), graph.n_edges)
     return _class_sums(p, q, cls, graph.n_edges)[1]
 
 
 def probability_array(graph, p, q, bc):
     """Normalized random-cluster probabilities of all configurations."""
+    _check_pq(p, q)
     cls = _mask_classes(cluster_count_array(graph, bc), graph.n_edges)
     return _probabilities(p, q, cls, graph.n_edges)[0]
 
@@ -371,6 +373,7 @@ def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
 def edge_conditional_gap(graph, p, q, bc, edge_k):
     """Worst deviation of thresholds(p, q) from P[w_e = 0 | rest] computed
     from the weights, over all 2^(|E|-1) rest configurations."""
+    _check_pq(p, q)
     _check_edges(graph, [edge_k])
     n = graph.n_edges
     labels, clusters = scan_configs(graph, bc)

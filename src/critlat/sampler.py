@@ -46,7 +46,6 @@ import numpy as np
 
 from .lattice import build_rect, cluster_stats, free_bc, wired_bc
 from .oracle import (
-    _check_edges,
     _check_pq,
     _check_spin_q,
     _joined_off_rows,
@@ -203,21 +202,6 @@ def _sweep(links, ends, state, lab, u, thr_c, thr_d):
                 lab[x] -= side
                 for v in side:
                     lab[v] = side
-
-
-def heatbath_step(graph, bits, edge_k, u, p, q, bc):
-    """One heat-bath update of edge_k driven by the uniform u.
-
-    Returns the new bits tuple; the edge is opened iff u >= P[w_e=0|rest].
-    """
-    _check_edges(graph, [edge_k])
-    links, ends = _links(graph, bc)
-    x, y = ends[edge_k]
-    conn = _cut_side(links, bits, x, y, edge_k) is None
-    thr_c, thr_d = thresholds(p, q)
-    out = list(bits)
-    out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
-    return tuple(out)
 
 
 def _connected_batch(graph, bc, bits_batch, src, dst):

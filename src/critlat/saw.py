@@ -62,21 +62,6 @@ def dir_indices(x):
     return (0, 2, 4) if x % 6 == 4 else (1, 3, 5)
 
 
-def turn_sign(k_in, k_out):
-    """+1 for a left turn, -1 for a right turn; reversals are not turns."""
-    d = (k_out - k_in) % 6
-    if d == 1:
-        return 1
-    if d == 5:
-        return -1
-    raise ValueError("not an admissible turn")
-
-
-def to_complex(p):
-    """Embed a quarter-unit integer pair in the plane."""
-    return complex(p[0] / 4.0, p[1] * math.sqrt(3.0) / 4.0)
-
-
 @dataclass(frozen=True)
 class HexDomain:
     """Truncated strip with every mid-edge classified.

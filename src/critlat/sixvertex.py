@@ -79,15 +79,14 @@ non-retractible and north-east winding clusters of both sides, the loop
 count and the non-retractible loops with their common |alpha|.
 rc6v_verify, loop_weight_constant and oriented_sector_sums read that table
 through the same two reductions, _loop_constant and _oriented_sectors; the
-orientation sum over l0 parallel loops is a binomial.  TorusRc.clusters,
-dual_clusters and loop_census walk one configuration at a time and are the
-independent route the table is tested against.
+orientation sum over l0 parallel loops is a binomial.  The package has no
+second, per-configuration census: the tests check the table against a
+depth-first lift and a loop walk of one mask at a time (tests/reference.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -386,53 +385,6 @@ def brute_force_census(N, M, c):
 # random-cluster torus
 
 
-def _winding_subgroup(gens):
-    """Hermite form of the subgroup of Z^2 spanned by the winding classes.
-
-    Canonical: ((a, b), (0, d)) with a > 0, d > 0, 0 <= b < d, degenerate
-    rows dropped, so any two generator lists of the same subgroup agree.
-    """
-    rows = [g for g in gens if g != (0, 0)]
-    if not rows:
-        return ()
-    lead = None
-    tail = 0
-    for a, b in rows:
-        if lead is None:
-            lead = (a, b)
-        else:
-            a1, b1 = lead
-            while a:
-                (a1, b1), (a, b) = (a, b), (a1 - (a1 // a) * a, b1 - (a1 // a) * b)
-            lead = (a1, b1)
-            tail = math.gcd(tail, b)
-    a, b = lead
-    if a == 0:
-        tail = math.gcd(tail, b)
-        return ((0, tail),) if tail else ()
-    if a < 0:
-        a, b = -a, -b
-    if tail:
-        b %= tail
-        return ((a, b), (0, tail))
-    return ((a, b),)
-
-
-@dataclass(frozen=True)
-class ClusterCensus:
-    count: int            # all clusters, isolated sites included
-    subgroups: tuple      # canonical winding subgroup per cluster
-
-    @property
-    def n_nonretractible(self):
-        return sum(1 for h in self.subgroups if h)
-
-    @property
-    def n_winding_ne(self):
-        # winds around the torus with a nonzero u-component
-        return sum(1 for h in self.subgroups if any(r[0] for r in h))
-
-
 # loop pairing at a medial vertex, keyed (slope is +1, primal edge open);
 # slots 0=E 1=N 2=W 3=S
 _PAIRS = {
@@ -442,7 +394,6 @@ _PAIRS = {
     (False, False): {2: 1, 1: 2, 3: 0, 0: 3},
 }
 _STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
-_OPPOSITE = (2, 3, 0, 1)
 
 
 def _lifted_table(n_nodes, links, period):
@@ -556,99 +507,6 @@ class TorusRc:
                     self.dual_edges.append((self.dual_id[da], self.dual_id[db], 1, 1))
         self.n_edges = len(self.edges)
         self.n_sites = len(self.sites)
-
-    def _census(self, edges, n_sites, mask, reverse=False):
-        adj = [[] for _ in range(n_sites)]
-        for k, (a, b, du, dv) in enumerate(edges):
-            if mask >> k & 1:
-                adj[a].append((b, du, dv))
-                adj[b].append((a, -du, -dv))
-        if reverse:
-            adj = [list(reversed(x)) for x in adj]
-        roots = range(n_sites - 1, -1, -1) if reverse else range(n_sites)
-        lift = [None] * n_sites
-        subs = []
-        for root in roots:
-            if lift[root] is not None:
-                continue
-            lift[root] = (0, 0)
-            stack = [root]
-            gens = []
-            while stack:
-                x = stack.pop()
-                lx, ly = lift[x]
-                for y, du, dv in adj[x]:
-                    pos = (lx + du, ly + dv)
-                    if lift[y] is None:
-                        lift[y] = pos
-                        stack.append(y)
-                    else:
-                        gu, gv = pos[0] - lift[y][0], pos[1] - lift[y][1]
-                        if gu or gv:
-                            # a cycle closed; its displacement is a full
-                            # period multiple by construction
-                            assert gu % self.M == 0 and gv % self.P == 0
-                            gens.append((gu // self.M, gv // self.P))
-            subs.append(_winding_subgroup(gens))
-        return ClusterCensus(len(subs), tuple(subs))
-
-    def clusters(self, mask, reverse=False):
-        """Primal cluster census of the open bonds in mask."""
-        return self._census(self.edges, self.n_sites, mask, reverse)
-
-    def dual_clusters(self, mask, reverse=False):
-        """Dual cluster census; dual bond k is open iff primal bond k is closed."""
-        dual_mask = ~mask & ((1 << self.n_edges) - 1)
-        return self._census(self.dual_edges, len(self.dual_sites), dual_mask, reverse)
-
-    def loop_census(self, mask):
-        """Interface loops on the medial torus.
-
-        Returns a list of (n_medial_edges, cut_visits, alpha, beta) with
-        (alpha, beta) the winding class and cut_visits the number of
-        horizontal medial edges the loop uses across the cut u = 0; the
-        signed crossing count always equals alpha.
-        """
-        M, P = self.M, self.P
-        seen = set()
-        out = []
-        for i0 in range(M):
-            for j0 in range(P):
-                for s0 in (0, 1):
-                    if ((i0, j0), s0) in seen:
-                        continue
-                    v, slot = (i0, j0), s0
-                    du = dv = 0
-                    length = 0
-                    cut = 0
-                    signed = 0
-                    while True:
-                        seen.add((v, slot))
-                        dx, dy = _STEP[slot]
-                        if slot == 0 and v[0] == M - 1:
-                            cut += 1
-                            signed += 1
-                        if slot == 2 and v[0] == 0:
-                            cut += 1
-                            signed -= 1
-                        du += dx
-                        dv += dy
-                        length += 1
-                        v = ((v[0] + dx) % M, (v[1] + dy) % P)
-                        enter = _OPPOSITE[slot]
-                        seen.add((v, enter))
-                        k = v[0] * P + v[1]
-                        pairs = _PAIRS[((v[0] + v[1]) % 2 == 0, bool(mask >> k & 1))]
-                        slot = pairs[enter]
-                        if v == (i0, j0) and slot == s0:
-                            break
-                    assert du % M == 0 and dv % P == 0
-                    alpha, beta = du // M, dv // P
-                    assert signed == alpha
-                    out.append((length, cut, alpha, beta))
-        # every medial edge lies on exactly one loop
-        assert sum(l for l, _, _, _ in out) == 2 * M * P
-        return out
 
     def _medial_links(self):
         """Per bond, the loop links of the medial torus for bit 0 and bit 1.

@@ -1,0 +1,357 @@
+"""Independent per-configuration references and shared test tooling.
+
+The package computes its finite-volume statements for all configurations at
+once: the lockstep walk over a Dobrushin domain's slot table, the lifted
+label tables of TorusRc.census_table and the mask and label sweeps of the
+sampler. The functions here follow the same definitions one configuration
+at a time, by the plainest walk, and are the second path the tests compare
+the package against. Nothing under src/ imports them.
+"""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+from dataclasses import dataclass
+
+import pytest
+
+from critlat.lattice import (
+    CCW_SIDES,
+    DobrushinDomain,
+    LatticeGraph,
+    cluster_stats,
+    oriented_segment,
+)
+from critlat.oracle import _check_edges, thresholds
+from critlat.sampler import _cut_side, _links
+from critlat.sixvertex import _PAIRS, _STEP
+
+
+def _refused_before_allocating(call, match="bytes"):
+    """call raises a ValueError matching match with under 1 MiB traced."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def half_diamond(n):
+    """The lower half, x + y <= 0, of the l1 ball of radius n: a domain
+    with degree-1 tips on its outer walk."""
+    vs = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)
+          if abs(x) + abs(y) <= n and x + y <= 0]
+    vset = set(vs)
+    es = [(v, (v[0] + dx, v[1] + dy)) for v in vs for dx, dy in ((1, 0), (0, 1))
+          if (v[0] + dx, v[1] + dy) in vset]
+    return LatticeGraph(vs, es)
+
+
+# ---------------------------------------------------------------------------
+# one heat-bath update (sampler)
+
+
+def heatbath_step(graph, bits, edge_k, u, p, q, bc):
+    """One heat-bath update of edge_k driven by the uniform u.
+
+    Returns the new bits tuple; the edge is opened iff u >= P[w_e=0|rest].
+    """
+    _check_edges(graph, [edge_k])
+    links, ends = _links(graph, bc)
+    x, y = ends[edge_k]
+    conn = _cut_side(links, bits, x, y, edge_k) is None
+    thr_c, thr_d = thresholds(p, q)
+    out = list(bits)
+    out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# one current weight (currents) and hexagonal turns (saw)
+
+
+def current_weight(values, beta):
+    """w_beta(n) = prod_e beta^{n_e} / n_e!."""
+    return math.prod(beta ** v / math.factorial(v) for v in values)
+
+
+def turn_sign(k_in, k_out):
+    """+1 for a left turn, -1 for a right turn; reversals are not turns."""
+    d = (k_out - k_in) % 6
+    if d == 1:
+        return 1
+    if d == 5:
+        return -1
+    raise ValueError("not an admissible turn")
+
+
+def to_complex(p):
+    """Embed a quarter-unit integer pair in the plane."""
+    return complex(p[0] / 4.0, p[1] * math.sqrt(3.0) / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# the loop decomposition of one Dobrushin configuration (loops)
+
+
+@dataclass(frozen=True)
+class LoopConfig:
+    """Loops plus the exploration path of one configuration."""
+
+    loops: tuple        # each loop a tuple of medial vertices in cycle order
+    exploration: tuple  # directed medial segments from e_a to e_b inclusive
+
+    @property
+    def ell(self):
+        # the exploration path counts as one loop
+        return len(self.loops) + 1
+
+
+def _pairings(domain, bits):
+    """Arc pairing (side -> side) at every status vertex for this config."""
+    pair = {}
+    for z, (kind, k) in domain.status.items():
+        if kind == "free":
+            open_primal = bool(bits[domain.free_pos[k]])
+        else:
+            open_primal = kind == "primal"
+        pair[z] = {d: e for arc in DobrushinDomain.arcs_at(z, open_primal)
+                   for d, e in (arc, arc[::-1])}
+    return pair
+
+
+def _explore(domain, pair):
+    """Directed segments of gamma from e_a to e_b plus the used sides."""
+    status = domain.status
+    z = domain.e_a[1]
+    tail = domain.e_a[0]
+    d_in = (tail[0] - z[0], tail[1] - z[1])
+    steps = [domain.e_a]
+    used = set()
+    while True:
+        d_out = pair[z][d_in]
+        used.add((z, d_in))
+        used.add((z, d_out))
+        nxt = (z[0] + d_out[0], z[1] + d_out[1])
+        steps.append((z, nxt))
+        if nxt not in status:
+            if (z, nxt) != domain.e_b:
+                raise AssertionError("exploration exited off e_b at %s" % (z,))
+            return tuple(steps), used
+        d_in = (-d_out[0], -d_out[1])
+        z = nxt
+
+
+def loop_encode(domain, bits):
+    """Trace the loop decomposition; l = 2k + o - v asserted exactly."""
+    bits = tuple(int(b) for b in bits)
+    if len(bits) != len(domain.free_edges):
+        raise ValueError("expected one bit per free edge")
+    pair = _pairings(domain, bits)
+    steps, used = _explore(domain, pair)
+    status = domain.status
+    loops = []
+    for z in status:
+        for d in CCW_SIDES:
+            if (z, d) in used:
+                continue
+            if not domain.curve_segment(z, (z[0] + d[0], z[1] + d[1])):
+                # dead slots: exterior corners, the outside of the wired
+                # arc, wrap-to-exterior contacts
+                continue
+            cycle = []
+            cz, cd = z, d
+            while (cz, cd) not in used:
+                used.add((cz, cd))
+                nxt = (cz[0] + cd[0], cz[1] + cd[1])
+                used.add((nxt, (-cd[0], -cd[1])))
+                cycle.append(nxt)
+                cz = nxt
+                cd = pair[cz][(-cd[0], -cd[1])]
+            loops.append(tuple(cycle))
+    config = LoopConfig(tuple(loops), steps)
+
+    full = [0] * domain.primal.n_edges
+    for t, k in enumerate(domain.free_edges):
+        full[k] = bits[t]
+    k_clusters, _ = cluster_stats(domain.primal, tuple(full), domain.bc)
+    expect = 2 * k_clusters + sum(bits) - domain.v_count()
+    if config.ell != expect:
+        raise AssertionError("loop count %d != 2k + o - v = %d"
+                             % (config.ell, expect))
+    return config
+
+
+def winding_profile(steps):
+    """Winding to e_b for every edge on gamma, keyed by canonical edge.
+
+    The turn directly after each traversed segment through arrival at e_b
+    is counted, +pi/2 per left turn; the final segment e_b winds 0.
+    """
+    dirs = [complex(h[0] - t[0], h[1] - t[1]) for t, h in steps]
+    wind = {}
+    acc = 0.0
+    for i in range(len(steps) - 1, -1, -1):
+        if i < len(steps) - 1:
+            cross = (dirs[i].real * dirs[i + 1].imag
+                     - dirs[i].imag * dirs[i + 1].real)
+            acc += math.pi / 2.0 if cross > 0 else -math.pi / 2.0
+        t, h = steps[i]
+        wind[oriented_segment(t, h)] = acc
+    return wind
+
+
+# ---------------------------------------------------------------------------
+# homology and interface loops of one torus configuration (sixvertex)
+
+
+def _winding_subgroup(gens):
+    """Hermite form of the subgroup of Z^2 spanned by the winding classes.
+
+    Canonical: ((a, b), (0, d)) with a > 0, d > 0, 0 <= b < d, degenerate
+    rows dropped, so any two generator lists of the same subgroup agree.
+    """
+    rows = [g for g in gens if g != (0, 0)]
+    if not rows:
+        return ()
+    lead = None
+    tail = 0
+    for a, b in rows:
+        if lead is None:
+            lead = (a, b)
+        else:
+            a1, b1 = lead
+            while a:
+                (a1, b1), (a, b) = (a, b), (a1 - (a1 // a) * a, b1 - (a1 // a) * b)
+            lead = (a1, b1)
+            tail = math.gcd(tail, b)
+    a, b = lead
+    if a == 0:
+        tail = math.gcd(tail, b)
+        return ((0, tail),) if tail else ()
+    if a < 0:
+        a, b = -a, -b
+    if tail:
+        b %= tail
+        return ((a, b), (0, tail))
+    return ((a, b),)
+
+
+@dataclass(frozen=True)
+class ClusterCensus:
+    count: int            # all clusters, isolated sites included
+    subgroups: tuple      # canonical winding subgroup per cluster
+
+    @property
+    def n_nonretractible(self):
+        return sum(1 for h in self.subgroups if h)
+
+    @property
+    def n_winding_ne(self):
+        # winds around the torus with a nonzero u-component
+        return sum(1 for h in self.subgroups if any(r[0] for r in h))
+
+
+# the side a medial step enters by, per side it leaves by (E N W S)
+_OPPOSITE = (2, 3, 0, 1)
+
+
+def _census(rc, edges, n_sites, mask, reverse=False):
+    adj = [[] for _ in range(n_sites)]
+    for k, (a, b, du, dv) in enumerate(edges):
+        if mask >> k & 1:
+            adj[a].append((b, du, dv))
+            adj[b].append((a, -du, -dv))
+    if reverse:
+        adj = [list(reversed(x)) for x in adj]
+    roots = range(n_sites - 1, -1, -1) if reverse else range(n_sites)
+    lift = [None] * n_sites
+    subs = []
+    for root in roots:
+        if lift[root] is not None:
+            continue
+        lift[root] = (0, 0)
+        stack = [root]
+        gens = []
+        while stack:
+            x = stack.pop()
+            lx, ly = lift[x]
+            for y, du, dv in adj[x]:
+                pos = (lx + du, ly + dv)
+                if lift[y] is None:
+                    lift[y] = pos
+                    stack.append(y)
+                else:
+                    gu, gv = pos[0] - lift[y][0], pos[1] - lift[y][1]
+                    if gu or gv:
+                        # a cycle closed; its displacement is a full
+                        # period multiple by construction
+                        assert gu % rc.M == 0 and gv % rc.P == 0
+                        gens.append((gu // rc.M, gv // rc.P))
+        subs.append(_winding_subgroup(gens))
+    return ClusterCensus(len(subs), tuple(subs))
+
+
+def clusters(rc, mask, reverse=False):
+    """Primal cluster census of the open bonds in mask."""
+    return _census(rc, rc.edges, rc.n_sites, mask, reverse)
+
+
+def dual_clusters(rc, mask, reverse=False):
+    """Dual cluster census; dual bond k is open iff primal bond k is closed."""
+    dual_mask = ~mask & ((1 << rc.n_edges) - 1)
+    return _census(rc, rc.dual_edges, len(rc.dual_sites), dual_mask, reverse)
+
+
+def loop_census(rc, mask):
+    """Interface loops on the medial torus.
+
+    Returns a list of (n_medial_edges, cut_visits, alpha, beta) with
+    (alpha, beta) the winding class and cut_visits the number of
+    horizontal medial edges the loop uses across the cut u = 0; the
+    signed crossing count always equals alpha.
+    """
+    M, P = rc.M, rc.P
+    seen = set()
+    out = []
+    for i0 in range(M):
+        for j0 in range(P):
+            for s0 in (0, 1):
+                if ((i0, j0), s0) in seen:
+                    continue
+                v, slot = (i0, j0), s0
+                du = dv = 0
+                length = 0
+                cut = 0
+                signed = 0
+                while True:
+                    seen.add((v, slot))
+                    dx, dy = _STEP[slot]
+                    if slot == 0 and v[0] == M - 1:
+                        cut += 1
+                        signed += 1
+                    if slot == 2 and v[0] == 0:
+                        cut += 1
+                        signed -= 1
+                    du += dx
+                    dv += dy
+                    length += 1
+                    v = ((v[0] + dx) % M, (v[1] + dy) % P)
+                    enter = _OPPOSITE[slot]
+                    seen.add((v, enter))
+                    k = v[0] * P + v[1]
+                    pairs = _PAIRS[((v[0] + v[1]) % 2 == 0, bool(mask >> k & 1))]
+                    slot = pairs[enter]
+                    if v == (i0, j0) and slot == s0:
+                        break
+                assert du % M == 0 and dv % P == 0
+                alpha, beta = du // M, dv // P
+                assert signed == alpha
+                out.append((length, cut, alpha, beta))
+    # every medial edge lies on exactly one loop
+    assert sum(l for l, _, _, _ in out) == 2 * M * P
+    return out

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from critlat import currents, oracle
 from critlat.currents import (
     connected_trace,
-    current_weight,
     double_current_event,
     double_current_sum,
     even_overlap_trace,
@@ -30,6 +29,7 @@ from critlat.currents import (
 )
 from critlat.lattice import LatticeGraph, build_box, build_rect
 from critlat.oracle import ising_moment, potts_two_point
+from reference import _refused_before_allocating, current_weight
 
 SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
@@ -479,17 +479,6 @@ def test_truncated_ineq_checks():
                                 [(0, 0), (1, 0), (0, 2), (1, 1)],
                                 ((0, 0), (1, 2), [(0, 1), (1, 1)]))
     assert rep["ok"] and rep["u4_ok"] and rep["simon"]["ok"]
-
-
-def _refused_before_allocating(call, match):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=match):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_parity_masks_refused_before_allocating(monkeypatch):

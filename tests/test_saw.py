@@ -22,10 +22,9 @@ from critlat.saw import (
     saw_counts,
     strip_domain,
     strip_quantities,
-    to_complex,
-    turn_sign,
     vertex_relation,
 )
+from reference import to_complex, turn_sign
 
 COS38 = math.cos(3 * math.pi / 8)
 COS14 = math.cos(math.pi / 4)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,6 +22,12 @@ from critlat.sixvertex import (
     rc6v_verify,
     shift_orbits,
     transfer_block,
+)
+from reference import (
+    _refused_before_allocating,
+    clusters,
+    dual_clusters,
+    loop_census,
 )
 
 # frozen outputs of brute_force_census (independent of the transfer matrix)
@@ -149,17 +154,6 @@ def test_frozen_census_values():
     for m, v in BF_33_C25["sectors"].items():
         assert cen["sectors"][m] == pytest.approx(v, rel=1e-12)
     assert brute_force_census(2, 2, 2.0)["Z"] == pytest.approx(1344.0)
-
-
-def _refused_before_allocating(call, match):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=match):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_census_refuses_past_mask_width():
@@ -308,22 +302,22 @@ def test_torus_structure_counts():
 def test_empty_and_full_masks():
     rc = TorusRc(2, 2)
     full = (1 << rc.n_edges) - 1
-    cen = rc.clusters(0)
+    cen = clusters(rc, 0)
     assert cen.count == rc.n_sites and cen.n_nonretractible == 0
-    cen = rc.clusters(full)
+    cen = clusters(rc, full)
     assert cen.count == 1 and cen.n_nonretractible == 1
     # the saturated cluster winds both ways
     assert cen.subgroups[0] == ((1, 0), (0, 1))
     # complementary statements on the dual side
-    assert rc.dual_clusters(full).n_nonretractible == 0
-    assert rc.dual_clusters(0).n_nonretractible > 0
+    assert dual_clusters(rc, full).n_nonretractible == 0
+    assert dual_clusters(rc, 0).n_nonretractible > 0
 
 
 def test_every_config_has_a_winding_side():
     rc = TorusRc(2, 2)
     for mask in range(1 << rc.n_edges):
-        prim = rc.clusters(mask).n_nonretractible
-        dual = rc.dual_clusters(mask).n_nonretractible
+        prim = clusters(rc, mask).n_nonretractible
+        dual = dual_clusters(rc, mask).n_nonretractible
         assert prim + dual >= 1
 
 
@@ -334,11 +328,11 @@ def test_two_plus_two_winding_pairs():
     rc = TorusRc(2, 2)
     e = {(i, j): i * rc.P + j for i in range(rc.M) for j in range(rc.P)}
     mask = (1 << e[(0, 0)]) | (1 << e[(1, 0)]) | (1 << e[(0, 2)]) | (1 << e[(1, 2)])
-    prim = rc.clusters(mask)
-    dual = rc.dual_clusters(mask)
+    prim = clusters(rc, mask)
+    dual = dual_clusters(rc, mask)
     assert prim.n_nonretractible == 2 and prim.n_winding_ne == 2
     assert dual.n_nonretractible == 2 and dual.n_winding_ne == 2
-    census = rc.loop_census(mask)
+    census = loop_census(rc, mask)
     assert len(census) == 4
     assert sorted((a, b) for _, _, a, b in census) == [(1, 0)] * 4
     assert all(cut == 1 for _, cut, _, _ in census)
@@ -351,12 +345,12 @@ def test_diagonal_cycle_winds_two_one():
     rc = TorusRc(2, 2)
     e = {(i, j): i * rc.P + j for i in range(rc.M) for j in range(rc.P)}
     mask = (1 << e[(0, 0)]) | (1 << e[(1, 1)]) | (1 << e[(0, 2)]) | (1 << e[(1, 3)])
-    prim = rc.clusters(mask)
+    prim = clusters(rc, mask)
     assert prim.count == 1
     assert prim.subgroups == (((2, 1),),)
     assert prim.n_winding_ne == 1
-    assert rc.dual_clusters(mask).n_winding_ne == 1
-    alphas = [a for _, _, a, b in rc.loop_census(mask) if a or b]
+    assert dual_clusters(rc, mask).n_winding_ne == 1
+    alphas = [a for _, _, a, b in loop_census(rc, mask) if a or b]
     assert sorted(abs(a) for a in alphas) == [2, 2]
 
 
@@ -364,7 +358,7 @@ def test_loop_census_partitions_medial_edges():
     rc = TorusRc(2, 2)
     rng = np.random.default_rng(3)
     for mask in rng.integers(0, 1 << rc.n_edges, size=40):
-        census = rc.loop_census(int(mask))
+        census = loop_census(rc, int(mask))
         assert sum(l for l, _, _, _ in census) == 2 * rc.M * rc.P
         for _, cut, alpha, _ in census:
             assert cut >= abs(alpha)
@@ -376,7 +370,7 @@ def test_loop_counts_on_extreme_masks():
     # one loop around each primal site, then around each dual site
     for mask, n_loops in ((0, rc.n_sites),
                           ((1 << rc.n_edges) - 1, len(rc.dual_sites))):
-        census = rc.loop_census(mask)
+        census = loop_census(rc, mask)
         assert len(census) == n_loops
         assert not any(a or b for _, _, a, b in census)
 
@@ -385,11 +379,12 @@ def test_loop_counts_on_extreme_masks():
 @given(st.integers(min_value=0, max_value=(1 << 8) - 1))
 def test_homology_independent_of_traversal_order(mask):
     rc = TorusRc(2, 2)
-    a = rc.clusters(mask)
-    b = rc.clusters(mask, reverse=True)
+    a = clusters(rc, mask)
+    b = clusters(rc, mask, reverse=True)
     assert a.count == b.count
     assert sorted(a.subgroups) == sorted(b.subgroups)
-    assert rc.dual_clusters(mask).count == rc.dual_clusters(mask, reverse=True).count
+    assert (dual_clusters(rc, mask).count
+            == dual_clusters(rc, mask, reverse=True).count)
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,8 +393,8 @@ def test_winding_obstruction(mask):
     # a primal and a dual cluster cannot wind in homologically crossing
     # classes; north-east winding on both sides forces parallel classes
     rc = TorusRc(2, 2)
-    prim = rc.clusters(mask)
-    dual = rc.dual_clusters(mask)
+    prim = clusters(rc, mask)
+    dual = dual_clusters(rc, mask)
     for hp in prim.subgroups:
         for hd in dual.subgroups:
             for a, b in hp:
@@ -487,9 +482,9 @@ def test_transfer_matrix_rejects_bad_input():
 def _walker_census(rc, mask):
     """The nine census counts of one mask from the per-configuration DFS
     and loop walk, in census_table's order."""
-    prim = rc.clusters(mask)
-    dual = rc.dual_clusters(mask)
-    loops = rc.loop_census(mask)
+    prim = clusters(rc, mask)
+    dual = dual_clusters(rc, mask)
+    loops = loop_census(rc, mask)
     alphas = {abs(a) for _, _, a, b in loops if a or b}
     assert len(alphas) <= 1
     return (prim.count, prim.n_nonretractible, prim.n_winding_ne,
@@ -548,11 +543,11 @@ def _reference_rc6v(N, M, q):
     vals = []
     sectors = {}
     for mask in range(1 << E):
-        prim = rc.clusters(mask)
-        dual = rc.dual_clusters(mask)
+        prim = clusters(rc, mask)
+        dual = dual_clusters(rc, mask)
         o = bin(mask).count("1")
         w = p ** o * (1 - p) ** (E - o) * q ** prim.count
-        census = rc.loop_census(mask)
+        census = loop_census(rc, mask)
         l = len(census)
         alphas = [a for _, _, a, b in census if a or b]
         l0 = len(alphas)
@@ -625,17 +620,8 @@ def test_rate_report_rows_equal_gap_and_spectral_rate():
 
 
 def test_over_budget_torus_table_refused_before_allocating():
-    import tracemalloc
-
     # 24 bonds: the medial loop table alone would take gigabytes
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="bytes"):
-            rc6v_verify(2, 6, 6.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    _refused_before_allocating(lambda: rc6v_verify(2, 6, 6.25))
 
 
 @pytest.mark.parametrize("call,match", [
