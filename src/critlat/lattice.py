@@ -206,9 +206,13 @@ def build_box(n, d=2):
 
 
 def build_rect(x_range, y_range):
-    """Rectangle [x0,x1] x [y0,y1] in Z^2 with all nearest-neighbor edges."""
+    """Rectangle [x0,x1] x [y0,y1] in Z^2 with all nearest-neighbor edges;
+    a reversed range (x1 < x0 or y1 < y0) is refused."""
     x0, x1 = x_range
     y0, y1 = y_range
+    for lo, hi in (x_range, y_range):
+        if hi < lo:
+            raise ValueError("range (%r, %r) is reversed" % (lo, hi))
     return induced_graph(itertools.product(range(x0, x1 + 1),
                                            range(y0, y1 + 1)), 2)
 

@@ -903,6 +903,7 @@ def phi_sum(S, p, d=2):
     S is a set of d-dimensional integer points containing the origin; the
     connection probabilities use only edges with both endpoints in S.
     """
+    _check_pq(p)
     g = induced_graph(S, d)
     origin = (0,) * d
     if origin not in g.vertex_index:

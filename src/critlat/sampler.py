@@ -477,6 +477,8 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
     """
     if bc_kind not in ("free", "wired"):
         raise ValueError("bc_kind must be free or wired")
+    if nx < 1:
+        raise ValueError("a crossing needs nx >= 1, not %r" % (nx,))
     _check_pq(p, q)
     graph = build_rect((0, nx), (0, ny))
     bc = wired_bc(graph) if bc_kind == "wired" else free_bc(graph)
@@ -514,11 +516,17 @@ def chi_square_gof(masks, probs):
     """Chi-square goodness of fit of sampled masks against exact probs.
 
     Cells with expected count below 5 are pooled (smallest first) to keep
-    the asymptotic chi-square valid. Returns (stat, p_value, dof).
+    the asymptotic chi-square valid. A mask outside range(len(probs)) is
+    refused. Returns (stat, p_value, dof).
     """
     from scipy import stats
 
+    masks = np.asarray(masks)
     n = len(masks)
+    bad = (masks < 0) | (masks >= len(probs))
+    if bad.any():
+        raise ValueError("mask %d not in range(%d) of the exact probabilities"
+                         % (masks[bad][0], len(probs)))
     counts = np.bincount(masks, minlength=len(probs)).astype(float)
     expected = np.asarray(probs, dtype=float) * n
     order = np.argsort(expected)

@@ -52,36 +52,35 @@ sums are that table times c^flips.  Each doubling is sized against the
 byte budget before it is made, and tori past 64 medial edges, the mask
 width, are refused.
 
-Random-cluster side.  TorusRc holds the primal torus, its dual (sites of
-odd parity) and the medial loop structure.  Cluster homology is computed by
-lifting clusters to the universal cover: a cycle closing with displacement
-(alpha*M, beta*2N) contributes the winding class (alpha, beta).  A cluster
-is non-retractible if its winding subgroup of Z^2 is nonzero, and "winds
-north-east" if some class has alpha != 0.  Loops of the interface between
-primal and dual clusters are traced on the medial torus; orienting them
+Random-cluster side.  TorusRc holds the primal torus and its dual (sites of
+odd parity).  Cluster homology is computed by lifting clusters to the
+universal cover: a cycle closing with displacement (alpha*M, beta*2N)
+contributes the winding class (alpha, beta).  A cluster is non-retractible
+if its winding subgroup of Z^2 is nonzero, and "winds north-east" if some
+class has alpha != 0.  The loops of the interface between primal and dual
+clusters follow from the clusters of both sides by duality.  Orienting them
 with weight exp(+-mu) per retractible loop, e^mu + e^-mu = sqrt(q), and
 reading each oriented loop configuration as an arrow configuration
 reproduces the six-vertex sector sums exactly (oriented_sector_sums), which
 is the mechanism behind rc6v_verify.
 
-One pass over torus configurations.  TorusRc.census_table builds a lifted
-label table over all 2^E bond masks at once, in the mask order of
+One pass over torus configurations.  TorusRc.census_table builds two lifted
+label tables over all 2^E bond masks at once, in the mask order of
 oracle._label_table: bond by bond, the rows of the masks over earlier bonds
-are copied and the bond's links are applied to both halves.  Each node
-carries its label and its offset from the labelling node in the universal
-cover; a merge rewrites the larger label and shifts the rewritten offsets,
-and a link inside one component closes a cycle whose displacement is a
-winding class.  The same engine runs on the primal sites (linked when the
-bond is open), the dual sites (linked when it is closed) and the medial
-edges (two links per bond, chosen by the pairing at its medial vertex, with
-offsets in half steps), and gives per mask the cluster counts, the
-non-retractible and north-east winding clusters of both sides, the loop
-count and the non-retractible loops with their common |alpha|.
-rc6v_verify, loop_weight_constant and oriented_sector_sums read that table
-through the same two reductions, _loop_constant and _oriented_sectors; the
-orientation sum over l0 parallel loops is a binomial.  The package has no
-second, per-configuration census: the tests check the table against a
-depth-first lift and a loop walk of one mask at a time (tests/reference.py).
+are copied and the bond's link is applied to the copy.  Each node carries
+its label and its offset from the labelling node in the universal cover; a
+merge rewrites the larger label and shifts the rewritten offsets, and a
+link inside one component closes a cycle whose displacement is a winding
+class.  One table runs over the primal masks, the other over the dual masks
+and is read backwards.  They give per mask the cluster counts and the
+non-retractible and north-east winding clusters of both sides; the loop
+count, the non-retractible loops and their common |alpha| follow from these
+(census_table), and no medial table is built.  rc6v_verify,
+loop_weight_constant and oriented_sector_sums read the census through the
+same two reductions, _loop_constant and _oriented_sectors; the orientation
+sum over l0 parallel loops is a binomial.  The package has no second,
+per-configuration census: the tests check the table against a depth-first
+lift and a loop walk of one mask at a time (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -347,6 +346,10 @@ def brute_force_census(N, M, c):
     kept.  Returns total weight, per-|w| sector weights and the
     configuration count.
     """
+    if N < 1 or M < 1:
+        raise ValueError("torus needs N >= 1 and M >= 1, not (%r, %r)" % (N, M))
+    if not c > 0:
+        raise ValueError("c-weight must be positive, not %r" % (c,))
     P = 2 * N
     if 2 * M * P > 64:
         raise ValueError("census masks hold at most 64 medial edges, not %d"
@@ -385,33 +388,20 @@ def brute_force_census(N, M, c):
 # random-cluster torus
 
 
-# loop pairing at a medial vertex, keyed (slope is +1, primal edge open);
-# slots 0=E 1=N 2=W 3=S
-_PAIRS = {
-    (True, True): {2: 1, 1: 2, 3: 0, 0: 3},
-    (True, False): {2: 3, 3: 2, 1: 0, 0: 1},
-    (False, True): {1: 0, 0: 1, 3: 2, 2: 3},
-    (False, False): {2: 1, 1: 2, 3: 0, 0: 3},
-}
-_STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
-
-
 def _lifted_table(n_nodes, links, period):
     """Per-mask component census of a graph lifted to the universal cover.
 
-    links[k] = (links if bit k is 0, links if bit k is 1), each link
-    (a, b, du, dv) putting node b at node a plus (du, dv); period = (pu, pv).
-    The table is built like oracle._label_table: the rows of the 2^k masks
-    over bonds < k are copied to the next 2^k rows, then bond k's bit-0
-    links are applied to the first half and its bit-1 links to the second.
+    links[k] = (a, b, du, dv) puts node b at node a plus (du, dv) where bit
+    k of the mask is set; period = (pu, pv).  The table is built like
+    oracle._label_table: the rows of the 2^k masks over links < k are
+    copied to the next 2^k rows, and link k is applied to the second half.
     Every node carries its label (the smallest node of its component) and
     its offset from that node in the cover.  A link between two components
     rewrites the larger label to the smaller and shifts the rewritten
     offsets; a link inside one component closes a cycle, whose displacement
     g is a multiple of the period.  Returns per-mask arrays: components,
-    components with some g != 0, components with some g_u != 0, closures,
-    nonzero closures, and the least and largest |g_u| / pu over the nonzero
-    closures.
+    components with some g != 0, components with some g_u != 0, and the
+    least and largest |g_u| / pu over the closures with g != 0.
     """
     n_masks = 1 << len(links)
     pu, pv = period
@@ -419,15 +409,15 @@ def _lifted_table(n_nodes, links, period):
     off = np.empty((2, n_nodes, n_masks), dtype=np.int16)
     # bit 0: some closure g != 0, bit 1: some closure with g_u != 0
     flag = np.empty((n_nodes, n_masks), dtype=np.uint8)
-    # closures, nonzero closures, least and largest |g_u| / pu
-    rows = np.empty((4, n_masks), dtype=np.uint8)
+    # least and largest |g_u| / pu over the closures with g != 0
+    alpha = np.empty((2, n_masks), dtype=np.uint8)
     lab[:, 0] = np.arange(n_nodes)
     off[..., 0] = 0
     flag[:, 0] = 0
-    rows[:, 0] = (0, 0, 255, 0)
+    alpha[:, 0] = (255, 0)
 
     def link(sl, a, b, du, dv):
-        L, F, U, V, R = lab[:, sl], flag[:, sl], off[0, :, sl], off[1, :, sl], rows[:, sl]
+        L, F, U, V, A = lab[:, sl], flag[:, sl], off[0, :, sl], off[1, :, sl], alpha[:, sl]
         la, lb = L[a].copy(), L[b].copy()
         gu = U[a] + du - U[b]
         gv = V[a] + dv - V[b]
@@ -435,14 +425,12 @@ def _lifted_table(n_nodes, links, period):
         shut = np.flatnonzero(same)
         cu, cv = gu[shut], gv[shut]
         assert not (cu % pu).any() and not (cv % pv).any()
-        R[0, shut] += 1
         nz = (cu != 0) | (cv != 0)
         hit = shut[nz]
-        alpha = np.abs(cu[nz]) // pu
-        R[1, hit] += 1
-        R[2, hit] = np.minimum(R[2, hit], alpha)
-        R[3, hit] = np.maximum(R[3, hit], alpha)
-        F[la[hit], hit] |= 1 + 2 * (alpha > 0).astype(np.uint8)
+        au = np.abs(cu[nz]) // pu
+        A[0, hit] = np.minimum(A[0, hit], au)
+        A[1, hit] = np.maximum(A[1, hit], au)
+        F[la[hit], hit] |= 1 + 2 * (au > 0).astype(np.uint8)
         # merge: the component of the larger label moves by +-g onto the
         # other; a closed row rewrites its own label, shifted by 0
         lo, hi = np.minimum(la, lb), np.maximum(la, lb)
@@ -456,28 +444,27 @@ def _lifted_table(n_nodes, links, period):
         cols = np.arange(L.shape[1])
         F[lo, cols] |= F[hi, cols]
 
-    for k, per_bit in enumerate(links):
+    for k, (a, b, du, dv) in enumerate(links):
         half = 1 << k
-        for arr in (lab, off, flag, rows):
+        for arr in (lab, off, flag, alpha):
             _copy_half(arr, half)
-        for base, bond_links in zip((0, half), per_bit):
-            for start in range(base, base + half, _MERGE_MASKS):
-                sl = slice(start, min(start + _MERGE_MASKS, base + half))
-                for a, b, du, dv in bond_links:
-                    link(sl, a, b, du, dv)
+        for start in range(half, 2 * half, _MERGE_MASKS):
+            link(slice(start, min(start + _MERGE_MASKS, 2 * half)), a, b, du, dv)
     root = lab == np.arange(n_nodes)[:, None]
     comps = root.sum(axis=0)
     wound = (root & (flag & 1 > 0)).sum(axis=0)
     wound_u = (root & (flag & 2 > 0)).sum(axis=0)
-    return comps, wound, wound_u, rows[0], rows[1], rows[2], rows[3]
+    return comps, wound, wound_u, alpha[0], alpha[1]
 
 
 class TorusRc:
-    """Random-cluster torus with homology and medial-loop bookkeeping.
+    """Random-cluster torus: primal and dual bonds with their cover offsets.
 
     Primal sites have even u + v parity, dual sites odd; bond k sits under
     the medial vertex (i, j) = divmod(k, 2N) and has slope +1 (towards
     north-east) when i + j is even.  Dual bond k crosses primal bond k.
+    The interface loops are not stored: census_table derives them from the
+    clusters of both sides.
     """
 
     def __init__(self, N, M):
@@ -508,72 +495,53 @@ class TorusRc:
         self.n_edges = len(self.edges)
         self.n_sites = len(self.sites)
 
-    def _medial_links(self):
-        """Per bond, the loop links of the medial torus for bit 0 and bit 1.
-
-        Nodes are the medial edges, with the ids of _medial_slots.  Offsets
-        are in half steps, edge midpoint to edge midpoint.
-        """
-        slots = _medial_slots(self.N, self.M)
-        links = []
-        for k in range(self.M * self.P):
-            i, j = divmod(k, self.P)
-            # _medial_slots lists the edges W E S N; _PAIRS slots are E N W S
-            (w, _), (e, _), (s, _), (n, _) = slots[i, j]
-            edge = (e, n, w, s)
-            per_bit = []
-            for bit in (False, True):
-                pairs = _PAIRS[((i + j) % 2 == 0, bit)]
-                per_bit.append(tuple(
-                    (edge[a], edge[b], _STEP[b][0] - _STEP[a][0],
-                     _STEP[b][1] - _STEP[a][1])
-                    for a, b in pairs.items() if a < b))
-            links.append(tuple(per_bit))
-        return links
-
     def census_table(self):
         """Cluster, dual-cluster and loop census of every bond mask at once.
 
-        Three lifted tables (_lifted_table) over the primal sites (bond open),
-        the dual sites (bond closed) and the medial edges give, indexed by
-        mask: the cluster count and the numbers of non-retractible and
-        north-east winding clusters on each side, the loop count, the number
-        of non-retractible loops and their common |alpha| (0 without one).
-        Disjoint non-contractible loops on a torus are parallel, which is
-        asserted.  Each table is sized and refused past the byte budget
-        before any is built.
+        Two lifted tables (_lifted_table), over the primal sites with bond k
+        open and over the dual sites with dual bond k open, give per mask
+        the cluster count and the non-retractible and north-east winding
+        clusters of each side.  The loops follow by duality.  Where both
+        sides wind, the winding clusters alternate around the torus, as
+        many primal as dual, with one loop of their common class between
+        neighbours; where one side winds it holds a net, and no loop winds.
+        The clusters of both sides and the loops between them form a tree,
+        or one cycle when both sides wind, so loops = clusters +
+        dual_clusters - 1 + [both wind], loops_nonretractible = 2
+        nonretractible and alpha = the primal closures' common |g_u| / M
+        where both wind, 0 elsewhere.  Each table is sized and refused past
+        the byte budget before it is built.
         """
         E = self.n_edges
         _check_enum_edges(E)
-        graphs = {
-            "loop": (2 * self.M * self.P, self._medial_links(),
-                     (2 * self.M, 2 * self.P)),
-            "primal": (self.n_sites, [((), (e,)) for e in self.edges],
-                       (self.M, self.P)),
-            "dual": (len(self.dual_sites), [((e,), ()) for e in self.dual_edges],
-                     (self.M, self.P)),
+        # per mask and node a uint8 label, two int16 offsets, a flag byte
+        # and a byte of the final root mask, and two alpha bytes per mask;
+        # both sides have MN nodes, at most 13 under the edge cap
+        _check_budget((1 << E) * (7 * self.n_sites + 2), "each lifted table "
+                      "over %d bonds and %d nodes" % (E, self.n_sites))
+        period = (self.M, self.P)
+        comps, wound, wound_u, a_lo, a_hi = _lifted_table(
+            self.n_sites, self.edges, period)
+        # dual bond k is open iff primal bond k is closed, so the dual mask
+        # of mask is 2^E - 1 - mask
+        d_comps, d_wound, d_wound_u = (x[::-1] for x in _lifted_table(
+            len(self.dual_sites), self.dual_edges, period)[:3])
+        both = (wound > 0) & (d_wound > 0)
+        # some side winds; where both do, equally often and with one |alpha|
+        assert ((wound > 0) | (d_wound > 0)).all()
+        assert np.array_equal(wound[both], d_wound[both])
+        assert np.array_equal(a_lo[both], a_hi[both])
+        return {
+            "clusters": comps,
+            "nonretractible": wound,
+            "winding_ne": wound_u,
+            "dual_clusters": d_comps,
+            "dual_nonretractible": d_wound,
+            "dual_winding_ne": d_wound_u,
+            "loops": comps + d_comps - 1 + both,
+            "loops_nonretractible": np.where(both, 2 * wound, 0),
+            "alpha": np.where(both, a_hi, 0).astype(np.int64),
         }
-        # largest first, so that a refusal names the loop table; per mask and
-        # node a uint8 label, two int16 offsets, a flag byte and a byte of
-        # the final root mask, and four bytes per mask besides (at most 52
-        # nodes under the edge cap, so uint8 labels suffice)
-        for name, (n, _, _) in graphs.items():
-            _check_budget((1 << E) * (7 * n + 4), "the %s lifted table over %d "
-                          "bonds and %d nodes" % (name, E, n))
-        comps, _, _, loops, wound, a_lo, a_hi = _lifted_table(*graphs["loop"])
-        # the medial graph is 2-regular: every component is one loop
-        assert np.array_equal(comps, loops)
-        assert np.array_equal(a_lo[wound > 0], a_hi[wound > 0])
-        out = {}
-        for prefix, name in (("", "primal"), ("dual_", "dual")):
-            comps, nonretractible, winding_ne = _lifted_table(*graphs[name])[:3]
-            out[prefix + "clusters"] = comps
-            out[prefix + "nonretractible"] = nonretractible
-            out[prefix + "winding_ne"] = winding_ne
-        out["loops"] = loops.astype(np.int64)
-        out["loops_nonretractible"] = wound.astype(np.int64)
-        out["alpha"] = np.where(wound > 0, a_hi, 0).astype(np.int64)
-        return out
 
 
 def _oriented_sectors(N, table, q, rows=slice(None)):
@@ -621,8 +589,8 @@ def loop_weight_constant(rc, q, p):
 
     l is the medial loop count, s the all-dual-clusters-retractible
     indicator and w_RC = p^open (1-p)^closed q^clusters; the ratio is
-    configuration independent, which pins the loop tracer, the homology
-    lift and the torus Euler relation at once.
+    configuration independent, which pins the homology lifts of both sides
+    and the torus Euler relation between them.
     """
     table = rc.census_table()
     return _loop_constant(table, q, _rc_weights(rc, table, q, p))

@@ -25,7 +25,6 @@ from critlat.lattice import (
 )
 from critlat.oracle import _check_edges, thresholds
 from critlat.sampler import _cut_side, _links
-from critlat.sixvertex import _PAIRS, _STEP
 
 
 def _refused_before_allocating(call, match="bytes"):
@@ -256,6 +255,15 @@ class ClusterCensus:
         return sum(1 for h in self.subgroups if any(r[0] for r in h))
 
 
+# loop pairing at a medial vertex, keyed (slope is +1, primal edge open);
+# slots 0=E 1=N 2=W 3=S
+_PAIRS = {
+    (True, True): {2: 1, 1: 2, 3: 0, 0: 3},
+    (True, False): {2: 3, 3: 2, 1: 0, 0: 1},
+    (False, True): {1: 0, 0: 1, 3: 2, 2: 3},
+    (False, False): {2: 1, 1: 2, 3: 0, 0: 3},
+}
+_STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
 # the side a medial step enters by, per side it leaves by (E N W S)
 _OPPOSITE = (2, 3, 0, 1)
 

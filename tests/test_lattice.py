@@ -436,6 +436,14 @@ def test_induced_graph_joins_every_unit_pair(points, d):
     assert g.edges == tuple(pairs) and g.ambient_dim == d
 
 
+def test_build_rect_refuses_a_reversed_range():
+    with pytest.raises(ValueError, match=r"range \(2, 0\) is reversed"):
+        build_rect((2, 0), (0, 1))
+    with pytest.raises(ValueError, match=r"range \(1, 0\) is reversed"):
+        build_rect((0, 2), (1, 0))
+    assert build_rect((0, 0), (0, 0)).n_vertices == 1
+
+
 def test_build_box_refuses_bad_size_and_dimension():
     with pytest.raises(ValueError, match="n must be >= 0"):
         build_box(-1)

@@ -903,6 +903,14 @@ def test_phi_sum_refuses_a_set_without_the_origin():
         phi_sum([(1, 0), (2, 0)], 0.3)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_phi_sum_refuses_bad_p_before_the_label_table(p):
+    # the 15 vertices of the 5x3 rect: 22 edges, 2^22 masks of labels
+    S = [(x, y) for x in range(5) for y in range(3)]
+    _refused_before_allocating(lambda: phi_sum(S, p),
+                               r"p must be in \[0, 1\], not %r" % p)
+
+
 def test_crossing_event_refuses_graph_outside_rect():
     with pytest.raises(ValueError, match="graph inside rect"):
         crossing_event(RECT7, (0, 0, 1, 1), "horizontal")

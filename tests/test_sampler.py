@@ -545,6 +545,14 @@ def test_crossing_mc_refuses_bad_sizes(q):
             crossing_mc(2, 1, 0.5, q, "free", 5, 3, burn_in=-1)
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("nx", [0, -1])
+def test_crossing_mc_refuses_a_rectangle_without_width(nx, q):
+    # at nx = 0 the left and right columns coincide, so every draw crosses
+    with pytest.raises(ValueError, match="nx >= 1, not %d" % nx):
+        crossing_mc(nx, 2, 0.5, q, "free", 100, 1)
+
+
 def test_mc_estimate_chain_refuses_bad_schedule():
     bc = free_bc(SQUARE)
     for kw, match in (({"thin": 0}, "thin"), ({"burn_in": -5}, "burn_in")):
@@ -676,6 +684,14 @@ def test_chi_square_gof_pools_the_tail_into_the_last_cell():
     want = (7 - 7.4) ** 2 / 7.4 + (13 - 12.6) ** 2 / 12.6
     assert dof == 1 and stat == pytest.approx(want, rel=1e-12)
     assert 0.0 < pval < 1.0
+
+
+def test_chi_square_gof_refuses_masks_off_the_support():
+    # 6 of the 8 draws are a mask that two exact probabilities cannot hold
+    with pytest.raises(ValueError, match=r"mask 5 not in range\(2\)"):
+        chi_square_gof(np.array([0, 1, 5, 5, 5, 5, 5, 5]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"mask -1 not in range\(2\)"):
+        chi_square_gof(np.array([0, 1, -1]), np.array([0.5, 0.5]))
 
 
 def test_chi_square_gof_with_one_cell_has_no_test():

@@ -161,6 +161,16 @@ def test_census_refuses_past_mask_width():
     _refused_before_allocating(lambda: brute_force_census(4, 5, 2.0), "64")
 
 
+def test_census_refuses_an_empty_torus_and_nonpositive_c():
+    # the transfer matrix refuses the same input
+    for N, M in ((0, 2), (1, 0), (-1, 2)):
+        _refused_before_allocating(lambda: brute_force_census(N, M, 2.0),
+                                   r"N >= 1 and M >= 1, not \(%d, %d\)" % (N, M))
+    for c in (0.0, -1.0):
+        _refused_before_allocating(lambda: brute_force_census(1, 2, c),
+                                   "c-weight must be positive, not %r" % c)
+
+
 def test_census_refuses_past_byte_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 64 << 10)
     _refused_before_allocating(lambda: brute_force_census(3, 3, 2.0), "bytes")
@@ -620,7 +630,7 @@ def test_rate_report_rows_equal_gap_and_spectral_rate():
 
 
 def test_over_budget_torus_table_refused_before_allocating():
-    # 24 bonds: the medial loop table alone would take gigabytes
+    # 24 bonds: each 12-site lifted table would take about 1.4 GB
     _refused_before_allocating(lambda: rc6v_verify(2, 6, 6.25))
 
 
@@ -632,8 +642,10 @@ def test_over_budget_torus_table_refused_before_allocating():
     (lambda q: oriented_sector_sums(TorusRc(1, 2), q), r"q must be positive, not"),
     (lambda q: rc6v_verify(2, 2, q), r"q > 4, not"),
     (lambda c: TransferMatrix(2, c), r"c-weight must be positive, not"),
+    (lambda c: brute_force_census(1, 2, c), r"c-weight must be positive, not"),
 ], ids=["c_from_q", "asymptotic_rate", "closed_form_rate", "rate_report",
-        "oriented_sector_sums", "rc6v_verify", "transfer_matrix"])
+        "oriented_sector_sums", "rc6v_verify", "transfer_matrix",
+        "brute_force_census"])
 def test_six_vertex_entry_points_refuse_nan(call, match):
     # each guard is written so that NaN fails it, naming the value
     with pytest.raises(ValueError, match=match + " nan"):
