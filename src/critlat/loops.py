@@ -56,6 +56,13 @@ from .oracle import (
 SQRT2 = math.sqrt(2.0)
 
 
+def _worst(residuals):
+    """The largest of residuals, 0.0 for none, and NaN if any is NaN: the
+    builtin max keeps a NaN only in first place, so a NaN residual would
+    pass a tolerance check."""
+    return float(np.max(np.fromiter(residuals, float), initial=0.0))
+
+
 def sigma_obs(q):
     """The observable spin: sin(sigma pi/2) = sqrt(q)/2.
 
@@ -216,7 +223,7 @@ def contour_check(domain, q, p=None):
     p_used = p_self_dual(q) if p is None else p
     field = edge_observable(domain, p_used, q)
     res = contour_residuals(field)
-    worst = max(res.values()) if res else 0.0
+    worst = _worst(res.values())
     return {"p": p_used, "q": q, "max_residual": worst,
             "n_vertices": len(res), "ok": bool(worst <= 1e-10),
             "counters": field.counters, "timings": field.timings}
@@ -263,13 +270,9 @@ def vertex_observable(field):
     for z, inc in _incident_edges(domain).items():
         s = sum(field.edge_values[e] for e in inc)
         f[z] = 0.5 * s if len(inc) == 4 else 2.0 / (2.0 + SQRT2) * s
-    worst = 0.0
-    for e in medial_edges(domain):
-        for z in e:
-            if z in f:
-                worst = max(worst, abs(project_line(e, f[z])
-                                       - field.edge_values[e]))
-    if worst > 1e-10:
+    worst = _worst(abs(project_line(e, f[z]) - field.edge_values[e])
+                   for e in medial_edges(domain) for z in e if z in f)
+    if not worst <= 1e-10:
         raise AssertionError("s-holomorphicity violated: %.3e" % worst)
     field.vertex_values = f
     return field
@@ -281,22 +284,23 @@ def sholo_report(domain):
     p_used = p_self_dual(q)
     field = vertex_observable(edge_observable(domain, p_used, q))
     fv = field.vertex_values
-    line = 0.0
+    line = []
     for e, val in field.edge_values.items():
         # F in sqrt(conj e) R  <=>  F^2 / conj(e) = F^2 e lands in [0, inf)
         ratio = val * val * edge_direction(e)
-        line = max(line, abs(ratio.imag), max(0.0, -ratio.real))
-    square = 0.0
+        line += [abs(ratio.imag), -ratio.real]
+    line = _worst(line)
+    square = []
     for v, edges in _interior_vertices(domain).items():
         e1, e2, e3, e4 = (field.edge_values[e] for e in edges)
         fval = abs(fv[v]) ** 2
-        square = max(square,
-                     abs(abs(e1) ** 2 + abs(e3) ** 2 - fval),
-                     abs(abs(e2) ** 2 + abs(e4) ** 2 - fval))
+        square += [abs(abs(e1) ** 2 + abs(e3) ** 2 - fval),
+                   abs(abs(e2) ** 2 + abs(e4) ** 2 - fval)]
+    square = _worst(square)
     # nu_v = e + e', the two incident directions summed; the canonical
     # orientations already run along the boundary from a to b, so no sign
     # fixups are needed
-    tangent = 0.0
+    tangent = []
     incident = _incident_edges(domain)
     for v, fval in fv.items():
         inc = incident[v]
@@ -304,13 +308,14 @@ def sholo_report(domain):
             continue
         nu = sum(edge_direction(e) for e in inc)
         znu = nu * fval * fval
-        tangent = max(tangent, abs(znu.imag), max(0.0, -znu.real))
+        tangent += [abs(znu.imag), -znu.real]
+    tangent = _worst(tangent)
     cr = _cauchy_riemann_residual(domain, fv)
     exit_proj = abs(project_line(domain.e_b, fv[domain.e_b[0]]) - 1.0)
     return {"p": p_used, "field": field, "line_membership": line,
             "square_split": square, "boundary_tangent": tangent,
             "cauchy_riemann": cr, "exit_projection": exit_proj,
-            "ok": bool(max(line, square, tangent, exit_proj) <= 1e-10
+            "ok": bool(_worst((line, square, tangent, exit_proj)) <= 1e-10
                        and cr <= 1e-9),
             "counters": field.counters, "timings": field.timings}
 
@@ -323,7 +328,7 @@ def _cauchy_riemann_residual(domain, fv):
     around each face whose four sides are curve-carrying medial edges.
     """
     edges = medial_edges(domain)
-    worst = 0.0
+    residuals = []
     for face in list(domain.blacks) + list(domain.whites):
         x, y = face
         corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
@@ -334,8 +339,8 @@ def _cauchy_riemann_residual(domain, fv):
         for t in range(4):
             z, w = corners[t], corners[(t + 1) % 4]
             acc += fv[z] * (complex(*w) - complex(*z))
-        worst = max(worst, abs(acc))
-    return worst
+        residuals.append(abs(acc))
+    return _worst(residuals)
 
 
 def build_H(field):
@@ -367,18 +372,17 @@ def build_H(field):
             if other not in H:
                 H[other] = H[face] + delta
                 queue.append(other)
-    worst_path = 0.0
-    for black, white, inc in relations:
-        worst_path = max(worst_path, abs(H[black] - H[white] - inc))
-    if worst_path > 1e-10:
+    worst_path = _worst(abs(H[black] - H[white] - inc)
+                        for black, white, inc in relations)
+    if not worst_path <= 1e-10:
         raise AssertionError("H is path dependent: %.3e" % worst_path)
 
     wired = {domain.black[v] for v in domain.ba_vertices}
     bvals = [abs(H[b] - 1.0) for b in wired]
     bvals += [abs(H[w]) for w in domain.abstar_whites]
-    worst_boundary = max(bvals)
+    worst_boundary = _worst(bvals)
 
-    worst_image = 0.0
+    image = []
     for v, fval in field.vertex_values.items():
         nbrs = [(v[0] + d[0], v[1] + d[1]) for d in CCW_SIDES]
         if not all(w in domain.status for w in nbrs):
@@ -388,13 +392,14 @@ def build_H(field):
         dz = (complex(*black) - complex(*other))
         lhs = H[black] - H[other]
         rhs = 0.5 * (fval * fval * dz).imag
-        worst_image = max(worst_image, abs(lhs - rhs))
+        image.append(abs(lhs - rhs))
+    worst_image = _worst(image)
 
     return {"H": H, "path_residual": worst_path,
             "boundary_residual": worst_boundary,
             "image_residual": worst_image,
-            "ok": bool(max(worst_path, worst_boundary,
-                           worst_image) <= 1e-10)}
+            "ok": bool(_worst((worst_path, worst_boundary,
+                              worst_image)) <= 1e-10)}
 
 
 def laplacian_signs(field, H):

@@ -409,8 +409,9 @@ def potts_beta_c(q):
 
 
 def _check_spin_q(q):
-    """Refuse a q that is not an integer >= 2: the spin side has q colours."""
-    if q != int(q) or q < 2:
+    """Refuse a q that is not an integer >= 2, NaN and inf included: the
+    spin side has q colours."""
+    if not (2 <= q < math.inf and q == int(q)):
         raise ValueError("spin side needs integer q >= 2, not %r" % (q,))
 
 

@@ -40,6 +40,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 X_C = 1.0 / math.sqrt(2.0 + math.sqrt(2.0))
 MU_C = math.sqrt(2.0 + math.sqrt(2.0))
 SIGMA = 5.0 / 8.0
@@ -233,9 +235,13 @@ def _midedge_sums(domain, x, sigma):
     south-east, and the reflection Y -> -Y swaps the two halves and negates
     the winding. Only the north-east half is walked, on the integer move
     table, and F(m) = half(m) + conj(half(m reflected)) for real x and
-    sigma, plus the empty walk at a. Raises ValueError on a domain that the
-    reflection does not map to itself. Returns (sums, max length).
+    sigma, plus the empty walk at a. Raises ValueError on a non-finite x or
+    sigma and on a domain that the reflection does not map to itself.
+    Returns (sums, max length).
     """
+    for name, value in (("x", x), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, not %r" % (name, value))
     _check_mirror(domain)
     sums = dict.fromkeys(domain.mid_edges(), 0.0j)
     sums[A_MID] = sums.get(A_MID, 0.0j) + 1.0  # the empty walk
@@ -305,15 +311,16 @@ def vertex_relation(domain, x=X_C, sigma=SIGMA):
     pair off by loop reversal and triple up by one-step extension.
     """
     fv = observable(domain, x, sigma)
-    worst = 0.0
+    residuals = []
     for v in domain.vertices:
         acc = 0.0j
         for k in dir_indices(v[0]):
             dx, dy = DIRS[k]
             half = complex(dx / 8.0, dy * math.sqrt(3.0) / 8.0)
             acc += half * fv[(v[0] + dx // 2, v[1] + dy // 2)]
-        worst = max(worst, abs(acc))
-    return worst
+        residuals.append(abs(acc))
+    # the builtin max keeps a NaN only in first place; np.max propagates it
+    return float(np.max(residuals, initial=0.0))
 
 
 def _count_walks(i, k, px, n, hi, c, b, box, turns, last):

@@ -24,13 +24,18 @@ Transfer matrix.  States are bitmasks of the 2N arrows crossing a cut.  The
 column-to-column operator V conserves popcount.  Within a block the entry
 V[W, E] is c^{#flips} times the number of vertical completions of the
 column: 2 for W = E, 1 if the flips alternate in sign around the column and
-0 otherwise.  transfer_block applies that rule to whole blocks of bitmasks.
+0 otherwise.  _block_rows applies that rule to a grid of bitmasks: all of a
+block's states as columns, and as rows either all of them (transfer_block,
+the dense block) or the shift-orbit representatives only (shift_orbits).
 Every block commutes with the cyclic shift of the 2N arrows, so its spectrum
-is solved one shift momentum at a time, on the block's rows at the shift
-orbit representatives (shift_orbits).
+is solved one shift momentum at a time from the representatives' rows
+alone; TransferMatrix.eigs builds those rows one block at a time and never
+a dense block.  The dense blocks (TransferMatrix.blocks) are built only
+when read, by the trace identities and cross-checks that need every entry.
 TransferMatrix.apply contracts a column the local way instead, one two-state
 tensor per row (the vertical arrows perform a {0,1} walk whose steps are
 W_j - E_j), and is the independent route the blocks are checked against.
+Both builds are sized against the byte budget before they are made.
 Z(N, M) = tr(V^M), and the restricted trace Zt over the popcount N-1 block
 decays like exp(-M * rate).  For c = sqrt(2 + sqrt(q)) > 2 the Bethe ansatz
 value of the limiting rate is
@@ -86,6 +91,7 @@ lift and a loop walk of one mask at a time (tests/reference.py).
 from __future__ import annotations
 
 import math
+import numbers
 
 import mpmath
 import numpy as np
@@ -100,8 +106,10 @@ from .oracle import (
     p_self_dual,
 )
 
-# the dense block build bounds N: the popcount-N block has C(2N, N)^2
-# entries, 3432^2 at N = 7
+# eigs holds, per block of n states and k ~ n / 2N shift orbits, the k x n
+# representatives' rows and a k x k x 2N momentum transform: 32 MiB at N = 7
+# and 400 MiB at N = 8.  The dense blocks, C(4N, 2N) float64 entries in all,
+# take 306 MiB at N = 7 and 4.5 GiB at N = 8, past the byte budget.
 MAX_TRANSFER_N = 7
 
 # tolerance of the cluster identity in rc6v_verify
@@ -137,42 +145,76 @@ def shift_orbits(n_arrows, m):
     return np.flatnonzero(shift == 0), orbit, shift, np.bincount(orbit)
 
 
-def transfer_block(N, c, m):
-    """Dense popcount-m block of the column-to-column transfer operator.
+def _block_rows(N, c, m, rows=slice(None)):
+    """The given rows of the popcount-m block, by the flip-alternation rule.
 
     The flips alternate exactly when the up flips (W & ~E) or the down flips
     (E & ~W) are the 1st, 3rd, 5th, ... flip from bit 0, which an inclusive
-    prefix XOR of the flip word marks; for W = E both hold, giving 2.
+    prefix XOR of the flip word marks; for W = E both hold, giving 2.  The
+    rule is evaluated on the W x E grid of the selected rows and every
+    column state.
     """
     # the narrowest unsigned type of 2N bits; only the low 2N bits are read
     dtype = np.min_scalar_type((1 << 2 * N) - 1)
     s = np.array(block_states(2 * N, m), dtype=dtype)
-    W, E = s[:, None], s[None, :]
+    W, E = s[rows, None], s[None, :]
     flips = W ^ E
-    parity = flips.copy()
+    odd = flips.copy()
     shift = 1
     while shift < 2 * N:
-        parity ^= parity << shift
+        odd ^= odd << shift
         shift *= 2
-    odd = flips & parity
-    count = ((W & ~E) == odd).astype(np.int8) + ((E & ~W) == odd)
+    odd &= flips
+    count = ((W & ~E) == odd).astype(np.int8)
+    count += (E & ~W) == odd
+    del odd
     weights = (c ** np.arange(2 * N + 1.0))[np.bitwise_count(flips)]
     weights *= count
     return weights
 
 
+def transfer_block(N, c, m):
+    """Dense popcount-m block of the column-to-column transfer operator."""
+    return _block_rows(N, c, m)
+
+
 class TransferMatrix:
-    """Popcount-blocked row-to-row operator of the toroidal six-vertex model."""
+    """Popcount-blocked row-to-row operator of the toroidal six-vertex model.
+
+    The spectra (eigs) are built from the blocks' rows at the shift-orbit
+    representatives, one popcount at a time, and are all that sector_trace,
+    trace_power, spectral_rate and gap_rate read.  The dense blocks are
+    built on the first read of blocks only, for the readers that need every
+    entry (trace identities, cross-checks of apply and of the spectra).
+    Each build is sized against the byte budget before it is made.
+    """
 
     def __init__(self, N, c):
-        if not 1 <= N <= MAX_TRANSFER_N:
-            raise ValueError("transfer matrix limited to 1 <= N <= %d" % MAX_TRANSFER_N)
+        if not isinstance(N, numbers.Integral) or not 1 <= N <= MAX_TRANSFER_N:
+            raise ValueError("transfer matrix needs an integer N with 1 <= N <= "
+                             "%d, not %r" % (MAX_TRANSFER_N, N))
         if not c > 0:
             raise ValueError("c-weight must be positive, not %r" % (c,))
         self.N = N
         self.c = float(c)
-        self.blocks = tuple(transfer_block(N, c, m) for m in range(2 * N + 1))
+        self._blocks = None
         self._eigs = None
+
+    @property
+    def blocks(self):
+        """The dense popcount blocks (transfer_block), built on first read."""
+        if self._blocks is None:
+            N = self.N
+            sizes = [math.comb(2 * N, m) ** 2 for m in range(2 * N + 1)]
+            # the float64 blocks built so far, and the block being built
+            # with the temporaries of its flip rule: the float64 output, the
+            # uint16 flip word, the int8 completion and uint8 flip counts
+            _check_budget(max(8 * sum(sizes[:m]) + 12 * n
+                              for m, n in enumerate(sizes + [0])),
+                          "the dense transfer blocks at N = %d" % N)
+            self._blocks = tuple(transfer_block(N, self.c, m)
+                                 for m in range(2 * N + 1))
+        return self._blocks
 
     @property
     def eigs(self):
@@ -184,19 +226,29 @@ class TransferMatrix:
         r with kappa n_r = 0 mod L.  Its entries in sector kappa are
         sqrt(n_i / n_j) sum_{b in orbit j} B[rep_i, b] exp(-2 pi i kappa d_b
         / L), d_b the shift of b: the representatives' rows, summed by
-        (orbit, shift) and Fourier transformed over the shift.  Each sector
-        is Hermitian and solved by eigvalsh; sector L - kappa is the
-        conjugate of sector kappa and repeats its spectrum, so kappa runs
-        over 0..N only.
+        (orbit, shift) and Fourier transformed over the shift.  Only those
+        rows are built (_block_rows), one block at a time; the dense blocks
+        are not.  Each sector is Hermitian and solved by eigvalsh; sector
+        L - kappa is the conjugate of sector kappa and repeats its
+        spectrum, so kappa runs over 0..N only.
         """
         if self._eigs is None:
             L = 2 * self.N
             spectra = []
-            for m, block in enumerate(self.blocks):
+            for m in range(L + 1):
                 reps, orbit, shift, period = shift_orbits(L, m)
                 k = len(reps)
-                at = (np.arange(k)[:, None] * k + orbit) * L + shift
-                F = np.bincount(at.ravel(), block[reps].ravel(), k * k * L)
+                # the peak is the k x k x L momentum transform: float64,
+                # then its FFT with numpy's complex copy of the input, 8 + 16
+                # + 16 bytes an entry; the k x n rows and their bin indices
+                # are freed before it and take less, as kL >= n
+                _check_budget(40 * k * k * L, "the transfer rows of popcount "
+                              "%d at N = %d" % (m, self.N))
+                at = np.arange(k)[:, None] * (k * L) + (orbit * L + shift)
+                F = np.bincount(at.ravel(),
+                                _block_rows(self.N, self.c, m, reps).ravel(),
+                                k * k * L)
+                del at
                 F = np.fft.fft(F.reshape(k, k, L))
                 F *= np.sqrt(period[:, None] / period)[..., None]
                 e = []
@@ -244,6 +296,7 @@ class TransferMatrix:
         its Perron root and bounds every |lambda| in the block; the powers of
         each block are scaled by its own root, so no term exceeds 1.
         """
+        _check_length(M)
         tops = np.array([e[-1] for e in self.eigs])
         sums = np.array([np.sum((e / t) ** M) for e, t in zip(self.eigs, tops)])
         total = np.sum((tops / tops.max()) ** M * sums)
@@ -298,8 +351,18 @@ def asymptotic_rate(q):
     return 8.0 * math.exp(-math.pi ** 2 / math.sqrt(q - 4.0))
 
 
+def _check_length(M):
+    """Refuse a torus length M that is not an integer >= 1, naming it."""
+    if not isinstance(M, numbers.Integral) or M < 1:
+        raise ValueError("torus length M must be an integer >= 1, not %r" % (M,))
+
+
 def rate_report(q, Ns=(2, 3, 4, 5), M=256):
     """Closed form vs finite-N spectral gaps and the q -> 4 asymptote."""
+    Ns = list(Ns)
+    if not Ns:
+        raise ValueError("rate_report needs at least one N, not Ns %r" % (Ns,))
+    _check_length(M)
     closed = closed_form_rate(q)
     c = c_from_q(q)
     rows = []

@@ -18,7 +18,9 @@ from critlat.lattice import (
     segment_faces,
 )
 from critlat.loops import (
+    _cauchy_riemann_residual,
     _lockstep_field,
+    _worst,
     build_H,
     contour_check,
     contour_residuals,
@@ -444,6 +446,29 @@ def test_H_laplacian_signs():
     assert min_primal >= -1e-10
     assert max_dual <= 1e-10
     assert min_primal > 1e-3 and max_dual < -1e-3  # strictly off zero here
+
+
+def test_worst_residual_propagates_nan():
+    nan = float("nan")
+    assert _worst([]) == 0.0
+    assert _worst([1e-3, 2e-3]) == 2e-3
+    for order in ([0.0, nan, 1.0], [1.0, nan], [nan, 1.0]):
+        assert math.isnan(_worst(order))
+
+
+def test_q2_verdicts_fail_on_a_nan_residual():
+    # max(worst, nan) keeps worst, so a NaN field would pass as exact
+    nan = complex("nan")
+    dom = medial_domain(build_rect((0, 3), (0, 2)), (0, 0), (3, 2))
+    field = sholo_report(dom)["field"]
+    field.vertex_values = dict.fromkeys(field.vertex_values, nan)
+    assert math.isnan(_cauchy_riemann_residual(dom, field.vertex_values))
+    hrep = build_H(field)
+    assert math.isnan(hrep["image_residual"]) and not hrep["ok"]
+    bad = edge_observable(dom, p_self_dual(2.0), 2.0)
+    bad.edge_values = dict.fromkeys(bad.edge_values, nan)
+    with pytest.raises(AssertionError, match="s-holomorphicity violated: nan"):
+        vertex_observable(bad)
 
 
 def test_contour_residual_field_keys():

@@ -419,6 +419,13 @@ def test_es_coupling_refuses_empty_qs():
                                match=r"qs \[\]")
 
 
+def test_es_coupling_refuses_non_finite_q():
+    for q in (float("nan"), math.inf):
+        _refused_before_allocating(
+            lambda: verify_es_coupling(RECT17, [0.4], [2, q]),
+            match="spin side needs integer q >= 2, not %r" % q)
+
+
 @pytest.mark.parametrize("q", [1, 2.5, 0])
 def test_spin_side_refuses_non_integer_or_small_q(q):
     with pytest.raises(ValueError, match="integer q >= 2"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critlat import saw
 from critlat.saw import (
     A_MID,
     DIRS,
@@ -218,6 +219,24 @@ def test_vertex_relation_needs_the_right_spin():
 
 def test_vertex_relation_needs_the_right_weight():
     assert vertex_relation(strip_domain(2, 2), x=1.01 * X_C) > 1e-4
+
+
+def test_vertex_relation_refuses_non_finite_weights():
+    d = strip_domain(2, 1)
+    for bad in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite, not %r" % bad):
+            vertex_relation(d, bad)
+        with pytest.raises(ValueError, match="sigma must be finite, not %r"
+                           % bad):
+            vertex_relation(d, sigma=bad)
+
+
+def test_vertex_relation_fails_on_a_nan_residual(monkeypatch):
+    # max(worst, nan) keeps worst, so a NaN observable would pass as exact
+    d = strip_domain(2, 1)
+    fv = dict.fromkeys(observable(d), complex("nan"))
+    monkeypatch.setattr(saw, "observable", lambda *args: fv)
+    assert math.isnan(vertex_relation(d))
 
 
 def test_walk_counts_exact():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critlat import oracle
+from critlat import oracle, sixvertex
 from critlat.oracle import p_self_dual
 from critlat.sixvertex import (
+    MAX_TRANSFER_N,
     TorusRc,
     TransferMatrix,
+    _block_rows,
     asymptotic_rate,
     block_states,
     brute_force_census,
@@ -98,6 +101,92 @@ def test_transfer_block_hand_values_N1():
     assert transfer_block(1, c, 2).tolist() == [[2.0]]
     mid = transfer_block(1, c, 1)
     assert mid.tolist() == [[2.0, c ** 2], [c ** 2, 2.0]]
+
+
+@pytest.mark.parametrize("c", [1.7, 2.0, c_from_q(100.0)])
+def test_representative_rows_equal_the_dense_rows(c):
+    # eigs builds only the rows at the shift-orbit representatives, by the
+    # same flip rule as the dense block
+    for N in range(1, 7):
+        for m in range(2 * N + 1):
+            reps = shift_orbits(2 * N, m)[0]
+            rows = _block_rows(N, c, m, reps)
+            want = transfer_block(N, c, m)[reps]
+            assert rows.dtype == want.dtype
+            assert np.array_equal(rows, want)
+
+
+def test_spectra_build_no_dense_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense transfer block was built")
+
+    monkeypatch.setattr(sixvertex, "transfer_block", refuse)
+    c = c_from_q(25.0)
+    for N in range(1, 7):
+        V = TransferMatrix(N, c)
+        assert len(V.eigs) == 2 * N + 1
+        assert V.gap_rate() >= 0.0
+        assert V.spectral_rate(16) > 0.0
+        assert V.trace_power(4) > 0.0
+    assert len(rate_report(25.0, Ns=(2, 3, 4, 5, 6))["per_N"]) == 5
+    assert rc6v_verify(2, 2, 25.0)["oriented_sector_gap"] <= 1e-8
+    # the dense blocks are built through transfer_block, on first read
+    with pytest.raises(AssertionError, match="dense transfer block"):
+        TransferMatrix(2, c).blocks
+
+
+def _charges(monkeypatch):
+    """Record every byte charge sixvertex makes, then apply it."""
+    charged = []
+
+    def check(n_bytes, what):
+        charged.append(n_bytes)
+        oracle._check_budget(n_bytes, what)
+
+    monkeypatch.setattr(sixvertex, "_check_budget", check)
+    return charged
+
+
+@pytest.mark.parametrize("read", ["eigs", "blocks"])
+def test_transfer_matrix_peak_within_its_charge(monkeypatch, read):
+    charged = _charges(monkeypatch)
+    V = TransferMatrix(6, c_from_q(25.0))
+    tracemalloc.start()
+    try:
+        getattr(V, read)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * max(charged) + (1 << 20)
+    # and no gross over-charge
+    assert max(charged) <= 1.1 * peak
+
+
+class _Passed(Exception):
+    """Raised by a budget check that has let its charge through."""
+
+
+def test_transfer_matrix_charges_accept_the_largest_N(monkeypatch):
+    charged = _charges(monkeypatch)
+    V = TransferMatrix(MAX_TRANSFER_N, c_from_q(25.0))
+    V.eigs
+    assert max(charged) <= oracle.MAX_TABLE_BYTES
+
+    # the dense blocks (about 310 MiB) are charged but not built here
+    def check_then_stop(n_bytes, what):
+        oracle._check_budget(n_bytes, what)
+        raise _Passed
+
+    monkeypatch.setattr(sixvertex, "_check_budget", check_then_stop)
+    with pytest.raises(_Passed):
+        V.blocks
+
+
+@pytest.mark.parametrize("read", ["eigs", "blocks"])
+def test_transfer_matrix_refused_past_byte_budget(monkeypatch, read):
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 256 << 10)
+    V = TransferMatrix(6, 2.0)
+    _refused_before_allocating(lambda: getattr(V, read), "bytes")
 
 
 def test_transfer_matrix_symmetric_nonnegative():
@@ -282,6 +371,24 @@ def test_rate_asymptote_ratios():
         assert abs(1.0 - ratio) <= cap
         assert ratio == pytest.approx(math.exp(-math.pi ** 2 * lam / 12.0),
                                       rel=2e-2)
+
+
+def test_lengths_are_refused_by_name():
+    q = 6.25
+    with pytest.raises(ValueError, match=r"at least one N, not Ns \[\]"):
+        rate_report(q, Ns=[])
+    for M in (0, -3, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="torus length M must be an "
+                           "integer >= 1, not %r" % (M,)):
+            rate_report(q, Ns=(2,), M=M)
+        with pytest.raises(ValueError, match="torus length M"):
+            TransferMatrix(2, c_from_q(q)).spectral_rate(M)
+    for N in (2.5, 0, 8, float("nan")):
+        with pytest.raises(ValueError, match="integer N with 1 <= N <= 7, "
+                           "not %r" % (N,)):
+            TransferMatrix(N, 2.0)
+    with pytest.raises(ValueError, match="not 2.5"):
+        rate_report(q, Ns=(2, 2.5))
 
 
 def test_rate_report_structure():
