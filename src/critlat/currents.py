@@ -33,6 +33,7 @@ import numpy as np
 
 from .lattice import cluster_stats, free_bc
 from .oracle import (
+    _check_beta,
     _check_budget,
     _check_enum_edges,
     _superset_transform,
@@ -73,6 +74,7 @@ def parity_masks(graph, sources):
 
 def single_current_sum(graph, A, beta):
     """sum over d(n) = A of w_beta(n) = cosh^|E| sum_{d eta = A} tanh^|eta|."""
+    _check_beta(beta)
     ones = np.bitwise_count(np.array(parity_masks(graph, A), dtype=np.int64))
     return math.cosh(beta) ** graph.n_edges * float(np.sum(math.tanh(beta) ** ones))
 
@@ -82,6 +84,7 @@ def hte_correlation(graph, beta, A):
 
     Odd |A| gives 0 with a warning: the sum is empty by parity.
     """
+    _check_beta(beta)
     if len(A) % 2 == 1:
         warnings.warn("odd source sets have no even-subgraph expansion")
         return 0.0
@@ -121,6 +124,7 @@ def double_current_sum(graph, A, B, beta, trace=None):
     edges in both carry sinh^2, edges in one sinh cosh, and every extra
     supported edge has both entries even, not both zero.
     """
+    _check_beta(beta)
     return _pair_sum(graph, _parity_pairs(graph, A, B), beta, trace)
 
 
@@ -182,6 +186,7 @@ def switching_tail_bound(graph, beta, n_max):
     the cut tail is at most beta^{n_max+1}/(n_max+1)! times a graph factor.
     Uncapped sums lose nothing.
     """
+    _check_beta(beta)
     if n_max is None:
         return 0.0
     _check_n_max(n_max)
@@ -236,6 +241,7 @@ def double_current_event(graph, B, beta, trace=None):
 
     trace None means the sure event. Refuses a B that no current carries.
     """
+    _check_beta(beta)
     pairs = _parity_pairs(graph, B, ())
     den = _pair_sum(graph, pairs, beta, None)
     if den == 0.0:
@@ -245,6 +251,7 @@ def double_current_event(graph, B, beta, trace=None):
 
 def squared_correlation_gap(graph, x, y, beta):
     """|mu^f[sigma_x sigma_y]^2 - P^0[x <-> y in the trace]|."""
+    _check_beta(beta)
     prob = double_current_event(graph, (), beta, connected_trace(graph, x, y))
     mu = ising_moment(graph, beta, [x, y])
     return abs(mu * mu - prob)

@@ -163,6 +163,12 @@ def open_count_array(n_edges):
     return np.bitwise_count(masks).astype(np.int32)
 
 
+def _check_beta(beta):
+    """Refuse a NaN or infinite beta, naming it."""
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite, not %r" % (beta,))
+
+
 def _check_pq(p, q=1.0):
     """Refuse p outside [0, 1] and q <= 0 (NaN included), naming the value."""
     if not 0.0 <= p <= 1.0:
@@ -471,6 +477,7 @@ def _simplex_dots(agree, q, n_edges):
 
 def spin_ensemble(graph, q, beta, fixed=None):
     """All q^(free vertices) Potts colorings and their Gibbs weights."""
+    _check_beta(beta)
     colors, agree = _color_table(graph, q, fixed)
     return colors, np.exp(beta * _simplex_dots(agree, q, graph.n_edges))
 
@@ -634,7 +641,8 @@ def verify_es_coupling(graph, ps, qs, products=None):
     prod_idx = [[graph.index(x) for x in A] for A in products or ()]
     _label_dtype(graph.n_edges, graph.n_vertices)  # refuses past the caps
     for q in set(qs):
-        _check_color_table(graph, q, None)
+        # _es_sides fixes vertex 0 to colour 0 in the free table
+        _check_color_table(graph, q, {0: 0})
         _check_color_table(graph, q, _wired_fix(graph))
 
     keys = ("pair_max_err", "wired_max_err", "product_max_err")
@@ -654,6 +662,7 @@ def verify_es_coupling(graph, ps, qs, products=None):
 
 def p_dual(p, q):
     """The dual edge weight: p p* / ((1-p)(1-p*)) = q."""
+    _check_pq(p, q)
     return q * (1.0 - p) / (q * (1.0 - p) + p)
 
 

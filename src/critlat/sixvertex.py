@@ -57,35 +57,36 @@ sums are that table times c^flips.  Each doubling is sized against the
 byte budget before it is made, and tori past 64 medial edges, the mask
 width, are refused.
 
-Random-cluster side.  TorusRc holds the primal torus and its dual (sites of
-odd parity).  Cluster homology is computed by lifting clusters to the
-universal cover: a cycle closing with displacement (alpha*M, beta*2N)
-contributes the winding class (alpha, beta).  A cluster is non-retractible
-if its winding subgroup of Z^2 is nonzero, and "winds north-east" if some
-class has alpha != 0.  The loops of the interface between primal and dual
-clusters follow from the clusters of both sides by duality.  Orienting them
-with weight exp(+-mu) per retractible loop, e^mu + e^-mu = sqrt(q), and
-reading each oriented loop configuration as an arrow configuration
-reproduces the six-vertex sector sums exactly (oriented_sector_sums), which
-is the mechanism behind rc6v_verify.
+Random-cluster side.  TorusRc holds the primal torus (sites of even
+parity).  Cluster homology is computed by lifting clusters to the universal
+cover: a cycle closing with displacement (alpha*M, beta*2N) contributes the
+winding class (alpha, beta).  A cluster is non-retractible if its winding
+subgroup of Z^2 is nonzero, and "winds north-east" if some class has
+alpha != 0.  The winding rank of the primal clusters fixes the dual ones
+through Euler's relation on the torus and duality, and the loops of the
+interface between the two sides follow.  Orienting them with weight
+exp(+-mu) per retractible loop, e^mu + e^-mu = sqrt(q), and reading each
+oriented loop configuration as an arrow configuration reproduces the
+six-vertex sector sums exactly (oriented_sector_sums), which is the
+mechanism behind rc6v_verify.
 
-One pass over torus configurations.  TorusRc.census_table builds two lifted
-label tables over all 2^E bond masks at once, in the mask order of
+One pass over torus configurations.  TorusRc.census_table builds one lifted
+label table over all 2^E bond masks at once, in the mask order of
 oracle._label_table: bond by bond, the rows of the masks over earlier bonds
 are copied and the bond's link is applied to the copy.  Each node carries
 its label and its offset from the labelling node in the universal cover; a
 merge rewrites the larger label and shifts the rewritten offsets, and a
 link inside one component closes a cycle whose displacement is a winding
-class.  One table runs over the primal masks, the other over the dual masks
-and is read backwards.  They give per mask the cluster counts and the
-non-retractible and north-east winding clusters of both sides; the loop
-count, the non-retractible loops and their common |alpha| follow from these
-(census_table), and no medial table is built.  rc6v_verify,
+class.  Per mask it keeps the first nonzero class and whether a later one
+is not parallel to it, which give the winding rank.  The primal counts, the
+open-bond count and the rank give every dual and loop column (census_table),
+so neither a dual nor a medial table is built.  rc6v_verify,
 loop_weight_constant and oriented_sector_sums read the census through the
 same two reductions, _loop_constant and _oriented_sectors; the orientation
 sum over l0 parallel loops is a binomial.  The package has no second,
 per-configuration census: the tests check the table against a depth-first
-lift and a loop walk of one mask at a time (tests/reference.py).
+lift of both sides, on dual bonds of their own, and a loop walk of one mask
+at a time (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ from .oracle import (
     _class_sums,
     _copy_half,
     _mask_classes,
+    open_count_array,
     p_self_dual,
 )
 
@@ -284,6 +286,10 @@ class TransferMatrix:
 
     def sector_trace(self, M, m):
         """tr restricted to the popcount-m block of the M-th power."""
+        _check_length(M)
+        if not isinstance(m, numbers.Integral) or not 0 <= m <= 2 * self.N:
+            raise ValueError("popcount m must be an integer in 0..%d, not %r"
+                             % (2 * self.N, m))
         return float(np.sum(self.eigs[m] ** M))
 
     def trace_power(self, M):
@@ -452,35 +458,34 @@ def brute_force_census(N, M, c):
 
 
 def _lifted_table(n_nodes, links, period):
-    """Per-mask component census of a graph lifted to the universal cover.
+    """Per-mask cluster census of a graph lifted to the universal cover.
 
     links[k] = (a, b, du, dv) puts node b at node a plus (du, dv) where bit
     k of the mask is set; period = (pu, pv).  The table is built like
     oracle._label_table: the rows of the 2^k masks over links < k are
     copied to the next 2^k rows, and link k is applied to the second half.
-    Every node carries its label (the smallest node of its component) and
-    its offset from that node in the cover.  A link between two components
-    rewrites the larger label to the smaller and shifts the rewritten
-    offsets; a link inside one component closes a cycle, whose displacement
-    g is a multiple of the period.  Returns per-mask arrays: components,
-    components with some g != 0, components with some g_u != 0, and the
-    least and largest |g_u| / pu over the closures with g != 0.
+    Every node carries its label (the smallest node of its component), its
+    offset from that node in the cover and a flag, set once its component
+    closes a cycle of displacement g != 0.  A link between two components
+    rewrites the larger label to the smaller, shifts the rewritten offsets
+    and ors the flags; a link inside one component closes a cycle, whose g
+    is a multiple of the period.  Per mask the table keeps the class
+    g / period of the first closure with g != 0 and a net bit, set once a
+    later closure is not parallel to it.  Returns per-mask arrays:
+    components, components with some g != 0, the first class (int8, shape
+    (2, masks), zero where nothing winds) and the net bits.
     """
     n_masks = 1 << len(links)
     pu, pv = period
     lab = np.empty((n_nodes, n_masks), dtype=np.uint8)
-    off = np.empty((2, n_nodes, n_masks), dtype=np.int16)
-    # bit 0: some closure g != 0, bit 1: some closure with g_u != 0
-    flag = np.empty((n_nodes, n_masks), dtype=np.uint8)
-    # least and largest |g_u| / pu over the closures with g != 0
-    alpha = np.empty((2, n_masks), dtype=np.uint8)
+    off = np.zeros((2, n_nodes, n_masks), dtype=np.int16)
+    flag = np.zeros((n_nodes, n_masks), dtype=bool)
+    first = np.zeros((2, n_masks), dtype=np.int8)
+    net = np.zeros(n_masks, dtype=bool)
     lab[:, 0] = np.arange(n_nodes)
-    off[..., 0] = 0
-    flag[:, 0] = 0
-    alpha[:, 0] = (255, 0)
 
     def link(sl, a, b, du, dv):
-        L, F, U, V, A = lab[:, sl], flag[:, sl], off[0, :, sl], off[1, :, sl], alpha[:, sl]
+        L, F, U, V = lab[:, sl], flag[:, sl], off[0, :, sl], off[1, :, sl]
         la, lb = L[a].copy(), L[b].copy()
         gu = U[a] + du - U[b]
         gv = V[a] + dv - V[b]
@@ -490,10 +495,13 @@ def _lifted_table(n_nodes, links, period):
         assert not (cu % pu).any() and not (cv % pv).any()
         nz = (cu != 0) | (cv != 0)
         hit = shut[nz]
-        au = np.abs(cu[nz]) // pu
-        A[0, hit] = np.minimum(A[0, hit], au)
-        A[1, hit] = np.maximum(A[1, hit], au)
-        F[la[hit], hit] |= 1 + 2 * (au > 0).astype(np.uint8)
+        cu, cv = cu[nz] // pu, cv[nz] // pv
+        F[la[hit], hit] = True
+        fu, fv = first[0, sl][hit], first[1, sl][hit]
+        new = (fu == 0) & (fv == 0)
+        first[0, sl][hit[new]] = cu[new]
+        first[1, sl][hit[new]] = cv[new]
+        net[sl][hit] |= fu * cv != fv * cu
         # merge: the component of the larger label moves by +-g onto the
         # other; a closed row rewrites its own label, shifted by 0
         lo, hi = np.minimum(la, lb), np.maximum(la, lb)
@@ -509,25 +517,25 @@ def _lifted_table(n_nodes, links, period):
 
     for k, (a, b, du, dv) in enumerate(links):
         half = 1 << k
-        for arr in (lab, off, flag, alpha):
+        for arr in (lab, off, flag, first, net):
             _copy_half(arr, half)
         for start in range(half, 2 * half, _MERGE_MASKS):
             link(slice(start, min(start + _MERGE_MASKS, 2 * half)), a, b, du, dv)
+    del off
     root = lab == np.arange(n_nodes)[:, None]
+    del lab
     comps = root.sum(axis=0)
-    wound = (root & (flag & 1 > 0)).sum(axis=0)
-    wound_u = (root & (flag & 2 > 0)).sum(axis=0)
-    return comps, wound, wound_u, alpha[0], alpha[1]
+    root &= flag
+    return comps, root.sum(axis=0), first, net
 
 
 class TorusRc:
-    """Random-cluster torus: primal and dual bonds with their cover offsets.
+    """Random-cluster torus: the primal bonds with their cover offsets.
 
-    Primal sites have even u + v parity, dual sites odd; bond k sits under
-    the medial vertex (i, j) = divmod(k, 2N) and has slope +1 (towards
-    north-east) when i + j is even.  Dual bond k crosses primal bond k.
-    The interface loops are not stored: census_table derives them from the
-    clusters of both sides.
+    Sites have even u + v parity; bond k sits under the medial vertex
+    (i, j) = divmod(k, 2N) and has slope +1 (towards north-east) when i + j
+    is even.  The dual side and the interface loops are not stored:
+    census_table derives them from the primal clusters.
     """
 
     def __init__(self, N, M):
@@ -538,72 +546,59 @@ class TorusRc:
         self.P = 2 * N
         P = self.P
         self.sites = [(i, j) for i in range(M) for j in range(P) if (i + j) % 2 == 0]
-        self.dual_sites = [(i, j) for i in range(M) for j in range(P) if (i + j) % 2]
         self.site_id = {s: k for k, s in enumerate(self.sites)}
-        self.dual_id = {s: k for k, s in enumerate(self.dual_sites)}
         self.edges = []
-        self.dual_edges = []
         for i in range(M):
             for j in range(P):
                 if (i + j) % 2 == 0:
                     a, b = (i, j), ((i + 1) % M, (j + 1) % P)
                     self.edges.append((self.site_id[a], self.site_id[b], 1, 1))
-                    da, db = ((i + 1) % M, j), (i, (j + 1) % P)
-                    self.dual_edges.append((self.dual_id[da], self.dual_id[db], -1, 1))
                 else:
                     a, b = (i, (j + 1) % P), ((i + 1) % M, j)
                     self.edges.append((self.site_id[a], self.site_id[b], 1, -1))
-                    da, db = (i, j), ((i + 1) % M, (j + 1) % P)
-                    self.dual_edges.append((self.dual_id[da], self.dual_id[db], 1, 1))
         self.n_edges = len(self.edges)
         self.n_sites = len(self.sites)
 
     def census_table(self):
         """Cluster, dual-cluster and loop census of every bond mask at once.
 
-        Two lifted tables (_lifted_table), over the primal sites with bond k
-        open and over the dual sites with dual bond k open, give per mask
-        the cluster count and the non-retractible and north-east winding
-        clusters of each side.  The loops follow by duality.  Where both
-        sides wind, the winding clusters alternate around the torus, as
-        many primal as dual, with one loop of their common class between
-        neighbours; where one side winds it holds a net, and no loop winds.
-        The clusters of both sides and the loops between them form a tree,
-        or one cycle when both sides wind, so loops = clusters +
-        dual_clusters - 1 + [both wind], loops_nonretractible = 2
-        nonretractible and alpha = the primal closures' common |g_u| / M
-        where both wind, 0 elsewhere.  Each table is sized and refused past
-        the byte budget before it is built.
+        One lifted table (_lifted_table) gives per mask the cluster count k,
+        the non-retractible clusters and the winding rank r of the clusters:
+        0 when none winds (the dual clusters hold a net), 1 when they wind
+        in parallel (as many dual clusters wind between them, in the same
+        class), 2 when they hold a net.  The rest follows from r and the
+        open-bond count o: dual_clusters = o - |V| + k + 1 - r (Euler on the
+        torus); the dual winding counts are 1 at r = 0, the primal ones at
+        r = 1 and 0 at r = 2; loops = 2k + o - |V| - 2 [r = 2], of which 2
+        nonretractible at r = 1, of the first closure's |alpha|.  The tests
+        check every column against per-mask walks of both sides and of the
+        loops.  Table and census are sized against the byte budget first.
         """
         E = self.n_edges
         _check_enum_edges(E)
-        # per mask and node a uint8 label, two int16 offsets, a flag byte
-        # and a byte of the final root mask, and two alpha bytes per mask;
-        # both sides have MN nodes, at most 13 under the edge cap
-        _check_budget((1 << E) * (7 * self.n_sites + 2), "each lifted table "
-                      "over %d bonds and %d nodes" % (E, self.n_sites))
-        period = (self.M, self.P)
-        comps, wound, wound_u, a_lo, a_hi = _lifted_table(
-            self.n_sites, self.edges, period)
-        # dual bond k is open iff primal bond k is closed, so the dual mask
-        # of mask is 2^E - 1 - mask
-        d_comps, d_wound, d_wound_u = (x[::-1] for x in _lifted_table(
-            len(self.dual_sites), self.dual_edges, period)[:3])
-        both = (wound > 0) & (d_wound > 0)
-        # some side winds; where both do, equally often and with one |alpha|
-        assert ((wound > 0) | (d_wound > 0)).all()
-        assert np.array_equal(wound[both], d_wound[both])
-        assert np.array_equal(a_lo[both], a_hi[both])
+        # per mask, the table holds a label byte, two int16 offsets and a
+        # flag byte per site, two class bytes and a net byte; the census
+        # holds its nine int64 columns, the class and net bytes, a rank byte,
+        # an int32 open count and a bool temporary, the larger under the
+        # edge cap (at most 13 sites)
+        _check_budget((1 << E) * max(6 * self.n_sites + 3, 81), "the torus "
+                      "census over %d bonds and %d sites" % (E, self.n_sites))
+        comps, wound, first, net = _lifted_table(
+            self.n_sites, self.edges, (self.M, self.P))
+        rank = (wound > 0).astype(np.int8)
+        rank += net
+        o = open_count_array(E)
+        ne = wound * ((first[0] != 0) | net)
         return {
             "clusters": comps,
             "nonretractible": wound,
-            "winding_ne": wound_u,
-            "dual_clusters": d_comps,
-            "dual_nonretractible": d_wound,
-            "dual_winding_ne": d_wound_u,
-            "loops": comps + d_comps - 1 + both,
-            "loops_nonretractible": np.where(both, 2 * wound, 0),
-            "alpha": np.where(both, a_hi, 0).astype(np.int64),
+            "winding_ne": ne,
+            "dual_clusters": comps + o - rank + (1 - self.n_sites),
+            "dual_nonretractible": np.where(rank == 1, wound, rank == 0),
+            "dual_winding_ne": np.where(rank == 1, ne, rank == 0),
+            "loops": 2 * comps + o - 2 * net - self.n_sites,
+            "loops_nonretractible": np.where(rank == 1, 2 * wound, 0),
+            "alpha": np.where(rank == 1, np.abs(first[0]), 0).astype(np.int64),
         }
 
 
@@ -651,9 +646,10 @@ def loop_weight_constant(rc, q, p):
     """(min, max) over configurations of sqrt(q)^{l + 2s} / w_RC.
 
     l is the medial loop count, s the all-dual-clusters-retractible
-    indicator and w_RC = p^open (1-p)^closed q^clusters; the ratio is
-    configuration independent, which pins the homology lifts of both sides
-    and the torus Euler relation between them.
+    indicator and w_RC = p^open (1-p)^closed q^clusters.  census_table
+    derives l and s with l + 2s - o - 2k = -|V| on every mask, so at p_c the
+    ratio is configuration independent by construction; the per-mask walks
+    of the tests, not this check, test the derived dual side.
     """
     table = rc.census_table()
     return _loop_constant(table, q, _rc_weights(rc, table, q, p))
@@ -681,7 +677,8 @@ def rc6v_verify(N, M, q):
     All quantities come from exact enumeration of the 2^(2MN) bond
     configurations plus the transfer matrix.  The report covers:
       * loop_constant_spread: relative spread of sqrt(q)^{l+2s} / w_RC,
-        which a correct loop/homology bookkeeping forces to zero;
+        zero by the census's own derivation (l + 2s - o - 2k = -|V|), so
+        it compares no two computations;
       * partition_identity_gap: Z6V against c0 * sum of
         (2/sqrt(q))^{l0} q^{-s} w_RC, the orientation sum over loops;
       * oriented_sector_gap: worst relative mismatch between oriented loop

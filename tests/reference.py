@@ -2,7 +2,7 @@
 
 The package computes its finite-volume statements for all configurations at
 once: the lockstep walk over a Dobrushin domain's slot table, the lifted
-label tables of TorusRc.census_table and the mask and label sweeps of the
+label table of TorusRc.census_table and the mask and label sweeps of the
 sampler. The functions here follow the same definitions one configuration
 at a time, by the plainest walk, and are the second path the tests compare
 the package against. Nothing under src/ imports them.
@@ -309,10 +309,29 @@ def clusters(rc, mask, reverse=False):
     return _census(rc, rc.edges, rc.n_sites, mask, reverse)
 
 
+def dual_bonds(rc):
+    """(dual_sites, dual_edges) of the torus: the sites of odd u + v parity,
+    and per primal bond k the dual bond crossing it, (a, b, du, dv) as in
+    rc.edges.  The package builds no dual side; these are the walker's own."""
+    M, P = rc.M, rc.P
+    sites = [(i, j) for i in range(M) for j in range(P) if (i + j) % 2]
+    sid = {s: k for k, s in enumerate(sites)}
+    edges = []
+    for i in range(M):
+        for j in range(P):
+            if (i + j) % 2 == 0:
+                a, b, du = ((i + 1) % M, j), (i, (j + 1) % P), -1
+            else:
+                a, b, du = (i, j), ((i + 1) % M, (j + 1) % P), 1
+            edges.append((sid[a], sid[b], du, 1))
+    return sites, edges
+
+
 def dual_clusters(rc, mask, reverse=False):
     """Dual cluster census; dual bond k is open iff primal bond k is closed."""
+    sites, edges = dual_bonds(rc)
     dual_mask = ~mask & ((1 << rc.n_edges) - 1)
-    return _census(rc, rc.dual_edges, len(rc.dual_sites), dual_mask, reverse)
+    return _census(rc, edges, len(sites), dual_mask, reverse)
 
 
 def loop_census(rc, mask):

@@ -537,3 +537,32 @@ def test_repeated_sources_and_separator_endpoints_refused():
         parity_masks(SQUARE, [(0, 0), (0, 0)])
     with pytest.raises(ValueError, match="outside the separating set"):
         simon_report(GRID23, 0.5, (0, 0), (1, 2), [(0, 0), (1, 1)])
+
+
+_BETA_CALLS = {
+    "single_current_sum": lambda b: single_current_sum(SQUARE, [], b),
+    "hte_correlation": lambda b: hte_correlation(SQUARE, b, [(0, 0), (1, 1)]),
+    "hte_correlation_odd": lambda b: hte_correlation(SQUARE, b, [(0, 0)]),
+    "double_current_sum": lambda b: double_current_sum(SQUARE, [], [], b),
+    "double_current_event": lambda b: double_current_event(SQUARE, [], b),
+    "switching_tail_bound": lambda b: switching_tail_bound(SQUARE, b, 3),
+    "verify_switching": lambda b: verify_switching(SQUARE, [], [], b),
+    "squared_correlation_gap": lambda b: squared_correlation_gap(
+        SQUARE, (0, 0), (1, 1), b),
+    "ising_moment": lambda b: ising_moment(SQUARE, b, [(0, 0)]),
+    "p_dual": lambda p: oracle.p_dual(p, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BETA_CALLS))
+def test_non_finite_beta_and_p_refused_before_any_table(monkeypatch, name):
+    def no_table(n_bytes, what):
+        raise AssertionError("charged %s before the refusal" % what)
+
+    for module in (oracle, currents):
+        monkeypatch.setattr(module, "_check_budget", no_table)
+    arg = "p" if name == "p_dual" else "beta"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^%s must be .*, not %r$"
+                           % (arg, bad)):
+            _BETA_CALLS[name](bad)

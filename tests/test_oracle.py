@@ -426,6 +426,17 @@ def test_es_coupling_refuses_non_finite_q():
             match="spin side needs integer q >= 2, not %r" % q)
 
 
+def test_es_coupling_charges_the_free_table_it_builds(monkeypatch):
+    # _es_sides fixes vertex 0, so the free table holds 3^5 colourings of the
+    # 6 vertices (3,402 bytes charged), not 3^6 (10,206 bytes)
+    from critlat import oracle
+    assert RECT7.n_vertices == 6 and RECT7.n_edges == 7
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 6000)
+    assert verify_es_coupling(RECT7, [0.5], [3])["ok"]
+    with pytest.raises(ValueError, match="729 colourings"):
+        spin_ensemble(RECT7, 3, 0.4)
+
+
 @pytest.mark.parametrize("q", [1, 2.5, 0])
 def test_spin_side_refuses_non_integer_or_small_q(q):
     with pytest.raises(ValueError, match="integer q >= 2"):
@@ -817,9 +828,10 @@ def test_crossing_event_refuses_unknown_direction():
 
 
 def test_over_budget_tables_refused_before_allocating():
-    # 3^16 colourings of the 4x4-vertex rect: gigabytes of spin tables
+    # 3^16 colourings of the 4x4-vertex rect, and 4^15 with vertex 0 fixed
+    # as verify_es_coupling builds them: gigabytes of spin tables
     box = build_rect((0, 3), (0, 3))
-    _refused_before_allocating(lambda: verify_es_coupling(box, [0.5], [3]))
+    _refused_before_allocating(lambda: verify_es_coupling(box, [0.5], [4]))
     _refused_before_allocating(lambda: spin_ensemble(box, 3, 0.4))
     # 26 edges of a 27-vertex path: a 1.8 GB label table, under the edge cap
     path = build_rect((0, 26), (0, 0))

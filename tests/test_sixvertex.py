@@ -29,6 +29,7 @@ from critlat.sixvertex import (
 from reference import (
     _refused_before_allocating,
     clusters,
+    dual_bonds,
     dual_clusters,
     loop_census,
 )
@@ -187,6 +188,23 @@ def test_transfer_matrix_refused_past_byte_budget(monkeypatch, read):
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 256 << 10)
     V = TransferMatrix(6, 2.0)
     _refused_before_allocating(lambda: getattr(V, read), "bytes")
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda V: V.sector_trace(math.nan, 1), "torus length M .* not nan"),
+    (lambda V: V.sector_trace(-1, 1), "torus length M .* not -1"),
+    (lambda V: V.sector_trace(0, 1), "torus length M .* not 0"),
+    (lambda V: V.trace_power(2.5), "torus length M .* not 2.5"),
+    (lambda V: V.trace_power(0), "torus length M .* not 0"),
+    (lambda V: V.trace_power(-1), "torus length M .* not -1"),
+    (lambda V: V.sector_trace(2, -1), r"popcount m .* 0\.\.4, not -1"),
+    (lambda V: V.sector_trace(2, 5), r"popcount m .* 0\.\.4, not 5"),
+    (lambda V: V.sector_trace(2, 1.0), r"popcount m .* 0\.\.4, not 1\.0"),
+], ids=["M_nan", "M_negative", "M_zero", "power_non_integer", "power_zero",
+        "power_negative", "m_negative", "m_past_2N", "m_float"])
+def test_sector_traces_refuse_bad_length_or_popcount(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(TransferMatrix(2, 2.0))
 
 
 def test_transfer_matrix_symmetric_nonnegative():
@@ -406,7 +424,7 @@ def test_torus_structure_counts():
     rc = TorusRc(2, 2)
     assert rc.n_edges == 8
     assert rc.n_sites == 4
-    assert len(rc.dual_sites) == 4
+    assert len(dual_bonds(rc)[0]) == 4
     rc = TorusRc(3, 4)
     assert rc.n_edges == 24
     assert rc.n_sites == 12
@@ -486,7 +504,7 @@ def test_loop_counts_on_extreme_masks():
     rc = TorusRc(2, 4)
     # one loop around each primal site, then around each dual site
     for mask, n_loops in ((0, rc.n_sites),
-                          ((1 << rc.n_edges) - 1, len(rc.dual_sites))):
+                          ((1 << rc.n_edges) - 1, len(dual_bonds(rc)[0]))):
         census = loop_census(rc, mask)
         assert len(census) == n_loops
         assert not any(a or b for _, _, a, b in census)
@@ -616,12 +634,19 @@ _CENSUS_KEYS = ("clusters", "nonretractible", "winding_ne", "dual_clusters",
 
 
 def _assert_census_matches(rc, masks):
+    """Compare the census with the walkers on masks; returns the winding
+    ranks of the primal clusters seen (0: none winds, 2: a net)."""
     table = rc.census_table()
     for key in _CENSUS_KEYS:
         assert table[key].shape == (1 << rc.n_edges,)
+        assert table[key].dtype == np.int64
+    ranks = set()
     for mask in masks:
         got = tuple(int(table[key][mask]) for key in _CENSUS_KEYS)
-        assert got == _walker_census(rc, mask), mask
+        want = _walker_census(rc, mask)
+        assert got == want, mask
+        ranks.add(0 if not want[1] else 2 if not want[4] else 1)
+    return ranks
 
 
 @pytest.mark.parametrize("N,M", [(1, 2), (2, 2), (3, 2), (1, 4)])
@@ -630,12 +655,66 @@ def test_census_table_matches_walkers_on_every_mask(N, M):
     _assert_census_matches(rc, range(1 << rc.n_edges))
 
 
-def test_census_table_matches_walkers_on_2x4_sample():
-    rc = TorusRc(2, 4)
+def _mask_sample(rc):
     full = (1 << rc.n_edges) - 1
     rng = np.random.default_rng(20170703)
-    masks = [0, full] + rng.integers(0, full + 1, size=4096).tolist()
-    _assert_census_matches(rc, masks)
+    return [0, full] + rng.integers(0, full + 1, size=4096).tolist()
+
+
+@pytest.mark.parametrize("N,M", [(2, 4), (4, 2), (1, 8)])
+def test_census_table_matches_walkers_on_sample(N, M):
+    # 16 bonds each; the sample holds masks of all three winding ranks
+    rc = TorusRc(N, M)
+    assert _assert_census_matches(rc, _mask_sample(rc)) == {0, 1, 2}
+
+
+def test_census_table_builds_one_lifted_table(monkeypatch):
+    built = []
+    lift = sixvertex._lifted_table
+
+    def counted(*args):
+        built.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(sixvertex, "_lifted_table", counted)
+    rc = TorusRc(2, 2)
+    rc.census_table()
+    assert len(built) == 1 and built[0][1] is rc.edges
+
+
+@pytest.mark.parametrize("N,M", [(2, 4), (1, 8)])
+def test_census_peak_within_its_charge(monkeypatch, N, M):
+    charged = _charges(monkeypatch)
+    rc = TorusRc(N, M)
+    tracemalloc.start()
+    try:
+        rc.census_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1
+    assert peak <= 1.1 * charged[0] + (1 << 20)
+    # and no gross over-charge
+    assert charged[0] <= 1.1 * peak
+
+
+def test_census_charge_accepts_every_torus_up_to_20_bonds(monkeypatch):
+    def check_then_stop(n_bytes, what):
+        oracle._check_budget(n_bytes, what)
+        raise _Passed
+
+    monkeypatch.setattr(sixvertex, "_check_budget", check_then_stop)
+    sizes = set()
+    for N in range(1, 14):
+        for M in range(2, 14, 2):
+            rc = TorusRc(N, M)
+            if rc.n_edges > oracle.MAX_ENUM_EDGES:
+                continue
+            sizes.add(rc.n_edges)
+            # the census is charged and stopped before it is built
+            with pytest.raises(_Passed if rc.n_edges <= 20 else ValueError):
+                rc.census_table()
+    assert sizes == {4, 8, 12, 16, 20, 24}
 
 
 def _reference_shifts(alphas):
@@ -737,7 +816,7 @@ def test_rate_report_rows_equal_gap_and_spectral_rate():
 
 
 def test_over_budget_torus_table_refused_before_allocating():
-    # 24 bonds: each 12-site lifted table would take about 1.4 GB
+    # 24 bonds: the census of the 12-site lifted table would take 1.4 GB
     _refused_before_allocating(lambda: rc6v_verify(2, 6, 6.25))
 
 
