@@ -89,7 +89,7 @@ def _label_dtype(n_edges, n_vertices):
     """dtype of a label table, after refusing one past the caps; the budget
     charges the int32 cluster count of every mask as well."""
     _check_enum_edges(n_edges)
-    dtype = np.dtype(np.uint8 if n_vertices <= 255 else np.uint16)
+    dtype = np.min_scalar_type(n_vertices)  # holds every label < n_vertices
     _check_budget((1 << n_edges) * (n_vertices * dtype.itemsize + 4),
                   "a label table over %d edges and %d vertices"
                   % (n_edges, n_vertices))
@@ -132,6 +132,23 @@ def _label_table(n_vertices, ends, roots):
                         out=clusters[start:stop])
             np.copyto(part, lo, where=part == hi)
     return cols.T, clusters
+
+
+def _sampled_labels(graph, bc, bits):
+    """scan_configs' labels of the configurations in the rows of bits, by
+    _label_table's rule: from the roots of bc, edge by edge, an open edge
+    rewrites its larger endpoint label to the smaller one, and a closed row
+    is left unchanged. Charged to the budget before it is allocated."""
+    n = graph.n_vertices
+    dtype = np.min_scalar_type(n)
+    _check_budget(len(bits) * n * dtype.itemsize, "labels of %d sampled "
+                  "configurations of %d vertices" % (len(bits), n))
+    cols = np.repeat(np.array(bc.roots(n), dtype)[:, None], len(bits), 1)
+    for (u, v), is_open in zip(graph.edge_ends, np.asarray(bits, bool).T):
+        lo = np.minimum(cols[u], cols[v])
+        hi = np.maximum(cols[u], cols[v])
+        np.copyto(cols, lo, where=(cols == hi) & is_open)
+    return cols.T
 
 
 def scan_configs(graph, bc, leaf=None):
@@ -290,23 +307,28 @@ def boundary_connection_event(graph, bc, x):
                    [ix])[:, 0]
 
 
+def _crossing_sides(graph, rect, direction):
+    """(left, right): the vertex indices on the two sides of rect that an
+    open crossing in direction joins. Refuses a graph with a vertex outside
+    rect."""
+    if direction not in ("horizontal", "vertical"):
+        raise ValueError("direction must be horizontal or vertical")
+    x0, y0, x1, y1 = (int(math.floor(c)) for c in rect)
+    if not all(x0 <= v[0] <= x1 and y0 <= v[1] <= y1 for v in graph.vertices):
+        raise ValueError("crossing_event expects the graph inside rect")
+    axis = 0 if direction == "horizontal" else 1
+    lo, hi = (x0, y0, x1, y1)[axis::2]
+    return ([i for i, v in enumerate(graph.vertices) if v[axis] == lo],
+            [i for i, v in enumerate(graph.vertices) if v[axis] == hi])
+
+
 def crossing_event(graph, rect, direction):
     """Bool array over masks: open crossing of rect (no boundary wiring).
 
     Requires every edge of the graph to lie inside rect, which is the case
     for the crossing rectangles used here.
     """
-    if direction not in ("horizontal", "vertical"):
-        raise ValueError("direction must be horizontal or vertical")
-    x0, y0, x1, y1 = (int(math.floor(c)) for c in rect)
-    inside = [i for i, v in enumerate(graph.vertices)
-              if x0 <= v[0] <= x1 and y0 <= v[1] <= y1]
-    if len(inside) != graph.n_vertices:
-        raise ValueError("crossing_event expects the graph inside rect")
-    axis = 0 if direction == "horizontal" else 1
-    lo, hi = (x0, x1) if axis == 0 else (y0, y1)
-    left = [i for i in inside if graph.vertices[i][axis] == lo]
-    right = [i for i in inside if graph.vertices[i][axis] == hi]
+    left, right = _crossing_sides(graph, rect, direction)
     return _joined(scan_configs(graph, free_bc(graph))[0], left,
                    right).any(axis=1)
 
@@ -516,8 +538,7 @@ def ising_moment(graph, beta, A, plus_boundary=False):
 
 def even_overlap_event(graph, bc, A):
     """Every cluster of omega^xi meets A an even number of times."""
-    idx = [graph.index(x) for x in A]
-    return _even_overlaps(scan_configs(graph, bc)[0], [idx])[0]
+    return all_even_overlap(graph, bc, [A])[0]
 
 
 def _class_counts(cls, n_classes, events):
@@ -649,8 +670,8 @@ def verify_es_coupling(graph, ps, qs, products=None):
     report = {**dict.fromkeys(keys, 0.0), "tol": IDENTITY_TOL, "cases": 0}
     for spin, cluster in _es_sides(graph, ps, qs, prod_idx):
         for key, s, c in zip(keys, spin, cluster):
-            report[key] = max(report[key],
-                              float(np.abs(s - c).max(initial=0.0)))
+            report[key] = float(np.maximum(report[key],
+                                           np.abs(s - c).max(initial=0.0)))
         report["cases"] += 1
     report["ok"] = all(report[key] <= IDENTITY_TOL for key in keys)
     return report
@@ -854,13 +875,15 @@ def mon_scan(graph, q, ps):
         raise ValueError("mon_scan needs two distinct p values, not ps %r"
                          % (list(ps),))
     ps = sorted(set(ps))
-    worst = np.inf
+    for p in ps:
+        _check_pq(p, q)
+    n, gaps = graph.n_edges, []
     for bc in (free_bc(graph), wired_bc(graph)):
-        cps = [cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
+        cls = _mask_classes(cluster_count_array(graph, bc), n)
+        cps = [cylinder_probabilities(_probabilities(p, q, cls, n)[0])[1:]
                for p in ps]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                worst = min(worst, float((cps[j] - cps[i]).min()))
+        gaps += [(hi - lo).min() for lo, hi in itertools.combinations(cps, 2)]
+    worst = float(np.min(gaps))  # np.min keeps a NaN gap; min would drop it
     return {"min_gap": worst, "tol": SCAN_TOL, "ok": bool(worst >= -SCAN_TOL)}
 
 
@@ -889,17 +912,15 @@ def cbc_scan(graph, p, q):
         probability_array(graph, p, q, free_bc(graph)))[1:]
     cp1 = cylinder_probabilities(
         probability_array(graph, p, q, wired_bc(graph)))[1:]
-    boundary = list(graph.boundary())
-    lower = upper = np.inf
-    n_parts = 0
-    for blocks in set_partitions(boundary):
+    gaps = []  # (above free, below wired) per partition
+    for blocks in set_partitions(graph.boundary()):
         cpx = cylinder_probabilities(
             probability_array(graph, p, q, custom_bc(graph, blocks)))[1:]
-        lower = min(lower, float((cpx - cp0).min()))
-        upper = min(upper, float((cp1 - cpx).min()))
-        n_parts += 1
+        gaps.append(((cpx - cp0).min(), (cp1 - cpx).min()))
+    # np.min keeps a NaN gap, which the builtin min would drop
+    lower, upper = (float(g) for g in np.min(gaps, axis=0))
     return {"min_above_free": lower, "min_below_wired": upper,
-            "n_partitions": n_parts, "tol": SCAN_TOL,
+            "n_partitions": len(gaps), "tol": SCAN_TOL,
             "ok": bool(lower >= -SCAN_TOL and upper >= -SCAN_TOL)}
 
 

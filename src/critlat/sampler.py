@@ -32,7 +32,8 @@ its own. Every route gives the boolean a union-find over all open edges
 gives, so the variates consumed, the trajectories and the coupling
 argument above do not depend on which one answers. In coupling from the
 past, a row whose two chains have met sweeps once: equal states driven by
-the same variates stay equal.
+the same variates stay equal. The estimators label their draws with
+oracle._sampled_labels and reduce them as the exact event arrays do.
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ from .lattice import build_rect, cluster_stats, free_bc, wired_bc
 from .oracle import (
     _check_pq,
     _check_spin_q,
+    _crossing_sides,
+    _joined,
     _joined_off_rows,
+    _pair_events,
+    _sampled_labels,
     scan_configs,
     thresholds,
 )
@@ -204,31 +209,6 @@ def _sweep(links, ends, state, lab, u, thr_c, thr_d):
                     lab[v] = side
 
 
-def _connected_batch(graph, bc, bits_batch, src, dst):
-    """Per-row indicator that some src vertex joins some dst vertex.
-
-    One connected-components call on the block-diagonal graph of the batch:
-    row r's open edges join the block roots (bc.roots) of their endpoints,
-    offset by r * n_vertices, and src and dst are read at their roots.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n_rows, n = bits_batch.shape[0], graph.n_vertices
-    root = np.array(bc.roots(n), dtype=np.int32)
-    ends = root[np.array(graph.edge_ends, dtype=np.int32).reshape(-1, 2)]
-    offset = np.arange(0, n_rows * n, n, dtype=np.int32)[:, None]
-    is_open = bits_batch.astype(bool, copy=False)
-    a = (offset + ends[:, 0])[is_open]
-    b = (offset + ends[:, 1])[is_open]
-    adj = csr_matrix((np.ones(a.size), (a, b)), shape=(n_rows * n,) * 2)
-    _, labels = connected_components(adj, directed=False)
-    labels = labels.reshape(n_rows, n)
-    src, dst = root[list(src)], root[list(dst)]
-    hit = labels[:, src][:, :, None] == labels[:, dst][:, None, :]
-    return hit.any(axis=(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # connectivity-off-e tables for the mask-encoded small-graph samplers
 
@@ -301,9 +281,10 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, use_tables=None):
     full = (1 << m) - 1
     if use_tables is None:
         use_tables = m <= TABLE_MAX_EDGES
-    thr = np.where(conn_off_tables(graph, bc), thr_c, thr_d) \
-        if use_tables else None
-    links, ends = _links(graph, bc)
+    if use_tables:
+        thr = np.where(conn_off_tables(graph, bc), thr_c, thr_d)
+    else:
+        thr, (links, ends) = None, _links(graph, bc)
     result = np.zeros((n_samples, m), dtype=np.uint8)
     active = np.arange(n_samples)
     horizon = 1
@@ -482,33 +463,30 @@ def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,
     _check_pq(p, q)
     graph = build_rect((0, nx), (0, ny))
     bc = wired_bc(graph) if bc_kind == "wired" else free_bc(graph)
-    left = [i for i, v in enumerate(graph.vertices) if v[0] == 0]
-    right = [i for i, v in enumerate(graph.vertices) if v[0] == nx]
-    event_bc = free_bc(graph)
+    left, right = _crossing_sides(graph, (0, 0, nx, ny), "horizontal")
+
+    def crossings(bits):
+        labels = _sampled_labels(graph, free_bc(graph), bits)
+        return int(_joined(labels, left, right).any(axis=1).sum())
+
     if q == 1.0:
+        # product draws in chunks of 4096 rows, chunk epoch = rows before it
         _check_draws(n_samples)
-        hits = 0
-        chunk = 4096
-        done = 0
-        while done < n_samples:
-            take = min(chunk, n_samples - done)
-            bits = sweep_uniforms(seed, done, take, graph.n_edges) < p
-            hits += int(_connected_batch(graph, event_bc, bits, left,
-                                         right).sum())
-            done += take
+        hits = sum(crossings(sweep_uniforms(
+            seed, done, min(4096, n_samples - done), graph.n_edges) < p)
+            for done in range(0, n_samples, 4096))
         return binomial_estimate(hits, n_samples, seed, "direct")
     batch = chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
-    hits = int(_connected_batch(graph, event_bc, batch, left, right).sum())
-    return binomial_estimate(hits, n_samples, seed, "chain")
+    return binomial_estimate(crossings(batch), n_samples, seed, "chain")
 
 
 def connect_mc(graph, p, q, bc, x, y, n_samples, seed, method="cftp"):
     """Estimate of phi[x <-> y in omega^xi]."""
-
     ix, iy = graph.index(x), graph.index(y)
     batch = _draw(graph, p, q, bc, seed, n_samples, method, CHAIN_BURN_IN,
                   CHAIN_THIN)
-    hits = int(_connected_batch(graph, bc, batch, [ix], [iy]).sum())
+    labels = _sampled_labels(graph, bc, batch)
+    hits = int(_pair_events(labels, [(ix, iy)])[0].sum())
     return binomial_estimate(hits, n_samples, seed, method)
 
 

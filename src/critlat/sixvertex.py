@@ -722,9 +722,10 @@ def rc6v_verify(N, M, q):
     rhs = q * (Zt / Z6) * (e_knc / Ztot)
     gap = abs(phi_A - rhs) / max(abs(rhs), 1e-300)
     # the orientation sum over loops IS the six-vertex weight, no constant
-    sector_gap = max(abs(sectors.get(m, 0.0) - V.sector_trace(M, m))
-                     / max(V.sector_trace(M, m), 1e-300)
-                     for m in range(2 * N + 1))
+    # np.max keeps a NaN gap that the builtin max would drop
+    sector_gap = float(np.max([abs(sectors.get(m, 0.0) - V.sector_trace(M, m))
+                               / max(V.sector_trace(M, m), 1e-300)
+                               for m in range(2 * N + 1)]))
     return {
         "N": N, "M": M, "q": q, "p": p, "c": c,
         "Z6V": Z6,

@@ -30,6 +30,7 @@ from critlat.oracle import (
     _fkg_search,
     _log_weights,
     _product_columns,
+    _sampled_labels,
     _simplex_dots,
     _superset_transform,
     all_boundary_connection,
@@ -613,6 +614,59 @@ def test_fkg_scan_search_mode():
     assert _fkg_search(SQUARE, 0.5, 2.0) is None
 
 
+def test_mon_scan_builds_one_label_table_per_bc(monkeypatch):
+    from critlat import oracle
+    built, table = [], oracle._label_table
+    monkeypatch.setattr(oracle, "_label_table",
+                        lambda *args: built.append(args) or table(*args))
+    assert mon_scan(RECT7, 2.0, [0.3, 0.5, 0.7])["ok"]
+    assert len(built) == 2  # free and wired, not one per (bc, p)
+
+
+def _nan_in_cylinders(monkeypatch):
+    """Put a NaN at one cylinder of every cylinder_probabilities call."""
+    from critlat import oracle
+    cylinders = oracle.cylinder_probabilities
+
+    def with_nan(prob):
+        out = cylinders(prob)
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(oracle, "cylinder_probabilities", with_nan)
+
+
+def test_mon_scan_fails_on_a_nan_gap(monkeypatch):
+    # the builtin min(inf, nan) is inf, which passed as min_gap
+    _nan_in_cylinders(monkeypatch)
+    r = mon_scan(SQUARE, 2.0, [0.2, 0.5, 0.8])
+    assert math.isnan(r["min_gap"]) and not r["ok"]
+
+
+def test_cbc_scan_fails_on_a_nan_gap(monkeypatch):
+    _nan_in_cylinders(monkeypatch)
+    r = cbc_scan(SQUARE, 0.45, 2.0)
+    assert math.isnan(r["min_above_free"]) and not r["ok"]
+    assert r["n_partitions"] == 15
+
+
+def test_es_coupling_fails_on_a_nan_residual(monkeypatch):
+    # a NaN after the first case, which the builtin max dropped
+    from critlat import oracle
+    sides = oracle._es_sides
+
+    def nan_in_second_case(*args):
+        for i, (spin, cluster) in enumerate(sides(*args)):
+            if i == 1:
+                spin[0] = np.full_like(spin[0], np.nan)
+            yield spin, cluster
+
+    monkeypatch.setattr(oracle, "_es_sides", nan_in_second_case)
+    report = verify_es_coupling(SQUARE, [0.3, 0.6], [2])
+    assert report["cases"] == 2
+    assert math.isnan(report["pair_max_err"]) and not report["ok"]
+
+
 def test_mon_scan():
     for q in (1.0, 2.0, 3.5):
         r = mon_scan(SQUARE, q, [0.2, 0.5, 0.8])
@@ -703,6 +757,43 @@ def test_label_table_matches_cluster_stats(g, bc):
         k, lab = cluster_stats(g, _bits(mask, g.n_edges), bc)
         assert tuple(int(x) for x in labels[mask]) == lab
         assert counts[mask] == k
+
+
+def _all_mask_bits(n_edges):
+    return (np.arange(1 << n_edges)[:, None] >> np.arange(n_edges)) & 1
+
+
+@pytest.mark.parametrize("g,bc", list(_engine_cases()) + [
+    (RECT17, free_bc(RECT17)), (RECT17, wired_bc(RECT17)),
+    (RECT17, dobrushin_bc(RECT17, (0, 0), (3, 2)))])
+def test_sampled_labels_equal_the_label_table(g, bc):
+    got = _sampled_labels(g, bc, _all_mask_bits(g.n_edges))
+    want = scan_configs(g, bc)[0]
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_sampled_labels_widen_past_255_vertices():
+    g = build_rect((0, 16), (0, 15))
+    assert g.n_vertices == 272
+    bc = wired_bc(g)
+    bits = (np.random.default_rng(5).random((3, g.n_edges)) < 0.5)
+    labels = _sampled_labels(g, bc, bits)
+    assert labels.dtype == np.uint16
+    for row, lab in zip(bits, labels):
+        assert tuple(int(x) for x in lab) == cluster_stats(g, row, bc)[1]
+
+
+def test_sampled_labels_refused_before_allocating(monkeypatch):
+    # one uint8 label per vertex and row: 100,000 rows of RECT17's 12
+    # vertices fill the lowered budget exactly, one more row is refused
+    from critlat import oracle
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 12 * 100_000)
+    bc = free_bc(RECT17)
+    bits = np.ones((100_001, RECT17.n_edges), dtype=np.uint8)
+    assert _sampled_labels(RECT17, bc, bits[1:]).shape == (100_000, 12)
+    _refused_before_allocating(lambda: _sampled_labels(RECT17, bc, bits),
+                               "100001 sampled configurations")
 
 
 def _per_mask_probabilities(g, bc, p, q):

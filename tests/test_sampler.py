@@ -22,6 +22,7 @@ from critlat.lattice import (
     wired_bc,
 )
 from critlat.oracle import (
+    _sampled_labels,
     connectivity_event,
     crossing_event,
     cylinder_event,
@@ -31,7 +32,6 @@ from critlat.oracle import (
 from critlat.sampler import (
     TABLE_MAX_EDGES,
     _clusters,
-    _connected_batch,
     _cut_side,
     _links,
     _sweep,
@@ -479,18 +479,27 @@ def test_cftp_non_table_draws_each_sweep_once(monkeypatch):
 
 
 @pytest.mark.parametrize("bc_kind", ["free", "wired", "dobrushin"])
-def test_connected_batch_matches_cluster_stats(bc_kind):
+def test_sampled_labels_match_cluster_stats(bc_kind):
     g = build_rect((0, 3), (0, 2))
     bc = {"free": free_bc(g), "wired": wired_bc(g),
           "dobrushin": dobrushin_bc(g, (0, 0), (3, 2))}[bc_kind]
     bits = (sweep_uniforms(3, 0, 300, g.n_edges) < 0.45).astype(np.uint8)
-    pairs = [([0], [g.n_vertices - 1]), ([1, 2], [9, 10, 11]), ([5], [5])]
-    for src, dst in pairs:
-        got = _connected_batch(g, bc, bits, src, dst)
-        for row, hit in zip(bits, got):
-            _, labels = cluster_stats(g, tuple(row), bc)
-            expect = any(labels[s] == labels[d] for s in src for d in dst)
-            assert hit == expect
+    labels = _sampled_labels(g, bc, bits)
+    assert labels.shape == (300, g.n_vertices)
+    for row, lab in zip(bits, labels):
+        _, expect = cluster_stats(g, tuple(row), bc)
+        assert tuple(int(x) for x in lab) == expect
+
+
+def test_cftp_table_path_builds_no_links(monkeypatch):
+    def refuse(graph, bc):
+        raise AssertionError("_links read")
+
+    monkeypatch.setattr(sampler, "_links", refuse)
+    bc = free_bc(SQUARE)
+    cftp_batch(SQUARE, 0.5, 2.0, bc, 1, 5, use_tables=True)
+    with pytest.raises(AssertionError, match="_links read"):
+        cftp_batch(SQUARE, 0.5, 2.0, bc, 1, 5, use_tables=False)
 
 
 def test_bits_to_masks_refuses_past_63_columns():

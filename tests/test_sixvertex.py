@@ -579,6 +579,19 @@ def test_rc6v_verify_smallest_torus():
     assert rep["knc_partition_gap"] > 1e-3
 
 
+def test_rc6v_verify_sector_gap_keeps_a_nan(monkeypatch):
+    # a NaN past the first sector, which the builtin max dropped
+    sectors = sixvertex._oriented_sectors
+
+    def nan_sector(N, table, q, rows=slice(None)):
+        out = sectors(N, table, q, rows)
+        out[2] = math.nan
+        return out
+
+    monkeypatch.setattr(sixvertex, "_oriented_sectors", nan_sector)
+    assert math.isnan(rc6v_verify(2, 2, 6.25)["oriented_sector_gap"])
+
+
 def test_rc6v_verify_integer_q():
     # an integer q once failed at q ** -s on an integer array
     rep, want = rc6v_verify(2, 2, 25), rc6v_verify(2, 2, 25.0)
