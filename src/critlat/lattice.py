@@ -45,12 +45,13 @@ each reads the contraction bc.roots instead of adding links for the wiring:
   (sampler._cut_side) for an open edge that may close, 3.6x faster per
   box(3) sweep than the BFS on every edge; on at most 12 edges,
   sampler.conn_off_tables, read from the all-mask label table below;
-* all 2^|E| masks: oracle._label_table, whose mask-0 row is the roots, and
-  sampled batches by the same rule, oracle._sampled_labels (4.6 ms against
-  8.9 ms for a scipy connected-components call on 4096 rows of the 31-edge
-  5x4-vertex rectangle, 2-core x86_64 host);
-* all masks on the torus cover: sixvertex._lifted_table, checked against
-  a depth-first lift of one mask at a time in tests/reference.py.
+* all 2^|E| masks: oracle._fill_masks, with one link rule per table:
+  oracle._label_table, whose mask-0 row is the roots, and
+  sixvertex._lifted_table on the torus cover, checked against a depth-first
+  lift of one mask at a time in tests/reference.py;
+* sampled batches by the label table's rule, oracle._sampled_labels (4.6 ms
+  against 8.9 ms for a scipy connected-components call on 4096 rows of the
+  31-edge 5x4-vertex rectangle, 2-core x86_64 host).
 UnionFind stays as the reference the tests compare against. An open
 crossing of a rectangle is one more connectivity event, with no primitive of
 its own: oracle.crossing_event reads it from the label table, and

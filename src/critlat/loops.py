@@ -93,9 +93,9 @@ def edge_direction(edge):
 _WALK_CHUNK = 1 << 15
 _WALK_BYTES = 96
 
-# bytes per configuration of the probabilities: open and cluster counts
-# (int32) and three float64 arrays while the log-weights are summed
-_PROB_BYTES = 32
+# bytes per configuration of the probabilities: the int32 weight classes,
+# with numpy's intp copy of them in bincount or the float64 probabilities
+_PROB_BYTES = 12
 
 
 def _lockstep_field(table, masks, prob, sigma):

@@ -7,10 +7,10 @@ samplers, observables and transfer matrices are tested against.
 Edge configurations are enumerated into one label table per (graph, bc):
 labels[mask, v] is the smallest vertex index in the cluster of v in
 omega^xi, the convention of lattice.cluster_stats, and bit k of mask is the
-state of edge k. The table is built edge by edge: the rows of the 2^k masks
-over edges < k are copied to the next 2^k rows, where edge k is open, and
-there the larger endpoint label of edge k is rewritten to the smaller one,
-which lowers the cluster count built alongside by one. Every event array
+state of edge k. _fill_masks builds it edge by edge: the rows of the 2^k
+masks over edges < k are copied to the next 2^k rows, where edge k is open,
+the larger endpoint label of edge k is rewritten to the smaller one there,
+and the weight class k (|E| + 1) + o is built alongside. Every event array
 is a numpy reduction over the labels. Each label or colouring table is
 sized before it is allocated and refused past MAX_TABLE_BYTES.
 
@@ -87,7 +87,7 @@ def _check_edges(graph, edges):
 
 def _label_dtype(n_edges, n_vertices):
     """dtype of a label table, after refusing one past the caps; the budget
-    charges the int32 cluster count of every mask as well."""
+    charges the int32 weight class of every mask as well."""
     _check_enum_edges(n_edges)
     dtype = np.min_scalar_type(n_vertices)  # holds every label < n_vertices
     _check_budget((1 << n_edges) * (n_vertices * dtype.itemsize + 4),
@@ -108,30 +108,47 @@ def _copy_half(table, half):
         row[half:2 * half] = row[:half]
 
 
+def _fill_masks(n_links, tables, classes, link):
+    """Fill tables, masks on the last axis, from mask 0: for link k, copy
+    the 2^k masks over links < k to the next 2^k, where k is open, and call
+    link(k, rows) on at most _MERGE_MASKS copies of each table at a time; it
+    applies the link and returns where it joined two components. classes[0]
+    (the component count of mask 0) grows into each mask's weight class
+    k (n_links + 1) + o: +1 per open link, -(n_links + 1) more per join."""
+    step = n_links + 1
+    classes[0] *= step
+    for k in range(n_links):
+        half = 1 << k
+        for table in tables:
+            _copy_half(table, half)
+        for start in range(half, 2 * half, _MERGE_MASKS):
+            stop = min(start + _MERGE_MASKS, 2 * half)
+            joined = link(k, [t[..., start:stop] for t in tables])
+            out = classes[start:stop]
+            np.multiply(joined, -step, out=out, dtype=out.dtype)
+            out += classes[start - half:stop - half]
+            out += 1
+
+
 def _label_table(n_vertices, ends, roots):
-    """scan_configs' (labels, clusters) for edges ends[k] = (u, v) indices
-    and vertex v identified with roots[v] (the contraction of
-    BoundaryCondition.roots). The labels are stored vertex by vertex (a
-    transposed view), so every column is contiguous."""
+    """scan_configs' (labels, classes) for edges ends[k] = (u, v) and vertex
+    v identified with roots[v], the labels stored vertex by vertex (a
+    transposed view) so that every column is contiguous."""
     n_masks = 1 << len(ends)
     cols = np.empty((n_vertices, n_masks),
                     dtype=_label_dtype(len(ends), n_vertices))
-    clusters = np.empty(n_masks, dtype=np.int32)
+    classes = np.empty(n_masks, dtype=np.int32)
     cols[:, 0] = roots
-    clusters[0] = sum(r == v for v, r in enumerate(roots))
-    for k, (u, v) in enumerate(ends):
-        half = 1 << k
-        _copy_half(cols, half)
-        for start in range(half, 2 * half, _MERGE_MASKS):
-            stop = min(start + _MERGE_MASKS, 2 * half)
-            part = cols[:, start:stop]
-            lo = np.minimum(part[u], part[v])
-            hi = np.maximum(part[u], part[v])
-            # the count of mask minus edge k, less one where k joins two
-            np.subtract(clusters[start - half:stop - half], lo != hi,
-                        out=clusters[start:stop])
-            np.copyto(part, lo, where=part == hi)
-    return cols.T, clusters
+    classes[0] = sum(r == v for v, r in enumerate(roots))
+
+    def link(k, rows):
+        part, (u, v) = rows[0], ends[k]
+        lo, hi = np.minimum(part[u], part[v]), np.maximum(part[u], part[v])
+        np.copyto(part, lo, where=part == hi)
+        return lo != hi
+
+    _fill_masks(len(ends), [cols], classes, link)
+    return cols.T, classes
 
 
 def _sampled_labels(graph, bc, bits):
@@ -152,25 +169,26 @@ def _sampled_labels(graph, bc, bits):
 
 
 def scan_configs(graph, bc, leaf=None):
-    """The label table and cluster counts of all 2^|E| configurations of
+    """The label table and weight classes of all 2^|E| configurations of
     graph under bc, built in one pass.
 
-    Returns (labels, clusters): labels[mask, v] is the smallest vertex index
+    Returns (labels, classes): labels[mask, v] is the smallest vertex index
     in the cluster of v in omega^xi, with bit k of mask the state of edge k,
-    and clusters[mask] = k(omega^xi) as int32. leaf(mask, labels[mask]), if
-    given, is called once per configuration in mask order.
+    and classes[mask] = k(omega^xi) (|E| + 1) + o(omega) as int32.
+    leaf(mask, labels[mask]), if given, is called once per configuration in
+    mask order.
     """
-    labels, clusters = _label_table(graph.n_vertices, graph.edge_ends,
-                                    bc.roots(graph.n_vertices))
+    labels, classes = _label_table(graph.n_vertices, graph.edge_ends,
+                                   bc.roots(graph.n_vertices))
     if leaf is not None:
         for mask, row in enumerate(labels):
             leaf(mask, row)
-    return labels, clusters
+    return labels, classes
 
 
 def cluster_count_array(graph, bc):
-    """k(omega^xi) for every configuration mask."""
-    return scan_configs(graph, bc)[1]
+    """k(omega^xi), as int32, for every configuration mask."""
+    return scan_configs(graph, bc)[1] // (graph.n_edges + 1)
 
 
 def open_count_array(n_edges):
@@ -210,14 +228,6 @@ def _class_grid(n_edges, n_classes):
     return o, k
 
 
-def _mask_classes(clusters, n_edges):
-    """The weight class k (n_edges + 1) + o of every mask, from its cluster
-    count k; o is the popcount of the mask."""
-    cls = clusters * (n_edges + 1)
-    cls += open_count_array(n_edges)
-    return cls
-
-
 def _class_sums(p, q, cls, n_edges):
     """(log_w, log Z) of the masks with weight classes cls: _log_weights on
     the class grid up to the largest class, and the log-sum-exp of log_w
@@ -244,15 +254,13 @@ def partition_function(graph, p, q, bc):
 
 def log_partition_function(graph, p, q, bc):
     _check_pq(p, q)
-    cls = _mask_classes(cluster_count_array(graph, bc), graph.n_edges)
-    return _class_sums(p, q, cls, graph.n_edges)[1]
+    return _class_sums(p, q, scan_configs(graph, bc)[1], graph.n_edges)[1]
 
 
 def probability_array(graph, p, q, bc):
     """Normalized random-cluster probabilities of all configurations."""
     _check_pq(p, q)
-    cls = _mask_classes(cluster_count_array(graph, bc), graph.n_edges)
-    return _probabilities(p, q, cls, graph.n_edges)[0]
+    return _probabilities(p, q, scan_configs(graph, bc)[1], graph.n_edges)[0]
 
 
 def rc_expectation(graph, p, q, bc, values):
@@ -404,8 +412,7 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     _check_pq(p, q)
     _check_edges(graph, [edge_k])
     n = graph.n_edges
-    labels, clusters = scan_configs(graph, bc)
-    cls = _mask_classes(clusters, n)
+    labels, cls = scan_configs(graph, bc)
     lw = _class_sums(p, q, cls, n)[0]
     bit = 1 << edge_k
     masks = np.arange(1 << n, dtype=np.int64)
@@ -583,18 +590,16 @@ def _es_sides(graph, ps, qs, prod_idx):
     n_classes = (n_edges + 1) * (n + 1)
     o_cls, k_cls = _class_grid(n_edges, n_classes)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels, clusters = scan_configs(graph, free_bc(graph))
-    free_counts = _class_counts(
-        _mask_classes(clusters, n_edges), n_classes, itertools.chain(
-            (labels[:, i] == labels[:, j] for i, j in pairs),
-            (_even_overlaps(labels, [ids])[0] for ids in prod_idx)))
-    del labels, clusters  # before the wired table is built
-    labels, clusters = scan_configs(graph, wired_bc(graph))
+    labels, cls = scan_configs(graph, free_bc(graph))
+    free_counts = _class_counts(cls, n_classes, itertools.chain(
+        (labels[:, i] == labels[:, j] for i, j in pairs),
+        (_even_overlaps(labels, [ids])[0] for ids in prod_idx)))
+    del labels, cls  # before the wired table is built
+    labels, cls = scan_configs(graph, wired_bc(graph))
     b = graph.boundary_indices[0]
     wired_counts = _class_counts(
-        _mask_classes(clusters, n_edges), n_classes,
-        (labels[:, i] == labels[:, b] for i in range(n)))
-    del labels, clusters
+        cls, n_classes, (labels[:, i] == labels[:, b] for i in range(n)))
+    del labels, cls
 
     # spin side: the free colorings with vertex 0 colored 0, q^(|V|-1) of
     # them, which the free weights and the pair events do not tell from
@@ -700,35 +705,8 @@ def dual_cluster_count_array(graph):
     ends = [(index[f], index[g]) for f, g in dual.edges]
     # dual edge k is open iff primal edge k is closed, so the dual mask of
     # primal mask is 2^|E| - 1 - mask: the dual counts read backwards
-    return _label_table(len(dual.vertices), ends,
-                        range(len(dual.vertices)))[1][::-1]
-
-
-def _duality_sums(graph, p, q):
-    """(prob0, prob_dual, log_z1, log_predicted) from one primal and one
-    separate dual table: the free primal probabilities, the probabilities of
-    the dual configurations under the wired dual weights, log of the dual
-    partition function Z1 and of its prediction Z0 q^f_b ((1-p*)/p)^|E|.
-
-    Checks k0(w) = |V| - o(w) + k*(w*) - 1 at every configuration first.
-    """
-    n = graph.n_edges
-    k0 = cluster_count_array(graph, free_bc(graph))
-    o = open_count_array(n)
-    kstar = dual_cluster_count_array(graph)
-    bad = np.nonzero(k0 != graph.n_vertices - o + kstar - 1)[0]
-    if bad.size:
-        raise AssertionError("Euler cluster identity failed at %d" % bad[0])
-    p_star = p_dual(p, q)
-    prob0, log_z0 = _probabilities(p, q, _mask_classes(k0, n), n)
-    # the dual mask of primal mask is 2^|E| - 1 - mask (see
-    # dual_cluster_count_array), so the dual classes read backwards too
-    prob_dual, log_z1 = _probabilities(
-        p_star, q, _mask_classes(kstar[::-1], n)[::-1], n)
-    f_bounded = 1 + n - graph.n_vertices
-    log_predicted = (log_z0 + f_bounded * math.log(q)
-                     + n * math.log((1.0 - p_star) / p))
-    return prob0, prob_dual, log_z1, log_predicted
+    n = len(index)
+    return (_label_table(n, ends, range(n))[1] // (len(ends) + 1))[::-1]
 
 
 def verify_duality(graph, p, q):
@@ -738,17 +716,42 @@ def verify_duality(graph, p, q):
     (the dual graph carries the outer face as an ordinary vertex, which is
     the wired count) plus the partition-function relation
     Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{f_b} ((1-p*)/p)^{|E|}, with f_b the
-    number of bounded faces; returns a report. Refuses p outside (0, 1] and
-    q <= 0; p = 1 is the point mass on the all-open configuration.
+    number of bounded faces; returns a report. Checks Euler's relation
+    k0(w) = |V| - o(w) + k*(w*) - 1 at every configuration first. Refuses p
+    outside (0, 1] and q <= 0; p = 1 is the point mass on the all-open
+    configuration.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("duality needs p in (0, 1], not %r" % (p,))
     if not q > 0.0:
         raise ValueError("q must be > 0, not %r" % (q,))
-    prob0, prob_dual, log_z1, log_predicted = _duality_sums(graph, p, q)
-    config_err = float(np.abs(prob0 - prob_dual).max())
+    n, n_vertices = graph.n_edges, graph.n_vertices
+    _check_enum_edges(n)
+    # per mask, the most of: the primal table (uint8 labels, int32 classes);
+    # the primal classes and the dual table (2 + |E| - |V| faces); and the
+    # int32 dual classes, one float64 probability array, and either numpy's
+    # intp copy of the classes in bincount or the second float64 array
+    _check_budget((1 << n) * max(n_vertices + 4, n - n_vertices + 10, 20),
+                  "the duality check over %d edges" % n)
+    cls = scan_configs(graph, free_bc(graph))[1]
+    kstar = dual_cluster_count_array(graph)
+    o = cls % (n + 1)
+    bad = np.flatnonzero(cls // (n + 1) + o - kstar != n_vertices - 1)
+    if bad.size:
+        raise AssertionError("Euler cluster identity failed at %d" % bad[0])
+    # the dual of mask has kstar[mask] clusters and n - o open edges
+    kstar *= n + 1
+    kstar += n - o
+    prob, log_z0 = _probabilities(p, q, cls, n)
+    del cls, o
+    p_star = p_dual(p, q)
+    prob_dual, log_z1 = _probabilities(p_star, q, kstar, n)
+    prob -= prob_dual
+    config_err = float(np.abs(prob, out=prob).max())
+    log_predicted = (log_z0 + (1 + n - n_vertices) * math.log(q)
+                     + n * math.log((1.0 - p_star) / p))
     z_rel = abs(math.expm1(log_predicted - log_z1))
-    return {"p_star": p_dual(p, q), "config_max_err": config_err,
+    return {"p_star": p_star, "config_max_err": config_err,
             "z_rel_err": z_rel, "tol": IDENTITY_TOL,
             "ok": config_err <= IDENTITY_TOL and z_rel <= IDENTITY_TOL}
 
@@ -879,7 +882,7 @@ def mon_scan(graph, q, ps):
         _check_pq(p, q)
     n, gaps = graph.n_edges, []
     for bc in (free_bc(graph), wired_bc(graph)):
-        cls = _mask_classes(cluster_count_array(graph, bc), n)
+        cls = scan_configs(graph, bc)[1]
         cps = [cylinder_probabilities(_probabilities(p, q, cls, n)[0])[1:]
                for p in ps]
         gaps += [(hi - lo).min() for lo, hi in itertools.combinations(cps, 2)]
@@ -908,14 +911,16 @@ def cbc_scan(graph, p, q):
     """
     if q < 1.0:
         raise ValueError("boundary comparison needs q >= 1")
-    cp0 = cylinder_probabilities(
-        probability_array(graph, p, q, free_bc(graph)))[1:]
-    cp1 = cylinder_probabilities(
-        probability_array(graph, p, q, wired_bc(graph)))[1:]
-    gaps = []  # (above free, below wired) per partition
-    for blocks in set_partitions(graph.boundary()):
-        cpx = cylinder_probabilities(
-            probability_array(graph, p, q, custom_bc(graph, blocks)))[1:]
+
+    def cylinders(bc):
+        return cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
+
+    cp0, cp1 = cylinders(free_bc(graph)), cylinders(wired_bc(graph))
+    gaps, boundary = [], graph.boundary()  # (above free, below wired) each
+    for blocks in set_partitions(boundary):
+        # all singletons are the free condition, and one block the wired one
+        cpx = (cp0 if len(blocks) == len(boundary) else cp1 if len(blocks) == 1
+               else cylinders(custom_bc(graph, blocks)))
         gaps.append(((cpx - cp0).min(), (cp1 - cpx).min()))
     # np.min keeps a NaN gap, which the builtin min would drop
     lower, upper = (float(g) for g in np.min(gaps, axis=0))
@@ -940,9 +945,8 @@ def phi_sum(S, p, d=2):
     if origin not in g.vertex_index:
         raise ValueError("S must contain the origin")
     # P[0 <-> x in S] for all x, from one label table
-    labels, clusters = scan_configs(g, free_bc(g))
-    prob, _ = _probabilities(p, 1.0, _mask_classes(clusters, g.n_edges),
-                             g.n_edges)
+    labels, cls = scan_configs(g, free_bc(g))
+    prob, _ = _probabilities(p, 1.0, cls, g.n_edges)
     root = labels[:, g.index(origin)]
     # x has 2d - deg(x) lattice neighbours outside S
     total = sum((2 * d - len(nbrs)) * float(prob[labels[:, i] == root].sum())

@@ -71,19 +71,19 @@ six-vertex sector sums exactly (oriented_sector_sums), which is the
 mechanism behind rc6v_verify.
 
 One pass over torus configurations.  TorusRc.census_table builds one lifted
-label table over all 2^E bond masks at once, in the mask order of
-oracle._label_table: bond by bond, the rows of the masks over earlier bonds
-are copied and the bond's link is applied to the copy.  Each node carries
-its label and its offset from the labelling node in the universal cover; a
-merge rewrites the larger label and shifts the rewritten offsets, and a
-link inside one component closes a cycle whose displacement is a winding
-class.  Per mask it keeps the first nonzero class and whether a later one
-is not parallel to it, which give the winding rank.  The primal counts, the
-open-bond count and the rank give every dual and loop column (census_table),
-so neither a dual nor a medial table is built.  rc6v_verify,
-loop_weight_constant and oriented_sector_sums read the census through the
-same two reductions, _loop_constant and _oriented_sectors; the orientation
-sum over l0 parallel loops is a binomial.  The package has no second,
+label table over all 2^E bond masks with oracle._fill_masks, the builder of
+the oracle's label table: bond by bond, the rows of the masks over earlier
+bonds are copied, the bond's link is applied to the copy and the weight
+class k (E + 1) + o is built alongside.  Each node carries its label and its
+offset from the labelling node in the universal cover; a merge rewrites the
+larger label and shifts the rewritten offsets, and a link inside one
+component closes a cycle whose displacement is a winding class.  Per mask it
+keeps the first nonzero class and whether a later one is not parallel to
+it, which give the winding rank.  The weight class and the rank give every
+dual and loop column (census_table), so neither a dual nor a medial table is
+built.  rc6v_verify, loop_weight_constant and oriented_sector_sums read the
+census through _loop_constant and _oriented_sectors; the orientation sum
+over l0 parallel loops is a binomial.  The package has no second,
 per-configuration census: the tests check the table against a depth-first
 lift of both sides, on dual bonds of their own, and a loop walk of one mask
 at a time (tests/reference.py).
@@ -98,13 +98,10 @@ import mpmath
 import numpy as np
 
 from .oracle import (
-    _MERGE_MASKS,
     _check_budget,
     _check_enum_edges,
     _class_sums,
-    _copy_half,
-    _mask_classes,
-    open_count_array,
+    _fill_masks,
     p_self_dual,
 )
 
@@ -461,9 +458,8 @@ def _lifted_table(n_nodes, links, period):
     """Per-mask cluster census of a graph lifted to the universal cover.
 
     links[k] = (a, b, du, dv) puts node b at node a plus (du, dv) where bit
-    k of the mask is set; period = (pu, pv).  The table is built like
-    oracle._label_table: the rows of the 2^k masks over links < k are
-    copied to the next 2^k rows, and link k is applied to the second half.
+    k of the mask is set; period = (pu, pv).  oracle._fill_masks fills the
+    table, link k applied to the copied rows of the masks over links < k.
     Every node carries its label (the smallest node of its component), its
     offset from that node in the cover and a flag, set once its component
     closes a cycle of displacement g != 0.  A link between two components
@@ -471,9 +467,9 @@ def _lifted_table(n_nodes, links, period):
     and ors the flags; a link inside one component closes a cycle, whose g
     is a multiple of the period.  Per mask the table keeps the class
     g / period of the first closure with g != 0 and a net bit, set once a
-    later closure is not parallel to it.  Returns per-mask arrays:
-    components, components with some g != 0, the first class (int8, shape
-    (2, masks), zero where nothing winds) and the net bits.
+    later closure is not parallel to it.  Returns per mask the weight class,
+    the components with some g != 0, the first class (int8, shape (2,
+    masks), zero where nothing winds) and the net bit.
     """
     n_masks = 1 << len(links)
     pu, pv = period
@@ -482,10 +478,13 @@ def _lifted_table(n_nodes, links, period):
     flag = np.zeros((n_nodes, n_masks), dtype=bool)
     first = np.zeros((2, n_masks), dtype=np.int8)
     net = np.zeros(n_masks, dtype=bool)
+    classes = np.empty(n_masks, dtype=np.int32)
     lab[:, 0] = np.arange(n_nodes)
+    classes[0] = n_nodes
 
-    def link(sl, a, b, du, dv):
-        L, F, U, V = lab[:, sl], flag[:, sl], off[0, :, sl], off[1, :, sl]
+    def link(k, rows):
+        a, b, du, dv = links[k]
+        L, (U, V), F, first_k, net_k = rows
         la, lb = L[a].copy(), L[b].copy()
         gu = U[a] + du - U[b]
         gv = V[a] + dv - V[b]
@@ -497,11 +496,11 @@ def _lifted_table(n_nodes, links, period):
         hit = shut[nz]
         cu, cv = cu[nz] // pu, cv[nz] // pv
         F[la[hit], hit] = True
-        fu, fv = first[0, sl][hit], first[1, sl][hit]
+        fu, fv = first_k[0][hit], first_k[1][hit]
         new = (fu == 0) & (fv == 0)
-        first[0, sl][hit[new]] = cu[new]
-        first[1, sl][hit[new]] = cv[new]
-        net[sl][hit] |= fu * cv != fv * cu
+        first_k[0][hit[new]] = cu[new]
+        first_k[1][hit[new]] = cv[new]
+        net_k[hit] |= fu * cv != fv * cu
         # merge: the component of the larger label moves by +-g onto the
         # other; a closed row rewrites its own label, shifted by 0
         lo, hi = np.minimum(la, lb), np.maximum(la, lb)
@@ -514,19 +513,12 @@ def _lifted_table(n_nodes, links, period):
         np.add(V, sign * gv, out=V, where=sel)
         cols = np.arange(L.shape[1])
         F[lo, cols] |= F[hi, cols]
+        return ~same
 
-    for k, (a, b, du, dv) in enumerate(links):
-        half = 1 << k
-        for arr in (lab, off, flag, first, net):
-            _copy_half(arr, half)
-        for start in range(half, 2 * half, _MERGE_MASKS):
-            link(slice(start, min(start + _MERGE_MASKS, 2 * half)), a, b, du, dv)
+    _fill_masks(len(links), [lab, off, flag, first, net], classes, link)
     del off
-    root = lab == np.arange(n_nodes)[:, None]
-    del lab
-    comps = root.sum(axis=0)
-    root &= flag
-    return comps, root.sum(axis=0), first, net
+    flag &= lab == np.arange(n_nodes)[:, None]
+    return classes, flag.sum(axis=0), first, net
 
 
 class TorusRc:
@@ -562,34 +554,36 @@ class TorusRc:
     def census_table(self):
         """Cluster, dual-cluster and loop census of every bond mask at once.
 
-        One lifted table (_lifted_table) gives per mask the cluster count k,
-        the non-retractible clusters and the winding rank r of the clusters:
+        One lifted table (_lifted_table) gives per mask the weight class
+        k (E + 1) + o ("classes": k clusters, o open bonds), the
+        non-retractible clusters and the winding rank r of the clusters:
         0 when none winds (the dual clusters hold a net), 1 when they wind
         in parallel (as many dual clusters wind between them, in the same
-        class), 2 when they hold a net.  The rest follows from r and the
-        open-bond count o: dual_clusters = o - |V| + k + 1 - r (Euler on the
-        torus); the dual winding counts are 1 at r = 0, the primal ones at
-        r = 1 and 0 at r = 2; loops = 2k + o - |V| - 2 [r = 2], of which 2
-        nonretractible at r = 1, of the first closure's |alpha|.  The tests
-        check every column against per-mask walks of both sides and of the
-        loops.  Table and census are sized against the byte budget first.
+        class), 2 when they hold a net.  The rest follows from r, k and o:
+        dual_clusters = o - |V| + k + 1 - r (Euler on the torus); the dual
+        winding counts are 1 at r = 0, the primal ones at r = 1 and 0 at
+        r = 2; loops = 2k + o - |V| - 2 [r = 2], of which 2 nonretractible at
+        r = 1, of the first closure's |alpha|.  The tests check every column
+        against per-mask walks of both sides and of the loops.  Table and
+        census are sized against the byte budget first.
         """
         E = self.n_edges
         _check_enum_edges(E)
-        # per mask, the table holds a label byte, two int16 offsets and a
-        # flag byte per site, two class bytes and a net byte; the census
-        # holds its nine int64 columns, the class and net bytes, a rank byte,
-        # an int32 open count and a bool temporary, the larger under the
-        # edge cap (at most 13 sites)
-        _check_budget((1 << E) * max(6 * self.n_sites + 3, 81), "the torus "
+        # per mask, the larger under the edge cap (at most 13 sites) of the
+        # table (per site a label, a flag and two int16 offsets; two
+        # winding-class bytes, a net byte, the int32 weight class) and the
+        # census (nine int64 columns, the weight class, the int64 open
+        # count, the winding-class, net and rank bytes, a bool temporary)
+        _check_budget((1 << E) * max(6 * self.n_sites + 7, 89), "the torus "
                       "census over %d bonds and %d sites" % (E, self.n_sites))
-        comps, wound, first, net = _lifted_table(
+        classes, wound, first, net = _lifted_table(
             self.n_sites, self.edges, (self.M, self.P))
+        comps, o = np.divmod(classes, E + 1, dtype=np.int64)
         rank = (wound > 0).astype(np.int8)
         rank += net
-        o = open_count_array(E)
         ne = wound * ((first[0] != 0) | net)
         return {
+            "classes": classes,
             "clusters": comps,
             "nonretractible": wound,
             "winding_ne": ne,
@@ -638,7 +632,7 @@ def _loop_constant(table, q, w):
 def _rc_weights(rc, table, q, p):
     """w_RC = p^open (1-p)^closed q^clusters of every bond mask, evaluated
     once per weight class and gathered back by class."""
-    cls = _mask_classes(table["clusters"], rc.n_edges)
+    cls = table["classes"]
     return np.exp(_class_sums(p, q, cls, rc.n_edges)[0])[cls]
 
 

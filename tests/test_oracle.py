@@ -614,6 +614,17 @@ def test_fkg_scan_search_mode():
     assert _fkg_search(SQUARE, 0.5, 2.0) is None
 
 
+def test_cbc_scan_builds_one_label_table_per_partition(monkeypatch):
+    from critlat import oracle
+    built, table = [], oracle._label_table
+    monkeypatch.setattr(oracle, "_label_table",
+                        lambda *args: built.append(args) or table(*args))
+    report = cbc_scan(RECT7, 0.45, 2.5)
+    assert report["ok"] and report["n_partitions"] == 203
+    # the free and wired tables serve the singleton and one-block partitions
+    assert len(built) == 203
+
+
 def test_mon_scan_builds_one_label_table_per_bc(monkeypatch):
     from critlat import oracle
     built, table = [], oracle._label_table
@@ -752,11 +763,13 @@ def test_label_table_matches_cluster_stats(g, bc):
     assert seen == list(range(1 << g.n_edges))
     assert labels.shape == (1 << g.n_edges, g.n_vertices)
     assert counts.dtype == np.int32
-    assert np.array_equal(cluster_count_array(g, bc), counts)
+    assert np.array_equal(cluster_count_array(g, bc),
+                          counts // (g.n_edges + 1))
     for mask in range(1 << g.n_edges):
         k, lab = cluster_stats(g, _bits(mask, g.n_edges), bc)
         assert tuple(int(x) for x in labels[mask]) == lab
-        assert counts[mask] == k
+        # the weight class k (|E| + 1) + o
+        assert counts[mask] == k * (g.n_edges + 1) + bin(mask).count("1")
 
 
 def _all_mask_bits(n_edges):
@@ -852,6 +865,42 @@ def test_partition_function_keeps_no_per_mask_weights():
     _, peak = _traced_peak(
         lambda: partition_function(g, 0.45, 2.0, free_bc(g)))
     assert peak < 90 << 20
+
+
+def test_weights_build_no_open_count_array(monkeypatch):
+    # the weight classes come out of the table builds, so no entry point
+    # takes a popcount over all masks
+    from critlat import oracle
+
+    def refuse(n_edges):
+        raise AssertionError("open_count_array called")
+
+    monkeypatch.setattr(oracle, "open_count_array", refuse)
+    bc = free_bc(RECT7)
+    assert abs(probability_array(RECT7, 0.4, 2.0, bc).sum() - 1.0) < 1e-12
+    assert math.isfinite(log_partition_function(RECT7, 0.4, 2.0, bc))
+    assert verify_duality(RECT7, 0.4, 2.0)["ok"]
+
+
+def test_duality_peak_within_its_charge(monkeypatch):
+    # per-mask arrays live beside and after the two label tables, so the
+    # duality check charges its own peak, not a table at a time
+    from critlat import oracle
+    g = build_rect((0, 6), (0, 1))
+    assert g.n_edges == 19
+    charged, check = {}, oracle._check_budget
+
+    def record(n_bytes, what):
+        charged[what] = n_bytes
+        check(n_bytes, what)
+
+    monkeypatch.setattr(oracle, "_check_budget", record)
+    report, peak = _traced_peak(lambda: verify_duality(g, 0.4, 2.0))
+    charge = charged["the duality check over 19 edges"]
+    assert report["ok"] and charge == max(charged.values())
+    assert peak <= 1.1 * charge + (1 << 20)
+    # and no gross over-charge
+    assert charge <= 1.1 * peak
 
 
 def test_label_table_doubles_without_a_temporary():

@@ -681,6 +681,26 @@ def test_census_table_matches_walkers_on_sample(N, M):
     assert _assert_census_matches(rc, _mask_sample(rc)) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("N,M", [(2, 2), (2, 4)])
+def test_census_classes_are_the_weight_classes(N, M):
+    rc = TorusRc(N, M)
+    table = rc.census_table()
+    popcount = [bin(m).count("1") for m in range(1 << rc.n_edges)]
+    assert np.array_equal(table["classes"],
+                          table["clusters"] * (rc.n_edges + 1) + popcount)
+
+
+def test_rc6v_verify_builds_no_open_count_array(monkeypatch):
+    # the open counts and the weights read the census's weight classes
+    def refuse(n_edges):
+        raise AssertionError("open_count_array called")
+
+    monkeypatch.setattr(oracle, "open_count_array", refuse)
+    report = rc6v_verify(2, 2, 7.5)
+    assert report["oriented_sector_gap"] <= 1e-8
+    assert report["partition_identity_gap"] <= 1e-8
+
+
 def test_census_table_builds_one_lifted_table(monkeypatch):
     built = []
     lift = sixvertex._lifted_table
