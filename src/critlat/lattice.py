@@ -12,9 +12,15 @@ Conventions used throughout the package:
   free, so the free condition has no block. Wiring is contraction: omega^xi
   is omega with every vertex replaced by the smallest vertex of its block,
   the map BoundaryCondition.roots.
-* The planar dual of a full rectangular domain lives on the shifted lattice:
-  the unit face with south-west corner (i,j) gets the integer label (i,j); the
-  unbounded face gets the label OUTER.
+* Planar faces are read off Z^2 coordinates, with no embedding code. A
+  bounded face is a unit square whose four edges are all present, labelled
+  by its south-west corner (i,j); the unbounded face gets the label OUTER.
+  Euler's relation, taken over every component, counts the bounded faces,
+  so dual_map refuses a graph with any other bounded face. The outer walk
+  boundary_cycle keeps the domain on its left, leaving each vertex along
+  the first edge counterclockwise from the one it arrived by. Quadrant j of
+  a vertex is the unit square between its sides CCW_SIDES[j] and
+  CCW_SIDES[j + 1].
 * Dobrushin domains are re-embedded diagonally so the medial lattice becomes
   the standard grid Z^2: primal vertex (x,y) becomes the unit square labelled
   (x-y, x+y) (a "black" face, coordinate sum even; whites have odd sum).
@@ -26,14 +32,15 @@ Conventions used throughout the package:
 A DobrushinDomain computes, once, everything its observables read: the
 Dobrushin wiring bc of the (ba) arc, the marked edges e_a and e_b (the sides
 of black(a) and black(b) facing the first and last white of the (ab)*
-chain), and the slot table of the exploration (successor, turn and medial
-edge of every slot under each edge state, and the medial edge on each
-slot's own side). The constructor refuses with a ValueError: a domain
-without an edge, a disconnected or holed domain, missing induced edges,
-marked points off the boundary or repeated on the outer walk, a (ba) arc
-through a vertex that touches the outer face only through a missing
-diagonal cell, colliding medial status vertices, and a slot table in which
-some arc joins a curve-carrying side to a dead one.
+chain, whose whites are the exterior quadrants of the (ab) arc's vertices,
+each named by _square_white), and the slot table of the exploration
+(successor, turn and medial edge of every slot under each edge state, and
+the medial edge on each slot's own side). The constructor refuses with a
+ValueError: a domain without an edge, a disconnected or holed domain,
+missing induced edges, marked points off the boundary or repeated on the
+outer walk, a (ba) arc through a vertex that touches the outer face only
+through a missing diagonal cell, colliding medial status vertices, and a
+slot table in which some arc joins a curve-carrying side to a dead one.
 
 Connectivity in omega^xi goes through one primitive per input shape, and
 each reads the contraction bc.roots instead of adding links for the wiring:
@@ -61,6 +68,7 @@ sampler.crossing_mc from _sampled_labels, with the same reduction.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,8 +76,10 @@ import numpy as np
 
 OUTER = "outer"
 
-# compass offsets in ccw order starting east, used when walking around a face
+# compass offsets in ccw order starting east; quadrant j of a vertex lies
+# between sides j and j + 1
 CCW_SIDES = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_SIDE = {d: j for j, d in enumerate(CCW_SIDES)}
 
 
 class UnionFind:
@@ -111,6 +121,7 @@ class LatticeGraph:
         self.vertices = tuple(sorted({tuple(v) for v in vertices}))
         if ambient_dim is None:
             ambient_dim = len(self.vertices[0]) if self.vertices else 2
+        _check_dim(self.vertices, ambient_dim)
         self.ambient_dim = ambient_dim
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         norm = set()
@@ -183,10 +194,29 @@ class LatticeGraph:
         return induced_graph(cells, 2).is_connected()
 
 
+def _check_dim(vertices, d):
+    """Refuse, naming the least of them, vertices without d coordinates."""
+    bad = [v for v in vertices if len(v) != d]
+    if bad:
+        v = min(bad)
+        raise ValueError("vertex %r has %d coordinates, not d=%d"
+                         % (v, len(v), d))
+
+
+def _integer(x, what):
+    """x as an int, refusing a non-integer with a ValueError naming it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError("%s must be an integer, not %r" % (what, x)) from None
+
+
 def induced_graph(vertices, d):
     """The subgraph of Z^d induced on vertices: every nearest-neighbor pair
     of them is an edge."""
+    d = _integer(d, "d")
     vertices = {tuple(v) for v in vertices}
+    _check_dim(vertices, d)
     edges = []
     for v in vertices:
         for axis in range(d):
@@ -198,6 +228,7 @@ def induced_graph(vertices, d):
 
 def build_box(n, d=2):
     """The box Lambda_n = [-n,n]^d with all nearest-neighbor edges."""
+    n, d = _integer(n, "n"), _integer(d, "d")
     if n < 0:
         raise ValueError("n must be >= 0")
     if d not in (2, 3):
@@ -208,9 +239,8 @@ def build_box(n, d=2):
 def build_rect(x_range, y_range):
     """Rectangle [x0,x1] x [y0,y1] in Z^2 with all nearest-neighbor edges;
     a reversed range (x1 < x0 or y1 < y0) is refused."""
-    x0, x1 = x_range
-    y0, y1 = y_range
-    for lo, hi in (x_range, y_range):
+    x0, x1, y0, y1 = (_integer(t, "range bound") for t in (*x_range, *y_range))
+    for lo, hi in ((x0, x1), (y0, y1)):
         if hi < lo:
             raise ValueError("range (%r, %r) is reversed" % (lo, hi))
     return induced_graph(itertools.product(range(x0, x1 + 1),
@@ -290,73 +320,36 @@ def cluster_stats(graph, bits, bc):
 # planar faces and duality
 
 
-def _ccw_neighbor_order(graph):
-    """Neighbors of every vertex sorted counterclockwise starting east."""
-    order = []
-    rank = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-    for i, v in enumerate(graph.vertices):
-        nbrs = []
-        for j, _ in graph.adjacency[i]:
-            w = graph.vertices[j]
-            nbrs.append((rank[(w[0] - v[0], w[1] - v[1])], j))
-        order.append([j for _, j in sorted(nbrs)])
-    return order
-
-
-def _face_orbits(graph):
-    """Faces of the planar embedding as orbits of directed edges.
-
-    next(u->v) = (v->w) with w the predecessor of u in the ccw neighbor
-    order at v; bounded faces come out counterclockwise, the outer face
-    clockwise.
-    """
-    order = _ccw_neighbor_order(graph)
-    succ = {}
-    for v, nbrs in enumerate(order):
-        for t, u in enumerate(nbrs):
-            w = nbrs[(t - 1) % len(nbrs)]
-            succ[(u, v)] = (v, w)
-    faces = []
-    seen = set()
-    for start in succ:
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = succ[cur]
-        faces.append(tuple(orbit))
-    return faces
-
-
-def _signed_area(graph, orbit):
-    s = 0
-    for u, v in orbit:
-        pu, pv = graph.vertices[u], graph.vertices[v]
-        s += pu[0] * pv[1] - pv[0] * pu[1]
-    return s / 2.0
-
-
-def _faces_and_outer(graph):
-    """The face orbits and the outer face, the orbit of least signed area;
-    a graph without edges has no face and is refused."""
-    if not graph.n_edges:
-        raise ValueError("graph has no edges, so no faces")
-    faces = _face_orbits(graph)
-    return faces, min(faces, key=lambda orb: _signed_area(graph, orb))
-
-
 def boundary_cycle(graph):
     """Counterclockwise outer boundary walk as a list of directed edges
-    (vertex-index pairs). Requires a connected planar graph with d=2."""
+    (vertex-index pairs). Requires a connected graph with d=2.
+
+    The walk keeps the domain on its left: at each vertex it leaves along
+    the first edge counterclockwise from the one it arrived by. It starts at
+    vertices[0], the least (x, y), which has no neighbour to its west or
+    south, as if it had arrived from the west, and ends when its first step
+    comes round again.
+    """
     if graph.ambient_dim != 2:
         raise ValueError("boundary cycle only for d=2")
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    outer = _faces_and_outer(graph)[1]
-    return [(v, u) for (u, v) in reversed(outer)]
+    if not graph.n_edges:
+        raise ValueError("graph has no edges, so no faces")
+    walk = []
+    u, back = 0, 2  # back: the side of u the walk arrived from
+    while True:
+        (x, y), nbrs = graph.vertices[u], {w for w, _ in graph.adjacency[u]}
+        for t in range(1, 5):
+            j = (back + t) % 4
+            dx, dy = CCW_SIDES[j]
+            w = graph.vertex_index.get((x + dx, y + dy))
+            if w in nbrs:
+                break
+        if walk and walk[0] == (u, w):
+            return walk
+        walk.append((u, w))
+        u, back = w, (j + 2) % 4
 
 
 def boundary_arcs(graph, a, b):
@@ -375,24 +368,12 @@ def boundary_arcs(graph, a, b):
         raise ValueError("a and b must appear exactly once on the outer boundary")
     ia = verts.index(a)
     walk = walk[ia:] + walk[:ia]
-    verts = verts[ia:] + verts[:ia]
-    ib = verts.index(b)
-
-    def to_edge_indices(dir_edges):
-        out = []
-        for u, v in dir_edges:
-            e = tuple(sorted((graph.vertices[u], graph.vertices[v])))
-            out.append(graph.edge_index[e])
-        return tuple(out)
-
-    ab_vertices = tuple(verts[:ib + 1])
-    ba_vertices = tuple(verts[ib:]) + (a,)
-    if a == b:
-        ab_vertices = tuple(verts) + (a,)
-        ba_vertices = (a,)
-        return ab_vertices, ba_vertices, to_edge_indices(walk), ()
-    return (ab_vertices, ba_vertices,
-            to_edge_indices(walk[:ib]), to_edge_indices(walk[ib:]))
+    # the closed walk from a back to a; b == a splits it at its end
+    verts = verts[ia:] + verts[:ia] + [a]
+    ib = verts.index(b, 1)
+    ends = {e: k for k, e in enumerate(graph.edge_ends)}
+    ids = tuple(ends[min(u, v), max(u, v)] for u, v in walk)
+    return tuple(verts[:ib + 1]), tuple(verts[ib:]), ids[:ib], ids[ib:]
 
 
 @dataclass(frozen=True)
@@ -406,27 +387,35 @@ class DualGraph:
 
 
 def dual_map(graph):
-    """The planar dual of a two-dimensional graph with unit-square faces."""
+    """The planar dual of a two-dimensional graph with unit-square faces.
+
+    A bounded face is a unit square whose four edges are all present. By
+    Euler's relation a plane graph with k components (isolated vertices
+    included) has |E| - |V| + k bounded faces, so a graph with fewer such
+    squares has another bounded face and is refused. Dual edge k joins the
+    square left of primal edge k, directed from its smaller end, to the
+    square right of it; a side with no square is the face OUTER.
+    """
     if graph.ambient_dim != 2:
         raise ValueError("duality only for d=2")
-    faces, outer = _faces_and_outer(graph)
-    face_of_directed = {}
-    labels = []
-    for orb in faces:
-        if orb == outer:
-            lab = OUTER
-        else:
-            if len(orb) != 4:
-                raise ValueError("bounded faces must be unit squares")
-            xs = [graph.vertices[u] for u, _ in orb]
-            lab = (min(p[0] for p in xs), min(p[1] for p in xs))
-        labels.append(lab)
-        for de in orb:
-            face_of_directed[de] = lab
+    if not graph.n_edges:
+        raise ValueError("graph has no edges, so no faces")
+    present = graph.edge_index
+    squares = {(x, y) for (x, y), _ in graph.edges
+               if (((x, y), (x + 1, y)) in present
+                   and ((x, y), (x, y + 1)) in present
+                   and ((x + 1, y), (x + 1, y + 1)) in present
+                   and ((x, y + 1), (x + 1, y + 1)) in present)}
+    k, _ = cluster_stats(graph, (1,) * graph.n_edges, BoundaryCondition(()))
+    if len(squares) < graph.n_edges - graph.n_vertices + k:
+        raise ValueError("bounded faces must be unit squares")
     dual_edges = []
-    for iu, iv in graph.edge_ends:
-        dual_edges.append((face_of_directed[(iu, iv)], face_of_directed[(iv, iu)]))
-    return DualGraph(tuple(sorted(set(labels), key=str)), tuple(dual_edges))
+    for (x, y), (_, y1) in graph.edges:
+        # east edges have their left square north, north edges west
+        sides = ((x, y), (x, y - 1)) if y1 == y else ((x - 1, y), (x, y))
+        dual_edges.append(tuple(f if f in squares else OUTER for f in sides))
+    return DualGraph(tuple(sorted(squares | {OUTER}, key=str)),
+                     tuple(dual_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +425,14 @@ def dual_map(graph):
 def to_black(v):
     """Primal vertex (x,y) -> black face label in the diagonal embedding."""
     return (v[0] - v[1], v[0] + v[1])
+
+
+def _square_white(v, j):
+    """The white of the unit square in quadrant j of primal vertex v: the
+    side of black(v) in direction CCW_SIDES[j + 1]."""
+    bx, by = to_black(v)
+    dx, dy = CCW_SIDES[(j + 1) % 4]
+    return (bx + dx, by + dy)
 
 
 def face_center(f):
@@ -581,7 +578,7 @@ class DobrushinDomain:
         for k, (u, w) in enumerate(primal.edges):
             mid[k] = shared_corner(black[u], black[w])
 
-        whites = self._hugging_whites(primal, black)
+        whites = self._hugging_whites()
         forced_dual_mid = [shared_corner(whites[i], whites[i + 1])
                            for i in range(len(whites) - 1)]
 
@@ -615,10 +612,13 @@ class DobrushinDomain:
         self.e_b = (rp(e_b[0]), rp(e_b[1]))
         self.free_pos = {k: t for t, k in enumerate(self.free_edges)}
 
-        # whites of the dual domain: flanks of free edges plus the (ab)* arc
-        flanks = (self._flanking_whites(self.black[u], self.black[w])
-                  for u, w in (primal.edges[k] for k in self.free_edges))
-        self.whites = frozenset(itertools.chain(self.abstar_whites, *flanks))
+        # whites of the dual domain: the (ab)* arc plus the squares on both
+        # sides of every free edge
+        flanks = []
+        for u, w in (primal.edges[k] for k in self.free_edges):
+            j = _SIDE[w[0] - u[0], w[1] - u[1]]
+            flanks += (_square_white(u, j), _square_white(u, j - 1))
+        self.whites = frozenset(rf(w) for w in whites + flanks)
         self.slots = self._slot_table()
 
     def _slot_table(self):
@@ -681,86 +681,35 @@ class DobrushinDomain:
         return _SlotTable(edges, edge_id[self.e_a], start, side, bit, succ,
                           turn, eid)
 
-    @staticmethod
-    def _flanking_whites(bf, bg):
-        """The two whites at the medial vertex of the primal edge bf-bg."""
-        z = shared_corner(bf, bg)
-        cands = [(z[0] - 1, z[1] - 1), (z[0], z[1] - 1),
-                 (z[0] - 1, z[1]), (z[0], z[1])]
-        whites = [f for f in cands if (f[0] + f[1]) % 2 == 1]
-        if len(whites) != 2:
-            raise AssertionError
-        return tuple(whites)
+    def _hugging_whites(self):
+        """The (ab)* chain: the exterior whites along the (ab) arc, wrap
+        whites at a and b included; consecutive entries are dual-adjacent.
 
-    def _hugging_whites(self, primal, black):
-        """Exterior whites along the (ab) arc, wrap whites at a and b
-        included; consecutive entries are dual-adjacent.
-
-        Each directed (ab) edge contributes the white on its exterior
-        (right-of-travel) side; at every vertex in between, and in the wrap
-        sectors at a and b bounded by the adjacent (ba) edges, the side
-        whites of the black face fill the exterior corner gaps.
+        At each arc vertex they are the squares of the quadrants swept
+        counterclockwise from its incoming edge to its outgoing one, which
+        the walk keeps on its right. At a the square right of the incoming
+        (ba) edge is dropped, at b the square right of the outgoing one, and
+        consecutive repeats are merged. With a == b there is no (ba) edge:
+        the walk enters a and leaves b straight on, so the chain stays open
+        across the side of black(a) facing the two missing neighbours; both
+        marked edges dangle into that slit and are anti-parallel, which
+        makes the exploration wind by pi between them.
         """
-        walkv = list(self.ab_vertices)
-        n = len(walkv)
-
-        def flank_white(p, q):
-            # exterior white at the medial vertex of p-q, right of travel
-            bp, bq = black[p], black[q]
-            cp = face_center(bp)
-            d = face_center(bq) - cp
-            out = []
-            for w in self._flanking_whites(bp, bq):
-                cr = face_center(w) - cp
-                if d.real * cr.imag - d.imag * cr.real < 0:
-                    out.append(w)
-            if len(out) != 1:
-                raise AssertionError
-            return out[0]
-
-        def gap_whites(q, w_in, w_out):
-            # side whites of black[q] strictly between w_in and w_out, ccw
-            if w_in == w_out:
-                return []
-            bq = black[q]
-            sides = [(bq[0] + dx, bq[1] + dy) for dx, dy in CCW_SIDES]
-            out = []
-            t = (sides.index(w_in) + 1) % 4
-            while sides[t] != w_out:
-                out.append(sides[t])
-                t = (t + 1) % 4
-            return out
-
-        flanks = [flank_white(walkv[t], walkv[t + 1]) for t in range(n - 1)]
-        if self.ba_edges:
-            # sectors at a and b are bounded by the neighboring (ba) flanks
-            w_in_a = flank_white(self.ba_vertices[-2], self.a)
-            w_out_b = flank_white(self.b, self.ba_vertices[1])
-        else:
-            # degenerate a == b: no wrap sector at a, so the chain stays
-            # open across the side of black(a) facing the two missing
-            # neighbors; both marked edges dangle into that slit and are
-            # anti-parallel, which makes the exploration wind by pi
-            # between them
-            w_in_a = flanks[0]
-            w_out_b = None
-
-        seq = list(gap_whites(walkv[0], w_in_a, flanks[0]))
-        for t in range(n - 1):
-            seq.append(flanks[t])
-            if t + 1 < n - 1:
-                seq.extend(gap_whites(walkv[t + 1], flanks[t], flanks[t + 1]))
-        if w_out_b is not None:
-            seq.extend(gap_whites(walkv[-1], flanks[-1], w_out_b))
-
-        out = [seq[0]]
-        for w in seq[1:]:
-            if w != out[-1]:
-                out.append(w)
-        for w1, w2 in zip(out, out[1:]):
-            if abs(w1[0] - w2[0]) != 1 or abs(w1[1] - w2[1]) != 1:
-                raise AssertionError("hugging whites not dual-adjacent")
-        return out
+        arc, ends = self.ab_vertices, self.ba_vertices
+        # the sides moved along into a, along the arc and out of b
+        path = ends[-2:-1] + arc + ends[1:2]
+        moves = [_SIDE[q[0] - p[0], q[1] - p[1]] for p, q in zip(path, path[1:])]
+        if self.a == self.b:
+            moves = moves[:1] + moves + moves[-1:]
+        chain = []
+        for i, v in enumerate(arc):
+            back = (moves[i] + 2) % 4
+            sweep = (moves[i + 1] - back - 1) % 4 + 1
+            for t in range(i == 0, sweep - (i == len(arc) - 1)):
+                w = _square_white(v, back + t)
+                if not chain or chain[-1] != w:
+                    chain.append(w)
+        return chain
 
     # arc pairing: at a status vertex the two arcs avoid the open diagonal
     @staticmethod

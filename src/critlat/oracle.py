@@ -715,8 +715,9 @@ def verify_duality(graph, p, q):
     Asserts phi^0_{G,p,q}[w] = phi^1_{G*,p*,q}[w*] for every configuration
     (the dual graph carries the outer face as an ordinary vertex, which is
     the wired count) plus the partition-function relation
-    Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{f_b} ((1-p*)/p)^{|E|}, with f_b the
-    number of bounded faces; returns a report. Checks Euler's relation
+    Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{|E|-|V|+1} ((1-p*)/p)^{|E|}, whose
+    exponent counts the bounded faces of a connected G (the relation holds
+    for any number of components); returns a report. Checks Euler's relation
     k0(w) = |V| - o(w) + k*(w*) - 1 at every configuration first. Refuses p
     outside (0, 1] and q <= 0; p = 1 is the point mass on the all-open
     configuration.

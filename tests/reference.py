@@ -19,8 +19,8 @@ import pytest
 from critlat.lattice import (
     CCW_SIDES,
     DobrushinDomain,
-    LatticeGraph,
     cluster_stats,
+    induced_graph,
     oriented_segment,
 )
 from critlat.oracle import _check_edges, thresholds
@@ -42,12 +42,9 @@ def _refused_before_allocating(call, match="bytes"):
 def half_diamond(n):
     """The lower half, x + y <= 0, of the l1 ball of radius n: a domain
     with degree-1 tips on its outer walk."""
-    vs = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)
-          if abs(x) + abs(y) <= n and x + y <= 0]
-    vset = set(vs)
-    es = [(v, (v[0] + dx, v[1] + dy)) for v in vs for dx, dy in ((1, 0), (0, 1))
-          if (v[0] + dx, v[1] + dy) in vset]
-    return LatticeGraph(vs, es)
+    return induced_graph([(x, y) for x in range(-n, n + 1)
+                          for y in range(-n, n + 1)
+                          if abs(x) + abs(y) <= n and x + y <= 0], 2)
 
 
 # ---------------------------------------------------------------------------

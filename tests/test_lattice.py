@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critlat.lattice import (
+    CCW_SIDES,
+    OUTER,
     LatticeGraph,
     UnionFind,
     boundary_arcs,
@@ -23,7 +27,7 @@ from critlat.lattice import (
     to_black,
     wired_bc,
 )
-from critlat.oracle import crossing_event
+from critlat.oracle import crossing_event, verify_duality
 from reference import half_diamond
 
 
@@ -195,6 +199,30 @@ def test_dual_rejects_3d():
     g = build_box(1, 3)
     with pytest.raises(ValueError):
         dual_map(g)
+
+
+def test_dual_map_counts_the_faces_of_every_component():
+    # the outer walk of a second component is no bounded face: two unit
+    # squares have two faces and two paths none, so duality holds on both
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    squares = induced_graph(square + [(x + 3, y) for x, y in square], 2)
+    dual = dual_map(squares)
+    assert dual.vertices == ((0, 0), (3, 0), OUTER)
+    assert all(OUTER in e and (0, 0) in e for e in dual.edges[:4])
+    assert all(OUTER in e and (3, 0) in e for e in dual.edges[4:])
+    paths = induced_graph([(1, 0), (2, 0), (3, 0), (0, 2), (1, 2), (2, 2)], 2)
+    dual = dual_map(paths)
+    assert dual.vertices == (OUTER,)
+    assert set(dual.edges) == {(OUTER, OUTER)}
+    for g in (squares, paths):
+        report = verify_duality(g, 0.4, 2.0)
+        assert report["ok"]
+        assert report["config_max_err"] <= 1e-14
+        assert report["z_rel_err"] <= 1e-14
+    # an isolated vertex adds a component and no face
+    lone = induced_graph(square + [(5, 5)], 2)
+    assert dual_map(lone).vertices == ((0, 0), OUTER)
+    assert verify_duality(lone, 0.4, 2.0)["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +472,30 @@ def test_build_rect_refuses_a_reversed_range():
     assert build_rect((0, 0), (0, 0)).n_vertices == 1
 
 
+def test_induced_graph_refuses_vertices_of_another_dimension():
+    with pytest.raises(ValueError, match=r"vertex \(0, 0\) has 2 coordinates, not d=3"):
+        induced_graph([(0, 0), (1, 0)], 3)
+    with pytest.raises(ValueError, match=r"d must be an integer, not 2\.0"):
+        induced_graph([(0, 0), (1, 0)], 2.0)
+
+
+def test_lattice_graph_refuses_vertices_of_mixed_dimension():
+    with pytest.raises(ValueError,
+                       match=r"vertex \(0, 0, 0\) has 3 coordinates, not d=2"):
+        LatticeGraph([(0, 0), (0, 0, 0)], [])
+
+
+def test_builders_refuse_non_integer_sizes():
+    with pytest.raises(ValueError, match=r"n must be an integer, not 1\.5"):
+        build_box(1.5)
+    with pytest.raises(ValueError,
+                       match=r"range bound must be an integer, not 1\.5"):
+        build_rect((0, 1.5), (0, 1))
+    with pytest.raises(ValueError, match=r"d must be an integer, not 2\.0"):
+        build_box(1, 2.0)
+    assert build_box(np.int64(1)).n_edges == 12
+
+
 def test_build_box_refuses_bad_size_and_dimension():
     with pytest.raises(ValueError, match="n must be >= 0"):
         build_box(-1)
@@ -501,3 +553,54 @@ def test_domain_refuses_3d_and_disconnected_primal():
         medial_domain(build_box(1, 3), (-1, -1, -1), (1, 1, 1))
     with pytest.raises(ValueError, match="must be connected"):
         medial_domain(TWO_EDGES, (0, 0), (6, 0))
+
+
+@st.composite
+def polyominoes(draw):
+    """Induced graphs on simply connected polyominoes of 2 to 14 cells,
+    grown one frontier cell at a time from (0, 0)."""
+    picks = draw(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=13))
+    cells = {(0, 0)}
+    for t in picks:
+        frontier = sorted({(x + dx, y + dy) for x, y in cells
+                           for dx, dy in CCW_SIDES} - cells)
+        cells.add(frontier[t % len(frontier)])
+    g = induced_graph(cells, 2)
+    assume(g.complement_connected())
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(polyominoes(), st.integers(0, 1 << 20), st.integers(0, 1 << 20))
+def test_face_geometry_invariants_on_polyominoes(g, ia, ib):
+    faces = g.n_edges - g.n_vertices + 1
+    # the outer walk: a closed chain of graph edges, each step taken once,
+    # ccw around every unit-square face and through every boundary vertex
+    walk = boundary_cycle(g)
+    assert set(tuple(sorted(step)) for step in walk) <= set(g.edge_ends)
+    assert all(s[1] == t[0] for s, t in zip(walk, walk[1:] + walk[:1]))
+    assert len(set(walk)) == len(walk)
+    pts = [g.vertices[u] for u, _ in walk]
+    area = sum(p[0] * q[1] - q[0] * p[1]
+               for p, q in zip(pts, pts[1:] + pts[:1])) / 2
+    assert area == faces
+    assert set(g.boundary()) <= set(pts)
+    # Euler's count of bounded faces, each closed by four dual edges
+    dual = dual_map(g)
+    bounded = [f for f in dual.vertices if f != OUTER]
+    assert len(bounded) == faces
+    ends = Counter(f for e in dual.edges for f in e)
+    assert all(ends[f] == 4 for f in bounded)
+    # the (ab)* chain, for marked points the outer walk passes once
+    once = [v for v in g.boundary() if pts.count(v) == 1]
+    try:
+        dom = medial_domain(g, once[ia % len(once)], once[ib % len(once)])
+    except ValueError as err:
+        assert "inside the boundary" in str(err) or "collide" in str(err)
+        return
+    chain = dom.abstar_whites
+    assert all(abs(v[0] - w[0]) == 1 == abs(v[1] - w[1])
+               for v, w in zip(chain, chain[1:]))
+    # a bounded face's white has the blacks of its four corners on its sides
+    assert not any(all((w[0] + dx, w[1] + dy) in dom.blacks
+                       for dx, dy in CCW_SIDES) for w in chain)
