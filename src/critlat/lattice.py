@@ -121,6 +121,7 @@ class LatticeGraph:
         self.vertices = tuple(sorted({tuple(v) for v in vertices}))
         if ambient_dim is None:
             ambient_dim = len(self.vertices[0]) if self.vertices else 2
+        ambient_dim = _integer(ambient_dim, "ambient_dim")
         _check_dim(self.vertices, ambient_dim)
         self.ambient_dim = ambient_dim
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
@@ -209,6 +210,14 @@ def _integer(x, what):
         return operator.index(x)
     except TypeError:
         raise ValueError("%s must be an integer, not %r" % (what, x)) from None
+
+
+def _point(p, what):
+    """p as a tuple, refusing a non-sequence with a ValueError naming it."""
+    try:
+        return tuple(p)
+    except TypeError:
+        raise ValueError("%s must be a vertex, not %r" % (what, p)) from None
 
 
 def induced_graph(vertices, d):
@@ -359,7 +368,7 @@ def boundary_arcs(graph, a, b):
     a to b and from b to a, vertices inclusive of both endpoints, edges as
     edge-index lists. a == b gives the degenerate split ((whole cycle), (a,)).
     """
-    a, b = tuple(a), tuple(b)
+    a, b = _point(a, "a"), _point(b, "b")
     walk = boundary_cycle(graph)
     verts = [graph.vertices[u] for u, _ in walk]
     # leaves and bridges repeat vertices on the outer walk; only the split
@@ -553,7 +562,7 @@ class DobrushinDomain:
             raise ValueError("domain complement must be connected")
         if primal.edges != induced_graph(primal.vertices, 2).edges:
             raise ValueError("domain must contain all induced edges")
-        a, b = tuple(a), tuple(b)
+        a, b = _point(a, "a"), _point(b, "b")
         bd = set(primal.boundary())
         if a not in bd or b not in bd:
             raise ValueError("a and b must be boundary vertices")

@@ -13,13 +13,16 @@ midpoint of an untraversed edge of their last vertex; the length |gamma| is
 the number of vertices visited. Winding is pi/3 per left turn, -pi/3 per
 right turn, including the final turn onto the exit half-edge.
 
-Enumeration is depth first, one walk per symmetry class: the strip sums
+Enumeration is breadth first, one walk per symmetry class: the strip sums
 walk only the walks that leave (2, 0) to the north-east and add the mirror
 images by conjugation, and the counts walk only the walks that begin east
-then north-east, one of six images under rotation and reflection. The
-search runs on integer tables built per call (vertex ids, a move table per
-arrival direction, a bytearray of visited vertices, a weight table indexed
-by length and winding), never on coordinate tuples and sets.
+then north-east, one of six images under rotation and reflection. All walks
+of one length are held as numpy arrays, the frontier, and each step builds
+the walks one vertex longer from them with vectorised gathers and tests:
+the strip walks on a move table and uint64 bitsets of visited vertices,
+reducing their ends level by level with np.bincount, and the counted walks
+on their paths of cells. Each level is charged to oracle.MAX_TABLE_BYTES
+before it is built.
 
 The strip of width T cut at height L keeps the vertices with 0 <= X <= 6T
 and 3|Y| <= X + 12L + 2. The slant intercept sits half a unit to the right
@@ -36,11 +39,13 @@ and the identity fails by O(1).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .lattice import _integer
+from .oracle import _check_budget
 
 X_C = 1.0 / math.sqrt(2.0 + math.sqrt(2.0))
 MU_C = math.sqrt(2.0 + math.sqrt(2.0))
@@ -51,12 +56,10 @@ A_MID = (0, 0)
 # direction index k -> step in quarter units, angle k*pi/3
 DIRS = ((4, 0), (2, 2), (-2, 2), (-4, 0), (-2, -2), (2, -2))
 
-# each further step multiplies the work by about mu_c; saw_counts(22) takes
-# 0.4 s and saw_counts(24) 1.3 s on one Xeon core under CPython 3.11
+# each further step multiplies the work and the frontier by about mu_c;
+# saw_counts(22) takes 0.05 s and saw_counts(24) 0.15-0.2 s, at a traced
+# peak of 76 MiB, on one Xeon core under CPython 3.11 and numpy 2.4
 SAW_COUNT_CAP = 24
-
-# the hi of a walk that can no longer be a bridge: no X reaches it
-_NOT_BRIDGE = 1 << 30
 
 
 def dir_indices(x):
@@ -99,6 +102,7 @@ class StripQuantities:
 
 def strip_domain(T, L):
     """The strip S(T, L): width T, cut at height L parallel to the NE edges."""
+    T, L = _integer(T, "T"), _integer(L, "L")
     if T < 0 or L < 0:
         raise ValueError("T and L must be nonnegative")
     slack = 12 * L + 2
@@ -158,86 +162,53 @@ def _check_mirror(domain):
 def _move_table(domain):
     """Integer move table of the domain, rebuilt on every sum, not stored.
 
-    Vertex ids follow the sorted vertex list and a state is
-    6 * (vertex id) + (arrival direction). moves[state] holds the left turn
-    then the right turn, each as (mid-edge id, far vertex id, next state);
-    the far id is -1 when that endpoint is outside the domain. Returns
-    (moves, mid-edge list, vertex ids).
+    Vertex ids follow the sorted vertex list, id len(vertices) stands for
+    every point outside the domain, and a state is 6 * (vertex id) +
+    (arrival direction). With S = 6 |V|, entries s and S + s of each array
+    hold the left turn and the right turn out of state s: the mid-edge id,
+    the far vertex id and the next state; entries of unused states stay
+    zero. Returns (mid, far, nxt, mid-edge list, vertex ids).
     """
     vid = {v: i for i, v in enumerate(sorted(domain.vertices))}
+    n_states = 6 * len(vid)
     mids, mid_id = [], {}
-    moves = [None] * (6 * len(vid))
+    mid, far, nxt = ([0] * (2 * n_states) for _ in range(3))
     for (vx, vy), i in vid.items():
         # a vertex is entered along the reverses of its own three directions
         for k_in in dir_indices(vx + 2):
-            turns = ()
-            for k in ((k_in + 1) % 6, (k_in - 1) % 6):
+            s = 6 * i + k_in
+            for q, k in ((s, (k_in + 1) % 6), (n_states + s, (k_in - 1) % 6)):
                 dx, dy = DIRS[k]
                 m = (vx + dx // 2, vy + dy // 2)
                 if m not in mid_id:
                     mid_id[m] = len(mids)
                     mids.append(m)
-                j = vid.get((vx + dx, vy + dy), -1)
-                turns += (mid_id[m], j, 6 * j + k)
-            moves[6 * i + k_in] = turns
-    return moves, mids, vid
-
-
-def _strip_walks(s, t, moves, seen, wt, acc, row):
-    """Add the ends of every walk that extends the one at state s.
-
-    The vertex of s is already marked in seen. t = row * n + w + offset
-    encodes the vertex count n and the winding w, so a left turn moves it
-    by +1 and each further vertex by +row. Returns the largest t reached.
-    The path and the deferred right turns live on lists, not on the call
-    stack: CPython 3.11 frees a frame-stack chunk each time a recursion
-    returns across its base, and a recursive search ran up to 7x slower at
-    some caller stack depths.
-    """
-    path = [0] * len(seen)  # vertex ids marked since s, depth first
-    depth = 0
-    todo = []               # deferred right turns: (depth, vertex id, state, t)
-    top = t
-    while True:
-        m_l, j_l, s_l, m_r, j_r, s_r = moves[s]
-        acc[m_l] += wt[t + 1]
-        acc[m_r] += wt[t - 1]
-        if not seen[j_l]:
-            if not seen[j_r]:
-                todo.append((depth, j_r, s_r, t + row - 1))
-            j, s, t = j_l, s_l, t + row + 1
-        elif not seen[j_r]:
-            j, s, t = j_r, s_r, t + row - 1
-        else:
-            if t > top:
-                top = t
-            if not todo:
-                return top
-            d, j, s, t = todo.pop()
-            while depth > d:
-                depth -= 1
-                seen[path[depth]] = 0
-        seen[j] = 1
-        path[depth] = j
-        depth += 1
+                j = vid.get((vx + dx, vy + dy), len(vid))
+                mid[q], far[q], nxt[q] = mid_id[m], j, 6 * j + k
+    return np.array(mid), np.array(far), np.array(nxt), mids, vid
 
 
 def _midedge_sums(domain, x, sigma):
     """Sum e^{-i sigma W} x^{|gamma|} over all walks, keyed by end mid-edge.
 
-    Depth-first over self-avoiding vertex sequences from a. At the current
-    vertex every untraversed incident edge contributes an end at its
-    midpoint (its far endpoint may be outside the strip or already visited;
-    only the arrival edge is barred), and the walk continues through it when
-    the far endpoint is a fresh strip vertex.
+    Breadth first over self-avoiding vertex sequences from a. At the last
+    vertex of a walk every untraversed incident edge contributes an end at
+    its midpoint (its far endpoint may be outside the strip or already
+    visited; only the arrival edge is barred), and the walk continues
+    through it when the far endpoint is a fresh strip vertex.
 
     Every nonempty walk leaves (2, 0) to the north-east or to the
     south-east, and the reflection Y -> -Y swaps the two halves and negates
     the winding. Only the north-east half is walked, on the integer move
     table, and F(m) = half(m) + conj(half(m reflected)) for real x and
-    sigma, plus the empty walk at a. Raises ValueError on a non-finite x or
-    sigma and on a domain that the reflection does not map to itself.
-    Returns (sums, max length).
+    sigma, plus the empty walk at a. The walks of one length form the
+    frontier: per walk its state, its index t = row * n + w + offset into
+    the weight table (n vertices, winding w, so a left turn moves t by
+    row + 1 and a right turn by row - 1) and its visited vertices as uint64
+    words, with the outside id always marked. Raises ValueError on a
+    non-finite x or sigma, on a domain that the reflection does not map to
+    itself, and on a frontier over oracle.MAX_TABLE_BYTES. Returns
+    (sums, max length).
     """
     for name, value in (("x", x), ("sigma", sigma)):
         if not math.isfinite(value):
@@ -248,32 +219,48 @@ def _midedge_sums(domain, x, sigma):
     start = (2, 0)
     if start not in domain.vertices:
         return sums, 0
-    moves, mids, vid = _move_table(domain)
+    mid, far, nxt, mids, vid = _move_table(domain)
     nmax = len(vid)
-    # wt[row * n + w + nmax + 1] = x^n e^{-i sigma pi w / 3}, |w| <= nmax + 1
+    n_states = 6 * nmax
+    # masks[q]: the bit of the far vertex of move q, in its word
+    n_words = nmax // 64 + 1
+    masks = np.zeros((2 * n_states, n_words), np.uint64)
+    masks[np.arange(2 * n_states), far >> 6] = np.left_shift(
+        np.uint64(1), (far & 63).astype(np.uint64))
+    # w_re + i w_im at row * n + w + nmax + 1 is x^n e^{-i sigma pi w / 3},
+    # for |w| <= nmax + 1
     row = 2 * nmax + 3
-    coef = -1j * sigma * math.pi / 3.0
-    phases = [cmath.exp(coef * w) for w in range(-nmax - 1, nmax + 2)]
-    wt = []
-    xp = 1.0
-    for _ in range(nmax + 1):
-        wt += [xp * ph for ph in phases]
-        xp *= x
-    seen = bytearray(nmax + 1)
-    seen[-1] = 1  # far id -1: outside the domain, never entered
-    acc = [0.0j] * len(mids)
-    i0 = vid[start]
-    seen[i0] = 1
-    top = row + nmax + 1  # one vertex, no winding
-    m_ne, j_ne, s_ne = moves[6 * i0][:3]  # arrival from a is eastward
-    acc[m_ne] += wt[top + 1]
-    if not seen[j_ne]:
-        seen[j_ne] = 1
-        top = _strip_walks(s_ne, top + row + 1, moves, seen, wt, acc, row)
-    for (mx, my), z in zip(mids, acc):
-        sums[(mx, my)] += z
-        sums[(mx, -my)] += z.conjugate()
-    return sums, top // row
+    xp = x ** np.arange(nmax + 1.0)
+    angle = sigma * math.pi / 3.0 * np.arange(-nmax - 1, nmax + 2)
+    w_re = np.outer(xp, np.cos(angle)).ravel()
+    w_im = np.outer(xp, -np.sin(angle)).ravel()
+    re, im = np.zeros(len(mids)), np.zeros(len(mids))
+    q0, t0 = 6 * vid[start], row + nmax + 1  # arrived eastward from a
+    re[mid[q0]], im[mid[q0]] = w_re[t0 + 1], w_im[t0 + 1]  # left turn only
+    bits = masks[q0:q0 + 1].copy()
+    for j in (nmax, vid[start]):
+        bits[0, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+    # the walk of two vertices, if the north-east neighbour is in the strip
+    state = nxt[q0:q0 + 1][far[q0:q0 + 1] < nmax]
+    t = np.full(len(state), t0 + row + 1)
+    longest = 1
+    while len(state):
+        longest += 1
+        # a walk kept takes 16 bytes of state and t and 8 per bitset word;
+        # with the temporaries that build it, 40 and 24 at the level's peak
+        _check_budget(2 * len(state) * (40 + 24 * n_words),
+                      "strip walks of %d vertices" % (longest + 1))
+        q = np.concatenate((state, state + n_states))  # left, then right turns
+        ends = np.concatenate((t + 1, t - 1))
+        re += np.bincount(mid[q], w_re[ends], len(mids))
+        im += np.bincount(mid[q], w_im[ends], len(mids))
+        rows, mask = np.concatenate((bits, bits)), masks[q]
+        go = np.flatnonzero(~(rows & mask).any(axis=1))
+        bits, state, t = rows[go] | mask[go], nxt[q[go]], ends[go] + row
+    for (mx, my), zr, zi in zip(mids, re.tolist(), im.tolist()):
+        sums[(mx, my)] += complex(zr, zi)
+        sums[(mx, -my)] += complex(zr, -zi)
+    return sums, longest
 
 
 def observable(domain, x=X_C, sigma=SIGMA):
@@ -323,44 +310,6 @@ def vertex_relation(domain, x=X_C, sigma=SIGMA):
     return float(np.max(residuals, initial=0.0))
 
 
-def _count_walks(i, k, px, n, hi, c, b, box, turns, last):
-    """Count every extension, up to last + 1 steps, of the walk at box index i.
-
-    The vertex at i is already marked in box. k is its arrival direction,
-    px its quarter-unit X and n its step count; hi is the largest X of a
-    bridge so far, or _NOT_BRIDGE once the walk has come back to the start
-    column. Steps onto the last level are counted, never taken. Iterative
-    for the reason given at _strip_walks.
-    """
-    path = [0] * (last + 1)  # box indices marked since i, depth first
-    depth = 0
-    todo = []                # steps to take: (depth, i, k, px, n, hi)
-    while True:
-        m = n + 1
-        for k_out, step, dx in turns[k]:
-            j = i + step
-            if box[j]:
-                continue
-            c[m] += 1
-            ux = px + dx
-            if ux >= hi:
-                b[m] += 1
-                h = ux
-            else:
-                h = hi if ux > -2 else _NOT_BRIDGE
-            if n < last:
-                todo.append((depth, j, k_out, ux, m, h))
-        if not todo:
-            return
-        d, i, k, px, n, hi = todo.pop()
-        while depth > d:
-            depth -= 1
-            box[path[depth]] = 0
-        box[i] = 1
-        path[depth] = i
-        depth += 1
-
-
 def saw_counts(n_max):
     """Exact counts (c, b) of self-avoiding walks and bridges by edge count.
 
@@ -373,28 +322,53 @@ def saw_counts(n_max):
     steps. So for n >= 2, c[n] is six times the number of walks that begin
     east then north-east, and b[n] twice the number of their bridges, since
     every bridge begins east and the reflection keeps X. Only those walks
-    are enumerated, depth first on a bytearray box around the start; steps
-    onto the last length are counted, never taken.
+    are enumerated, breadth first: a walk of the frontier holds its arrival
+    direction, its X, the largest X hi of a bridge (or a value no X reaches
+    once it is none) and its path of cells. Steps onto the last length are
+    counted, never taken. Raises ValueError on an n_max that is not an
+    integer in [0, SAW_COUNT_CAP] and on a frontier over
+    oracle.MAX_TABLE_BYTES.
     """
+    n_max = _integer(n_max, "n_max")
     if not 0 <= n_max <= SAW_COUNT_CAP:
         raise ValueError("n_max must lie in [0, %d]" % SAW_COUNT_CAP)
     c = [1, 3, 6][:n_max + 1] + [0] * (n_max - 2)
     b = [1, 1, 2][:n_max + 1] + [0] * (n_max - 2)
-    if n_max <= 2:
-        return c, b
-    # box cells are vertices in half units, (X / 2, Y / 2), around the start
-    r = n_max + 1
-    width = 4 * r + 1
-    box = bytearray(width * (2 * r + 1))
-    step = [dy // 2 * width + dx // 2 for dx, dy in DIRS]
-    turns = [tuple((k_out, step[k_out], DIRS[k_out][0])
-                   for k_out in ((k + 1) % 6, (k - 1) % 6)) for k in range(6)]
-    start = r * width + 2 * r  # (-2, 0), east-pointing
-    east = start + step[0]
-    second = east + step[1]
-    box[start] = box[east] = box[second] = 1
-    _count_walks(second, 1, 4, 2, 4, c, b, box, turns, n_max - 1)
+    # cells are vertices in half units, Y / 2 * width + (X + 2) / 2, so that
+    # the start (-2, 0) is cell 0 and no two vertices within n_max steps of
+    # it share a cell
+    width = 4 * n_max + 5
+    step = np.array([dy // 2 * width + dx // 2 for dx, dy in DIRS], np.int16)
+    dxs = np.array([dx for dx, _ in DIRS], np.int16)
+    # turns[k] and turns[6 + k]: the left and the right turn after step k
+    turns = np.array([(k + t) % 6 for t in (1, -1) for k in range(6)], np.int8)
+    never = 4 * n_max + 4  # the hi of a non-bridge: above every X reached
+    # path[i] holds step i of every walk; the first walk goes east, north-east
+    path = np.array([[0], [step[0]], [step[0] + step[1]]], np.int16)
+    k, px = np.array([1], np.int8), np.array([4], np.int16)
+    hi = px.copy()
     for n in range(3, n_max + 1):
-        c[n] *= 6
-        b[n] *= 2
+        size = len(k)
+        # live at the step's peak, per walk: its n cells at 2 bytes, 5 bytes
+        # of k, X, hi, 16 of gather indices and 16 of temporaries, then the
+        # cells, k, X, hi and indices of its at most two children
+        kids = 2 * (2 * n + 23) if n < n_max else 0
+        _check_budget(size * (2 * n + 37 + kids), "walks of %d steps" % n)
+        k_out = turns[np.concatenate((k, k + 6))]  # left, then right turns
+        cell = np.concatenate((path[-1], path[-1])) + step[k_out]
+        # the lattice is bipartite of girth 6: a step can only land on a cell
+        # 6, 8, 10, ... steps back
+        hit = [(path[-6::-2] == half).any(axis=0)
+               for half in (cell[:size], cell[size:])]
+        go = np.flatnonzero(~np.concatenate(hit))
+        walk, k = go % size, k_out[go]
+        ux, h = px[walk] + dxs[k], hi[walk]
+        c[n], b[n] = 6 * len(go), 2 * int(np.count_nonzero(ux >= h))
+        if n == n_max:
+            break  # the last level is counted, not taken
+        taken = np.empty((n + 1, len(go)), np.int16)
+        # mode clip: walk is in range, and mode raise would buffer out
+        np.take(path, walk, axis=1, out=taken[:-1], mode="clip")
+        taken[-1], path = cell[go], taken
+        px, hi = ux, np.where(ux > -2, np.maximum(h, ux), never)
     return c, b

@@ -443,6 +443,16 @@ def test_segment_faces_refuses_non_unit_segments():
             segment_faces(z, w)
 
 
+def test_boundary_arcs_refuse_a_non_vertex_by_name():
+    g = build_rect((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="a must be a vertex, not 5"):
+        boundary_arcs(g, 5, (1, 1))
+    with pytest.raises(ValueError, match="b must be a vertex, not None"):
+        boundary_arcs(g, (0, 0), None)
+    with pytest.raises(ValueError, match="a must be a vertex, not 5"):
+        medial_domain(g, 5, (1, 1))
+
+
 def test_boundary_arcs_box():
     g = build_box(2, 2)
     ab_v, ba_v, ab_e, ba_e = boundary_arcs(g, (-2, -2), (2, 2))
@@ -483,6 +493,14 @@ def test_lattice_graph_refuses_vertices_of_mixed_dimension():
     with pytest.raises(ValueError,
                        match=r"vertex \(0, 0, 0\) has 3 coordinates, not d=2"):
         LatticeGraph([(0, 0), (0, 0, 0)], [])
+
+
+def test_lattice_graph_refuses_a_non_integer_dimension():
+    vs, es = [(0, 0), (1, 0)], [((0, 0), (1, 0))]
+    with pytest.raises(ValueError,
+                       match=r"ambient_dim must be an integer, not 2\.0"):
+        LatticeGraph(vs, es, ambient_dim=2.0)
+    assert type(LatticeGraph(vs, es, ambient_dim=np.int64(2)).ambient_dim) is int
 
 
 def test_builders_refuse_non_integer_sizes():

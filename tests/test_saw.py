@@ -3,16 +3,18 @@
 import cmath
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critlat import saw
+from critlat import oracle, saw
 from critlat.saw import (
     A_MID,
     DIRS,
     MU_C,
+    SAW_COUNT_CAP,
     SIGMA,
     X_C,
     HexDomain,
@@ -55,6 +57,16 @@ def test_strip_domain_degenerate_width():
     assert d.vertices == frozenset()
     assert d.mid_edges() == {A_MID}
     assert d.beta == frozenset({A_MID})
+
+
+def test_strip_domain_refuses_a_non_integer_width():
+    with pytest.raises(ValueError, match=r"T must be an integer, not 2\.5"):
+        strip_domain(2.5, 1)
+
+
+def test_strip_domain_refuses_a_non_integer_height():
+    with pytest.raises(ValueError, match=r"L must be an integer, not 1\.5"):
+        strip_domain(2, 1.5)
 
 
 def test_strip_domain_rejects_negative():
@@ -201,6 +213,9 @@ def test_identity_at_critical_weight(T, L):
 def test_identity_larger_strips():
     assert identity_check(4, 0) < 1e-12
     assert identity_check(4, 1) < 1e-12
+    # 63 vertices and the outside id fill exactly one uint64 word
+    assert len(strip_domain(3, 4).vertices) + 1 == 64
+    assert identity_check(3, 4) < 1e-12
 
 
 def test_identity_detects_off_critical_weight():
@@ -251,6 +266,12 @@ def test_walk_counts_cap():
         saw_counts(25)
     with pytest.raises(ValueError):
         saw_counts(-1)
+
+
+def test_walk_counts_refuse_a_non_integer_length():
+    with pytest.raises(ValueError,
+                       match=r"n_max must be an integer, not 3\.5"):
+        saw_counts(3.5)
 
 
 def _naive_counts(n_max):
@@ -434,3 +455,48 @@ def test_walks_leave_no_cyclic_garbage():
 def test_identity_on_wider_strips():
     assert identity_check(4, 2) < 1e-12
     assert identity_check(5, 1) < 1e-12
+
+
+@pytest.mark.parametrize("x,sigma", [(X_C, 0.0), (X_C, SIGMA), (0.7, 0.3)])
+def test_midedge_sums_on_two_word_bitsets(x, sigma):
+    # 72 vertices and the outside id need a second uint64 word per walk
+    d = strip_domain(2, 8)
+    assert 64 < len(d.vertices) + 1 <= 128
+    got, got_longest = _midedge_sums(d, x, sigma)
+    ref, ref_longest = _full_midedge_sums(d, x, sigma)
+    assert set(got) == set(ref)
+    assert got_longest == ref_longest
+    for m, val in ref.items():
+        assert abs(got[m] - val) <= 1e-13
+
+
+def _refused_peak(call):
+    """Traced peak bytes of a call that the byte budget must refuse."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the budget"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call", [lambda: saw_counts(20),
+                                  lambda: identity_check(3, 3)],
+                         ids=["saw_counts", "identity_check"])
+def test_frontier_refused_before_allocating(monkeypatch, call):
+    # at a budget of one byte the first level is refused, so that peak is
+    # the tables built before any walk; a frontier charged after it was
+    # built would add a level over the budget on top of them
+    budget = 1 << 19
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1)
+    tables = _refused_peak(call)
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", budget)
+    assert _refused_peak(call) <= tables + 1.1 * budget
+
+
+def test_walk_counts_at_the_cap_fit_the_budget():
+    c, _ = saw_counts(SAW_COUNT_CAP)
+    # A001668 continued past n = 18
+    assert c[:19] == A001668
+    assert c[19:] == [375504, 704304, 1323996, 2479692, 4654464, 8710212]
