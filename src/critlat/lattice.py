@@ -451,6 +451,7 @@ def face_center(f):
 def shared_corner(f, g):
     """The medial vertex (integer corner) shared by two diagonally adjacent
     faces; this is the midpoint of the primal or dual edge f-g."""
+    f, g = _point(f, "f"), _point(g, "g")
     if abs(f[0] - g[0]) != 1 or abs(f[1] - g[1]) != 1:
         raise ValueError("faces are not diagonal neighbors")
     return (max(f[0], g[0]), max(f[1], g[1]))
@@ -458,7 +459,7 @@ def shared_corner(f, g):
 
 def segment_faces(z, w):
     """(black face, white face) bordering the unit medial segment z-w."""
-    (zx, zy), (wx, wy) = z, w
+    (zx, zy), (wx, wy) = _point(z, "z"), _point(w, "w")
     if abs(zx - wx) + abs(zy - wy) != 1:
         raise ValueError("not a unit medial segment: %r, %r" % (z, w))
     if zx == wx:  # vertical segment, faces east/west

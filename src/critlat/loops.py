@@ -93,8 +93,8 @@ def edge_direction(edge):
 _WALK_CHUNK = 1 << 15
 _WALK_BYTES = 96
 
-# bytes per configuration of the probabilities: the int32 weight classes,
-# with numpy's intp copy of them in bincount or the float64 probabilities
+# bytes per configuration of the probabilities: the int32 weight classes
+# and the float64 probabilities
 _PROB_BYTES = 12
 
 

@@ -1,16 +1,17 @@
 """Exact enumeration oracles for random-cluster and Potts measures.
 
 Everything here is brute force over all 2^|E| edge configurations (or the
-q^(free vertices) spin configurations, up to color permutation in the
-Edwards-Sokal check) with exact bookkeeping; it is the ground truth that the
-samplers, observables and transfer matrices are tested against.
-Edge configurations are enumerated into one label table per (graph, bc):
+q^(free vertices) spin configurations) with exact bookkeeping; it is the
+ground truth that the samplers, observables and transfer matrices are
+tested against. Edge configurations are enumerated into a label table:
 labels[mask, v] is the smallest vertex index in the cluster of v in
 omega^xi, the convention of lattice.cluster_stats, and bit k of mask is the
 state of edge k. _fill_masks builds it edge by edge: the rows of the 2^k
 masks over edges < k are copied to the next 2^k rows, where edge k is open,
 the larger endpoint label of edge k is rewritten to the smaller one there,
-and the weight class k (|E| + 1) + o is built alongside. Every event array
+and the weight class k (|E| + 1) + o is built alongside. The tables of
+several boundary conditions stack on a leading axis, masks last, and are
+built in one pass; the boundary scans build theirs so. Every event array
 is a numpy reduction over the labels. Each label or colouring table is
 sized before it is allocated and refused past MAX_TABLE_BYTES.
 
@@ -19,14 +20,12 @@ _log_weights, in log space; probabilities, Z and log Z all come from there,
 and so do the dual weights and the weights of the loops and sixvertex
 modules. With 0 log 0 = 0, p = 0 and p = 1 are point masses on the
 all-closed and the all-open configuration, with Z = q^k of that mask.
-The weight depends on a configuration only through its class
-k (|E| + 1) + o, and the Potts weight only through the number of
-equal-color edges, so each is evaluated on its class grid only: Z sums the
-classes by their exact integer counts, a probability array gathers the
-normalised grid back by class, and the Edwards-Sokal check counts each
-event once per class. Its free colorings fix vertex 0 to color 0,
-q^(|V|-1) of them: the free weights and the pair events are invariant
-under color permutations.
+The weight depends on a configuration only through its class, and the
+Potts weight only through the number of equal-color edges, so each is
+evaluated on its class grid only: Z sums the classes by their exact
+integer counts, a probability array gathers the normalised grid back by
+class, and the Edwards-Sokal check counts its events by class, eight
+events to one bincount of packed keys.
 """
 
 from __future__ import annotations
@@ -51,11 +50,14 @@ from .lattice import (
 # hard cap on enumerable edge sets
 MAX_ENUM_EDGES = 26
 
-# memory budget, in bytes, of one label table or one spin colouring table
+# memory budget, in bytes, of one label table stack or one colouring table
 MAX_TABLE_BYTES = 1 << 29
 
-# masks of the label table rewritten at a time, which bounds the temporaries
+# masks rewritten or counted at a time, which bounds the temporaries
 _MERGE_MASKS = 1 << 15
+
+# _KEY_BITS[j, key]: bit j of an 8-bit key of _class_counts, as float64
+_KEY_BITS = (np.arange(256) >> np.arange(8)[:, None] & 1).astype(float)
 
 # tolerance of the exact identities (Edwards-Sokal coupling, duality), and
 # the most negative gap the FKG, monotonicity and comparison scans accept
@@ -85,14 +87,14 @@ def _check_edges(graph, edges):
                          % (min(bad), graph.n_edges))
 
 
-def _label_dtype(n_edges, n_vertices):
-    """dtype of a label table, after refusing one past the caps; the budget
-    charges the int32 weight class of every mask as well."""
+def _label_dtype(n_edges, n_vertices, n_tables=1):
+    """dtype of n_tables label tables, after refusing them past the caps;
+    the budget charges the int32 weight class of every mask as well."""
     _check_enum_edges(n_edges)
     dtype = np.min_scalar_type(n_vertices)  # holds every label < n_vertices
-    _check_budget((1 << n_edges) * (n_vertices * dtype.itemsize + 4),
-                  "a label table over %d edges and %d vertices"
-                  % (n_edges, n_vertices))
+    _check_budget((n_tables << n_edges) * (n_vertices * dtype.itemsize + 4),
+                  "%d label table(s) over %d edges and %d vertices"
+                  % (n_tables, n_edges, n_vertices))
     return dtype
 
 
@@ -101,22 +103,20 @@ def _copy_half(table, half):
     numpy cannot prove two strided slices of one array disjoint, so a slice
     assignment first copies the source into a temporary; past _MERGE_MASKS
     masks the copy goes one contiguous row at a time instead, with none."""
-    if half <= _MERGE_MASKS:
-        table[..., half:2 * half] = table[..., :half]
-        return
-    for row in table.reshape(-1, table.shape[-1]):
-        row[half:2 * half] = row[:half]
+    small = half <= _MERGE_MASKS
+    for row in [table] if small else table.reshape(-1, table.shape[-1]):
+        row[..., half:2 * half] = row[..., :half]
 
 
 def _fill_masks(n_links, tables, classes, link):
-    """Fill tables, masks on the last axis, from mask 0: for link k, copy
-    the 2^k masks over links < k to the next 2^k, where k is open, and call
-    link(k, rows) on at most _MERGE_MASKS copies of each table at a time; it
-    applies the link and returns where it joined two components. classes[0]
-    (the component count of mask 0) grows into each mask's weight class
-    k (n_links + 1) + o: +1 per open link, -(n_links + 1) more per join."""
+    """Fill tables and classes, masks on the last axis, from mask 0: for
+    link k, copy the 2^k masks over links < k to the next 2^k, where k is
+    open, and call link(k, rows) on at most _MERGE_MASKS copies of each
+    table at a time; it applies the link and returns where it joined two
+    components. classes[..., 0] (mask 0's component counts) grows into the
+    weight class k (n_links + 1) + o: +1 per link, -(n_links + 1) per join."""
     step = n_links + 1
-    classes[0] *= step
+    classes[..., 0] *= step
     for k in range(n_links):
         half = 1 << k
         for table in tables:
@@ -124,31 +124,44 @@ def _fill_masks(n_links, tables, classes, link):
         for start in range(half, 2 * half, _MERGE_MASKS):
             stop = min(start + _MERGE_MASKS, 2 * half)
             joined = link(k, [t[..., start:stop] for t in tables])
-            out = classes[start:stop]
+            out = classes[..., start:stop]
             np.multiply(joined, -step, out=out, dtype=out.dtype)
-            out += classes[start - half:stop - half]
+            out += classes[..., start - half:stop - half]
             out += 1
 
 
 def _label_table(n_vertices, ends, roots):
     """scan_configs' (labels, classes) for edges ends[k] = (u, v) and vertex
     v identified with roots[v], the labels stored vertex by vertex (a
-    transposed view) so that every column is contiguous."""
-    n_masks = 1 << len(ends)
-    cols = np.empty((n_vertices, n_masks),
-                    dtype=_label_dtype(len(ends), n_vertices))
-    classes = np.empty(n_masks, dtype=np.int32)
-    cols[:, 0] = roots
-    classes[0] = sum(r == v for v, r in enumerate(roots))
+    transposed view) so that every column is contiguous. roots (B, |V|)
+    stacks B tables, all charged first: labels (B, 2^|E|, |V|), classes
+    (B, 2^|E|)."""
+    roots = np.asarray(roots)
+    lead, n_masks = roots.shape[:-1], 1 << len(ends)
+    cols = np.empty(lead + (n_vertices, n_masks),
+                    _label_dtype(len(ends), n_vertices, math.prod(lead)))
+    classes = np.empty(lead + (n_masks,), dtype=np.int32)
+    cols[..., 0] = roots
+    classes[..., 0] = (roots == np.arange(n_vertices)).sum(axis=-1)
 
     def link(k, rows):
         part, (u, v) = rows[0], ends[k]
-        lo, hi = np.minimum(part[u], part[v]), np.maximum(part[u], part[v])
-        np.copyto(part, lo, where=part == hi)
+        a, b = part[..., u, :], part[..., v, :]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        np.copyto(part, lo[..., None, :], where=part == hi[..., None, :])
         return lo != hi
 
     _fill_masks(len(ends), [cols], classes, link)
-    return cols.T, classes
+    return np.swapaxes(cols, -1, -2), classes
+
+
+def _stacked_classes(graph, roots):
+    """Yield the weight classes of graph under the root rows of roots, one
+    stack of at most max(1, _MERGE_MASKS >> |E|) rows per _label_table."""
+    per = max(1, _MERGE_MASKS >> graph.n_edges)
+    for start in range(0, len(roots), per):
+        yield _label_table(graph.n_vertices, graph.edge_ends,
+                           roots[start:start + per])[1]
 
 
 def _sampled_labels(graph, bc, bits):
@@ -169,15 +182,10 @@ def _sampled_labels(graph, bc, bits):
 
 
 def scan_configs(graph, bc, leaf=None):
-    """The label table and weight classes of all 2^|E| configurations of
-    graph under bc, built in one pass.
-
-    Returns (labels, classes): labels[mask, v] is the smallest vertex index
-    in the cluster of v in omega^xi, with bit k of mask the state of edge k,
-    and classes[mask] = k(omega^xi) (|E| + 1) + o(omega) as int32.
-    leaf(mask, labels[mask]), if given, is called once per configuration in
-    mask order.
-    """
+    """(labels, classes) of all 2^|E| configurations of graph under bc, in
+    one pass: labels[mask, v] is the smallest vertex index in the cluster of
+    v in omega^xi, and classes[mask] = k(omega^xi) (|E| + 1) + o(omega) as
+    int32. leaf(mask, labels[mask]), if given, is called per mask in order."""
     labels, classes = _label_table(graph.n_vertices, graph.edge_ends,
                                    bc.roots(graph.n_vertices))
     if leaf is not None:
@@ -222,29 +230,43 @@ def _log_weights(p, q, o, k, n_edges):
     return by_open[o] + k * math.log(q)
 
 
-def _class_grid(n_edges, n_classes):
-    """(o, k) of the weight classes c = k (n_edges + 1) + o < n_classes."""
-    k, o = np.divmod(np.arange(n_classes), n_edges + 1)
-    return o, k
+def _class_hist(cls):
+    """counts[r, c]: the masks of class c in row r of cls, masks last, up to
+    the largest class; each bincount takes at most _MERGE_MASKS classes,
+    offset by their row, so no full-length intp copy of cls is made."""
+    n_classes, run = int(cls.max()) + 1, min(cls.shape[-1], _MERGE_MASKS)
+    runs, per = cls.reshape(-1, run), _MERGE_MASKS // run  # rows cut in runs
+    offsets = np.arange(len(runs)) // (cls.shape[-1] // run) * n_classes
+    counts = np.zeros(cls.size // cls.shape[-1] * n_classes, dtype=np.int64)
+    for s in range(0, len(runs), per):
+        keys = runs[s:s + per] + offsets[s:s + per, None]
+        counts += np.bincount(keys.ravel(), minlength=len(counts))
+    return counts.reshape(-1, n_classes)
 
 
 def _class_sums(p, q, cls, n_edges):
-    """(log_w, log Z) of the masks with weight classes cls: _log_weights on
-    the class grid up to the largest class, and the log-sum-exp of log_w
-    plus the log of the class counts over the classes some mask has."""
-    counts = np.bincount(cls)
-    log_w = _log_weights(p, q, *_class_grid(n_edges, len(counts)), n_edges)
-    seen = np.flatnonzero(counts)
-    terms = log_w[seen] + np.log(counts[seen])
-    top = terms.max()
-    return log_w, float(top + math.log(np.exp(terms - top).sum()))
+    """(log_w, log Z) of the masks with weight classes cls, masks on the
+    last axis: _log_weights on the class grid up to the largest class, and
+    per row the log-sum-exp of log_w plus the log of the _class_hist counts."""
+    counts = _class_hist(cls)
+    k, o = np.divmod(np.arange(counts.shape[1]), n_edges + 1)  # c = k(|E|+1)+o
+    log_w = _log_weights(p, q, o, k, n_edges)
+    row, seen = np.nonzero(counts)
+    terms = log_w[seen] + np.log(counts[row, seen])
+    starts = np.searchsorted(row, np.arange(len(counts)))  # no row is empty
+    top = np.maximum.reduceat(terms, starts)
+    # one pairwise sum per row, as a single row would be summed
+    sums = np.split(np.exp(terms - top[row]), starts[1:])
+    log_z = top + [math.log(s.sum()) for s in sums]
+    return log_w, log_z.reshape(cls.shape[:-1])[()]
 
 
 def _probabilities(p, q, cls, n_edges):
-    """(probabilities, log Z) of the masks with weight classes cls: the
-    normalised class grid gathered back by class."""
+    """(probabilities, log Z) of the masks with weight classes cls, masks on
+    the last axis: the normalised class grid gathered back by class."""
     log_w, log_z = _class_sums(p, q, cls, n_edges)
-    return np.exp(log_w - log_z)[cls], log_z
+    grid = np.exp(log_w - log_z[..., None])
+    return np.take_along_axis(grid, cls, -1), log_z
 
 
 def partition_function(graph, p, q, bc):
@@ -254,7 +276,8 @@ def partition_function(graph, p, q, bc):
 
 def log_partition_function(graph, p, q, bc):
     _check_pq(p, q)
-    return _class_sums(p, q, scan_configs(graph, bc)[1], graph.n_edges)[1]
+    return float(_class_sums(p, q, scan_configs(graph, bc)[1],
+                             graph.n_edges)[1])
 
 
 def probability_array(graph, p, q, bc):
@@ -332,10 +355,7 @@ def _crossing_sides(graph, rect, direction):
 
 def crossing_event(graph, rect, direction):
     """Bool array over masks: open crossing of rect (no boundary wiring).
-
-    Requires every edge of the graph to lie inside rect, which is the case
-    for the crossing rectangles used here.
-    """
+    Requires every edge of the graph to lie inside rect."""
     left, right = _crossing_sides(graph, rect, direction)
     return _joined(scan_configs(graph, free_bc(graph))[0], left,
                    right).any(axis=1)
@@ -418,8 +438,7 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     masks = np.arange(1 << n, dtype=np.int64)
     rest = masks[(masks & bit) == 0]
     joined = _joined_off_rows(labels, graph.edge_ends, edge_k, rest)
-    thr_c, thr_d = thresholds(p, q)
-    expected = np.where(joined, thr_c, thr_d)
+    expected = np.where(joined, *thresholds(p, q))
     # w(rest) / (w(rest) + w(rest + e)) from the log weight ratio
     closed = 1.0 / (1.0 + np.exp(lw[cls[rest | bit]] - lw[cls[rest]]))
     return float(np.abs(closed - expected).max())
@@ -473,13 +492,11 @@ def _product_columns(alphabets):
 
 
 def _color_table(graph, q, fixed=None):
-    """All q^(free vertices) colorings and their agreement counts.
-
-    Returns (colors, agree): colors is a (configs, |V|) int8 array whose free
-    columns are the _product_columns of q colours each, and agree[c] is the
-    number of edges whose ends share a color in coloring c. The Gibbs weight
-    at inverse temperature beta is exp(beta * _simplex_dots(agree)).
-    """
+    """All q^(free vertices) colorings and their agreement counts (colors,
+    agree): colors is a (configs, |V|) int8 array whose free columns are the
+    _product_columns of q colours each, and agree[c] is the number of edges
+    whose ends share a color in coloring c. The Gibbs weight at inverse
+    temperature beta is exp(beta * _simplex_dots(agree))."""
     _check_color_table(graph, q, fixed)
     q, n = int(q), graph.n_vertices
     fixed = fixed or {}
@@ -551,10 +568,23 @@ def even_overlap_event(graph, bc, A):
 def _class_counts(cls, n_classes, events):
     """Exact integer counts by class: row 0 counts every entry of each class
     of cls, row r + 1 the entries where the r-th bool row of events holds.
-    events is consumed one row at a time, never stacked."""
-    return np.array([np.bincount(cls, minlength=n_classes)]
-                    + [np.bincount(cls[ev], minlength=n_classes)
-                       for ev in events])
+    Eight rows at a time (row 0 an all-true row) are packed into the low
+    bits of the key cls << 8 | bits, which one bincount of n_classes 256
+    keys counts; row j sums the keys with bit j set, by a float product that
+    is exact below 2^53. events is read one row at a time."""
+    base = np.left_shift(cls, 8, dtype=np.intp)
+    key, (bits, tmp) = np.empty_like(base), np.empty((2, len(cls)), np.uint8)
+    rows = itertools.chain([np.ones(len(cls), dtype=bool)], events)
+    out = []
+    while True:
+        bits[:], j = 0, -1
+        for j, ev in enumerate(itertools.islice(rows, 8)):
+            bits |= np.left_shift(ev.view(np.uint8), j, out=tmp)
+        if j < 0:
+            return np.concatenate(out).astype(np.int64)
+        hist = np.bincount(np.bitwise_or(base, bits, out=key),
+                           minlength=n_classes << 8)
+        out.append(_KEY_BITS[:j + 1] @ hist.reshape(n_classes, 256).T)
 
 
 def _class_means(counts, log_w):
@@ -571,24 +601,18 @@ def _class_means(counts, log_w):
 def _es_sides(graph, ps, qs, prod_idx):
     """Yield, for each q in qs and p in ps, the lists (spin, cluster) of the
     expectations that the Edwards-Sokal coupling equates at beta(p, q):
-
     pair: mu^f[sigma_x . sigma_y] and phi^0[x <-> y] over the vertex pairs
     x < y; wired: mu^b[sigma_x . b] and phi^1[x <-> boundary] over x; and
     at q = 2 only, product: E[prod_A sigma_x] and phi^0[every cluster meets
-    A evenly] over the vertex index lists A of prod_idx.
-
-    Both weights depend on a configuration only through its class: the
-    random-cluster weight on (open edges o, clusters k), the Potts weight on
-    the number a of equal-color edges. Each event is counted once per class,
-    per boundary condition on the cluster side and per q on the spin side,
-    and each grid point contracts those counts with the class weights.
-    """
+    A evenly] over the vertex index lists A of prod_idx. Each event is
+    counted once per class, per boundary condition on the cluster side and
+    per q on the spin side; each grid point contracts the counts with the
+    class weights."""
     n, n_edges = graph.n_vertices, graph.n_edges
-    # cluster side: one label table per boundary condition; wired_bc
-    # contracts the boundary into one cluster, so a vertex touches it when
-    # it shares the label of boundary vertex b
+    # cluster side: wired_bc contracts the boundary into one cluster, so a
+    # vertex touches it when it shares the label of boundary vertex b
     n_classes = (n_edges + 1) * (n + 1)
-    o_cls, k_cls = _class_grid(n_edges, n_classes)
+    k_cls, o_cls = np.divmod(np.arange(n_classes), n_edges + 1)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     labels, cls = scan_configs(graph, free_bc(graph))
     free_counts = _class_counts(cls, n_classes, itertools.chain(
@@ -641,19 +665,15 @@ def _es_sides(graph, ps, qs, prod_idx):
 
 
 def verify_es_coupling(graph, ps, qs, products=None):
-    """Spin-side vs cluster-side expectations across a (p, q) grid.
-
-    For every p in ps (strictly inside (0,1)), integer q in qs and vertex
+    """Spin-side vs cluster-side expectations across a (p, q) grid: for
+    every p in ps (strictly inside (0,1)), integer q in qs and vertex
     pair x, y, compares mu^f[sigma_x . sigma_y] with phi^0[x <-> y] and
     mu^b[sigma_x . b] with phi^1[x <-> boundary] at the matching beta.
     products, if given, is a list of vertex tuples A; for q = 2 the moment
     E[prod_A sigma_x] is compared with the probability that every cluster
     meets A evenly. An empty ps or qs and a p outside (0,1) are refused, and
     every table is sized, and refused over the budget, before the first is
-    built. The expectations come from counts by weight class, with the free
-    spins enumerated up to color permutation (_es_sides). Returns a report
-    dict; report["ok"] is the verdict.
-    """
+    built. Returns a report dict; report["ok"] is the verdict."""
     ps, qs = list(ps), list(qs)
     if not ps or not qs:
         raise ValueError("verify_es_coupling needs a nonempty grid, not ps "
@@ -710,28 +730,24 @@ def dual_cluster_count_array(graph):
 
 
 def verify_duality(graph, p, q):
-    """Configuration-by-configuration duality of the measures.
-
-    Asserts phi^0_{G,p,q}[w] = phi^1_{G*,p*,q}[w*] for every configuration
-    (the dual graph carries the outer face as an ordinary vertex, which is
-    the wired count) plus the partition-function relation
+    """Configuration-by-configuration duality of the measures: asserts
+    phi^0_{G,p,q}[w] = phi^1_{G*,p*,q}[w*] for every configuration (the
+    dual graph carries the outer face as an ordinary vertex, which is the
+    wired count) plus the partition-function relation
     Z^1_{G*,p*,q} = Z^0_{G,p,q} q^{|E|-|V|+1} ((1-p*)/p)^{|E|}, whose
     exponent counts the bounded faces of a connected G (the relation holds
     for any number of components); returns a report. Checks Euler's relation
     k0(w) = |V| - o(w) + k*(w*) - 1 at every configuration first. Refuses p
     outside (0, 1] and q <= 0; p = 1 is the point mass on the all-open
-    configuration.
-    """
+    configuration."""
     if not 0.0 < p <= 1.0:
         raise ValueError("duality needs p in (0, 1], not %r" % (p,))
-    if not q > 0.0:
-        raise ValueError("q must be > 0, not %r" % (q,))
+    _check_pq(p, q)
     n, n_vertices = graph.n_edges, graph.n_vertices
     _check_enum_edges(n)
     # per mask, the most of: the primal table (uint8 labels, int32 classes);
     # the primal classes and the dual table (2 + |E| - |V| faces); and the
-    # int32 dual classes, one float64 probability array, and either numpy's
-    # intp copy of the classes in bincount or the second float64 array
+    # int32 dual classes and the two float64 probability arrays
     _check_budget((1 << n) * max(n_vertices + 4, n - n_vertices + 10, 20),
                   "the duality check over %d edges" % n)
     cls = scan_configs(graph, free_bc(graph))[1]
@@ -762,13 +778,11 @@ def verify_duality(graph, p, q):
 
 
 def increasing_events(n_edges):
-    """All nonempty increasing events over n_edges, as bool arrays.
-
-    An upset of {0,1}^n is a pair U0 <= U1 of upsets of {0,1}^(n-1): the
-    rows with the top bit clear and those with it set. Their number grows
-    doubly exponentially (167 events at 4), so larger scans use the
-    open-cylinder events of cylinder_probabilities.
-    """
+    """All nonempty increasing events over n_edges, as bool arrays. An upset
+    of {0,1}^n is a pair U0 <= U1 of upsets of {0,1}^(n-1): the rows with
+    the top bit clear and those with it set. Their number grows doubly
+    exponentially (167 events at 4), so larger scans use the open-cylinder
+    events of cylinder_probabilities."""
     if n_edges > 4:
         raise ValueError("full increasing-event enumeration is limited to "
                          "4 edges; use cylinder_probabilities beyond that")
@@ -780,70 +794,57 @@ def increasing_events(n_edges):
 
 
 def _superset_transform(values, g):
-    """T[x] = sum over S >= x of g^(|S \\ x|) values[S], all x at once."""
+    """T[x] = sum over S >= x of g^(|S \\ x|) values[S], all x at once, masks
+    on the last axis."""
     out = np.array(values, dtype=float)
-    for b in range(len(out).bit_length() - 1):
-        # rows [:, 0] have bit b clear, rows [:, 1] the same masks with it set
-        v = out.reshape(-1, 2, 1 << b)
-        v[:, 0] += g * v[:, 1]
+    for b in range(out.shape[-1].bit_length() - 1):
+        # [..., 0, :] have bit b clear, [..., 1, :] the same masks with it set
+        v = out.reshape(out.shape[:-1] + (-1, 2, 1 << b))
+        v[..., 0, :] += g * v[..., 1, :]
     return out
 
 
 def cylinder_probabilities(prob):
-    """cp[f] = probability that all edges of f are open, all f at once.
-
-    Superset-sum transform of the configuration probabilities (cp[0] = 1).
-    """
+    """cp[f] = probability that all edges of f are open, all f at once, by
+    the superset-sum transform of prob (cp[0] = 1), masks on the last axis."""
     return _superset_transform(prob, 1.0)
 
 
 def fkg_gap(graph, p, q, bc, ev_a, ev_b):
     """phi[A and B] - phi[A] phi[B] for increasing events A, B."""
     prob = probability_array(graph, p, q, bc)
-    pa = float(prob[ev_a].sum())
-    pb = float(prob[ev_b].sum())
-    pab = float(prob[ev_a & ev_b].sum())
+    pa, pb, pab = (float(prob[ev].sum()) for ev in (ev_a, ev_b, ev_a & ev_b))
     return pab - pa * pb
 
 
 def fkg_scan(graph, p, q, bc=None):
-    """Positive-association scan over increasing events.
-
-    Requires q >= 1 and |E| <= 8; checks phi[A and B] >= phi[A]phi[B] for
-    every pair from the event class (all increasing events up to 4 edges,
-    all open-cylinder events beyond) and reports the minimal gap.
-    """
+    """Positive-association scan: requires q >= 1 and |E| <= 8, checks
+    phi[A and B] >= phi[A]phi[B] for every pair from the event class (all
+    increasing events up to 4 edges, all open-cylinder events beyond) and
+    reports the minimal gap."""
     if graph.n_edges > 8:
         raise ValueError("event scan limited to 8 edges")
     if q < 1.0:
         raise ValueError("the FKG scan requires q >= 1")
-    if bc is None:
-        bc = free_bc(graph)
-    prob = probability_array(graph, p, q, bc)
+    prob = probability_array(graph, p, q, free_bc(graph) if bc is None else bc)
     if graph.n_edges <= 4:
-        events = np.array(increasing_events(graph.n_edges))
+        kind, events = "increasing", np.array(increasing_events(graph.n_edges))
         pe = events @ prob
-        inter = (events * prob) @ events.T
-        gaps = inter - np.outer(pe, pe)
-        return {"event_class": "increasing", "n_events": len(events),
-                "min_gap": float(gaps.min()), "tol": SCAN_TOL,
-                "ok": bool(gaps.min() >= -SCAN_TOL)}
-    cp = cylinder_probabilities(prob)
-    f = np.arange(1, len(cp))
-    inter = cp[np.bitwise_or.outer(f, f)]
-    gaps = inter - np.outer(cp[f], cp[f])
-    return {"event_class": "cylinder", "n_events": len(f),
+        gaps = (events * prob) @ events.T - np.outer(pe, pe)
+    else:
+        kind, cp = "cylinder", cylinder_probabilities(prob)
+        f = np.arange(1, len(cp))
+        gaps = cp[np.bitwise_or.outer(f, f)] - np.outer(cp[f], cp[f])
+    return {"event_class": kind, "n_events": len(gaps),
             "min_gap": float(gaps.min()), "tol": SCAN_TOL,
             "ok": bool(gaps.min() >= -SCAN_TOL)}
 
 
 def _fkg_search(graph, p, q):
-    """First cylinder-pair FKG violation over subgraphs of graph.
-
-    Subgraphs are scanned by edge count then lexicographic edge subset;
-    within a subgraph, pairs (F1, F2) in lexicographic mask order. Returns
-    {edges, f1, f2, gap} or None.
-    """
+    """First cylinder-pair FKG violation over subgraphs of graph, scanned by
+    edge count then lexicographic edge subset, and within a subgraph pairs
+    (F1, F2) in lexicographic mask order. Returns {edges, f1, f2, gap} or
+    None."""
     for n_sub in range(1, graph.n_edges + 1):
         for subset in itertools.combinations(range(graph.n_edges), n_sub):
             edges = [graph.edges[k] for k in subset]
@@ -866,12 +867,10 @@ def fkg_witness_q_below_one(p=0.5, q=0.5):
 
 
 def mon_scan(graph, q, ps):
-    """Monotonicity in p of every open-cylinder probability.
-
-    For the free and the wired boundary condition and each ordered pair
-    p < p' from ps, the minimum of phi_{p'}[A] - phi_p[A] over cylinder
-    events A; q >= 1, and ps must hold two distinct values. A p given
-    twice is scanned once: equal p give no pair to compare.
+    """Monotonicity in p of every open-cylinder probability: for the free
+    and the wired boundary condition and each ordered pair p < p' from ps,
+    the minimum of phi_{p'}[A] - phi_p[A] over cylinder events A; q >= 1,
+    and ps must hold two distinct values (a repeated p is scanned once).
     """
     if q < 1.0:
         raise ValueError("monotonicity in p needs q >= 1")
@@ -881,18 +880,21 @@ def mon_scan(graph, q, ps):
     ps = sorted(set(ps))
     for p in ps:
         _check_pq(p, q)
-    n, gaps = graph.n_edges, []
-    for bc in (free_bc(graph), wired_bc(graph)):
-        cls = scan_configs(graph, bc)[1]
-        cps = [cylinder_probabilities(_probabilities(p, q, cls, n)[0])[1:]
-               for p in ps]
-        gaps += [(hi - lo).min() for lo, hi in itertools.combinations(cps, 2)]
+    gaps, bcs = [], (free_bc(graph), wired_bc(graph))
+    for cls in _stacked_classes(graph, [bc.roots(graph.n_vertices)
+                                        for bc in bcs]):
+        probs = [_probabilities(p, q, cls, graph.n_edges)[0] for p in ps]
+        for rows in zip(*probs):  # one boundary condition, p ascending
+            cps = [cylinder_probabilities(row)[1:] for row in rows]
+            gaps += [(hi - lo).min()
+                     for lo, hi in itertools.combinations(cps, 2)]
     worst = float(np.min(gaps))  # np.min keeps a NaN gap; min would drop it
     return {"min_gap": worst, "tol": SCAN_TOL, "ok": bool(worst >= -SCAN_TOL)}
 
 
 def set_partitions(items):
-    """All partitions of a list into nonempty blocks."""
+    """All partitions of a list into nonempty blocks, the one-block
+    partition first and the all-singletons one last."""
     items = list(items)
     if not items:
         yield []
@@ -912,21 +914,21 @@ def cbc_scan(graph, p, q):
     """
     if q < 1.0:
         raise ValueError("boundary comparison needs q >= 1")
-
-    def cylinders(bc):
-        return cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
-
-    cp0, cp1 = cylinders(free_bc(graph)), cylinders(wired_bc(graph))
-    gaps, boundary = [], graph.boundary()  # (above free, below wired) each
-    for blocks in set_partitions(boundary):
-        # all singletons are the free condition, and one block the wired one
-        cpx = (cp0 if len(blocks) == len(boundary) else cp1 if len(blocks) == 1
-               else cylinders(custom_bc(graph, blocks)))
-        gaps.append(((cpx - cp0).min(), (cp1 - cpx).min()))
-    # np.min keeps a NaN gap, which the builtin min would drop
-    lower, upper = (float(g) for g in np.min(gaps, axis=0))
+    roots = [custom_bc(graph, blocks).roots(graph.n_vertices)
+             for blocks in set_partitions(graph.boundary())]
+    # rows 0 and -1 are wired and free; as rounding is monotone, the worst
+    # gaps over xi are those of the least and the largest phi^xi[A]
+    low, high = np.full((2, (1 << graph.n_edges) - 1), [[np.inf], [-np.inf]])
+    for i, cls in enumerate(_stacked_classes(graph, roots)):
+        prob = _probabilities(p, q, cls, graph.n_edges)[0]
+        cp = cylinder_probabilities(prob)[:, 1:]
+        cp1 = cp[0] if i == 0 else cp1
+        # np.minimum keeps a NaN, which the builtin min would drop
+        np.minimum(low, cp.min(axis=0), out=low)
+        np.maximum(high, cp.max(axis=0), out=high)
+    lower, upper = float((low - cp[-1]).min()), float((cp1 - high).min())
     return {"min_above_free": lower, "min_below_wired": upper,
-            "n_partitions": len(gaps), "tol": SCAN_TOL,
+            "n_partitions": len(roots), "tol": SCAN_TOL,
             "ok": bool(lower >= -SCAN_TOL and upper >= -SCAN_TOL)}
 
 
@@ -935,11 +937,9 @@ def cbc_scan(graph, p, q):
 
 
 def phi_sum(S, p, d=2):
-    """phi_p(S) = p sum_{x in S, y ~ x, y not in S} P_p[0 <-> x inside S].
-
-    S is a set of d-dimensional integer points containing the origin; the
-    connection probabilities use only edges with both endpoints in S.
-    """
+    """phi_p(S) = p sum_{x in S, y ~ x, y not in S} P_p[0 <-> x inside S],
+    S a set of d-dimensional integer points containing the origin; the
+    connection probabilities use only edges with both endpoints in S."""
     _check_pq(p)
     g = induced_graph(S, d)
     origin = (0,) * d

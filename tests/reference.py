@@ -10,20 +10,31 @@ the package against. Nothing under src/ imports them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from critlat.lattice import (
     CCW_SIDES,
     DobrushinDomain,
     cluster_stats,
+    custom_bc,
+    free_bc,
     induced_graph,
     oriented_segment,
+    wired_bc,
 )
-from critlat.oracle import _check_edges, thresholds
+from critlat.oracle import (
+    _check_edges,
+    cylinder_probabilities,
+    probability_array,
+    set_partitions,
+    thresholds,
+)
 from critlat.sampler import _cut_side, _links
 
 
@@ -64,6 +75,48 @@ def heatbath_step(graph, bits, edge_k, u, p, q, bc):
     out = list(bits)
     out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# class counts and boundary scans, one row or one boundary condition at a
+# time (oracle)
+
+
+def class_counts(cls, n_classes, events):
+    """Counts by class with one bincount per row: row 0 counts every entry
+    of cls, row r + 1 the entries where the bool row events[r] holds."""
+    return np.array([np.bincount(cls, minlength=n_classes)]
+                    + [np.bincount(cls[ev], minlength=n_classes)
+                       for ev in events])
+
+
+def _cylinders(graph, p, q, bc):
+    """phi[all edges of f open] for the nonempty edge masks f, from one
+    probability_array of graph under bc."""
+    return cylinder_probabilities(probability_array(graph, p, q, bc))[1:]
+
+
+def cbc_gaps(graph, p, q):
+    """(min phi^xi[A] - phi^0[A], min phi^1[A] - phi^xi[A]) over every
+    boundary partition xi and cylinder event A, one table per partition."""
+    cp0 = _cylinders(graph, p, q, free_bc(graph))
+    cp1 = _cylinders(graph, p, q, wired_bc(graph))
+    gaps = []
+    for blocks in set_partitions(graph.boundary()):
+        cpx = _cylinders(graph, p, q, custom_bc(graph, blocks))
+        gaps.append(((cpx - cp0).min(), (cp1 - cpx).min()))
+    return tuple(float(g) for g in np.min(gaps, axis=0))
+
+
+def mon_gap(graph, q, ps):
+    """min phi_{p'}[A] - phi_p[A] over p < p' from ps, the free and the
+    wired condition and every cylinder event A, one table per (bc, p)."""
+    gaps = []
+    for bc in (free_bc(graph), wired_bc(graph)):
+        cps = [_cylinders(graph, p, q, bc) for p in sorted(set(ps))]
+        gaps += [(hi - lo).min()
+                 for lo, hi in itertools.combinations(cps, 2)]
+    return float(np.min(gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,20 @@ def test_boundary_arcs_refuse_a_non_vertex_by_name():
         medial_domain(g, 5, (1, 1))
 
 
+def test_shared_corner_refuses_a_non_point_by_name():
+    with pytest.raises(ValueError, match="f must be a vertex, not 5"):
+        shared_corner(5, (1, 1))
+    with pytest.raises(ValueError, match="g must be a vertex, not None"):
+        shared_corner((0, 0), None)
+
+
+def test_segment_faces_refuses_a_non_point_by_name():
+    with pytest.raises(ValueError, match="z must be a vertex, not 5"):
+        segment_faces(5, (1, 1))
+    with pytest.raises(ValueError, match="w must be a vertex, not None"):
+        segment_faces((0, 0), None)
+
+
 def test_boundary_arcs_box():
     g = build_box(2, 2)
     ab_v, ba_v, ab_e, ba_e = boundary_arcs(g, (-2, -2), (2, 2))

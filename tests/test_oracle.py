@@ -4,6 +4,7 @@ duality, positive association and the pivotality sum."""
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,10 +26,15 @@ from critlat.lattice import (
 from critlat.oracle import (
     MAX_ENUM_EDGES,
     MAX_TABLE_BYTES,
+    _class_counts,
+    _class_hist,
+    _class_sums,
     _color_table,
     _es_sides,
     _fkg_search,
+    _label_table,
     _log_weights,
+    _probabilities,
     _product_columns,
     _sampled_labels,
     _simplex_dots,
@@ -72,7 +78,12 @@ from critlat.oracle import (
     verify_es_coupling,
 )
 from critlat.sampler import es_forward
-from reference import _refused_before_allocating
+from reference import (
+    _refused_before_allocating,
+    cbc_gaps,
+    class_counts,
+    mon_gap,
+)
 
 SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
@@ -573,6 +584,15 @@ def test_superset_transform_matches_direct_sum(g):
                                    rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("g", [1.0, 0.37])
+def test_superset_transform_acts_on_the_last_axis(g):
+    v = np.random.default_rng(4).random((3, 2, 1 << 6))
+    got = _superset_transform(v, g)
+    assert got.shape == v.shape
+    for i, j in itertools.product(range(3), range(2)):
+        assert np.array_equal(got[i, j], _superset_transform(v[i, j], g))
+
+
 def test_fkg_verify_square_and_grid():
     for q in (1.0, 1.5, 2.0, 3.0):
         for p in (0.3, p_self_dual(q), 0.7):
@@ -621,8 +641,9 @@ def test_cbc_scan_builds_one_label_table_per_partition(monkeypatch):
                         lambda *args: built.append(args) or table(*args))
     report = cbc_scan(RECT7, 0.45, 2.5)
     assert report["ok"] and report["n_partitions"] == 203
-    # the free and wired tables serve the singleton and one-block partitions
-    assert len(built) == 203
+    # one stacked pass, one root row per partition: the singleton and the
+    # one-block partitions are the free and wired rows
+    assert len(built) == 1 and len(built[0][2]) == 203
 
 
 def test_mon_scan_builds_one_label_table_per_bc(monkeypatch):
@@ -631,7 +652,46 @@ def test_mon_scan_builds_one_label_table_per_bc(monkeypatch):
     monkeypatch.setattr(oracle, "_label_table",
                         lambda *args: built.append(args) or table(*args))
     assert mon_scan(RECT7, 2.0, [0.3, 0.5, 0.7])["ok"]
-    assert len(built) == 2  # free and wired, not one per (bc, p)
+    # one stacked pass of the free and wired rows, not one per (bc, p)
+    assert len(built) == 1 and len(built[0][2]) == 2
+
+
+@pytest.mark.parametrize("merge_masks", [1 << 6, 1 << 8, 1 << 15])
+def test_boundary_scans_match_one_table_per_bc(monkeypatch, merge_masks):
+    # a lowered _MERGE_MASKS splits RECT7's 203 partitions over several
+    # stacked passes (2 and 1 per pass at 2^8 and 2^6 masks) and its 128
+    # masks over two bincounts; the gaps are those of one table per bc
+    from critlat import oracle
+    monkeypatch.setattr(oracle, "_MERGE_MASKS", merge_masks)
+    for g in (PATH2, SQUARE, RECT7):
+        for p, q in ((0.45, 2.0), (0.3, 1.0), (0.62, 3.7)):
+            r = cbc_scan(g, p, q)
+            lower, upper = cbc_gaps(g, p, q)
+            assert abs(r["min_above_free"] - lower) <= 1e-15
+            assert abs(r["min_below_wired"] - upper) <= 1e-15
+            ps = [0.2, p, 0.8, 0.2]
+            assert abs(mon_scan(g, q, ps)["min_gap"] - mon_gap(g, q, ps)) \
+                <= 1e-15
+
+
+def test_stacked_label_tables_charged_before_allocating(monkeypatch):
+    # one table of RECT17 is 2^17 masks of 12 uint8 labels and an int32
+    # class, 2 MiB: a budget of three tables builds three and refuses four
+    from critlat import oracle
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 3 * (1 << 17) * 16)
+    roots = [free_bc(RECT17).roots(12), wired_bc(RECT17).roots(12)] * 2
+    labels, cls = _label_table(12, RECT17.edge_ends, roots[:3])
+    assert labels.shape == (3, 1 << 17, 12) and cls.shape == (3, 1 << 17)
+    _refused_before_allocating(
+        lambda: _label_table(12, RECT17.edge_ends, roots),
+        "4 label table")
+    # cbc_scan stacks RECT7's 203 partitions, 128 masks of 6 uint8 labels
+    # and an int32 class each, into one pass charged as a whole
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 203 * 128 * 10 - 1)
+    _refused_before_allocating(lambda: cbc_scan(RECT7, 0.45, 2.0),
+                               "203 label table")
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 203 * 128 * 10)
+    assert cbc_scan(RECT7, 0.45, 2.0)["ok"]
 
 
 def _nan_in_cylinders(monkeypatch):
@@ -770,6 +830,85 @@ def test_label_table_matches_cluster_stats(g, bc):
         assert tuple(int(x) for x in labels[mask]) == lab
         # the weight class k (|E| + 1) + o
         assert counts[mask] == k * (g.n_edges + 1) + bin(mask).count("1")
+
+
+@pytest.mark.parametrize("g", list({id(g): g for g, _ in _engine_cases()}
+                                   .values()), ids=lambda g: str(g.n_edges))
+def test_stacked_label_table_equals_one_table_per_bc(g):
+    bd = list(g.boundary())
+    bcs = [free_bc(g), wired_bc(g), custom_bc(g, [bd[::2]])]
+    labels, cls = _label_table(g.n_vertices, g.edge_ends,
+                               [bc.roots(g.n_vertices) for bc in bcs])
+    assert labels.shape == (3, 1 << g.n_edges, g.n_vertices)
+    for r, bc in enumerate(bcs):
+        want_labels, want_cls = scan_configs(g, bc)
+        assert labels[r].dtype == want_labels.dtype
+        assert np.array_equal(labels[r], want_labels)
+        assert cls.dtype == want_cls.dtype and np.array_equal(cls[r], want_cls)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 8, 9, 17])
+def test_class_counts_match_one_bincount_per_row(n_rows):
+    n = RECT17.n_vertices
+    labels, cls = scan_configs(RECT17, free_bc(RECT17))
+    colors, agree = _color_table(RECT7, 3, {0: 0})
+    pairs = list(itertools.combinations(range(n), 2))[:n_rows]
+    cases = [(cls, (RECT17.n_edges + 1) * (n + 1),
+              [labels[:, i] == labels[:, j] for i, j in pairs]),
+             (agree, RECT7.n_edges + 1,
+              [colors[:, i % 6] == colors[:, j % 6] for i, j in pairs])]
+    for keys, n_classes, events in cases:
+        if n_rows > 1:
+            events[0] = np.zeros(len(keys), dtype=bool)
+            events[-1] = np.ones(len(keys), dtype=bool)
+        alive = []
+
+        def lazily():
+            # fresh rows, so that only _class_counts keeps them alive
+            for ev in events:
+                row = ev.copy()
+                alive.append(weakref.ref(row))
+                assert sum(r() is not None for r in alive) <= 8
+                yield row
+
+        got = _class_counts(keys, n_classes, lazily())
+        want = class_counts(keys, n_classes, events)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_class_hist_counts_past_two_merge_chunks():
+    from critlat import oracle
+    free = scan_configs(RECT17, free_bc(RECT17))[1]
+    wired = scan_configs(RECT17, wired_bc(RECT17))[1]
+    assert len(free) > 2 * oracle._MERGE_MASKS
+    want = np.bincount(free)
+    assert np.array_equal(_class_hist(free), [want])
+    stack = np.stack([free, wired, free])
+    got = _class_hist(stack)
+    assert got.shape == (3, len(want))
+    assert np.array_equal(got[1], np.bincount(wired, minlength=len(want)))
+    assert np.array_equal(got[0], want) and np.array_equal(got[2], want)
+    # the small rows of a boundary scan, many to one bincount
+    small = scan_configs(RECT7, free_bc(RECT7))[1]
+    got = _class_hist(np.stack([small] * 300))
+    assert np.array_equal(got, [np.bincount(small)] * 300)
+
+
+@pytest.mark.parametrize("g", [SQUARE, RECT7, RECT17],
+                         ids=["square", "rect7", "rect17"])
+def test_stacked_probabilities_match_probability_array(g):
+    bd = list(g.boundary())
+    bcs = [free_bc(g), wired_bc(g), custom_bc(g, [bd[:2], bd[3:5]])]
+    cls = np.stack([scan_configs(g, bc)[1] for bc in bcs])
+    for p, q in ((0.37, 2.0), (0.0, 1.5), (1.0, 3.0), (0.6, 0.5)):
+        prob, log_z = _probabilities(p, q, cls, g.n_edges)
+        assert prob.shape == cls.shape and log_z.shape == (3,)
+        for r, bc in enumerate(bcs):
+            want = probability_array(g, p, q, bc)
+            np.testing.assert_allclose(prob[r], want, rtol=1e-14, atol=0)
+            assert log_z[r] == log_partition_function(g, p, q, bc)
+            assert _class_sums(p, q, cls[r], g.n_edges)[1] == log_z[r]
 
 
 def _all_mask_bits(n_edges):
