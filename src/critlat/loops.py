@@ -46,12 +46,7 @@ from .lattice import (
     oriented_segment,
     segment_faces,
 )
-from .oracle import (
-    _check_budget,
-    _label_dtype,
-    p_self_dual,
-    probability_array,
-)
+from .oracle import _check_budget, _check_q, p_self_dual, probability_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,8 +63,7 @@ def sigma_obs(q):
 
     Real in [0, 1] for q <= 4; on the branch 1 + iR for q > 4.
     """
-    if not q > 0:
-        raise ValueError("q must be positive, not %r" % (q,))
+    _check_q(q)
     s = math.sqrt(q) / 2.0
     if q <= 4.0:
         return 2.0 / math.pi * math.asin(s)
@@ -89,13 +83,11 @@ def edge_direction(edge):
 
 
 # configurations walked at a time, and about the bytes each holds in the
-# walk's index and temporary arrays
+# walk's index and temporary arrays. The walk charges what edge_observable
+# holds itself: the probabilities and one chunk of these; probability_array
+# charges the label table, which it frees before it returns
 _WALK_CHUNK = 1 << 15
 _WALK_BYTES = 96
-
-# bytes per configuration of the probabilities: the int32 weight classes
-# and the float64 probabilities
-_PROB_BYTES = 12
 
 
 def _lockstep_field(table, masks, prob, sigma):
@@ -144,18 +136,6 @@ def _lockstep_field(table, masks, prob, sigma):
     return hist.reshape(-1, width) @ phase, moves, length
 
 
-def _check_observable_budget(domain):
-    """Refuse, before allocating, an observable over too many free edges:
-    past MAX_ENUM_EDGES, or past the byte budget with the label table, the
-    probabilities and one walk chunk counted together."""
-    n = len(domain.free_edges)
-    row = domain.primal.n_vertices * _label_dtype(
-        n, domain.primal.n_vertices).itemsize
-    _check_budget((1 << n) * (row + _PROB_BYTES)
-                  + min(1 << n, _WALK_CHUNK) * _WALK_BYTES,
-                  "the observable over %d free edges" % n)
-
-
 @dataclass
 class ObservableField:
     """F per medial edge, f per medial vertex (q=2 only), the spin, and
@@ -174,7 +154,6 @@ class ObservableField:
 def edge_observable(domain, p, q):
     """F(e) = E[exp(i sigma W(e, e_b)) 1(e in gamma)] by enumeration."""
     sigma = sigma_obs(q)
-    _check_observable_budget(domain)
     t0 = time.perf_counter()
     # the Dobrushin measure of every free-edge mask, bit t the state of free
     # edge t: the primal restricted to its free edges keeps its vertex
@@ -183,6 +162,8 @@ def edge_observable(domain, p, q):
     free = LatticeGraph(primal.vertices,
                         [primal.edges[k] for k in domain.free_edges])
     prob = probability_array(free, p, q, domain.bc)
+    _check_budget(prob.nbytes + min(len(prob), _WALK_CHUNK) * _WALK_BYTES,
+                  "the walk over %d free edges" % free.n_edges)
     t1 = time.perf_counter()
     table = domain.slots
     F = np.zeros(len(table.edges), dtype=complex)

@@ -37,10 +37,10 @@ import numpy as np
 from scipy.special import xlogy
 
 from .lattice import (
+    BoundaryCondition,
     LatticeGraph,
     build_rect,
     cluster_stats,
-    custom_bc,
     dual_map,
     free_bc,
     induced_graph,
@@ -212,12 +212,21 @@ def _check_beta(beta):
         raise ValueError("beta must be finite, not %r" % (beta,))
 
 
+def _check_q(q, rule="q must be positive"):
+    """Refuse q <= 0 (NaN included) by rule and an infinite q, naming the
+    value."""
+    if not q > 0.0:
+        raise ValueError("%s, not %r" % (rule, q))
+    if q == math.inf:
+        raise ValueError("q must be finite, not %r" % (q,))
+
+
 def _check_pq(p, q=1.0):
-    """Refuse p outside [0, 1] and q <= 0 (NaN included), naming the value."""
+    """Refuse p outside [0, 1] and a q that _check_q refuses, naming the
+    value."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1], not %r" % (p,))
-    if not q > 0.0:
-        raise ValueError("q must be > 0, not %r" % (q,))
+    _check_q(q, "q must be > 0")
 
 
 def _log_weights(p, q, o, k, n_edges):
@@ -714,6 +723,7 @@ def p_dual(p, q):
 
 def p_self_dual(q):
     """Fixed point of p_dual: sqrt(q)/(1+sqrt(q))."""
+    _check_q(q)
     r = math.sqrt(q)
     return r / (1.0 + r)
 
@@ -914,8 +924,10 @@ def cbc_scan(graph, p, q):
     """
     if q < 1.0:
         raise ValueError("boundary comparison needs q >= 1")
-    roots = [custom_bc(graph, blocks).roots(graph.n_vertices)
-             for blocks in set_partitions(graph.boundary())]
+    # roots reads each block's first index, which in every block of
+    # set_partitions is its smallest; a singleton block stays free
+    roots = [BoundaryCondition(blocks).roots(graph.n_vertices)
+             for blocks in set_partitions(graph.boundary_indices)]
     # rows 0 and -1 are wired and free; as rounding is monotone, the worst
     # gaps over xi are those of the least and the largest phi^xi[A]
     low, high = np.full((2, (1 << graph.n_edges) - 1), [[np.inf], [-np.inf]])

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import build_rect, cluster_stats, free_bc, wired_bc
+from .lattice import _integer, build_rect, cluster_stats, free_bc, wired_bc
 from .oracle import (
     _check_pq,
     _check_spin_q,
@@ -78,10 +78,11 @@ _THREAD = threading.local()
 
 
 def _check_draws(n_samples, burn_in=0, thin=1):
-    """Refuse n_samples < 1, burn_in < 0 or thin < 1, naming the value."""
+    """Refuse a non-integer n_samples, burn_in or thin, n_samples < 1,
+    burn_in < 0 or thin < 1, naming the value."""
     for name, value, least in (("n_samples", n_samples, 1),
                                ("burn_in", burn_in, 0), ("thin", thin, 1)):
-        if value < least:
+        if _integer(value, name) < least:
             raise ValueError("%s must be >= %d, not %r" % (name, least, value))
 
 
@@ -387,10 +388,9 @@ def es_forward(graph, bits, q, rng, bc=None, boundary_color=None):
         rng = np.random.default_rng(rng)
     if bc is None:
         bc = free_bc(graph)
-    _, labels = cluster_stats(graph, tuple(int(b) for b in bits), bc)
+    _, labels = cluster_stats(graph, bits, bc)
     roots = sorted(set(labels))
-    color_of = {r: int(c) for r, c in
-                zip(roots, rng.integers(0, q, size=len(roots)))}
+    color_of = dict(zip(roots, rng.integers(0, q, size=len(roots)).tolist()))
     if boundary_color is not None:
         for i in graph.boundary_indices:
             color_of[labels[i]] = boundary_color
@@ -407,10 +407,9 @@ def es_reverse(graph, colors, p, rng):
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     u = rng.random(graph.n_edges)
-    bits = np.zeros(graph.n_edges, dtype=np.uint8)
-    for k, (a, b) in enumerate(graph.edge_ends):
-        bits[k] = 1 if (colors[a] == colors[b] and u[k] < p) else 0
-    return bits
+    return np.array([colors[a] == colors[b] and u[k] < p
+                     for k, (a, b) in enumerate(graph.edge_ends)],
+                    dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,11 @@ import numbers
 import mpmath
 import numpy as np
 
+from .lattice import _integer
 from .oracle import (
     _check_budget,
     _check_enum_edges,
+    _check_q,
     _class_sums,
     _fill_masks,
     p_self_dual,
@@ -117,8 +119,7 @@ RC6V_TOL = 1e-8
 
 def c_from_q(q):
     """Six-vertex c-weight coupled to the cluster weight q."""
-    if not q > 0:
-        raise ValueError("cluster weight q must be positive, not %r" % (q,))
+    _check_q(q)
     return math.sqrt(2.0 + math.sqrt(q))
 
 
@@ -412,6 +413,7 @@ def brute_force_census(N, M, c):
     kept.  Returns total weight, per-|w| sector weights and the
     configuration count.
     """
+    N, M = _integer(N, "N"), _integer(M, "M")
     if N < 1 or M < 1:
         raise ValueError("torus needs N >= 1 and M >= 1, not (%r, %r)" % (N, M))
     if not c > 0:
@@ -531,6 +533,7 @@ class TorusRc:
     """
 
     def __init__(self, N, M):
+        N, M = _integer(N, "N"), _integer(M, "M")
         if N < 1 or M < 2 or M % 2:
             raise ValueError("torus needs N >= 1 and even M >= 2")
         self.N = N
@@ -660,8 +663,7 @@ def oriented_sector_sums(rc, q):
     preserving, so the totals must match the transfer-matrix sector traces
     at c = sqrt(2 + sqrt(q)) exactly.
     """
-    if not q > 0:
-        raise ValueError("cluster weight q must be positive, not %r" % (q,))
+    _check_q(q)
     return _oriented_sectors(rc.N, rc.census_table(), q)
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from critlat import oracle
 from critlat.lattice import (
     CCW_SIDES,
     DobrushinDomain,
@@ -50,6 +52,32 @@ def _refused_before_allocating(call, match="bytes"):
     assert peak < 1 << 20
 
 
+def charged_peak(call, charged=None):
+    """(result, tracemalloc peak, largest charge) of call(), with every
+    _check_budget charge recorded, through each critlat module that binds
+    the name, and still checked; charged, if given, maps each charge's
+    description to its bytes."""
+    charged = {} if charged is None else charged
+    check = oracle._check_budget
+
+    def record(n_bytes, what):
+        charged[what] = max(n_bytes, charged.get(what, 0))
+        check(n_bytes, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("critlat") and \
+                    getattr(module, "_check_budget", None) is check:
+                mp.setattr(module, "_check_budget", record)
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return result, peak, max(charged.values(), default=0)
+
+
 def half_diamond(n):
     """The lower half, x + y <= 0, of the l1 ball of radius n: a domain
     with degree-1 tips on its outer walk."""
@@ -59,7 +87,7 @@ def half_diamond(n):
 
 
 # ---------------------------------------------------------------------------
-# one heat-bath update (sampler)
+# one heat-bath update and the Edwards-Sokal maps (sampler)
 
 
 def heatbath_step(graph, bits, edge_k, u, p, q, bc):
@@ -75,6 +103,36 @@ def heatbath_step(graph, bits, edge_k, u, p, q, bc):
     out = list(bits)
     out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
     return tuple(out)
+
+
+def es_forward_colors(graph, bits, q, rng, bc=None, boundary_color=None):
+    """sampler.es_forward one cluster at a time: a colour per cluster root
+    in increasing order, then boundary_color on every cluster that meets
+    the boundary."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    bc = free_bc(graph) if bc is None else bc
+    _, labels = cluster_stats(graph, tuple(int(b) for b in bits), bc)
+    roots = sorted(set(labels))
+    color_of = {r: int(c) for r, c in
+                zip(roots, rng.integers(0, q, size=len(roots)))}
+    if boundary_color is not None:
+        for i in graph.boundary_indices:
+            color_of[labels[i]] = boundary_color
+    return np.array([color_of[labels[i]] for i in range(graph.n_vertices)],
+                    dtype=np.int8)
+
+
+def es_reverse_bits(graph, colors, p, rng):
+    """sampler.es_reverse one edge at a time: edge k opens iff its
+    endpoints agree and its uniform is below p."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    u = rng.random(graph.n_edges)
+    bits = np.zeros(graph.n_edges, dtype=np.uint8)
+    for k, (a, b) in enumerate(graph.edge_ends):
+        bits[k] = 1 if (colors[a] == colors[b] and u[k] < p) else 0
+    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,11 @@ from critlat.oracle import (
     p_self_dual,
     rc_probability,
 )
+from critlat import oracle
 from critlat.lattice import cluster_stats, dobrushin_bc
 from reference import (
     _refused_before_allocating,
+    charged_peak,
     half_diamond,
     loop_encode,
     winding_profile,
@@ -567,11 +569,32 @@ def test_lockstep_walk_half_diamond(q):
         < 1e-12
 
 
-def test_observable_over_budget_refused_before_allocating():
-    # 24 free edges: a 2^24-row label table plus the probabilities
+def test_observable_over_budget_refused_before_allocating(monkeypatch):
+    # 26 free edges: probability_array charges the 2^26-row label table of
+    # 20 uint8 labels and an int32 class, and refuses it
+    dom = medial_domain(build_rect((0, 4), (0, 3)), (4, 1), (0, 0))
+    assert len(dom.free_edges) == 26
+    _refused_before_allocating(lambda: edge_observable(dom, 0.5, 2.0),
+                               "needs 1610612736 bytes")
+    # 24 free edges: a budget one byte short of the 2^24 x 24-byte table
     dom = medial_domain(build_rect((0, 4), (0, 3)), (0, 0), (4, 3))
     assert len(dom.free_edges) == 24
-    _refused_before_allocating(lambda: edge_observable(dom, 0.5, 2.0))
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", (1 << 24) * 24 - 1)
+    _refused_before_allocating(lambda: edge_observable(dom, 0.5, 2.0),
+                               "needs %d bytes" % ((1 << 24) * 24))
+
+
+@pytest.mark.parametrize("n_free,b", [(12, (3, 2)), (16, (4, 2)),
+                                      (18, (3, 3))])
+def test_observable_peak_within_its_charge(n_free, b):
+    # the label table is charged inside probability_array, and the walk
+    # charges the probabilities and one chunk after the table is freed
+    dom = medial_domain(build_rect((0, b[0]), (0, b[1])), (0, 0), b)
+    assert len(dom.free_edges) == n_free
+    field, peak, charge = charged_peak(
+        lambda: edge_observable(dom, 0.5, 2.0))
+    assert field.counters["configs"] == 1 << n_free
+    assert peak <= 1.1 * charge + (1 << 20)
 
 
 @pytest.mark.parametrize("q", [2.0, 9.0])

@@ -73,14 +73,19 @@ from critlat.oracle import (
     rc_conditional,
     rc_probability,
     scan_configs,
+    set_partitions,
     spin_ensemble,
+    thresholds,
     verify_duality,
     verify_es_coupling,
 )
-from critlat.sampler import es_forward
+from critlat.loops import sigma_obs
+from critlat.sampler import cftp_batch, chain_samples, es_forward
+from critlat.sixvertex import TorusRc, c_from_q, oriented_sector_sums
 from reference import (
     _refused_before_allocating,
     cbc_gaps,
+    charged_peak,
     class_counts,
     mon_gap,
 )
@@ -753,6 +758,26 @@ def test_cbc_scan():
     assert r["ok"] and r["n_partitions"] == 203, r
 
 
+def test_cbc_scan_roots_are_those_custom_bc_wires(monkeypatch):
+    # cbc_scan partitions the boundary indices itself; each partition's
+    # roots are those of custom_bc on the same blocks as vertices
+    from critlat import oracle
+    seen = []
+
+    def stop(graph, roots):
+        seen.append(roots)
+        raise LookupError("roots recorded")
+
+    monkeypatch.setattr(oracle, "_stacked_classes", stop)
+    for g, n_partitions in ((RECT7, 203), (BOX1, 4140)):
+        with pytest.raises(LookupError, match="roots recorded"):
+            cbc_scan(g, 0.45, 2.0)
+        roots = seen.pop()
+        assert len(roots) == n_partitions
+        assert roots == [custom_bc(g, blocks).roots(g.n_vertices)
+                         for blocks in set_partitions(g.boundary())]
+
+
 # ---------------------------------------------------------------------------
 # crossings and the pivotality sum
 
@@ -1021,22 +1046,16 @@ def test_weights_build_no_open_count_array(monkeypatch):
     assert verify_duality(RECT7, 0.4, 2.0)["ok"]
 
 
-def test_duality_peak_within_its_charge(monkeypatch):
+def test_duality_peak_within_its_charge():
     # per-mask arrays live beside and after the two label tables, so the
     # duality check charges its own peak, not a table at a time
-    from critlat import oracle
     g = build_rect((0, 6), (0, 1))
     assert g.n_edges == 19
-    charged, check = {}, oracle._check_budget
-
-    def record(n_bytes, what):
-        charged[what] = n_bytes
-        check(n_bytes, what)
-
-    monkeypatch.setattr(oracle, "_check_budget", record)
-    report, peak = _traced_peak(lambda: verify_duality(g, 0.4, 2.0))
+    charged = {}
+    report, peak, largest = charged_peak(lambda: verify_duality(g, 0.4, 2.0),
+                                         charged)
     charge = charged["the duality check over 19 edges"]
-    assert report["ok"] and charge == max(charged.values())
+    assert report["ok"] and charge == largest
     assert peak <= 1.1 * charge + (1 << 20)
     # and no gross over-charge
     assert charge <= 1.1 * peak
@@ -1146,6 +1165,28 @@ def test_bad_p_or_q_refused_before_the_label_table(p, q, match):
     ]
     for call in calls:
         _refused_before_allocating(call, match)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: thresholds(0.5, q),
+    lambda q: partition_function(SQUARE, 0.5, q, free_bc(SQUARE)),
+    lambda q: probability_array(SQUARE, 0.5, q, wired_bc(SQUARE)),
+    lambda q: p_dual(0.5, q),
+    lambda q: p_self_dual(q),
+    lambda q: rc_conditional(SQUARE, 0.5, q, free_bc(SQUARE), 0, 0),
+    lambda q: cftp_batch(SQUARE, 0.5, q, free_bc(SQUARE), 1, 4),
+    lambda q: chain_samples(SQUARE, 0.5, q, free_bc(SQUARE), 1, 4, 2, 1),
+    lambda q: c_from_q(q),
+    lambda q: sigma_obs(q),
+    lambda q: oriented_sector_sums(TorusRc(1, 2), q),
+], ids=["thresholds", "partition_function", "probability_array", "p_dual",
+        "p_self_dual", "rc_conditional", "cftp_batch", "chain_samples",
+        "c_from_q", "sigma_obs", "oriented_sector_sums"])
+def test_infinite_q_refused_by_name(call):
+    # q = inf passed the q > 0 checks, and the samplers drew all-closed
+    # rows from its NaN threshold without an error
+    with pytest.raises(ValueError, match="q must be finite, not inf$"):
+        call(math.inf)
 
 
 def test_scans_refuse_q_below_one_and_large_graphs():

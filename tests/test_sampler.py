@@ -48,7 +48,8 @@ from critlat.sampler import (
     sweep_uniforms,
     thresholds,
 )
-from reference import heatbath_step
+from critlat.sixvertex import TorusRc, brute_force_census, rc6v_verify
+from reference import es_forward_colors, es_reverse_bits, heatbath_step
 
 SQUARE = build_rect((0, 1), (0, 1))
 PATH2 = LatticeGraph([(0, 0), (1, 0), (2, 0)],
@@ -302,6 +303,32 @@ def test_es_round_trip_stationary():
         out[i] = int(bits_to_masks(new_bits[None, :])[0])
     _, pval, _ = chi_square_gof(out, probs)
     assert pval > 1e-3, pval
+
+
+@pytest.mark.parametrize("g", [SQUARE, build_rect((0, 2), (0, 1)),
+                               build_box(1)], ids=["square", "rect7", "box1"])
+def test_es_maps_match_the_per_cluster_reference(g):
+    # seeded Swendsen-Wang chains: both maps draw the variates of the
+    # per-cluster and per-edge references, in the same order
+    for bc in (free_bc(g), wired_bc(g)):
+        for q, color in ((2, None), (3, 1), (4, None), (4, 3)):
+            rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+            bits = np.ones(g.n_edges, dtype=np.uint8)
+            for _ in range(30):
+                colors = es_forward(g, bits, q, rng, bc, color)
+                expected = es_forward_colors(g, bits, q, ref, bc, color)
+                assert colors.dtype == expected.dtype == np.int8
+                assert np.array_equal(colors, expected)
+                bits = es_reverse(g, colors, 0.55, rng)
+                expected = es_reverse_bits(g, colors, 0.55, ref)
+                assert bits.dtype == expected.dtype == np.uint8
+                assert np.array_equal(bits, expected)
+            # int seeds and bits as a list
+            assert np.array_equal(
+                es_forward(g, bits.tolist(), q, 11, bc, color),
+                es_forward_colors(g, bits, q, 11, bc, color))
+            assert np.array_equal(es_reverse(g, colors, 0.4, 11),
+                                  es_reverse_bits(g, colors, 0.4, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +587,31 @@ def test_crossing_mc_refuses_a_rectangle_without_width(nx, q):
     # at nx = 0 the left and right columns coincide, so every draw crosses
     with pytest.raises(ValueError, match="nx >= 1, not %d" % nx):
         crossing_mc(nx, 2, 0.5, q, "free", 100, 1)
+
+
+@pytest.mark.parametrize("call,name,value", [
+    (lambda: TorusRc(2.0, 2), "N", 2.0),
+    (lambda: TorusRc(2, 2.0), "M", 2.0),
+    (lambda: brute_force_census(1, 2.0, 1.5), "M", 2.0),
+    (lambda: rc6v_verify(2, 4.0, 6.25), "M", 4.0),
+    (lambda: cftp_batch(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 2.5),
+     "n_samples", 2.5),
+    (lambda: chain_samples(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 2.5, 2, 1),
+     "n_samples", 2.5),
+    (lambda: chain_samples(SQUARE, 0.5, 2.0, free_bc(SQUARE), 1, 2, 1.5, 1),
+     "burn_in", 1.5),
+    (lambda: mc_estimate(SQUARE, 0.5, 2.0, free_bc(SQUARE), lambda b: 1.0,
+                         2.5, 1), "n_samples", 2.5),
+    (lambda: crossing_mc(2, 1, 0.5, 2.0, "free", 2.5, 1), "n_samples", 2.5),
+    (lambda: crossing_mc(2, 1, 0.5, 1.0, "free", 2.5, 1), "n_samples", 2.5),
+], ids=["torus_N", "torus_M", "brute_force_census", "rc6v_verify",
+        "cftp_batch", "chain_samples", "chain_burn_in", "mc_estimate",
+        "crossing_mc_chain", "crossing_mc_direct"])
+def test_sizes_refuse_non_integers_by_name(call, name, value):
+    # each raised a bare TypeError from range or numpy before
+    with pytest.raises(ValueError,
+                       match="%s must be an integer, not %r$" % (name, value)):
+        call()
 
 
 def test_mc_estimate_chain_refuses_bad_schedule():
