@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .lattice import cluster_stats, free_bc
+from .lattice import _integer, cluster_stats, free_bc
 from .oracle import (
     _check_beta,
     _check_budget,
@@ -48,7 +48,9 @@ N_MAX_LIMIT = 127
 
 
 def _check_n_max(n_max):
-    if not 0 <= n_max <= N_MAX_LIMIT:
+    """Refuse an n_max that is not an integer in [0, N_MAX_LIMIT], naming
+    it."""
+    if not 0 <= _integer(n_max, "n_max") <= N_MAX_LIMIT:
         raise ValueError("n_max %d is outside [0, %d]" % (n_max, N_MAX_LIMIT))
 
 

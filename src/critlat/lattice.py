@@ -25,9 +25,10 @@ Conventions used throughout the package:
   the standard grid Z^2: primal vertex (x,y) becomes the unit square labelled
   (x-y, x+y) (a "black" face, coordinate sum even; whites have odd sum).
   Medial vertices are the integer corner points, medial edges the unit
-  segments, each oriented counterclockwise around the black face it borders.
-  A global quarter-turn rotation is applied at construction so that the exit
-  edge e_b points in the +x direction.
+  segments, each oriented counterclockwise around the black face (i,j) it
+  borders: along its corner ring (i,j), (i+1,j), (i+1,j+1), (i,j+1). No
+  rotation is applied; readers that need a direction take it relative to
+  the exit edge e_b.
 
 A DobrushinDomain computes, once, everything its observables read: the
 Dobrushin wiring bc of the (ba) arc, the marked edges e_a and e_b (the sides
@@ -444,10 +445,6 @@ def _square_white(v, j):
     return (bx + dx, by + dy)
 
 
-def face_center(f):
-    return complex(f[0] + 0.5, f[1] + 0.5)
-
-
 def shared_corner(f, g):
     """The medial vertex (integer corner) shared by two diagonally adjacent
     faces; this is the midpoint of the primal or dual edge f-g."""
@@ -474,19 +471,13 @@ def segment_faces(z, w):
 
 
 def oriented_segment(z, w):
-    """Orient the medial segment z-w counterclockwise around its black face.
-
-    Returns (tail, head); the direction head - tail equals i*(mid - center)
-    up to the positive scale, center being the black face center.
-    """
-    c = face_center(segment_faces(z, w)[0])
-    mid = complex(z[0] + w[0], z[1] + w[1]) / 2
-    d = 1j * (mid - c)
-    head = (round(mid.real + d.real), round(mid.imag + d.imag))
-    tail = w if head == z else z
-    if head not in (z, w):
-        raise AssertionError
-    return tail, head
+    """Orient the medial segment z-w counterclockwise around its black face
+    (i,j): (z, w) when w follows z in the corner ring (i,j), (i+1,j),
+    (i+1,j+1), (i,j+1), else (w, z)."""
+    i, j = segment_faces(z, w)[0]
+    z, w = tuple(z), tuple(w)
+    ring = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+    return (z, w) if ring[(ring.index(z) + 1) % 4] == w else (w, z)
 
 
 def _shared_side(black, white):
@@ -495,23 +486,6 @@ def _shared_side(black, white):
     corners = [{(f[0] + dx, f[1] + dy) for dx in (0, 1) for dy in (0, 1)}
                for f in (black, white)]
     return oriented_segment(*sorted(corners[0] & corners[1]))
-
-
-def rotate_point(p, k):
-    """Quarter-turn p by k*90 degrees ccw about (1/2, 1/2); integer-exact."""
-    x, y = p
-    for _ in range(k % 4):
-        x, y = 1 - y, x
-    return (x, y)
-
-
-def rotate_face(f, k):
-    """Rotate a face label by k*90 degrees ccw about (1/2, 1/2); the face
-    center (i+1/2, j+1/2) maps to (-j+1/2, i+1/2), so parity is preserved."""
-    i, j = f
-    for _ in range(k % 4):
-        i, j = -j, i
-    return (i, j)
 
 
 # successor codes of a slot whose next segment leaves the status vertices:
@@ -546,10 +520,9 @@ class DobrushinDomain:
     """A primal domain with two marked boundary points and all the medial
     structure the loop representation needs.
 
-    All geometry below is in the diagonal embedding, already rotated so the
-    exit edge e_b points east. The domain owns its Dobrushin wiring (bc)
-    and its slot table (slots); see the module docstring for what it
-    refuses.
+    All geometry below is in the primal's own diagonal embedding. The
+    domain owns its Dobrushin wiring (bc) and its slot table (slots); see
+    the module docstring for what it refuses.
     """
 
     def __init__(self, primal, a, b):
@@ -581,18 +554,18 @@ class DobrushinDomain:
         self.free_edges = tuple(k for k in range(primal.n_edges)
                                 if k not in ba_set)
 
-        # unrotated diagonal geometry
-        black = {v: to_black(v) for v in primal.vertices}
-        blacks = set(black.values())
+        self.black = black = {v: to_black(v) for v in primal.vertices}
+        self.blacks = frozenset(black.values())
         mid = {}
         for k, (u, w) in enumerate(primal.edges):
             mid[k] = shared_corner(black[u], black[w])
 
         whites = self._hugging_whites()
+        self.abstar_whites = tuple(whites)
         forced_dual_mid = [shared_corner(whites[i], whites[i + 1])
                            for i in range(len(whites) - 1)]
 
-        status = {}
+        self.status = status = {}
         for k in self.free_edges:
             status[mid[k]] = ("free", k)
         for k in self.ba_edges:
@@ -604,22 +577,8 @@ class DobrushinDomain:
 
         # the path enters across the side of black(a) facing the first
         # (ab)* white and leaves across the side of black(b) facing the last
-        e_a = _shared_side(black[a], whites[0])
-        e_b = _shared_side(black[b], whites[-1])
-
-        # global rotation: make e_b point east
-        tail, head = e_b
-        d = (head[0] - tail[0], head[1] - tail[1])
-        k_rot = {(1, 0): 0, (0, 1): 3, (-1, 0): 2, (0, -1): 1}[d]
-        rp = lambda p: rotate_point(p, k_rot)
-        rf = lambda f: rotate_face(f, k_rot)
-
-        self.black = {v: rf(black[v]) for v in primal.vertices}
-        self.blacks = frozenset(rf(f) for f in blacks)
-        self.abstar_whites = tuple(rf(w) for w in whites)
-        self.status = {rp(z): s for z, s in status.items()}
-        self.e_a = (rp(e_a[0]), rp(e_a[1]))
-        self.e_b = (rp(e_b[0]), rp(e_b[1]))
+        self.e_a = _shared_side(black[a], whites[0])
+        self.e_b = _shared_side(black[b], whites[-1])
         self.free_pos = {k: t for t, k in enumerate(self.free_edges)}
 
         # whites of the dual domain: the (ab)* arc plus the squares on both
@@ -628,7 +587,7 @@ class DobrushinDomain:
         for u, w in (primal.edges[k] for k in self.free_edges):
             j = _SIDE[w[0] - u[0], w[1] - u[1]]
             flanks += (_square_white(u, j), _square_white(u, j - 1))
-        self.whites = frozenset(rf(w) for w in whites + flanks)
+        self.whites = frozenset(whites + flanks)
         self.slots = self._slot_table()
 
     def _slot_table(self):

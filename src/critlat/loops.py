@@ -27,7 +27,9 @@ lockstep walk against a trace of one configuration at a time from the arc
 pairing alone, without the table (tests/reference.py), which also asserts
 l = 2k + o - v. Medial edges carry the canonical orientation counterclockwise
 around their black face; the q = 2 projections and line membership are
-stated through that orientation, squared to stay branch-free.
+stated through that orientation, squared to stay branch-free. As F winds
+up to e_b only, the q = 2 readers take every direction relative to e_b:
+the domain's own frame is never turned.
 """
 
 from __future__ import annotations
@@ -76,10 +78,14 @@ def medial_edges(domain):
     return {table.edges[e] for e in table.side if e >= 0}
 
 
-def edge_direction(edge):
-    """Unit complex direction of a canonically oriented medial edge."""
+def edge_direction(edge, e_b):
+    """head - tail of edge = (tail, head) relative to e_b, as a complex
+    number: a unit for a canonically oriented medial edge. It is the edge's
+    direction times the conjugate of e_b's, a quarter-turn unit, so the
+    product is exact."""
     (tx, ty), (hx, hy) = edge
-    return complex(hx - tx, hy - ty)
+    (bx, by), (cx, cy) = e_b
+    return complex(hx - tx, hy - ty) * complex(cx - bx, by - cy)
 
 
 # configurations walked at a time, and about the bytes each holds in the
@@ -214,9 +220,10 @@ def contour_check(domain, q, p=None):
 # q = 2: s-holomorphicity, vertex observable, and the H field
 
 
-def project_line(edge, x):
-    """P_e[x] = (x + conj(e) conj(x)) / 2, the projection on sqrt(conj e)R."""
-    e = edge_direction(edge)
+def project_line(edge, x, e_b):
+    """P_e[x] = (x + conj(e) conj(x)) / 2, the projection on sqrt(conj e)R,
+    with e the direction of edge relative to e_b."""
+    e = edge_direction(edge, e_b)
     return 0.5 * (x + e.conjugate() * complex(x).conjugate())
 
 
@@ -251,7 +258,8 @@ def vertex_observable(field):
     for z, inc in _incident_edges(domain).items():
         s = sum(field.edge_values[e] for e in inc)
         f[z] = 0.5 * s if len(inc) == 4 else 2.0 / (2.0 + SQRT2) * s
-    worst = _worst(abs(project_line(e, f[z]) - field.edge_values[e])
+    worst = _worst(abs(project_line(e, f[z], domain.e_b)
+                       - field.edge_values[e])
                    for e in medial_edges(domain) for z in e if z in f)
     if not worst <= 1e-10:
         raise AssertionError("s-holomorphicity violated: %.3e" % worst)
@@ -268,7 +276,7 @@ def sholo_report(domain):
     line = []
     for e, val in field.edge_values.items():
         # F in sqrt(conj e) R  <=>  F^2 / conj(e) = F^2 e lands in [0, inf)
-        ratio = val * val * edge_direction(e)
+        ratio = val * val * edge_direction(e, domain.e_b)
         line += [abs(ratio.imag), -ratio.real]
     line = _worst(line)
     square = []
@@ -287,12 +295,13 @@ def sholo_report(domain):
         inc = incident[v]
         if len(inc) != 2:
             continue
-        nu = sum(edge_direction(e) for e in inc)
+        nu = sum(edge_direction(e, domain.e_b) for e in inc)
         znu = nu * fval * fval
         tangent += [abs(znu.imag), -znu.real]
     tangent = _worst(tangent)
     cr = _cauchy_riemann_residual(domain, fv)
-    exit_proj = abs(project_line(domain.e_b, fv[domain.e_b[0]]) - 1.0)
+    exit_proj = abs(project_line(domain.e_b, fv[domain.e_b[0]], domain.e_b)
+                    - 1.0)
     return {"p": p_used, "field": field, "line_membership": line,
             "square_split": square, "boundary_tangent": tangent,
             "cauchy_riemann": cr, "exit_projection": exit_proj,
@@ -370,7 +379,7 @@ def build_H(field):
             continue
         black, white = segment_faces(*oriented_segment(v, nbrs[0]))
         other = (2 * v[0] - 1 - black[0], 2 * v[1] - 1 - black[1])
-        dz = (complex(*black) - complex(*other))
+        dz = edge_direction((other, black), domain.e_b)
         lhs = H[black] - H[other]
         rhs = 0.5 * (fval * fval * dz).imag
         image.append(abs(lhs - rhs))

@@ -834,7 +834,7 @@ def fkg_scan(graph, p, q, bc=None):
     reports the minimal gap."""
     if graph.n_edges > 8:
         raise ValueError("event scan limited to 8 edges")
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("the FKG scan requires q >= 1")
     prob = probability_array(graph, p, q, free_bc(graph) if bc is None else bc)
     if graph.n_edges <= 4:
@@ -882,7 +882,7 @@ def mon_scan(graph, q, ps):
     the minimum of phi_{p'}[A] - phi_p[A] over cylinder events A; q >= 1,
     and ps must hold two distinct values (a repeated p is scanned once).
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("monotonicity in p needs q >= 1")
     if len(set(ps)) < 2:
         raise ValueError("mon_scan needs two distinct p values, not ps %r"
@@ -922,8 +922,9 @@ def cbc_scan(graph, p, q):
     For every partition xi of the boundary and every cylinder event A,
     phi^0[A] <= phi^xi[A] <= phi^1[A]; q >= 1. Returns the worst gaps.
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("boundary comparison needs q >= 1")
+    _check_pq(p, q)
     # roots reads each block's first index, which in every block of
     # set_partitions is its smallest; a singleton block stays free
     roots = [BoundaryCondition(blocks).roots(graph.n_vertices)

@@ -123,6 +123,15 @@ def c_from_q(q):
     return math.sqrt(2.0 + math.sqrt(q))
 
 
+def _check_c(c):
+    """Refuse a c-weight that is not positive (NaN included) or that is
+    infinite, naming the value."""
+    if not c > 0:
+        raise ValueError("c-weight must be positive, not %r" % (c,))
+    if c == math.inf:
+        raise ValueError("c-weight must be finite, not %r" % (c,))
+
+
 def block_states(n_arrows, m):
     """All arrow-line bitmasks of length n_arrows with popcount m, sorted."""
     words = np.arange(1 << n_arrows, dtype=np.int64)
@@ -193,8 +202,7 @@ class TransferMatrix:
         if not isinstance(N, numbers.Integral) or not 1 <= N <= MAX_TRANSFER_N:
             raise ValueError("transfer matrix needs an integer N with 1 <= N <= "
                              "%d, not %r" % (MAX_TRANSFER_N, N))
-        if not c > 0:
-            raise ValueError("c-weight must be positive, not %r" % (c,))
+        _check_c(c)
         self.N = N
         self.c = float(c)
         self._blocks = None
@@ -331,6 +339,7 @@ def closed_form_rate(q):
     """
     if not q > 4:
         raise ValueError("closed-form rate defined for q > 4 only, not %r" % (q,))
+    _check_q(q)
     lam_f = math.acosh(math.sqrt(q) / 2.0)
     cancel_digits = math.pi ** 2 / (2.0 * math.sinh(lam_f)) / math.log(10.0)
     with mpmath.workdps(int(cancel_digits) + 30):
@@ -352,6 +361,7 @@ def asymptotic_rate(q):
     """Leading small-(q-4) form of the rate, 8 exp(-pi^2 / sqrt(q-4))."""
     if not q > 4:
         raise ValueError("asymptotic form defined for q > 4 only, not %r" % (q,))
+    _check_q(q)
     return 8.0 * math.exp(-math.pi ** 2 / math.sqrt(q - 4.0))
 
 
@@ -416,8 +426,7 @@ def brute_force_census(N, M, c):
     N, M = _integer(N, "N"), _integer(M, "M")
     if N < 1 or M < 1:
         raise ValueError("torus needs N >= 1 and M >= 1, not (%r, %r)" % (N, M))
-    if not c > 0:
-        raise ValueError("c-weight must be positive, not %r" % (c,))
+    _check_c(c)
     P = 2 * N
     if 2 * M * P > 64:
         raise ValueError("census masks hold at most 64 medial edges, not %d"

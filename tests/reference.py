@@ -86,6 +86,22 @@ def half_diamond(n):
                           if abs(x) + abs(y) <= n and x + y <= 0], 2)
 
 
+def turned(graph, points, k):
+    """graph and its marked points turned by k quarter turns about the
+    origin, (x, y) -> (-y, x), with the map the turn induces on medial
+    vertices: black(x, y) = (x - y, x + y) turns to (-(x + y), x - y), a
+    quarter turn of the faces about (1/2, 1/2), which sends the corner
+    (x, y) to (1 - y, x)."""
+    def turn(p, shift):
+        x, y = p
+        for _ in range(k % 4):
+            x, y = shift - y, x
+        return (x, y)
+
+    return (induced_graph([turn(v, 0) for v in graph.vertices], 2),
+            [turn(p, 0) for p in points], lambda z: turn(z, 1))
+
+
 # ---------------------------------------------------------------------------
 # one heat-bath update and the Edwards-Sokal maps (sampler)
 

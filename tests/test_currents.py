@@ -522,6 +522,18 @@ def test_n_max_past_int8_refused_before_allocating():
                 call(n_max)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 2.0, "3"])
+def test_n_max_refuses_non_integers_by_name(n_max):
+    # 2.5 passed the range check and failed in math.factorial
+    edge = build_rect((0, 1), (0, 0))
+    ends = [(0, 0), (1, 0)]
+    for call in (lambda: verify_switching(edge, ends, ends, 0.3, n_max=n_max),
+                 lambda: switching_tail_bound(edge, 0.3, n_max)):
+        with pytest.raises(ValueError,
+                           match="n_max must be an integer, not %r$" % (n_max,)):
+            call()
+
+
 def test_multigraphs_refused_past_byte_budget(monkeypatch):
     # 7^7 = 823,543 multigraphs pass MULTIGRAPH_CAP but not a 64 KiB budget
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 64 << 10)

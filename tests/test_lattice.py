@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from critlat.lattice import (
     free_bc,
     induced_graph,
     medial_domain,
-    rotate_face,
+    oriented_segment,
     segment_faces,
     shared_corner,
     to_black,
@@ -287,16 +288,15 @@ def _status_points(dom, kind):
     return {z for z, (k, _) in dom.status.items() if k == kind}
 
 
-def _rotated_by(dom, k):
-    """dom.black is the diagonal embedding turned by k quarter turns."""
-    return all(dom.black[v] == rotate_face(to_black(v), k)
-               for v in dom.primal.vertices)
+def _unturned(dom):
+    """dom.black is the primal's own diagonal embedding."""
+    return all(dom.black[v] == to_black(v) for v in dom.primal.vertices)
 
 
 def test_domain_fixture_one_arc_edge():
     # a = P1, b = P4: one free edge P1-P4, wired arc P4-P3-P2-P1
     dom = medial_domain(DIAMOND, P1, P4)
-    assert _rotated_by(dom, 0)
+    assert _unturned(dom)
     assert [DIAMOND.edges[k] for k in dom.free_edges] == [(P4, P1)]
     assert dom.status[(1, 0)] == ("free", dom.free_edges[0])
     assert _status_points(dom, "primal") == {(2, 0), (2, 1), (1, 1)}
@@ -310,12 +310,11 @@ def test_domain_fixture_one_arc_edge():
 def test_domain_fixture_two_arc_edges():
     # a = P1, b = P3: free edges P1-P4 and P4-P3, wired arc P3-P2-P1
     dom = medial_domain(DIAMOND, P1, P3)
-    assert _rotated_by(dom, 3)
-    assert dom.e_b[1][0] - dom.e_b[0][0] == 1 and dom.e_b[0][1] == dom.e_b[1][1]
-    assert dom.e_b == ((0, -2), (1, -2))
-    assert dom.e_a == ((1, 1), (0, 1))
-    assert _status_points(dom, "primal") == {(1, -1), (1, 0)}
-    assert _status_points(dom, "dual") == {(0, 1), (-1, 0), (-1, -1), (0, -2)}
+    assert _unturned(dom)
+    assert dom.e_b == ((3, 0), (3, 1))
+    assert dom.e_a == ((0, 1), (0, 0))
+    assert _status_points(dom, "primal") == {(1, 1), (2, 1)}
+    assert _status_points(dom, "dual") == {(0, 0), (1, -1), (2, -1), (3, 0)}
     assert len(dom.abstar_whites) == 5
     assert dom.v_count() == 2
 
@@ -328,9 +327,9 @@ def test_domain_degenerate_marked_point():
     dom = medial_domain(square, (0, 0), (0, 0))
     assert dom.ba_edges == ()
     assert len(dom.free_edges) == 4
-    assert _rotated_by(dom, 1)
-    assert dom.e_b == ((0, 0), (1, 0))
-    assert dom.e_a == ((1, 1), (0, 1))
+    assert _unturned(dom)
+    assert dom.e_b == ((0, 1), (0, 0))
+    assert dom.e_a == ((1, 0), (1, 1))
     assert len(dom.abstar_whites) == 7
     assert len(_status_points(dom, "dual")) == 6
     assert _status_points(dom, "primal") == set()
@@ -350,8 +349,8 @@ def test_boundary_walk_with_leaves():
 
     dom = medial_domain(g, (0, 0), (0, 0))
     assert len(dom.free_edges) == 18
-    assert dom.e_a == ((1, 1), (0, 1))
-    assert dom.e_b == ((0, 0), (1, 0))
+    assert dom.e_a == ((0, 1), (0, 0))
+    assert dom.e_b == ((1, 0), (1, 1))
     assert dom.v_count() == 14
 
 
@@ -434,6 +433,21 @@ def test_medial_helpers_refuse_non_adjacent_input():
     assert segment_faces((0, 0), (0, 1)) == ((0, 0), (-1, 0))
     with pytest.raises(ValueError, match="not a unit medial segment"):
         segment_faces((0, 0), (1, 1))
+
+
+def test_oriented_segment_runs_counterclockwise_around_its_black_face():
+    # every unit segment of [-3, 3]^2, in both argument orders: the head
+    # lies counterclockwise of the tail seen from the black face's centre
+    box = range(-3, 4)
+    for z in itertools.product(box, box):
+        for w in ((z[0] + 1, z[1]), (z[0], z[1] + 1)):
+            tail, head = oriented_segment(z, w)
+            assert oriented_segment(w, z) == (tail, head)
+            assert {tail, head} == {z, w}
+            i, j = segment_faces(z, w)[0]
+            t = complex(tail[0] - i - 0.5, tail[1] - j - 0.5)
+            h = complex(head[0] - i - 0.5, head[1] - j - 0.5)
+            assert (t.conjugate() * h).imag > 0
 
 
 def test_segment_faces_refuses_non_unit_segments():

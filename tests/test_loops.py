@@ -45,6 +45,7 @@ from reference import (
     charged_peak,
     half_diamond,
     loop_encode,
+    turned,
     winding_profile,
 )
 
@@ -402,10 +403,36 @@ def test_projection_is_idempotent_and_on_line():
     for _ in range(50):
         x = complex(*rng.normal(size=2))
         for e in edges:
-            p1 = project_line(e, x)
-            assert abs(project_line(e, p1) - p1) < 1e-12
-            ratio = p1 * p1 * edge_direction(e)
-            assert abs(ratio.imag) < 1e-12 and ratio.real > -1e-12
+            for e_b in edges:
+                p1 = project_line(e, x, e_b)
+                assert abs(project_line(e, p1, e_b) - p1) < 1e-12
+                ratio = p1 * p1 * edge_direction(e, e_b)
+                assert abs(ratio.imag) < 1e-12 and ratio.real > -1e-12
+
+
+@pytest.mark.parametrize("graph,a,b", [
+    (build_rect((0, 3), (0, 2)), (0, 0), (3, 2)), (DIAMOND, P1, P3)],
+    ids=["rect32", "diamond_13"])
+def test_observable_does_not_depend_on_how_the_domain_is_turned(graph, a, b):
+    # e_b points each of the four ways; F on corresponding medial edges
+    # agrees, and every q = 2 identity and contour relation holds
+    base = {q: edge_observable(medial_domain(graph, a, b), p_self_dual(q),
+                               q).edge_values for q in (2.0, 3.0)}
+    heads = set()
+    for k in range(4):
+        g, (ak, bk), turn = turned(graph, (a, b), k)
+        dom = medial_domain(g, ak, bk)
+        heads.add(edge_direction(dom.e_b, ((0, 0), (1, 0))))
+        rep = sholo_report(dom)
+        assert rep["ok"], rep
+        assert contour_check(dom, 3.0)["ok"]
+        fields = {2.0: rep["field"].edge_values,
+                  3.0: edge_observable(dom, p_self_dual(3.0), 3.0).edge_values}
+        for q, field in fields.items():
+            assert len(field) == len(base[q])
+            for (t, h), val in base[q].items():
+                assert abs(field[turn(t), turn(h)] - val) <= 1e-13
+    assert heads == {1, 1j, -1, -1j}
 
 
 def test_sholo_suite_on_fixtures():

@@ -1202,6 +1202,26 @@ def test_scans_refuse_q_below_one_and_large_graphs():
         increasing_events(5)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: cbc_scan(RECT7, 1.5, 2.0), r"p must be in \[0, 1\], not 1.5$"),
+    (lambda: cbc_scan(RECT7, 0.45, math.inf), "q must be finite, not inf$"),
+    (lambda: cbc_scan(RECT7, 0.45, math.nan), "needs q >= 1"),
+    (lambda: mon_scan(RECT7, math.nan, [0.2, 0.5]), "needs q >= 1"),
+    (lambda: fkg_scan(RECT7, 0.45, math.nan), "requires q >= 1")],
+    ids=["cbc_p", "cbc_inf_q", "cbc_nan_q", "mon_nan_q", "fkg_nan_q"])
+def test_scans_refuse_p_and_q_before_building_tables(monkeypatch, call, match):
+    # cbc_scan built its 203 label tables on the 7-edge rect before a bad p
+    # or an infinite q was refused
+    from critlat import oracle
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("label table built before the refusal")
+
+    monkeypatch.setattr(oracle, "_label_table", no_tables)
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("ps", [[0.5], [], [0.4, 0.4]])
 def test_mon_scan_refuses_fewer_than_two_distinct_ps(ps):
     # no pair p < p' to compare, so no verdict

@@ -866,9 +866,13 @@ def test_over_budget_torus_table_refused_before_allocating():
         "oriented_sector_sums", "rc6v_verify", "transfer_matrix",
         "brute_force_census"])
 def test_six_vertex_entry_points_refuse_nan(call, match):
-    # each guard is written so that NaN fails it, naming the value
+    # each guard is written so that NaN fails it, naming the value; an
+    # infinite q or c is refused by name too (it gave a nan gap rate, a nan
+    # Z, an infinite closed-form rate and an asymptotic rate of 8)
     with pytest.raises(ValueError, match=match + " nan"):
         call(float("nan"))
+    with pytest.raises(ValueError, match="must be finite, not inf$"):
+        call(math.inf)
 
 
 def test_oriented_sector_sums_refuse_nonpositive_q():
