@@ -315,15 +315,16 @@ def _cauchy_riemann_residual(domain, fv):
 
     Faces of the medial graph are the primal/dual faces; f being
     s-holomorphic makes the sum of f(corner) * (next - corner) vanish
-    around each face whose four sides are curve-carrying medial edges.
+    around each face whose four sides are curve-carrying medial edges and
+    whose four corners carry f (a slit's outer endpoint carries none).
     """
     edges = medial_edges(domain)
     residuals = []
     for face in list(domain.blacks) + list(domain.whites):
         x, y = face
         corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-        if not all(oriented_segment(corners[t], corners[(t + 1) % 4]) in edges
-                   for t in range(4)):
+        if not all(c in fv and oriented_segment(c, corners[(t + 1) % 4])
+                   in edges for t, c in enumerate(corners)):
             continue
         acc = 0.0 + 0.0j
         for t in range(4):
@@ -379,6 +380,8 @@ def build_H(field):
             continue
         black, white = segment_faces(*oriented_segment(v, nbrs[0]))
         other = (2 * v[0] - 1 - black[0], 2 * v[1] - 1 - black[1])
+        if not {black, other} <= domain.blacks:
+            continue  # a cell beside v is not in the domain
         dz = edge_direction((other, black), domain.e_b)
         lhs = H[black] - H[other]
         rhs = 0.5 * (fval * fval * dz).imag

@@ -1,9 +1,12 @@
 """Exact enumeration oracles for random-cluster and Potts measures.
 
-Everything here is brute force over all 2^|E| edge configurations (or the
-q^(free vertices) spin configurations) with exact bookkeeping; it is the
-ground truth that the samplers, observables and transfer matrices are
-tested against. Edge configurations are enumerated into a label table:
+Everything here is exact bookkeeping over all 2^|E| edge configurations
+(or the q^(free vertices) spin configurations); it is the ground truth
+that the samplers, observables and transfer matrices are tested against.
+Z alone needs only how many configurations fall in each weight class, and
+_frontier_counts counts those edge by edge over a frontier of vertices, so
+Z reaches MAX_COUNT_EDGES edges without enumerating a configuration. Every
+other answer enumerates edge configurations into a label table:
 labels[mask, v] is the smallest vertex index in the cluster of v in
 omega^xi, the convention of lattice.cluster_stats, and bit k of mask is the
 state of edge k. _fill_masks builds it edge by edge: the rows of the 2^k
@@ -12,8 +15,9 @@ the larger endpoint label of edge k is rewritten to the smaller one there,
 and the weight class k (|E| + 1) + o is built alongside. The tables of
 several boundary conditions stack on a leading axis, masks last, and are
 built in one pass; the boundary scans build theirs so. Every event array
-is a numpy reduction over the labels. Each label or colouring table is
-sized before it is allocated and refused past MAX_TABLE_BYTES.
+is a numpy reduction over the labels. Each label or colouring table, and
+each frontier step, is sized before it is allocated and refused past
+MAX_TABLE_BYTES.
 
 The random-cluster weight p^o (1-p)^c q^k is evaluated in one place,
 _log_weights, in log space; probabilities, Z and log Z all come from there,
@@ -49,6 +53,9 @@ from .lattice import (
 
 # hard cap on enumerable edge sets
 MAX_ENUM_EDGES = 26
+
+# most edges a frontier count takes: its int64 class counts reach 2^|E|
+MAX_COUNT_EDGES = 62
 
 # memory budget, in bytes, of one label table stack or one colouring table
 MAX_TABLE_BYTES = 1 << 29
@@ -155,6 +162,52 @@ def _label_table(n_vertices, ends, roots):
     return np.swapaxes(cols, -1, -2), classes
 
 
+def _frontier_counts(graph, bc):
+    """_class_hist of scan_configs(graph, bc)[1], counted edge by edge over
+    a frontier instead of per mask (the Tutte-polynomial transfer of
+    Sekine, Imai and Tani, ISAAC 1995). Edge ends are contracted to their
+    block roots. The frontier holds the vertices with edges on both sides
+    of the current one; a state is its first-occurrence block labelling
+    and carries one int64 count per class. A closed edge keeps the class,
+    an open one adds 1, or 1 - (|E| + 1) when it joins two blocks. Each
+    step is charged to the budget before it is built."""
+    n = graph.n_edges
+    if n > MAX_COUNT_EDGES:
+        raise ValueError("refusing to count classes over more than %d edges"
+                         % MAX_COUNT_EDGES)
+    roots = bc.roots(graph.n_vertices)
+    ends = [(roots[u], roots[v]) for u, v in graph.edge_ends]
+    last = {v: k for k, uv in enumerate(ends) for v in uv}
+    n_roots = len(set(roots))
+    start = np.zeros((n_roots + 1) * (n + 1), dtype=np.int64)
+    start[n_roots * (n + 1)] = 1
+    frontier, states = [], {(): start}
+    for k, (a, b) in enumerate(ends):
+        _check_budget(len(states) * 2 * start.nbytes, "a frontier of %d "
+                      "states over %d classes" % (len(states), len(start)))
+        for v in {a, b} - set(frontier):
+            frontier.append(v)
+            states = {s + (len(set(s)),): c for s, c in states.items()}
+        ia, ib = frontier.index(a), frontier.index(b)
+        keep = [i for i, v in enumerate(frontier) if last[v] > k]
+        frontier = [frontier[i] for i in keep]
+        out = {}
+        for s, c in states.items():
+            opened = np.zeros_like(c)
+            if s[ia] == s[ib]:
+                opened[1:], joined = c[:-1], s
+            else:
+                opened[:-n], joined = c[n:], [s[ia] if x == s[ib] else x
+                                              for x in s]
+            for t, d in ((s, c), (joined, opened)):
+                seen = {}
+                key = tuple(seen.setdefault(t[i], len(seen)) for i in keep)
+                out[key] = out[key] + d if key in out else d
+        states = out
+    (counts,) = states.values()
+    return counts[:np.flatnonzero(counts)[-1] + 1]
+
+
 def _stacked_classes(graph, roots):
     """Yield the weight classes of graph under the root rows of roots, one
     stack of at most max(1, _MERGE_MASKS >> |E|) rows per _label_table."""
@@ -253,11 +306,9 @@ def _class_hist(cls):
     return counts.reshape(-1, n_classes)
 
 
-def _class_sums(p, q, cls, n_edges):
-    """(log_w, log Z) of the masks with weight classes cls, masks on the
-    last axis: _log_weights on the class grid up to the largest class, and
-    per row the log-sum-exp of log_w plus the log of the _class_hist counts."""
-    counts = _class_hist(cls)
+def _count_sums(p, q, counts, n_edges):
+    """(log_w, log Z) of the class histogram counts[r, c]: _log_weights on
+    the class grid, and per row the log-sum-exp of log_w plus log counts."""
     k, o = np.divmod(np.arange(counts.shape[1]), n_edges + 1)  # c = k(|E|+1)+o
     log_w = _log_weights(p, q, o, k, n_edges)
     row, seen = np.nonzero(counts)
@@ -266,7 +317,13 @@ def _class_sums(p, q, cls, n_edges):
     top = np.maximum.reduceat(terms, starts)
     # one pairwise sum per row, as a single row would be summed
     sums = np.split(np.exp(terms - top[row]), starts[1:])
-    log_z = top + [math.log(s.sum()) for s in sums]
+    return log_w, top + [math.log(s.sum()) for s in sums]
+
+
+def _class_sums(p, q, cls, n_edges):
+    """_count_sums of the _class_hist of the weight classes cls, masks on
+    the last axis, with log Z shaped as the rows of cls."""
+    log_w, log_z = _count_sums(p, q, _class_hist(cls), n_edges)
     return log_w, log_z.reshape(cls.shape[:-1])[()]
 
 
@@ -279,14 +336,15 @@ def _probabilities(p, q, cls, n_edges):
 
 
 def partition_function(graph, p, q, bc):
-    """Z = sum_w p^o (1-p)^c q^k."""
+    """Z = sum_w p^o (1-p)^c q^k, summed over the weight classes that
+    _frontier_counts counts, so up to MAX_COUNT_EDGES edges."""
     return math.exp(log_partition_function(graph, p, q, bc))
 
 
 def log_partition_function(graph, p, q, bc):
     _check_pq(p, q)
-    return float(_class_sums(p, q, scan_configs(graph, bc)[1],
-                             graph.n_edges)[1])
+    counts = _frontier_counts(graph, bc)
+    return float(_count_sums(p, q, counts[None], graph.n_edges)[1][0])
 
 
 def probability_array(graph, p, q, bc):

@@ -693,6 +693,17 @@ def test_sholo_report_on_c_shape():
     rep = sholo_report(medial_domain(g, (1, 0), (1, 2)))
     assert rep["square_split"] <= 1e-10
     assert rep["line_membership"] <= 1e-10
+    # H's image check skips v, one of whose two blacks is the missing cell
+    hrep = build_H(rep["field"])
+    assert hrep["ok"], hrep
+
+
+def test_sholo_report_on_corner_slit():
+    # e_a and e_b share the outer endpoint (2, 1) across the slit, which
+    # carries no f, so the Cauchy-Riemann sum skips the faces it corners
+    rep = sholo_report(REFERENCE_DOMAINS["corner_21"]())
+    assert rep["ok"] and rep["cauchy_riemann"] <= 1e-9, rep
+    assert build_H(rep["field"])["ok"]
 
 
 def test_loop_entry_points_refuse_bad_input():

@@ -21,9 +21,11 @@ from critlat.lattice import (
     dobrushin_bc,
     dual_map,
     free_bc,
+    induced_graph,
     wired_bc,
 )
 from critlat.oracle import (
+    MAX_COUNT_EDGES,
     MAX_ENUM_EDGES,
     MAX_TABLE_BYTES,
     _class_counts,
@@ -32,6 +34,7 @@ from critlat.oracle import (
     _color_table,
     _es_sides,
     _fkg_search,
+    _frontier_counts,
     _label_table,
     _log_weights,
     _probabilities,
@@ -181,8 +184,8 @@ def test_open_count_array_is_popcount(n):
 def test_enumeration_cap_refused():
     big = build_box(2)
     assert big.n_edges > MAX_ENUM_EDGES
-    with pytest.raises(ValueError):
-        partition_function(big, 0.5, 1.0, free_bc(big))
+    # Z is a frontier count, which the cap does not limit: 1 at q = 1
+    assert abs(partition_function(big, 0.5, 1.0, free_bc(big)) - 1.0) < 1e-12
     # refused before its 2^40 masks are allocated
     with pytest.raises(ValueError, match="more than %d" % MAX_ENUM_EDGES):
         cylinder_event(big, [0])
@@ -1023,12 +1026,97 @@ def _traced_peak(call):
 
 
 def test_partition_function_keeps_no_per_mask_weights():
-    # 2^22 masks: the 15-column uint8 labels and the int32 counts are 76 MiB
+    # 2^22 masks, whose label table would be 76 MiB; the frontier count of
+    # its at most 15 states peaks at about 52 KB
     g = build_rect((0, 4), (0, 2))
     assert g.n_edges == 22
     _, peak = _traced_peak(
         lambda: partition_function(g, 0.45, 2.0, free_bc(g)))
-    assert peak < 90 << 20
+    assert peak < 1 << 20
+
+
+RECT22 = build_rect((0, 4), (0, 2))
+
+
+def _frontier_cases():
+    """(graph, bcs) for every graph of at most 26 edges these tests build,
+    2-d and 3-d, under free, wired, custom and, on rects, Dobrushin bc."""
+    rects = {"square": SQUARE, "grid23": GRID23, "box1": BOX1,
+             "rect7": RECT7, "rect17": RECT17, "rect22": RECT22}
+    others = {"cube%d" % h: induced_graph(
+        itertools.product(range(2), range(2), range(h)), 3) for h in (2, 3)}
+    others.update(single=SINGLE, edge=EDGE, path2=PATH2, isolated=LatticeGraph(
+        RECT7.vertices + ((0, 5), (4, 4)), RECT7.edges))
+    for name, g in {**rects, **others}.items():
+        bd = list(g.boundary())
+        bcs = [free_bc(g), wired_bc(g)]
+        if len(bd) >= 5:
+            bcs.append(custom_bc(g, [bd[:2], bd[3:5]]))
+        if name in rects:
+            bcs.append(dobrushin_bc(g, g.vertices[0], g.vertices[-1]))
+        yield pytest.param(g, bcs, id=name)
+
+
+@pytest.mark.parametrize("g,bcs", list(_frontier_cases()))
+def test_frontier_counts_equal_the_label_table_histogram(g, bcs):
+    for bc in bcs:
+        got = _frontier_counts(g, bc)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _class_hist(scan_configs(g, bc)[1])[0])
+
+
+def test_partition_function_builds_no_label_table(monkeypatch):
+    from critlat import oracle
+    bc = wired_bc(RECT17)
+    want = _class_sums(0.4, 2.0, scan_configs(RECT17, bc)[1],
+                       RECT17.n_edges)[1]
+
+    def refuse(*args):
+        raise AssertionError("label table built")
+
+    monkeypatch.setattr(oracle, "scan_configs", refuse)
+    monkeypatch.setattr(oracle, "_label_table", refuse)
+    assert log_partition_function(RECT17, 0.4, 2.0, bc) == want
+
+
+def test_partition_function_past_the_enumeration_cap():
+    # the 5x4-vertex rect: e^{-beta |E|} times the q = 2 Potts sum over its
+    # 2^20 spins at the Edwards-Sokal beta
+    g = build_rect((0, 4), (0, 3))
+    assert g.n_edges == 31 > MAX_ENUM_EDGES
+    p = 0.45
+    beta = es_beta_from_p(p, 2)
+    _, w = spin_ensemble(g, 2, beta)
+    want = float(w.sum()) * math.exp(-beta * g.n_edges)
+    assert abs(partition_function(g, p, 2.0, free_bc(g)) - want) \
+        <= 1e-12 * want
+
+
+def test_frontier_count_refused_before_allocating(monkeypatch):
+    from critlat import oracle
+    # int64 counts hold the 2^62 configurations of a 62-edge path, whose
+    # Z is q^|V| (1 - p + p/q)^|E|, but not 2^63
+    n = MAX_COUNT_EDGES
+    path = build_rect((0, n), (0, 0))
+    want = (n + 1) * math.log(2.0) + n * math.log(0.75)
+    got = log_partition_function(path, 0.5, 2.0, free_bc(path))
+    assert abs(got - want) <= 1e-13 * want
+    path = build_rect((0, n + 1), (0, 0))
+    _refused_before_allocating(
+        lambda: log_partition_function(path, 0.5, 2.0, free_bc(path)),
+        "more than 62 edges")
+    # each step of a frontier is charged before it is built: the largest
+    # charge of the 22-edge rect fits a budget of its size, not one less
+    charged = {}
+    bc = free_bc(RECT22)
+    charged_peak(lambda: log_partition_function(RECT22, 0.5, 2.0, bc),
+                 charged)
+    largest = max(charged.values())
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", largest)
+    assert math.isfinite(log_partition_function(RECT22, 0.5, 2.0, bc))
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", largest - 1)
+    _refused_before_allocating(
+        lambda: log_partition_function(RECT22, 0.5, 2.0, bc), "a frontier")
 
 
 def test_weights_build_no_open_count_array(monkeypatch):
@@ -1148,7 +1236,9 @@ def test_count_column_is_charged_to_the_budget():
     assert (1 << 24) * 29 <= MAX_TABLE_BYTES < (1 << 24) * (29 + 4)
     bc = free_bc(g)
     _refused_before_allocating(lambda: cluster_count_array(g, bc))
-    _refused_before_allocating(lambda: partition_function(g, 0.5, 2.0, bc))
+    # Z needs no label table: a forest's is q^|V| (1 - p + p/q)^|E|
+    want = 2.0 ** 29 * 0.75 ** 24
+    assert abs(partition_function(g, 0.5, 2.0, bc) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("p,q,match", [(1.5, 2.0, r"p must be in \[0, 1\]"),
