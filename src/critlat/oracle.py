@@ -155,7 +155,9 @@ def _label_table(n_vertices, ends, roots):
         part, (u, v) = rows[0], ends[k]
         a, b = part[..., u, :], part[..., v, :]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        np.copyto(part, lo[..., None, :], where=part == hi[..., None, :])
+        hit = np.equal(part, hi[..., None, :], out=np.empty_like(part))
+        hit *= (hi - lo)[..., None, :]
+        part -= hit
         return lo != hi
 
     _fill_masks(len(ends), [cols], classes, link)
@@ -227,10 +229,13 @@ def _sampled_labels(graph, bc, bits):
     _check_budget(len(bits) * n * dtype.itemsize, "labels of %d sampled "
                   "configurations of %d vertices" % (len(bits), n))
     cols = np.repeat(np.array(bc.roots(n), dtype)[:, None], len(bits), 1)
+    hit = np.empty_like(cols)
     for (u, v), is_open in zip(graph.edge_ends, np.asarray(bits, bool).T):
         lo = np.minimum(cols[u], cols[v])
         hi = np.maximum(cols[u], cols[v])
-        np.copyto(cols, lo, where=(cols == hi) & is_open)
+        np.equal(cols, hi, out=hit)
+        hit *= (hi - lo) * is_open
+        cols -= hit
     return cols.T
 
 
@@ -635,10 +640,10 @@ def even_overlap_event(graph, bc, A):
 def _class_counts(cls, n_classes, events):
     """Exact integer counts by class: row 0 counts every entry of each class
     of cls, row r + 1 the entries where the r-th bool row of events holds.
-    Eight rows at a time (row 0 an all-true row) are packed into the low
-    bits of the key cls << 8 | bits, which one bincount of n_classes 256
-    keys counts; row j sums the keys with bit j set, by a float product that
-    is exact below 2^53. events is read one row at a time."""
+    Eight rows at a time (row 0 all true), row j times 1 << j, sum into the
+    low bits of the key cls << 8 | bits; the (n_classes, 256) bincount of
+    the keys times the (256, rows) key bits, exact below 2^53, is their
+    counts transposed, returned C-ordered. events is read a row at a time."""
     base = np.left_shift(cls, 8, dtype=np.intp)
     key, (bits, tmp) = np.empty_like(base), np.empty((2, len(cls)), np.uint8)
     rows = itertools.chain([np.ones(len(cls), dtype=bool)], events)
@@ -646,12 +651,12 @@ def _class_counts(cls, n_classes, events):
     while True:
         bits[:], j = 0, -1
         for j, ev in enumerate(itertools.islice(rows, 8)):
-            bits |= np.left_shift(ev.view(np.uint8), j, out=tmp)
+            bits |= np.multiply(ev.view(np.uint8), 1 << j, out=tmp)
         if j < 0:
-            return np.concatenate(out).astype(np.int64)
+            return np.concatenate(out).astype(np.int64, order="C")
         hist = np.bincount(np.bitwise_or(base, bits, out=key),
                            minlength=n_classes << 8)
-        out.append(_KEY_BITS[:j + 1] @ hist.reshape(n_classes, 256).T)
+        out.append((hist.reshape(n_classes, 256) @ _KEY_BITS[:j + 1].T).T)
 
 
 def _class_means(counts, log_w):

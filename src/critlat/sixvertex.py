@@ -518,10 +518,11 @@ def _lifted_table(n_nodes, links, period):
         gu[same] = 0
         gv[same] = 0
         sign = np.where(la < lb, 1, -1).astype(np.int16)
-        sel = L == hi
-        np.copyto(L, lo, where=sel)
-        np.add(U, sign * gu, out=U, where=sel)
-        np.add(V, sign * gv, out=V, where=sel)
+        sel = np.equal(L, hi, out=np.empty_like(L))
+        U += sel * (sign * gu)
+        V += sel * (sign * gv)
+        sel *= hi - lo
+        L -= sel
         cols = np.arange(L.shape[1])
         F[lo, cols] |= F[hi, cols]
         return ~same

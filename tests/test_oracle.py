@@ -954,14 +954,33 @@ def test_sampled_labels_equal_the_label_table(g, bc):
 
 
 def test_sampled_labels_widen_past_255_vertices():
+    # free rows at density 0.6 join labels more than 255 apart, which a
+    # merge buffer narrower than the uint16 labels would wrap
     g = build_rect((0, 16), (0, 15))
     assert g.n_vertices == 272
-    bc = wired_bc(g)
-    bits = (np.random.default_rng(5).random((3, g.n_edges)) < 0.5)
-    labels = _sampled_labels(g, bc, bits)
-    assert labels.dtype == np.uint16
-    for row, lab in zip(bits, labels):
-        assert tuple(int(x) for x in lab) == cluster_stats(g, row, bc)[1]
+    bits = (np.random.default_rng(5).random((24, g.n_edges)) < 0.6)
+    for bc in (free_bc(g), wired_bc(g)):
+        labels = _sampled_labels(g, bc, bits)
+        assert labels.dtype == np.uint16
+        for row, lab in zip(bits, labels):
+            assert tuple(int(x) for x in lab) == cluster_stats(g, row, bc)[1]
+
+
+def test_scan_configs_widen_past_255_vertices():
+    # 12 path edges 23 vertex indices apart among 300 vertices: uint16
+    # labels, and the open path joins labels 276 apart
+    verts = [(x, y) for x in range(13) for y in range(23)] + [(13, 0)]
+    g = LatticeGraph(verts, [((x, 0), (x + 1, 0)) for x in range(12)])
+    assert (g.n_vertices, g.n_edges) == (300, 12)
+    for bc in (free_bc(g), wired_bc(g)):
+        labels, cls = scan_configs(g, bc)
+        assert labels.dtype == np.uint16
+        masks = range(1 << g.n_edges)
+        ks, labs = zip(*(cluster_stats(g, _bits(m, g.n_edges), bc)
+                         for m in masks))
+        assert np.array_equal(labels, labs)
+        assert np.array_equal(cls, [k * (g.n_edges + 1) + m.bit_count()
+                                    for k, m in zip(ks, masks)])
 
 
 def test_sampled_labels_refused_before_allocating(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import importlib.util
 import re
@@ -59,6 +60,10 @@ def test_every_top_level_name_is_used():
     root = PYPROJECT.parent
     texts = {path: path.read_text() for folder in ("src", "bench", "tests")
              for path in sorted((root / folder).rglob("*.py"))}
+    # a name is used where it is a whole \w+ word; count each file once
+    words = collections.Counter()
+    for text in texts.values():
+        words.update(re.findall(r"\w+", text))
     defining = sorted((root / "src" / "critlat").glob("*.py"))
     defining.append(root / "tests" / "reference.py")
     unused = []
@@ -74,12 +79,10 @@ def test_every_top_level_name_is_used():
                          if isinstance(n, ast.Name)]
             else:
                 continue
-            # the source with this definition blanked out
-            own = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            # the words of this definition's own lines
+            own = collections.Counter(re.findall(
+                r"\w+", "".join(lines[node.lineno - 1:node.end_lineno])))
             for name in names:
-                word = re.compile(r"\b%s\b" % re.escape(name))
-                if not name.startswith("__") and not any(
-                        word.search(own if p == path else text)
-                        for p, text in texts.items()):
+                if not name.startswith("__") and words[name] == own[name]:
                     unused.append("%s.%s" % (path.stem, name))
     assert not unused
