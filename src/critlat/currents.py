@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -72,25 +71,6 @@ def parity_masks(graph, sources):
     for k, (u, v) in enumerate(graph.edge_ends):
         np.bitwise_xor(par[:1 << k], bit[u] ^ bit[v], out=par[1 << k:2 << k])
     return np.flatnonzero(par == sum(bit[i] for i in idx)).tolist()
-
-
-def single_current_sum(graph, A, beta):
-    """sum over d(n) = A of w_beta(n) = cosh^|E| sum_{d eta = A} tanh^|eta|."""
-    _check_beta(beta)
-    ones = np.bitwise_count(np.array(parity_masks(graph, A), dtype=np.int64))
-    return math.cosh(beta) ** graph.n_edges * float(np.sum(math.tanh(beta) ** ones))
-
-
-def hte_correlation(graph, beta, A):
-    """tanh-weight ratio sum_{d eta = A} / sum_{d eta = empty} = E[sigma_A].
-
-    Odd |A| gives 0 with a warning: the sum is empty by parity.
-    """
-    _check_beta(beta)
-    if len(A) % 2 == 1:
-        warnings.warn("odd source sets have no even-subgraph expansion")
-        return 0.0
-    return single_current_sum(graph, A, beta) / single_current_sum(graph, (), beta)
 
 
 def _parity_pairs(graph, A, B):
@@ -249,14 +229,6 @@ def double_current_event(graph, B, beta, trace=None):
     if den == 0.0:
         raise ValueError("no current of positive weight has source set %r" % (B,))
     return 1.0 if trace is None else _pair_sum(graph, pairs, beta, trace) / den
-
-
-def squared_correlation_gap(graph, x, y, beta):
-    """|mu^f[sigma_x sigma_y]^2 - P^0[x <-> y in the trace]|."""
-    _check_beta(beta)
-    prob = double_current_event(graph, (), beta, connected_trace(graph, x, y))
-    mu = ising_moment(graph, beta, [x, y])
-    return abs(mu * mu - prob)
 
 
 # ---------------------------------------------------------------------------

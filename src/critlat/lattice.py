@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * Vertices are integer coordinate tuples; edges are unordered nearest-neighbor
   pairs, indexed lexicographically by (min endpoint, max endpoint).
 * Boxes, rectangles and every other subgraph of Z^d induced on a vertex set
-  (hole checks, Dobrushin domains, oracle.phi_sum) come from induced_graph.
+  (hole checks, Dobrushin domains) come from induced_graph.
 * A configuration is a plain sequence of edge bits, bits[k] = 1 when edge k
   is open. A boundary condition lists its wired blocks only: disjoint sorted
   tuples of at least two boundary vertex indices; every other vertex is
@@ -306,11 +306,6 @@ def custom_bc(graph, blocks):
         if len(idx) > 1:
             out.append(tuple(sorted(idx)))
     return BoundaryCondition(tuple(sorted(out)))
-
-
-def dobrushin_bc(graph, a, b):
-    """Wire the counterclockwise boundary arc from b to a; the rest is free."""
-    return custom_bc(graph, (boundary_arcs(graph, a, b)[1],))
 
 
 def cluster_stats(graph, bits, bc):

@@ -46,7 +46,6 @@ from .lattice import (
     DobrushinDomain,
     LatticeGraph,
     oriented_segment,
-    segment_faces,
 )
 from .oracle import _check_budget, _check_q, p_self_dual, probability_array
 
@@ -333,93 +332,3 @@ def _cauchy_riemann_residual(domain, fv):
         residuals.append(abs(acc))
     return _worst(residuals)
 
-
-def build_H(field):
-    """Integrate |F|^2 into the face function H.
-
-    H(black) - H(white) = |F(e)|^2 across every medial edge; anchored at
-    H = 1 on the black face of b. Asserts path independence, the boundary
-    values (1 on the wired-arc blacks, 0 on the dual-arc whites) and the
-    increment rule through f(v)^2 at interior vertices, all within 1e-10.
-    """
-    domain = field.domain
-    if not field.vertex_values:
-        raise ValueError("vertex observable required; run sholo first")
-    relations = []
-    for e in medial_edges(domain):
-        black, white = segment_faces(*e)
-        relations.append((black, white, abs(field.edge_values[e]) ** 2))
-
-    anchor = domain.black[domain.b]
-    H = {anchor: 1.0}
-    queue = [anchor]
-    adj = {}
-    for black, white, inc in relations:
-        adj.setdefault(black, []).append((white, -inc))
-        adj.setdefault(white, []).append((black, inc))
-    while queue:
-        face = queue.pop()
-        for other, delta in adj.get(face, ()):
-            if other not in H:
-                H[other] = H[face] + delta
-                queue.append(other)
-    worst_path = _worst(abs(H[black] - H[white] - inc)
-                        for black, white, inc in relations)
-    if not worst_path <= 1e-10:
-        raise AssertionError("H is path dependent: %.3e" % worst_path)
-
-    wired = {domain.black[v] for v in domain.ba_vertices}
-    bvals = [abs(H[b] - 1.0) for b in wired]
-    bvals += [abs(H[w]) for w in domain.abstar_whites]
-    worst_boundary = _worst(bvals)
-
-    image = []
-    for v, fval in field.vertex_values.items():
-        nbrs = [(v[0] + d[0], v[1] + d[1]) for d in CCW_SIDES]
-        if not all(w in domain.status for w in nbrs):
-            continue
-        black, white = segment_faces(*oriented_segment(v, nbrs[0]))
-        other = (2 * v[0] - 1 - black[0], 2 * v[1] - 1 - black[1])
-        if not {black, other} <= domain.blacks:
-            continue  # a cell beside v is not in the domain
-        dz = edge_direction((other, black), domain.e_b)
-        lhs = H[black] - H[other]
-        rhs = 0.5 * (fval * fval * dz).imag
-        image.append(abs(lhs - rhs))
-    worst_image = _worst(image)
-
-    return {"H": H, "path_residual": worst_path,
-            "boundary_residual": worst_boundary,
-            "image_residual": worst_image,
-            "ok": bool(_worst((worst_path, worst_boundary,
-                              worst_image)) <= 1e-10)}
-
-
-def laplacian_signs(field, H):
-    """(min primal Laplacian, max dual Laplacian) over interior faces.
-
-    Interior primal faces are vertices of the domain with all four lattice
-    neighbors present; interior dual faces are whites flanked on all four
-    diagonal sides by whites of the domain.
-    """
-    domain = field.domain
-    vset = set(domain.primal.vertices)
-    min_primal = math.inf
-    for x in domain.primal.vertices:
-        nbrs = [(x[0] + d[0], x[1] + d[1]) for d in CCW_SIDES]
-        if not all(w in vset for w in nbrs):
-            continue
-        hx = H[domain.black[x]]
-        lap = sum(H[domain.black[w]] - hx for w in nbrs)
-        min_primal = min(min_primal, lap)
-    max_dual = -math.inf
-    whites = domain.whites
-    for y in whites:
-        nbrs = [(y[0] + dx, y[1] + dy)
-                for dx, dy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
-        if not all(w in whites for w in nbrs):
-            continue
-        hy = H[y]
-        lap = sum(H[w] - hy for w in nbrs)
-        max_dual = max(max_dual, lap)
-    return min_primal, max_dual

@@ -44,10 +44,8 @@ from .lattice import (
     BoundaryCondition,
     LatticeGraph,
     build_rect,
-    cluster_stats,
     dual_map,
     free_bc,
-    induced_graph,
     wired_bc,
 )
 
@@ -223,11 +221,13 @@ def _sampled_labels(graph, bc, bits):
     """scan_configs' labels of the configurations in the rows of bits, by
     _label_table's rule: from the roots of bc, edge by edge, an open edge
     rewrites its larger endpoint label to the smaller one, and a closed row
-    is left unchanged. Charged to the budget before it is allocated."""
+    is left unchanged. The labels, their merge buffer and a bool copy of
+    bits (made unless bits is bool) are charged before they are allocated."""
     n = graph.n_vertices
     dtype = np.min_scalar_type(n)
-    _check_budget(len(bits) * n * dtype.itemsize, "labels of %d sampled "
-                  "configurations of %d vertices" % (len(bits), n))
+    _check_budget(len(bits) * (2 * n * dtype.itemsize + graph.n_edges),
+                  "labels of %d sampled configurations of %d vertices"
+                  % (len(bits), n))
     cols = np.repeat(np.array(bc.roots(n), dtype)[:, None], len(bits), 1)
     hit = np.empty_like(cols)
     for (u, v), is_open in zip(graph.edge_ends, np.asarray(bits, bool).T):
@@ -444,18 +444,31 @@ def cylinder_event(graph, open_edges):
 
 def all_pairs_connectivity(graph, bc):
     """One scan; returns (pairs, events) with events[i] the bool array of
-    the event that pairs[i] = (x, y) lie in one cluster of omega^xi."""
-    n = graph.n_vertices
+    the event that pairs[i] = (x, y) lie in one cluster of omega^xi. The
+    events are charged together with the label table, before either is
+    built."""
+    n, masks = graph.n_vertices, 1 << graph.n_edges
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    size = _label_dtype(graph.n_edges, n).itemsize
+    _check_budget(masks * (n * size + 4 + len(pairs)), "the %d pair events "
+                  "of %d masks and their label table" % (len(pairs), masks))
     return pairs, _pair_events(scan_configs(graph, bc)[0], pairs)
 
 
 def all_boundary_connection(graph, bc):
     """One scan; row x is the event that vertex index x touches a cluster
-    containing a boundary vertex of omega^xi."""
+    containing a boundary vertex of omega^xi. Charged, with the label
+    table, before either is built."""
+    n, masks = graph.n_vertices, 1 << graph.n_edges
+    size = _label_dtype(graph.n_edges, n).itemsize
+    # beside the labels, _joined holds its mask-by-label hit table, a copy of
+    # the labels, the events and an intp mask index; the events' transposed
+    # copy is made once the hit table is gone
+    _check_budget(masks * (2 * n * (size + 1) + 8), "the boundary connection "
+                  "of %d vertices over %d masks" % (n, masks))
     labels = scan_configs(graph, bc)[0]
     return np.ascontiguousarray(_joined(
-        labels, graph.boundary_indices, range(graph.n_vertices)).T)
+        labels, graph.boundary_indices, range(n)).T)
 
 
 def all_even_overlap(graph, bc, subsets):
@@ -484,54 +497,12 @@ def _joined_off_rows(labels, ends, k, masks):
     return labels[rest, u] == labels[rest, v]
 
 
-def rc_conditional(graph, p, q, bc, edge_k, rest_mask):
-    """P[w_e = 1 | rest] for the configuration rest_mask off e: one minus
-    the threshold of thresholds(p, q) that applies."""
-    _check_edges(graph, [edge_k])
-    if not 0 <= rest_mask < 1 << graph.n_edges:
-        raise ValueError("rest_mask %r not in range(2**%d)"
-                         % (rest_mask, graph.n_edges))
-    bits = [k != edge_k and (rest_mask >> k) & 1
-            for k in range(graph.n_edges)]
-    _, labels = cluster_stats(graph, bits, bc)
-    u, v = graph.edge_ends[edge_k]
-    return 1.0 - thresholds(p, q)[labels[u] != labels[v]]
-
-
-def edge_conditional_gap(graph, p, q, bc, edge_k):
-    """Worst deviation of thresholds(p, q) from P[w_e = 0 | rest] computed
-    from the weights, over all 2^(|E|-1) rest configurations."""
-    _check_pq(p, q)
-    _check_edges(graph, [edge_k])
-    n = graph.n_edges
-    labels, cls = scan_configs(graph, bc)
-    lw = _class_sums(p, q, cls, n)[0]
-    bit = 1 << edge_k
-    masks = np.arange(1 << n, dtype=np.int64)
-    rest = masks[(masks & bit) == 0]
-    joined = _joined_off_rows(labels, graph.edge_ends, edge_k, rest)
-    expected = np.where(joined, *thresholds(p, q))
-    # w(rest) / (w(rest) + w(rest + e)) from the log weight ratio
-    closed = 1.0 / (1.0 + np.exp(lw[cls[rest | bit]] - lw[cls[rest]]))
-    return float(np.abs(closed - expected).max())
-
-
 # ---------------------------------------------------------------------------
 # Potts spins and the Edwards-Sokal correspondence
 
 
-def es_p_from_beta(beta, q):
-    """Edge weight of the FK expansion of exp(beta sigma_x . sigma_y)."""
-    return 1.0 - math.exp(-q * beta / (q - 1.0))
-
-
 def es_beta_from_p(p, q):
     return -(q - 1.0) / q * math.log1p(-p)
-
-
-def potts_beta_c(q):
-    """Self-dual point transported to the spin normalization."""
-    return (q - 1.0) / q * math.log(1.0 + math.sqrt(q))
 
 
 def _check_spin_q(q):
@@ -979,6 +950,14 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+def _bell(n):
+    """The number of partitions of n items, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[0]
+
+
 def cbc_scan(graph, p, q):
     """Comparison between boundary conditions over all boundary partitions.
 
@@ -988,10 +967,19 @@ def cbc_scan(graph, p, q):
     if not q >= 1.0:
         raise ValueError("boundary comparison needs q >= 1")
     _check_pq(p, q)
+    n_parts = _bell(len(graph.boundary_indices))
+    if n_parts << graph.n_edges > 1 << MAX_ENUM_EDGES:
+        raise ValueError("refusing to scan %d boundary partitions of 2^%d "
+                         "masks each, more than 2^%d masks" % (
+                             n_parts, graph.n_edges, MAX_ENUM_EDGES))
+    shape = (n_parts, graph.n_vertices)
+    _check_budget(math.prod(shape) * np.dtype(np.intp).itemsize,
+                  "the roots of %d boundary partitions" % n_parts)
+    roots = np.empty(shape, dtype=np.intp)
     # roots reads each block's first index, which in every block of
     # set_partitions is its smallest; a singleton block stays free
-    roots = [BoundaryCondition(blocks).roots(graph.n_vertices)
-             for blocks in set_partitions(graph.boundary_indices)]
+    for row, blocks in zip(roots, set_partitions(graph.boundary_indices)):
+        row[:] = BoundaryCondition(blocks).roots(graph.n_vertices)
     # rows 0 and -1 are wired and free; as rounding is monotone, the worst
     # gaps over xi are those of the least and the largest phi^xi[A]
     low, high = np.full((2, (1 << graph.n_edges) - 1), [[np.inf], [-np.inf]])
@@ -1007,25 +995,3 @@ def cbc_scan(graph, p, q):
             "n_partitions": len(roots), "tol": SCAN_TOL,
             "ok": bool(lower >= -SCAN_TOL and upper >= -SCAN_TOL)}
 
-
-# ---------------------------------------------------------------------------
-# the percolation pivotality sum phi_p(S)
-
-
-def phi_sum(S, p, d=2):
-    """phi_p(S) = p sum_{x in S, y ~ x, y not in S} P_p[0 <-> x inside S],
-    S a set of d-dimensional integer points containing the origin; the
-    connection probabilities use only edges with both endpoints in S."""
-    _check_pq(p)
-    g = induced_graph(S, d)
-    origin = (0,) * d
-    if origin not in g.vertex_index:
-        raise ValueError("S must contain the origin")
-    # P[0 <-> x in S] for all x, from one label table
-    labels, cls = scan_configs(g, free_bc(g))
-    prob, _ = _probabilities(p, 1.0, cls, g.n_edges)
-    root = labels[:, g.index(origin)]
-    # x has 2d - deg(x) lattice neighbours outside S
-    total = sum((2 * d - len(nbrs)) * float(prob[labels[:, i] == root].sum())
-                for i, nbrs in enumerate(g.adjacency) if len(nbrs) < 2 * d)
-    return p * total

@@ -48,7 +48,6 @@ from .lattice import _integer
 from .oracle import _check_budget
 
 X_C = 1.0 / math.sqrt(2.0 + math.sqrt(2.0))
-MU_C = math.sqrt(2.0 + math.sqrt(2.0))
 SIGMA = 5.0 / 8.0
 
 A_MID = (0, 0)

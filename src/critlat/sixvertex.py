@@ -102,8 +102,8 @@ from .oracle import (
     _check_budget,
     _check_enum_edges,
     _check_q,
-    _class_sums,
     _fill_masks,
+    _log_weights,
     p_self_dual,
 )
 
@@ -646,7 +646,8 @@ def _rc_weights(rc, table, q, p):
     """w_RC = p^open (1-p)^closed q^clusters of every bond mask, evaluated
     once per weight class and gathered back by class."""
     cls = table["classes"]
-    return np.exp(_class_sums(p, q, cls, rc.n_edges)[0])[cls]
+    k, o = np.divmod(np.arange(cls.max() + 1), rc.n_edges + 1)
+    return np.exp(_log_weights(p, q, o, k, rc.n_edges))[cls]
 
 
 def loop_weight_constant(rc, q, p):

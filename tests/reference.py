@@ -1,13 +1,17 @@
-"""Independent per-configuration references and shared test tooling.
+"""Independent per-configuration references, test-only verifiers and shared
+test tooling.
 
 The package computes its finite-volume statements for all configurations at
 once: the lockstep walk over a Dobrushin domain's slot table, the lifted
 label table of TorusRc.census_table and the mask and label sweeps of the
 sampler. The functions here follow the same definitions one configuration
 at a time, by the plainest walk, and are the second path the tests compare
-the package against. Nothing under src/ imports them.
+the package against. The verifiers here check identities that no report of
+the package reads: the single-edge conditional against the weights, the
+squared two-point function against the sourceless double current, the
+pivotality sum phi_p(S), and the face function H of the q = 2 observable
+with the signs of its Laplacians. Nothing under src/ imports them.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -20,20 +24,35 @@ import numpy as np
 import pytest
 
 from critlat import oracle
+from critlat.currents import (
+    connected_trace,
+    double_current_event,
+    parity_masks,
+)
 from critlat.lattice import (
     CCW_SIDES,
     DobrushinDomain,
+    boundary_arcs,
     cluster_stats,
     custom_bc,
     free_bc,
     induced_graph,
     oriented_segment,
+    segment_faces,
     wired_bc,
 )
+from critlat.loops import _worst, edge_direction, medial_edges
 from critlat.oracle import (
+    _check_beta,
     _check_edges,
+    _check_pq,
+    _class_sums,
+    _joined_off_rows,
+    _probabilities,
     cylinder_probabilities,
+    ising_moment,
     probability_array,
+    scan_configs,
     set_partitions,
     thresholds,
 )
@@ -152,6 +171,55 @@ def es_reverse_bits(graph, colors, p, rng):
 
 
 # ---------------------------------------------------------------------------
+# the single-edge conditional, the pivotality sum and a Dobrushin wiring
+# (oracle, lattice)
+
+
+def edge_conditional_gap(graph, p, q, bc, edge_k):
+    """Worst deviation of thresholds(p, q) from P[w_e = 0 | rest] computed
+    from the weights, over all 2^(|E|-1) rest configurations. The thresholds
+    are read off the oracle module at call time, so a patched formula is
+    the one checked."""
+    _check_pq(p, q)
+    _check_edges(graph, [edge_k])
+    n = graph.n_edges
+    labels, cls = scan_configs(graph, bc)
+    lw = _class_sums(p, q, cls, n)[0]
+    bit = 1 << edge_k
+    masks = np.arange(1 << n, dtype=np.int64)
+    rest = masks[(masks & bit) == 0]
+    joined = _joined_off_rows(labels, graph.edge_ends, edge_k, rest)
+    expected = np.where(joined, *oracle.thresholds(p, q))
+    # w(rest) / (w(rest) + w(rest + e)) from the log weight ratio
+    closed = 1.0 / (1.0 + np.exp(lw[cls[rest | bit]] - lw[cls[rest]]))
+    return float(np.abs(closed - expected).max())
+
+
+def phi_sum(S, p, d=2):
+    """phi_p(S) = p sum_{x in S, y ~ x, y not in S} P_p[0 <-> x inside S],
+    S a set of d-dimensional integer points containing the origin; the
+    connection probabilities use only edges with both endpoints in S."""
+    _check_pq(p)
+    g = induced_graph(S, d)
+    origin = (0,) * d
+    if origin not in g.vertex_index:
+        raise ValueError("S must contain the origin")
+    # P[0 <-> x in S] for all x, from one label table
+    labels, cls = scan_configs(g, free_bc(g))
+    prob, _ = _probabilities(p, 1.0, cls, g.n_edges)
+    root = labels[:, g.index(origin)]
+    # x has 2d - deg(x) lattice neighbours outside S
+    total = sum((2 * d - len(nbrs)) * float(prob[labels[:, i] == root].sum())
+                for i, nbrs in enumerate(g.adjacency) if len(nbrs) < 2 * d)
+    return p * total
+
+
+def dobrushin_bc(graph, a, b):
+    """Wire the counterclockwise boundary arc from b to a; the rest is free."""
+    return custom_bc(graph, (boundary_arcs(graph, a, b)[1],))
+
+
+# ---------------------------------------------------------------------------
 # class counts and boundary scans, one row or one boundary condition at a
 # time (oracle)
 
@@ -194,12 +262,28 @@ def mon_gap(graph, q, ps):
 
 
 # ---------------------------------------------------------------------------
-# one current weight (currents) and hexagonal turns (saw)
+# one current weight, the single current sum, the squared correlation
+# (currents) and hexagonal turns (saw)
 
 
 def current_weight(values, beta):
     """w_beta(n) = prod_e beta^{n_e} / n_e!."""
     return math.prod(beta ** v / math.factorial(v) for v in values)
+
+
+def single_current_sum(graph, A, beta):
+    """sum over d(n) = A of w_beta(n) = cosh^|E| sum_{d eta = A} tanh^|eta|."""
+    _check_beta(beta)
+    ones = np.bitwise_count(np.array(parity_masks(graph, A), dtype=np.int64))
+    return math.cosh(beta) ** graph.n_edges * float(np.sum(math.tanh(beta) ** ones))
+
+
+def squared_correlation_gap(graph, x, y, beta):
+    """|mu^f[sigma_x sigma_y]^2 - P^0[x <-> y in the trace]|."""
+    _check_beta(beta)
+    prob = double_current_event(graph, (), beta, connected_trace(graph, x, y))
+    mu = ising_moment(graph, beta, [x, y])
+    return abs(mu * mu - prob)
 
 
 def turn_sign(k_in, k_out):
@@ -326,6 +410,101 @@ def winding_profile(steps):
         t, h = steps[i]
         wind[oriented_segment(t, h)] = acc
     return wind
+
+
+# ---------------------------------------------------------------------------
+# the face function H of the q = 2 observable (loops)
+
+
+def build_H(field):
+    """Integrate |F|^2 into the face function H.
+
+    H(black) - H(white) = |F(e)|^2 across every medial edge; anchored at
+    H = 1 on the black face of b. Asserts path independence, the boundary
+    values (1 on the wired-arc blacks, 0 on the dual-arc whites) and the
+    increment rule through f(v)^2 at interior vertices, all within 1e-10.
+    """
+    domain = field.domain
+    if not field.vertex_values:
+        raise ValueError("vertex observable required; run sholo first")
+    relations = []
+    for e in medial_edges(domain):
+        black, white = segment_faces(*e)
+        relations.append((black, white, abs(field.edge_values[e]) ** 2))
+
+    anchor = domain.black[domain.b]
+    H = {anchor: 1.0}
+    queue = [anchor]
+    adj = {}
+    for black, white, inc in relations:
+        adj.setdefault(black, []).append((white, -inc))
+        adj.setdefault(white, []).append((black, inc))
+    while queue:
+        face = queue.pop()
+        for other, delta in adj.get(face, ()):
+            if other not in H:
+                H[other] = H[face] + delta
+                queue.append(other)
+    worst_path = _worst(abs(H[black] - H[white] - inc)
+                        for black, white, inc in relations)
+    if not worst_path <= 1e-10:
+        raise AssertionError("H is path dependent: %.3e" % worst_path)
+
+    wired = {domain.black[v] for v in domain.ba_vertices}
+    bvals = [abs(H[b] - 1.0) for b in wired]
+    bvals += [abs(H[w]) for w in domain.abstar_whites]
+    worst_boundary = _worst(bvals)
+
+    image = []
+    for v, fval in field.vertex_values.items():
+        nbrs = [(v[0] + d[0], v[1] + d[1]) for d in CCW_SIDES]
+        if not all(w in domain.status for w in nbrs):
+            continue
+        black, white = segment_faces(*oriented_segment(v, nbrs[0]))
+        other = (2 * v[0] - 1 - black[0], 2 * v[1] - 1 - black[1])
+        if not {black, other} <= domain.blacks:
+            continue  # a cell beside v is not in the domain
+        dz = edge_direction((other, black), domain.e_b)
+        lhs = H[black] - H[other]
+        rhs = 0.5 * (fval * fval * dz).imag
+        image.append(abs(lhs - rhs))
+    worst_image = _worst(image)
+
+    return {"H": H, "path_residual": worst_path,
+            "boundary_residual": worst_boundary,
+            "image_residual": worst_image,
+            "ok": bool(_worst((worst_path, worst_boundary,
+                              worst_image)) <= 1e-10)}
+
+
+def laplacian_signs(field, H):
+    """(min primal Laplacian, max dual Laplacian) over interior faces.
+
+    Interior primal faces are vertices of the domain with all four lattice
+    neighbors present; interior dual faces are whites flanked on all four
+    diagonal sides by whites of the domain.
+    """
+    domain = field.domain
+    vset = set(domain.primal.vertices)
+    min_primal = math.inf
+    for x in domain.primal.vertices:
+        nbrs = [(x[0] + d[0], x[1] + d[1]) for d in CCW_SIDES]
+        if not all(w in vset for w in nbrs):
+            continue
+        hx = H[domain.black[x]]
+        lap = sum(H[domain.black[w]] - hx for w in nbrs)
+        min_primal = min(min_primal, lap)
+    max_dual = -math.inf
+    whites = domain.whites
+    for y in whites:
+        nbrs = [(y[0] + dx, y[1] + dy)
+                for dx, dy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+        if not all(w in whites for w in nbrs):
+            continue
+        hy = H[y]
+        lap = sum(H[w] - hy for w in nbrs)
+        max_dual = max(max_dual, lap)
+    return min_primal, max_dual
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,8 @@ from critlat.currents import (
     double_current_event,
     double_current_sum,
     even_overlap_trace,
-    hte_correlation,
     parity_masks,
     simon_report,
-    single_current_sum,
-    squared_correlation_gap,
     switching_tail_bound,
     truncated_ineq_checks,
     u4_value,
@@ -29,7 +26,12 @@ from critlat.currents import (
 )
 from critlat.lattice import LatticeGraph, build_box, build_rect
 from critlat.oracle import ising_moment, potts_two_point
-from reference import _refused_before_allocating, current_weight
+from reference import (
+    _refused_before_allocating,
+    current_weight,
+    single_current_sum,
+    squared_correlation_gap,
+)
 
 SQUARE = build_rect((0, 1), (0, 1))
 GRID23 = build_rect((0, 1), (0, 2))
@@ -114,8 +116,7 @@ def test_exact_currents_on_22_edges():
 
 def test_odd_sources_infeasible():
     assert parity_masks(SQUARE, [(0, 0)]) == []
-    with pytest.warns(UserWarning):
-        assert hte_correlation(SQUARE, 0.7, [(0, 0)]) == 0.0
+    assert single_current_sum(SQUARE, [(0, 0)], 0.7) == 0.0
 
 
 def test_current_weight():
@@ -127,18 +128,20 @@ def test_current_weight():
 def test_hte_matches_spin_oracle(beta):
     for A in ([(0, 0), (1, 2)], [(0, 1), (1, 1)],
               [(0, 0), (1, 0), (0, 2), (1, 2)]):
-        hte = hte_correlation(GRID23, beta, A)
+        hte = (single_current_sum(GRID23, A, beta)
+               / single_current_sum(GRID23, (), beta))
         assert abs(hte - ising_moment(GRID23, beta, A)) < 1e-10
         assert hte >= 0.0  # first Griffiths inequality
 
 
 def test_consistency_triangle():
-    # spin moment, tanh-weight ratio and current ratio; hte_correlation is
-    # the ratio of single sums, so the current ratio is read off the double
-    # sums Z_xy Z_0 / Z_0 Z_0
+    # spin moment, tanh-weight ratio and current ratio; the tanh-weight
+    # ratio is one of single sums, so the current ratio is read off the
+    # double sums Z_xy Z_0 / Z_0 Z_0
     beta, x, y = 0.6, (0, 0), (1, 2)
     spin = potts_two_point(GRID23, 2, beta, x, y)
-    hte = hte_correlation(GRID23, beta, [x, y])
+    hte = (single_current_sum(GRID23, [x, y], beta)
+           / single_current_sum(GRID23, (), beta))
     ratio = (double_current_sum(GRID23, [x, y], (), beta)
              / double_current_sum(GRID23, (), (), beta))
     assert abs(spin - hte) < 1e-10
@@ -485,8 +488,6 @@ def test_parity_masks_refused_before_allocating(monkeypatch):
     # 31 edges: 2^31 masks at 17 bytes of parity words each, about 36 GB
     big = build_rect((0, 4), (0, 3))
     assert big.n_edges == 31
-    _refused_before_allocating(lambda: hte_correlation(big, 0.3, [(0, 0), (4, 3)]),
-                               "edges")
     _refused_before_allocating(lambda: single_current_sum(big, [(0, 0), (4, 3)], 0.3),
                                "edges")
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1 << 10)
@@ -553,8 +554,6 @@ def test_repeated_sources_and_separator_endpoints_refused():
 
 _BETA_CALLS = {
     "single_current_sum": lambda b: single_current_sum(SQUARE, [], b),
-    "hte_correlation": lambda b: hte_correlation(SQUARE, b, [(0, 0), (1, 1)]),
-    "hte_correlation_odd": lambda b: hte_correlation(SQUARE, b, [(0, 0)]),
     "double_current_sum": lambda b: double_current_sum(SQUARE, [], [], b),
     "double_current_event": lambda b: double_current_event(SQUARE, [], b),
     "switching_tail_bound": lambda b: switching_tail_bound(SQUARE, b, 3),

@@ -17,7 +17,6 @@ from critlat.lattice import (
     build_rect,
     cluster_stats,
     custom_bc,
-    dobrushin_bc,
     dual_map,
     free_bc,
     induced_graph,
@@ -29,7 +28,7 @@ from critlat.lattice import (
     wired_bc,
 )
 from critlat.oracle import crossing_event, verify_duality
-from reference import half_diamond
+from reference import dobrushin_bc, half_diamond
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,10 @@ from critlat.loops import (
     _cauchy_riemann_residual,
     _lockstep_field,
     _worst,
-    build_H,
     contour_check,
     contour_residuals,
     edge_direction,
     edge_observable,
-    laplacian_signs,
     medial_edges,
     project_line,
     sholo_report,
@@ -39,11 +37,14 @@ from critlat.oracle import (
     rc_probability,
 )
 from critlat import oracle
-from critlat.lattice import cluster_stats, dobrushin_bc
+from critlat.lattice import cluster_stats
 from reference import (
     _refused_before_allocating,
+    build_H,
     charged_peak,
+    dobrushin_bc,
     half_diamond,
+    laplacian_signs,
     loop_encode,
     turned,
     winding_profile,

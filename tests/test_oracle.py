@@ -18,7 +18,6 @@ from critlat.lattice import (
     build_rect,
     cluster_stats,
     custom_bc,
-    dobrushin_bc,
     dual_map,
     free_bc,
     induced_graph,
@@ -53,9 +52,7 @@ from critlat.oracle import (
     cylinder_event,
     cylinder_probabilities,
     dual_cluster_count_array,
-    edge_conditional_gap,
     es_beta_from_p,
-    es_p_from_beta,
     even_overlap_event,
     fkg_gap,
     fkg_scan,
@@ -68,12 +65,9 @@ from critlat.oracle import (
     p_dual,
     p_self_dual,
     partition_function,
-    phi_sum,
-    potts_beta_c,
     potts_one_point_wired,
     potts_two_point,
     probability_array,
-    rc_conditional,
     rc_probability,
     scan_configs,
     set_partitions,
@@ -90,7 +84,10 @@ from reference import (
     cbc_gaps,
     charged_peak,
     class_counts,
+    dobrushin_bc,
+    edge_conditional_gap,
     mon_gap,
+    phi_sum,
 )
 
 SQUARE = build_rect((0, 1), (0, 1))
@@ -197,28 +194,16 @@ def test_conditional_closed_form_all_bcs():
     for bc in bcs:
         for k in range(SQUARE.n_edges):
             assert edge_conditional_gap(SQUARE, 0.37, 2.5, bc, k) < 1e-12
-    # spot values of the closed form itself
-    assert rc_conditional(EDGE, 0.37, 1.0, free_bc(EDGE), 0, 0) == 0.37
-    got = rc_conditional(SQUARE, 0.5, 2.0, free_bc(SQUARE), 0, 0)
-    assert abs(got - 1.0 / 3.0) < 1e-15
+    # spot values of the closed form itself, endpoints apart off the edge
+    assert 1.0 - thresholds(0.37, 1.0)[1] == 0.37
+    assert abs(1.0 - thresholds(0.5, 2.0)[1] - 1.0 / 3.0) < 1e-15
 
 
 def test_edge_index_refused_before_use():
     bc = free_bc(SQUARE)
     for bad in (4, 99, -1):
         with pytest.raises(ValueError, match="not in range"):
-            rc_conditional(SQUARE, 0.5, 2.0, bc, bad, 0)
-        with pytest.raises(ValueError, match="not in range"):
             edge_conditional_gap(SQUARE, 0.5, 2.0, bc, bad)
-
-
-def test_rest_mask_refused_outside_the_edge_masks():
-    bc = free_bc(RECT7)
-    top = (1 << RECT7.n_edges) - 1
-    assert rc_conditional(RECT7, 0.5, 2.0, bc, 0, top) == 0.5
-    for bad in (-1, top + 1, 1 << 40):
-        with pytest.raises(ValueError, match="rest_mask"):
-            rc_conditional(RECT7, 0.5, 2.0, bc, 0, bad)
 
 
 def test_perturbed_threshold_fails_conditional_gap(monkeypatch):
@@ -243,9 +228,12 @@ def test_conditional_on_box():
 
 
 def test_wiring_enters_conditional():
-    # both endpoints on the boundary: wired bc connects them off the edge
+    # both endpoints on the boundary: wired bc connects them off the edge,
+    # so the edge opens with probability p, not p / (p + q (1 - p))
     bc = wired_bc(EDGE)
-    assert rc_conditional(EDGE, 0.37, 3.0, bc, 0, 0) == 0.37
+    got = rc_probability(EDGE, 0.37, 3.0, bc, cylinder_event(EDGE, [0]))
+    assert abs(got - 0.37) < 1e-15
+    assert edge_conditional_gap(EDGE, 0.37, 3.0, bc, 0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +244,11 @@ def test_beta_p_conversions():
     for q in (2, 3, 4):
         for p in (0.2, 0.5, 0.8):
             beta = es_beta_from_p(p, q)
-            assert abs(es_p_from_beta(beta, q) - p) < 1e-14
-        assert abs(es_beta_from_p(p_self_dual(q), q) - potts_beta_c(q)) < 1e-14
+            # the edge weight of the FK expansion of exp(beta sigma . sigma)
+            assert abs(1.0 - math.exp(-q * beta / (q - 1.0)) - p) < 1e-14
+        # the self-dual point in the spin normalisation
+        beta_c = (q - 1.0) / q * math.log(1.0 + math.sqrt(q))
+        assert abs(es_beta_from_p(p_self_dual(q), q) - beta_c) < 1e-14
 
 
 def test_single_edge_ising_tanh():
@@ -777,8 +768,18 @@ def test_cbc_scan_roots_are_those_custom_bc_wires(monkeypatch):
             cbc_scan(g, 0.45, 2.0)
         roots = seen.pop()
         assert len(roots) == n_partitions
-        assert roots == [custom_bc(g, blocks).roots(g.n_vertices)
-                         for blocks in set_partitions(g.boundary())]
+        assert roots.tolist() == [custom_bc(g, blocks).roots(g.n_vertices)
+                                  for blocks in set_partitions(g.boundary())]
+
+
+def test_cbc_scan_refused_before_allocating():
+    # Bell(10) = 115,975 partitions of 2^17 masks on the 17-edge rect, and
+    # Bell(12) = 4,213,597 of 2^22 on the 22-edge rect: refused by their
+    # count, before a partition is built
+    for g, n_partitions in ((RECT17, 115_975), (RECT22, 4_213_597)):
+        _refused_before_allocating(lambda: cbc_scan(g, 0.45, 2.0),
+                                   "refusing to scan %d boundary partitions"
+                                   % n_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -984,15 +985,44 @@ def test_scan_configs_widen_past_255_vertices():
 
 
 def test_sampled_labels_refused_before_allocating(monkeypatch):
-    # one uint8 label per vertex and row: 100,000 rows of RECT17's 12
-    # vertices fill the lowered budget exactly, one more row is refused
+    # per row, the uint8 labels of RECT17's 12 vertices, their merge buffer
+    # and a bool per edge: 100,000 rows fill the lowered budget exactly,
+    # one more row is refused
     from critlat import oracle
-    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 12 * 100_000)
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", (2 * 12 + 17) * 100_000)
     bc = free_bc(RECT17)
     bits = np.ones((100_001, RECT17.n_edges), dtype=np.uint8)
     assert _sampled_labels(RECT17, bc, bits[1:]).shape == (100_000, 12)
     _refused_before_allocating(lambda: _sampled_labels(RECT17, bc, bits),
                                "100001 sampled configurations")
+
+
+RECT272 = build_rect((0, 16), (0, 15))
+
+
+@pytest.mark.parametrize("entry,make_args", [
+    (_sampled_labels, lambda: (RECT272, free_bc(RECT272), (np.random.default_rng(
+        5).random((20_000, RECT272.n_edges)) < 0.6).astype(np.uint8))),
+    (all_pairs_connectivity, lambda: (RECT17, free_bc(RECT17))),
+    (all_boundary_connection, lambda: (BOX1, wired_bc(BOX1))),
+    (all_boundary_connection, lambda: (RECT17, free_bc(RECT17)))],
+    ids=["sampled_labels_272v", "all_pairs_17e", "all_boundary_12e",
+         "all_boundary_17e"])
+def test_event_arrays_peak_within_their_charge(entry, make_args):
+    # each event array is charged with its table, before either is built;
+    # the sampled labels with their merge buffer and the bool copy of bits
+    args = make_args()
+    _, peak, charge = charged_peak(lambda: entry(*args))
+    assert peak <= 1.1 * charge + (1 << 20)
+
+
+def test_all_pairs_refused_before_allocating():
+    # the 4x4-vertex box: its 2^24-mask label table (335 MB) fits the
+    # budget, its 120 pair events (2.0 GB) do not
+    g = build_rect((0, 3), (0, 3))
+    assert (g.n_edges, g.n_vertices) == (24, 16)
+    _refused_before_allocating(lambda: all_pairs_connectivity(g, free_bc(g)),
+                               "120 pair events")
 
 
 def _per_mask_probabilities(g, bc, p, q):
@@ -1282,14 +1312,13 @@ def test_bad_p_or_q_refused_before_the_label_table(p, q, match):
     lambda q: probability_array(SQUARE, 0.5, q, wired_bc(SQUARE)),
     lambda q: p_dual(0.5, q),
     lambda q: p_self_dual(q),
-    lambda q: rc_conditional(SQUARE, 0.5, q, free_bc(SQUARE), 0, 0),
     lambda q: cftp_batch(SQUARE, 0.5, q, free_bc(SQUARE), 1, 4),
     lambda q: chain_samples(SQUARE, 0.5, q, free_bc(SQUARE), 1, 4, 2, 1),
     lambda q: c_from_q(q),
     lambda q: sigma_obs(q),
     lambda q: oriented_sector_sums(TorusRc(1, 2), q),
 ], ids=["thresholds", "partition_function", "probability_array", "p_dual",
-        "p_self_dual", "rc_conditional", "cftp_batch", "chain_samples",
+        "p_self_dual", "cftp_batch", "chain_samples",
         "c_from_q", "sigma_obs", "oriented_sector_sums"])
 def test_infinite_q_refused_by_name(call):
     # q = inf passed the q > 0 checks, and the samplers drew all-closed

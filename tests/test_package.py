@@ -55,19 +55,26 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
 
 
 def test_every_top_level_name_is_used():
-    # a function, class or constant of the package, or a reference of the
-    # tests, that nothing names outside its own definition is dead code
+    # a function, class or constant of the package that no program names
+    # outside its own definition, or a reference of the tests that nothing
+    # names, is dead code; the programs are src/, bench/ and the references
+    # of tests/reference.py, so a package name that only tests call fails
     root = PYPROJECT.parent
+    reference = root / "tests" / "reference.py"
     texts = {path: path.read_text() for folder in ("src", "bench", "tests")
              for path in sorted((root / folder).rglob("*.py"))}
     # a name is used where it is a whole \w+ word; count each file once
-    words = collections.Counter()
-    for text in texts.values():
-        words.update(re.findall(r"\w+", text))
+    words, program_words = collections.Counter(), collections.Counter()
+    for path, text in texts.items():
+        found = re.findall(r"\w+", text)
+        words.update(found)
+        if path == reference or path.parts[len(root.parts)] != "tests":
+            program_words.update(found)
     defining = sorted((root / "src" / "critlat").glob("*.py"))
-    defining.append(root / "tests" / "reference.py")
+    defining.append(reference)
     unused = []
     for path in defining:
+        used = words if path == reference else program_words
         lines = texts[path].splitlines(keepends=True)
         for node in ast.parse(texts[path]).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -83,6 +90,6 @@ def test_every_top_level_name_is_used():
             own = collections.Counter(re.findall(
                 r"\w+", "".join(lines[node.lineno - 1:node.end_lineno])))
             for name in names:
-                if not name.startswith("__") and words[name] == own[name]:
+                if not name.startswith("__") and used[name] == own[name]:
                     unused.append("%s.%s" % (path.stem, name))
     assert not unused

@@ -17,7 +17,6 @@ from critlat.lattice import (
     build_rect,
     cluster_stats,
     custom_bc,
-    dobrushin_bc,
     free_bc,
     wired_bc,
 )
@@ -49,7 +48,12 @@ from critlat.sampler import (
     thresholds,
 )
 from critlat.sixvertex import TorusRc, brute_force_census, rc6v_verify
-from reference import es_forward_colors, es_reverse_bits, heatbath_step
+from reference import (
+    dobrushin_bc,
+    es_forward_colors,
+    es_reverse_bits,
+    heatbath_step,
+)
 
 SQUARE = build_rect((0, 1), (0, 1))
 PATH2 = LatticeGraph([(0, 0), (1, 0), (2, 0)],

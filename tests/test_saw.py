@@ -13,7 +13,6 @@ from critlat import oracle, saw
 from critlat.saw import (
     A_MID,
     DIRS,
-    MU_C,
     SAW_COUNT_CAP,
     SIGMA,
     X_C,
@@ -320,10 +319,10 @@ def test_bridge_counts_bracket_and_concatenate():
         for m in range(13 - n):
             assert b[n + m] >= b[n] * b[m]
     for n in range(1, 13):
-        assert b[n] ** (1.0 / n) <= MU_C + 1e-12
+        assert b[n] ** (1.0 / n) <= 1.0 / X_C + 1e-12
     roots = [c[n] ** (1.0 / n) for n in range(1, 13)]
     assert all(r2 <= r1 for r1, r2 in zip(roots, roots[1:]))
-    assert roots[-1] > MU_C
+    assert roots[-1] > 1.0 / X_C
 
 
 def test_turns_close_a_hexagon():
