@@ -139,18 +139,15 @@ def _parity_blocks(graph, n_max, sources):
     exactly on its edges; each multigraph of source set sources is in the
     product of one block."""
     m = graph.n_edges
-    count = (n_max + 1) ** m
-    if count > MULTIGRAPH_CAP:
-        raise ValueError("refusing to enumerate %d multigraphs" % count)
-    # the full product is still charged 24 + |E| bytes per multigraph, so
-    # every (graph, n_max) refused when all of it was built stays refused
-    _check_budget(count * (24 + m), "%d multigraphs over %d edges" % (count, m))
     words = parity_masks(graph, sources)
     alphabets = (np.arange(0, n_max + 1, 2), np.arange(1, n_max + 1, 2))
     blocks = [[alphabets[(w >> e) & 1] for e in range(m)] for w in words]
+    sizes = [math.prod(map(len, b)) for b in blocks]
+    if sum(sizes) > MULTIGRAPH_CAP:
+        raise ValueError("refusing to enumerate %d multigraphs" % sum(sizes))
     # per multigraph of the largest block, at most ten float64 or int64
     # arrays while verify_switching expands and sums it
-    size = max((math.prod(map(len, b)) for b in blocks), default=0)
+    size = max(sizes, default=0)
     _check_budget(size * 80, "a block of %d multigraphs" % size)
     return words, blocks
 

@@ -92,12 +92,14 @@ def _check_edges(graph, edges):
                          % (min(bad), graph.n_edges))
 
 
-def _label_dtype(n_edges, n_vertices, n_tables=1):
+def _label_dtype(n_edges, n_vertices, n_tables=1, held=0):
     """dtype of n_tables label tables, after refusing them past the caps;
-    the budget charges the int32 weight class of every mask as well."""
+    the budget charges the int32 weight class of every mask as well, and
+    held bytes per mask that a caller builds beside them."""
     _check_enum_edges(n_edges)
     dtype = np.min_scalar_type(n_vertices)  # holds every label < n_vertices
-    _check_budget((n_tables << n_edges) * (n_vertices * dtype.itemsize + 4),
+    _check_budget((n_tables << n_edges)
+                  * (n_vertices * dtype.itemsize + 4 + held),
                   "%d label table(s) over %d edges and %d vertices"
                   % (n_tables, n_edges, n_vertices))
     return dtype
@@ -135,16 +137,16 @@ def _fill_masks(n_links, tables, classes, link):
             out += 1
 
 
-def _label_table(n_vertices, ends, roots):
+def _label_table(n_vertices, ends, roots, held=0):
     """scan_configs' (labels, classes) for edges ends[k] = (u, v) and vertex
     v identified with roots[v], the labels stored vertex by vertex (a
     transposed view) so that every column is contiguous. roots (B, |V|)
     stacks B tables, all charged first: labels (B, 2^|E|, |V|), classes
-    (B, 2^|E|)."""
+    (B, 2^|E|) and held bytes per mask (_label_dtype)."""
     roots = np.asarray(roots)
     lead, n_masks = roots.shape[:-1], 1 << len(ends)
     cols = np.empty(lead + (n_vertices, n_masks),
-                    _label_dtype(len(ends), n_vertices, math.prod(lead)))
+                    _label_dtype(len(ends), n_vertices, math.prod(lead), held))
     classes = np.empty(lead + (n_masks,), dtype=np.int32)
     cols[..., 0] = roots
     classes[..., 0] = (roots == np.arange(n_vertices)).sum(axis=-1)
@@ -208,13 +210,14 @@ def _frontier_counts(graph, bc):
     return counts[:np.flatnonzero(counts)[-1] + 1]
 
 
-def _stacked_classes(graph, roots):
+def _stacked_classes(graph, roots, held=0):
     """Yield the weight classes of graph under the root rows of roots, one
-    stack of at most max(1, _MERGE_MASKS >> |E|) rows per _label_table."""
+    stack of at most max(1, _MERGE_MASKS >> |E|) rows per _label_table,
+    each charged with held bytes per mask beside its labels."""
     per = max(1, _MERGE_MASKS >> graph.n_edges)
     for start in range(0, len(roots), per):
         yield _label_table(graph.n_vertices, graph.edge_ends,
-                           roots[start:start + per])[1]
+                           roots[start:start + per], held)[1]
 
 
 def _sampled_labels(graph, bc, bits):
@@ -320,9 +323,8 @@ def _count_sums(p, q, counts, n_edges):
     terms = log_w[seen] + np.log(counts[row, seen])
     starts = np.searchsorted(row, np.arange(len(counts)))  # no row is empty
     top = np.maximum.reduceat(terms, starts)
-    # one pairwise sum per row, as a single row would be summed
-    sums = np.split(np.exp(terms - top[row]), starts[1:])
-    return log_w, top + [math.log(s.sum()) for s in sums]
+    return log_w, top + np.log(np.add.reduceat(np.exp(terms - top[row]),
+                                               starts))
 
 
 def _class_sums(p, q, cls, n_edges):
@@ -983,7 +985,9 @@ def cbc_scan(graph, p, q):
     # rows 0 and -1 are wired and free; as rounding is monotone, the worst
     # gaps over xi are those of the least and the largest phi^xi[A]
     low, high = np.full((2, (1 << graph.n_edges) - 1), [[np.inf], [-np.inf]])
-    for i, cls in enumerate(_stacked_classes(graph, roots)):
+    # each stack's float64 probabilities and cylinder probabilities are
+    # charged with its labels
+    for i, cls in enumerate(_stacked_classes(graph, roots, 16)):
         prob = _probabilities(p, q, cls, graph.n_edges)[0]
         cp = cylinder_probabilities(prob)[:, 1:]
         cp1 = cp[0] if i == 0 else cp1

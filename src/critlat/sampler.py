@@ -67,7 +67,7 @@ CFTP_MAX_SWEEPS = 1 << 22
 # the mask-encoded chains and coupling from the past
 TABLE_MAX_EDGES = 12
 
-# burn-in and thinning, in sweeps, of the chains of connect_mc and mc_estimate
+# burn-in and thinning, in sweeps, of the chains of connect_mc
 CHAIN_BURN_IN = 500
 CHAIN_THIN = 5
 
@@ -430,21 +430,6 @@ def _draw(graph, p, q, bc, seed, n_samples, method, burn_in, thin):
     if method == "chain":
         return chain_samples(graph, p, q, bc, seed, n_samples, burn_in, thin)
     raise ValueError("method must be cftp or chain")
-
-
-def mc_estimate(graph, p, q, bc, value_fn, n_samples, seed,
-                method="cftp", burn_in=CHAIN_BURN_IN, thin=CHAIN_THIN):
-    """Sample mean and standard error of value_fn(bits).
-
-    method cftp uses independent exact draws; method chain uses one long
-    heat-bath chain with the declared burn-in and thinning (approximate,
-    flagged in the result).
-    """
-    batch = _draw(graph, p, q, bc, seed, n_samples, method, burn_in, thin)
-    vals = np.array([float(value_fn(b)) for b in batch])
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return Estimate(mean, se, n_samples, seed, method)
 
 
 def crossing_mc(nx, ny, p, q, bc_kind, n_samples, seed, burn_in=1500,

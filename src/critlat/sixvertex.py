@@ -81,12 +81,12 @@ component closes a cycle whose displacement is a winding class.  Per mask it
 keeps the first nonzero class and whether a later one is not parallel to
 it, which give the winding rank.  The weight class and the rank give every
 dual and loop column (census_table), so neither a dual nor a medial table is
-built.  rc6v_verify, loop_weight_constant and oriented_sector_sums read the
-census through _loop_constant and _oriented_sectors; the orientation sum
-over l0 parallel loops is a binomial.  The package has no second,
-per-configuration census: the tests check the table against a depth-first
-lift of both sides, on dual bonds of their own, and a loop walk of one mask
-at a time (tests/reference.py).
+built.  rc6v_verify and oriented_sector_sums read the census through
+_loop_constant and _oriented_sectors; the orientation sum over l0 parallel
+loops is a binomial.  The package has no second, per-configuration census:
+the tests check the table against a depth-first lift of both sides, on dual
+bonds of their own, and a loop walk of one mask at a time
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -648,19 +648,6 @@ def _rc_weights(rc, table, q, p):
     cls = table["classes"]
     k, o = np.divmod(np.arange(cls.max() + 1), rc.n_edges + 1)
     return np.exp(_log_weights(p, q, o, k, rc.n_edges))[cls]
-
-
-def loop_weight_constant(rc, q, p):
-    """(min, max) over configurations of sqrt(q)^{l + 2s} / w_RC.
-
-    l is the medial loop count, s the all-dual-clusters-retractible
-    indicator and w_RC = p^open (1-p)^closed q^clusters.  census_table
-    derives l and s with l + 2s - o - 2k = -|V| on every mask, so at p_c the
-    ratio is configuration independent by construction; the per-mask walks
-    of the tests, not this check, test the derived dual side.
-    """
-    table = rc.census_table()
-    return _loop_constant(table, q, _rc_weights(rc, table, q, p))
 
 
 def oriented_sector_sums(rc, q):

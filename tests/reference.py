@@ -56,7 +56,7 @@ from critlat.oracle import (
     set_partitions,
     thresholds,
 )
-from critlat.sampler import _cut_side, _links
+from critlat.sampler import CHAIN_BURN_IN, CHAIN_THIN, Estimate, _draw
 
 
 def _refused_before_allocating(call, match="bytes"):
@@ -122,21 +122,23 @@ def turned(graph, points, k):
 
 
 # ---------------------------------------------------------------------------
-# one heat-bath update and the Edwards-Sokal maps (sampler)
+# one heat-bath update, the Edwards-Sokal maps and a sample mean (sampler)
 
 
 def heatbath_step(graph, bits, edge_k, u, p, q, bc):
     """One heat-bath update of edge_k driven by the uniform u.
 
-    Returns the new bits tuple; the edge is opened iff u >= P[w_e=0|rest].
+    Returns the new bits tuple; the edge is opened iff u >= P[w_e=0|rest],
+    whose value depends on whether the endpoints of edge_k are joined in
+    the configuration with edge_k closed, wired by bc (cluster_stats).
     """
     _check_edges(graph, [edge_k])
-    links, ends = _links(graph, bc)
-    x, y = ends[edge_k]
-    conn = _cut_side(links, bits, x, y, edge_k) is None
-    thr_c, thr_d = thresholds(p, q)
     out = list(bits)
-    out[edge_k] = 1 if u >= (thr_c if conn else thr_d) else 0
+    out[edge_k] = 0
+    labels = cluster_stats(graph, out, bc)[1]
+    x, y = graph.edge_ends[edge_k]
+    thr_c, thr_d = thresholds(p, q)
+    out[edge_k] = 1 if u >= (thr_c if labels[x] == labels[y] else thr_d) else 0
     return tuple(out)
 
 
@@ -168,6 +170,21 @@ def es_reverse_bits(graph, colors, p, rng):
     for k, (a, b) in enumerate(graph.edge_ends):
         bits[k] = 1 if (colors[a] == colors[b] and u[k] < p) else 0
     return bits
+
+
+def mc_estimate(graph, p, q, bc, value_fn, n_samples, seed,
+                method="cftp", burn_in=CHAIN_BURN_IN, thin=CHAIN_THIN):
+    """Sample mean and standard error of value_fn(bits).
+
+    method cftp uses independent exact draws; method chain uses one long
+    heat-bath chain with the declared burn-in and thinning (approximate,
+    flagged in the result).
+    """
+    batch = _draw(graph, p, q, bc, seed, n_samples, method, burn_in, thin)
+    vals = np.array([float(value_fn(b)) for b in batch])
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    return Estimate(mean, se, n_samples, seed, method)
 
 
 # ---------------------------------------------------------------------------

@@ -400,11 +400,12 @@ def test_multigraph_cap_refused():
     with pytest.raises(ValueError, match="refusing"):
         verify_switching(build_box(2), [(0, 0), (1, 0)],
                          [(0, 0), (0, 1)], 0.5)
-    # 10^7 multigraphs on 7 edges at n_max = 9, past MULTIGRAPH_CAP
-    g = build_rect((0, 2), (0, 1))
+    # 58,627,872 multigraphs in 16 parity blocks on the 12 edges of box(1)
+    # at n_max = 6, past MULTIGRAPH_CAP; counted, not built
+    g = build_box(1)
     _refused_before_allocating(
         lambda: verify_switching(g, [(0, 0), (1, 0)], [(0, 0), (0, 1)], 0.5,
-                                 n_max=9), "refusing to enumerate 10000000")
+                                 n_max=6), "refusing to enumerate 58627872")
 
 
 def test_squared_correlation_is_sourceless_connection():
@@ -536,7 +537,8 @@ def test_n_max_refuses_non_integers_by_name(n_max):
 
 
 def test_multigraphs_refused_past_byte_budget(monkeypatch):
-    # 7^7 = 823,543 multigraphs pass MULTIGRAPH_CAP but not a 64 KiB budget
+    # 26,532 multigraphs pass MULTIGRAPH_CAP, but the largest of their four
+    # blocks, 9,216 at 80 bytes each, does not fit a 64 KiB budget
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 64 << 10)
     g = build_rect((0, 2), (0, 1))
     assert g.n_edges == 7

@@ -684,12 +684,13 @@ def test_stacked_label_tables_charged_before_allocating(monkeypatch):
     _refused_before_allocating(
         lambda: _label_table(12, RECT17.edge_ends, roots),
         "4 label table")
-    # cbc_scan stacks RECT7's 203 partitions, 128 masks of 6 uint8 labels
-    # and an int32 class each, into one pass charged as a whole
-    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 203 * 128 * 10 - 1)
+    # cbc_scan stacks RECT7's 203 partitions, 128 masks of 6 uint8 labels,
+    # an int32 class and a float64 probability and cylinder probability
+    # each, into one pass charged as a whole
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 203 * 128 * 26 - 1)
     _refused_before_allocating(lambda: cbc_scan(RECT7, 0.45, 2.0),
                                "203 label table")
-    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 203 * 128 * 10)
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 203 * 128 * 26)
     assert cbc_scan(RECT7, 0.45, 2.0)["ok"]
 
 
@@ -758,7 +759,7 @@ def test_cbc_scan_roots_are_those_custom_bc_wires(monkeypatch):
     from critlat import oracle
     seen = []
 
-    def stop(graph, roots):
+    def stop(graph, roots, held=0):
         seen.append(roots)
         raise LookupError("roots recorded")
 
@@ -940,6 +941,25 @@ def test_stacked_probabilities_match_probability_array(g):
             assert _class_sums(p, q, cls[r], g.n_edges)[1] == log_z[r]
 
 
+
+@pytest.mark.parametrize("g", [RECT7, BOX1, RECT17],
+                         ids=["rect7", "box1", "rect17"])
+def test_log_z_matches_an_fsum_log_sum_exp(g):
+    # log Z sums each row's terms in one np.add.reduceat; the log-sum-exp
+    # here sums the same class terms exactly rounded, by math.fsum
+    n = g.n_edges
+    for bc in (free_bc(g), wired_bc(g)):
+        counts = np.bincount(scan_configs(g, bc)[1])
+        for p, q in ((0.37, 2.0), (0.6, 0.5), (0.71, 4.5)):
+            terms = [o * math.log(p) + (n - o) * math.log(1.0 - p)
+                     + k * math.log(q) + math.log(c)
+                     for (k, o), c in ((divmod(cl, n + 1), c)
+                                       for cl, c in enumerate(counts)) if c]
+            top = max(terms)
+            want = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+            assert log_partition_function(g, p, q, bc) == pytest.approx(
+                want, rel=1e-15, abs=0)
+
 def _all_mask_bits(n_edges):
     return (np.arange(1 << n_edges)[:, None] >> np.arange(n_edges)) & 1
 
@@ -1005,12 +1025,14 @@ RECT272 = build_rect((0, 16), (0, 15))
         5).random((20_000, RECT272.n_edges)) < 0.6).astype(np.uint8))),
     (all_pairs_connectivity, lambda: (RECT17, free_bc(RECT17))),
     (all_boundary_connection, lambda: (BOX1, wired_bc(BOX1))),
-    (all_boundary_connection, lambda: (RECT17, free_bc(RECT17)))],
+    (all_boundary_connection, lambda: (RECT17, free_bc(RECT17))),
+    (cbc_scan, lambda: (BOX1, 0.5, 2.0))],
     ids=["sampled_labels_272v", "all_pairs_17e", "all_boundary_12e",
-         "all_boundary_17e"])
+         "all_boundary_17e", "cbc_scan_12e"])
 def test_event_arrays_peak_within_their_charge(entry, make_args):
     # each event array is charged with its table, before either is built;
-    # the sampled labels with their merge buffer and the bool copy of bits
+    # the sampled labels with their merge buffer and the bool copy of bits,
+    # each stack of cbc_scan with its probabilities and cylinder arrays
     args = make_args()
     _, peak, charge = charged_peak(lambda: entry(*args))
     assert peak <= 1.1 * charge + (1 << 20)

@@ -2,8 +2,10 @@ import ast
 import collections
 import importlib
 import importlib.util
+import io
 import re
 import sys
+import tokenize
 import tomllib
 from pathlib import Path
 
@@ -54,42 +56,69 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
         assert all(vars(owner)[key] is value for key, value in saved.items())
 
 
+def _code_words(text):
+    """(syntax tree, {row: [word]}) of a source text: the \\w+ words of its
+    tokens, leaving out comments and docstrings, the leading string
+    statement of a module, class or function body. Other string literals
+    keep their words: the bench tracer looks its targets up by name."""
+    tree = ast.parse(text)
+    # the rows of every docstring
+    docs = {row for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+            for row in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+    words = collections.defaultdict(list)
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type != tokenize.COMMENT and not (
+                tok.type == tokenize.STRING and tok.start[0] in docs):
+            words[tok.start[0]] += re.findall(r"\w+", tok.string)
+    return tree, words
+
+
 def test_every_top_level_name_is_used():
-    # a function, class or constant of the package that no program names
-    # outside its own definition, or a reference of the tests that nothing
-    # names, is dead code; the programs are src/, bench/ and the references
-    # of tests/reference.py, so a package name that only tests call fails
+    # a function, class, constant or class member of the package that no
+    # program's code names outside its own definition, or a reference of
+    # the tests that no code names, is dead code; the programs are src/,
+    # bench/ but its test_*.py, and tests/reference.py, so a package name
+    # that only tests call, or only a comment or docstring names, fails
     root = PYPROJECT.parent
     reference = root / "tests" / "reference.py"
-    texts = {path: path.read_text() for folder in ("src", "bench", "tests")
+    files = {path: _code_words(path.read_text())
+             for folder in ("src", "bench", "tests")
              for path in sorted((root / folder).rglob("*.py"))}
-    # a name is used where it is a whole \w+ word; count each file once
     words, program_words = collections.Counter(), collections.Counter()
-    for path, text in texts.items():
-        found = re.findall(r"\w+", text)
+    for path, (_, rows) in files.items():
+        found = [word for row in rows.values() for word in row]
         words.update(found)
-        if path == reference or path.parts[len(root.parts)] != "tests":
+        if path == reference or (path.parts[len(root.parts)] != "tests"
+                                 and not path.name.startswith("test_")):
             program_words.update(found)
     defining = sorted((root / "src" / "critlat").glob("*.py"))
     defining.append(reference)
     unused = []
     for path in defining:
         used = words if path == reference else program_words
-        lines = texts[path].splitlines(keepends=True)
-        for node in ast.parse(texts[path]).body:
+        tree, rows = files[path]
+        defs = []
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                defs.append((node, [node.name], path.stem))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
+                defs.append((node, [n.id for t in targets for n in ast.walk(t)
+                                    if isinstance(n, ast.Name)], path.stem))
+            # methods and properties of the package's classes
+            if isinstance(node, ast.ClassDef) and path != reference:
+                defs += [(m, [m.name], "%s.%s" % (path.stem, node.name))
+                         for m in node.body if isinstance(m, ast.FunctionDef)]
+        for node, names, owner in defs:
             # the words of this definition's own lines
-            own = collections.Counter(re.findall(
-                r"\w+", "".join(lines[node.lineno - 1:node.end_lineno])))
+            own = collections.Counter(
+                word for row in range(node.lineno, node.end_lineno + 1)
+                for word in rows.get(row, ()))
             for name in names:
                 if not name.startswith("__") and used[name] == own[name]:
-                    unused.append("%s.%s" % (path.stem, name))
+                    unused.append("%s.%s" % (owner, name))
     assert not unused

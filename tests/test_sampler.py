@@ -43,7 +43,6 @@ from critlat.sampler import (
     crossing_mc,
     es_forward,
     es_reverse,
-    mc_estimate,
     sweep_uniforms,
     thresholds,
 )
@@ -53,6 +52,7 @@ from reference import (
     es_forward_colors,
     es_reverse_bits,
     heatbath_step,
+    mc_estimate,
 )
 
 SQUARE = build_rect((0, 1), (0, 1))

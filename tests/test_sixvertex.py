@@ -19,7 +19,6 @@ from critlat.sixvertex import (
     brute_force_census,
     c_from_q,
     closed_form_rate,
-    loop_weight_constant,
     oriented_sector_sums,
     rate_report,
     rc6v_verify,
@@ -538,13 +537,13 @@ def test_winding_obstruction(mask):
 
 
 def test_loop_weight_constant_and_closed_form():
+    # rc6v_verify reports max and max/min - 1 of sqrt(q)^{l+2s} / w_RC at p_c
     for q in (5.0, 6.25):
-        rc = TorusRc(2, 2)
-        p = p_self_dual(q)
-        lo, hi = loop_weight_constant(rc, q, p)
-        assert hi / lo - 1.0 < 1e-12
-        pred = (1 - p) ** (-2 * rc.M * rc.N) * q ** (-rc.M * rc.N / 2)
-        assert hi == pytest.approx(pred, rel=1e-10)
+        rep = rc6v_verify(2, 2, q)
+        assert rep["loop_constant_spread"] < 1e-12
+        p, M, N = rep["p"], rep["M"], rep["N"]
+        pred = (1 - p) ** (-2 * M * N) * q ** (-M * N / 2)
+        assert rep["loop_constant"] == pytest.approx(pred, rel=1e-10)
 
 
 @pytest.mark.parametrize("q", [2.0, 5.0, 6.25])
