@@ -263,8 +263,10 @@ def cluster_count_array(graph, bc):
 def open_count_array(n_edges):
     """o(omega), as int32, for every configuration mask."""
     _check_enum_edges(n_edges)
-    masks = np.arange(1 << n_edges, dtype=np.uint32)
-    return np.bitwise_count(masks).astype(np.int32)
+    out = np.zeros(1 << n_edges, dtype=np.int32)
+    for k in range(n_edges):
+        np.add(out[:1 << k], 1, out=out[1 << k:2 << k])
+    return out
 
 
 def _check_beta(beta):
@@ -439,9 +441,10 @@ def cylinder_event(graph, open_edges):
     """All edges of open_edges (edge indices) open."""
     _check_enum_edges(graph.n_edges)
     _check_edges(graph, open_edges)
-    need = sum(1 << k for k in set(open_edges))
-    masks = np.arange(1 << graph.n_edges, dtype=np.int64)
-    return (masks & need) == need
+    out = np.ones(1 << graph.n_edges, dtype=bool)
+    for k in set(open_edges):
+        out.reshape(-1, 2, 1 << k)[:, 0] = False  # the masks with bit k clear
+    return out
 
 
 def all_pairs_connectivity(graph, bc):
@@ -489,14 +492,6 @@ def thresholds(p, q):
     omega^xi (bc wiring included), and when they are not."""
     _check_pq(p, q)
     return 1.0 - p, q * (1.0 - p) / (p + q * (1.0 - p))
-
-
-def _joined_off_rows(labels, ends, k, masks):
-    """Per mask: the endpoints ends[k] of edge k share a cluster in the
-    label-table row of mask minus edge k."""
-    u, v = ends[k]
-    rest = masks & ~(1 << k)
-    return labels[rest, u] == labels[rest, v]
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +858,12 @@ def fkg_gap(graph, p, q, bc, ev_a, ev_b):
     return pab - pa * pb
 
 
+def _cylinder_gaps(cp):
+    """cp[f1 | f2] - cp[f1] cp[f2] over nonempty f1 (rows) and f2 (columns)."""
+    f = np.arange(1, len(cp))
+    return cp[np.bitwise_or.outer(f, f)] - np.outer(cp[f], cp[f])
+
+
 def fkg_scan(graph, p, q, bc=None):
     """Positive-association scan: requires q >= 1 and |E| <= 8, checks
     phi[A and B] >= phi[A]phi[B] for every pair from the event class (all
@@ -878,9 +879,7 @@ def fkg_scan(graph, p, q, bc=None):
         pe = events @ prob
         gaps = (events * prob) @ events.T - np.outer(pe, pe)
     else:
-        kind, cp = "cylinder", cylinder_probabilities(prob)
-        f = np.arange(1, len(cp))
-        gaps = cp[np.bitwise_or.outer(f, f)] - np.outer(cp[f], cp[f])
+        kind, gaps = "cylinder", _cylinder_gaps(cylinder_probabilities(prob))
     return {"event_class": kind, "n_events": len(gaps),
             "min_gap": float(gaps.min()), "tol": SCAN_TOL,
             "ok": bool(gaps.min() >= -SCAN_TOL)}
@@ -896,14 +895,13 @@ def _fkg_search(graph, p, q):
             edges = [graph.edges[k] for k in subset]
             verts = sorted({v for e in edges for v in e})
             g = LatticeGraph(verts, edges, graph.ambient_dim)
-            cp = cylinder_probabilities(
-                probability_array(g, p, q, free_bc(g)))
-            for f1 in range(1, 1 << g.n_edges):
-                for f2 in range(f1, 1 << g.n_edges):
-                    gap = float(cp[f1 | f2] - cp[f1] * cp[f2])
-                    if gap < -SCAN_TOL:
-                        return {"edges": tuple(g.edges), "f1": f1, "f2": f2,
-                                "gap": gap}
+            gaps = _cylinder_gaps(cylinder_probabilities(
+                probability_array(g, p, q, free_bc(g))))
+            hits = np.argwhere(np.triu(gaps < -SCAN_TOL))  # f1 <= f2, in order
+            if len(hits):
+                i, j = hits[0]
+                return {"edges": tuple(g.edges), "f1": int(i) + 1,
+                        "f2": int(j) + 1, "gap": float(gaps[i, j])}
     return None
 
 
@@ -927,13 +925,16 @@ def mon_scan(graph, q, ps):
     for p in ps:
         _check_pq(p, q)
     gaps, bcs = [], (free_bc(graph), wired_bc(graph))
+    # each stack's float64 probabilities at every p and their cylinder
+    # probabilities are charged with its labels, and freed before the next
     for cls in _stacked_classes(graph, [bc.roots(graph.n_vertices)
-                                        for bc in bcs]):
-        probs = [_probabilities(p, q, cls, graph.n_edges)[0] for p in ps]
-        for rows in zip(*probs):  # one boundary condition, p ascending
-            cps = [cylinder_probabilities(row)[1:] for row in rows]
-            gaps += [(hi - lo).min()
-                     for lo, hi in itertools.combinations(cps, 2)]
+                                        for bc in bcs], 16 * len(ps)):
+        cp = cylinder_probabilities(np.stack(
+            [_probabilities(p, q, cls, graph.n_edges)[0] for p in ps]))
+        gaps += [(hi - lo).min()  # one boundary condition, p ascending
+                 for rows in cp[..., 1:].swapaxes(0, 1)
+                 for lo, hi in itertools.combinations(rows, 2)]
+        del cls, cp
     worst = float(np.min(gaps))  # np.min keeps a NaN gap; min would drop it
     return {"min_gap": worst, "tol": SCAN_TOL, "ok": bool(worst >= -SCAN_TOL)}
 
@@ -986,15 +987,19 @@ def cbc_scan(graph, p, q):
     # gaps over xi are those of the least and the largest phi^xi[A]
     low, high = np.full((2, (1 << graph.n_edges) - 1), [[np.inf], [-np.inf]])
     # each stack's float64 probabilities and cylinder probabilities are
-    # charged with its labels
-    for i, cls in enumerate(_stacked_classes(graph, roots, 16)):
-        prob = _probabilities(p, q, cls, graph.n_edges)[0]
-        cp = cylinder_probabilities(prob)[:, 1:]
-        cp1 = cp[0] if i == 0 else cp1
+    # charged with its labels, and freed before the next; the wired and the
+    # free row are copied out
+    wired = None
+    for cls in _stacked_classes(graph, roots, 16):
+        cp = cylinder_probabilities(
+            _probabilities(p, q, cls, graph.n_edges)[0])[:, 1:]
+        wired = cp[0].copy() if wired is None else wired
+        free = cp[-1].copy()
         # np.minimum keeps a NaN, which the builtin min would drop
         np.minimum(low, cp.min(axis=0), out=low)
         np.maximum(high, cp.max(axis=0), out=high)
-    lower, upper = float((low - cp[-1]).min()), float((cp1 - high).min())
+        del cls, cp
+    lower, upper = float((low - free).min()), float((wired - high).min())
     return {"min_above_free": lower, "min_below_wired": upper,
             "n_partitions": len(roots), "tol": SCAN_TOL,
             "ok": bool(lower >= -SCAN_TOL and upper >= -SCAN_TOL)}

@@ -51,7 +51,6 @@ from .oracle import (
     _check_spin_q,
     _crossing_sides,
     _joined,
-    _joined_off_rows,
     _pair_events,
     _sampled_labels,
     scan_configs,
@@ -171,6 +170,18 @@ def _clusters(ends, state, n_vertices):
     return lab
 
 
+def _copy_clusters(lab):
+    """A copy of kept cluster labels (_clusters): one new set per cluster,
+    which every vertex in it points to."""
+    out = [None] * len(lab)
+    for v, c in enumerate(lab):
+        if out[v] is None:
+            c = set(c)
+            for w in c:
+                out[w] = c
+    return out
+
+
 def _merge(lab, x, y):
     """Join the clusters of x and y in lab, relabelling the smaller one."""
     big, small = lab[x], lab[y]
@@ -225,10 +236,12 @@ def conn_off_tables(graph, bc):
         raise ValueError("connectivity tables limited to %d edges"
                          % TABLE_MAX_EDGES)
     labels = scan_configs(graph, bc)[0]
-    masks = np.arange(1 << m, dtype=np.int64)
     tables = np.empty((m, 1 << m), dtype=bool)
-    for k in range(m):
-        tables[k] = _joined_off_rows(labels, graph.edge_ends, k, masks)
+    for k, (u, v) in enumerate(graph.edge_ends):
+        half = tables[k].reshape(-1, 2, 1 << k)  # [:, 0] has bit k clear
+        a, b = (labels[:, w].reshape(half.shape)[:, 0] for w in (u, v))
+        np.equal(a, b, out=half[:, 0])
+        half[:, 1] = half[:, 0]
     return tables
 
 
@@ -286,6 +299,9 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, use_tables=None):
         thr = np.where(conn_off_tables(graph, bc), thr_c, thr_d)
     else:
         thr, (links, ends) = None, _links(graph, bc)
+        # the all-open labels, which each row copies
+        n = graph.n_vertices
+        open_lab = _clusters(ends, [1] * m, n)
     result = np.zeros((n_samples, m), dtype=np.uint8)
     active = np.arange(n_samples)
     horizon = 1
@@ -298,8 +314,7 @@ def cftp_batch(graph, p, q, bc, seed, n_samples, use_tables=None):
             bot = np.zeros(active.size, dtype=np.int64)
         else:
             # (state, labels) per row; a coalesced row's bottom is its top
-            n = graph.n_vertices
-            top = [([1] * m, _clusters(ends, [1] * m, n)) for _ in active]
+            top = [([1] * m, _copy_clusters(open_lab)) for _ in active]
             bot = [([0] * m, [{v} for v in range(n)]) for _ in active]
         for t in range(-horizon, 0):
             u = sweep_uniforms(seed, t, n_samples, m)[active]

@@ -47,7 +47,6 @@ from critlat.oracle import (
     _check_edges,
     _check_pq,
     _class_sums,
-    _joined_off_rows,
     _probabilities,
     cylinder_probabilities,
     ising_moment,
@@ -205,7 +204,8 @@ def edge_conditional_gap(graph, p, q, bc, edge_k):
     bit = 1 << edge_k
     masks = np.arange(1 << n, dtype=np.int64)
     rest = masks[(masks & bit) == 0]
-    joined = _joined_off_rows(labels, graph.edge_ends, edge_k, rest)
+    u, v = graph.edge_ends[edge_k]
+    joined = labels[rest, u] == labels[rest, v]
     expected = np.where(joined, *oracle.thresholds(p, q))
     # w(rest) / (w(rest) + w(rest + e)) from the log weight ratio
     closed = 1.0 / (1.0 + np.exp(lw[cls[rest | bit]] - lw[cls[rest]]))

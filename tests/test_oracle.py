@@ -695,13 +695,15 @@ def test_stacked_label_tables_charged_before_allocating(monkeypatch):
 
 
 def _nan_in_cylinders(monkeypatch):
-    """Put a NaN at one cylinder of every cylinder_probabilities call."""
+    """Put a NaN at cylinder 3 of one row of every cylinder_probabilities
+    call: row 1 on each leading axis, so neither the first (wired) nor the
+    last (free) partition of cbc_scan, and one p and bc of mon_scan."""
     from critlat import oracle
     cylinders = oracle.cylinder_probabilities
 
     def with_nan(prob):
         out = cylinders(prob)
-        out[3] = np.nan
+        out[(1,) * (out.ndim - 1) + (3,)] = np.nan
         return out
 
     monkeypatch.setattr(oracle, "cylinder_probabilities", with_nan)
@@ -1026,13 +1028,15 @@ RECT272 = build_rect((0, 16), (0, 15))
     (all_pairs_connectivity, lambda: (RECT17, free_bc(RECT17))),
     (all_boundary_connection, lambda: (BOX1, wired_bc(BOX1))),
     (all_boundary_connection, lambda: (RECT17, free_bc(RECT17))),
-    (cbc_scan, lambda: (BOX1, 0.5, 2.0))],
+    (cbc_scan, lambda: (BOX1, 0.5, 2.0)),
+    (mon_scan, lambda: (RECT17, 2.0, (0.2, 0.4, 0.6, 0.8)))],
     ids=["sampled_labels_272v", "all_pairs_17e", "all_boundary_12e",
-         "all_boundary_17e", "cbc_scan_12e"])
+         "all_boundary_17e", "cbc_scan_12e", "mon_scan_17e"])
 def test_event_arrays_peak_within_their_charge(entry, make_args):
     # each event array is charged with its table, before either is built;
     # the sampled labels with their merge buffer and the bool copy of bits,
-    # each stack of cbc_scan with its probabilities and cylinder arrays
+    # each stack of cbc_scan and mon_scan with its probabilities and
+    # cylinder arrays
     args = make_args()
     _, peak, charge = charged_peak(lambda: entry(*args))
     assert peak <= 1.1 * charge + (1 << 20)
@@ -1107,6 +1111,17 @@ def test_partition_function_keeps_no_per_mask_weights():
 
 
 RECT22 = build_rect((0, 4), (0, 2))
+
+
+@pytest.mark.parametrize("call,per_mask", [
+    (lambda: cylinder_event(RECT22, [0, 7, 7, 19]), 1),
+    (lambda: open_count_array(RECT22.n_edges), 4)],
+    ids=["cylinder_event", "open_count_array"])
+def test_mask_arrays_peak_at_their_output(call, per_mask):
+    # filled by half blocks of the output itself, with no integer array
+    # over the 2^22 masks
+    _, peak = _traced_peak(call)
+    assert peak <= 1.1 * per_mask * (1 << RECT22.n_edges) + (1 << 20)
 
 
 def _frontier_cases():
